@@ -11,6 +11,7 @@ verifies them exhaustively over basis tuples and reports witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 from typing import Optional
 
 from .errors import (
@@ -20,13 +21,32 @@ from .errors import (
     NotMultiplicative,
     ShapeMismatch,
 )
+from .axioms import (
+    Axiom,
+    Commute,
+    Compose,
+    Kron,
+    Lin,
+    Mul,
+    Perm,
+    check,
+    commutation,
+    equivariant,
+    first_failure,
+    fixes,
+    holds,
+    multiplicative,
+    product_tensor,
+    twisted_product,
+    unit_law,
+    witness,
+)
 from .exactnum import Field
 from .linalg import (
     Matrix,
     Tensor3,
     bilinear_apply,
     kron,
-    mat_eq_witness,
     mat_inverse,
     mat_mul,
     solve_affine,
@@ -34,7 +54,6 @@ from .linalg import (
     unit_vec,
     vec_eq,
     vec_tensor,
-    zero_vec,
 )
 from .report import CheckReport
 
@@ -113,135 +132,51 @@ class LeftModule:
 # ---------------------------------------------------------------------------
 
 
-def _check_map_multiplicative(report, axiom, mu, m):
-    """m(e_i e_j) = m(e_i) m(e_j) over all basis pairs."""
-    d = mu.d1
-    for i in range(d):
-        for j in range(d):
-            lhs = m.apply(mu.column(i, j))
-            rhs = bilinear_apply(mu, m.column(i), m.column(j))
-            if not vec_eq(lhs, rhs):
-                report.add(axiom, False, ((i, j), lhs, rhs))
-                return
-    report.add(axiom, True)
+def associativity(name, act, mu, alpha, beta):
+    """act o (alpha (x) act) = act o (mu (x) beta): alpha(a)(bc) = (ab)beta(c)."""
+    return Axiom(
+        name,
+        Compose(Mul(act), Kron(Lin(alpha), Mul(act))),
+        Compose(Mul(act), Kron(Mul(mu), Lin(beta))),
+    )
+
+
+def unit_axioms(a: BiHomAlgebra, unit):
+    return [
+        fixes("unit_fixed_by_alpha", a.alpha, unit),
+        fixes("unit_fixed_by_beta", a.beta, unit),
+        unit_law("unit_right_action", a.mu, unit, a.alpha, "right"),
+        unit_law("unit_left_action", a.mu, unit, a.beta, "left"),
+    ]
 
 
 def check_bihom_algebra(a: BiHomAlgebra) -> CheckReport:
     """Verify every BiHom-associative-algebra axiom over all basis tuples."""
-    report = CheckReport()
-    d = a.dim
-    w = mat_eq_witness(mat_mul(a.alpha, a.beta), mat_mul(a.beta, a.alpha))
-    report.add("alpha_beta_commute", w is None, w)
-    _check_map_multiplicative(report, "alpha_multiplicative", a.mu, a.alpha)
-    _check_map_multiplicative(report, "beta_multiplicative", a.mu, a.beta)
-
-    ok = True
-    for i in range(d):
-        ai = a.alpha.column(i)
-        for j in range(d):
-            mij = a.mu.column(i, j)
-            for k in range(d):
-                lhs = bilinear_apply(a.mu, ai, a.mu.column(j, k))
-                rhs = bilinear_apply(a.mu, mij, a.beta.column(k))
-                if not vec_eq(lhs, rhs):
-                    report.add("bihom_associativity", False, ((i, j, k), lhs, rhs))
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("bihom_associativity", True)
-
+    table = [
+        Commute("alpha_beta_commute", a.alpha, a.beta),
+        multiplicative("alpha_multiplicative", a.mu, a.alpha),
+        multiplicative("beta_multiplicative", a.mu, a.beta),
+        associativity("bihom_associativity", a.mu, a.mu, a.alpha, a.beta),
+    ]
     if a.unit is not None:
-        report.add_eq("unit_fixed_by_alpha", ("1",), a.alpha.apply(a.unit), a.unit)
-        report.add_eq("unit_fixed_by_beta", ("1",), a.beta.apply(a.unit), a.unit)
-        right_ok = left_ok = True
-        for i in range(d):
-            ei = unit_vec(a.field, d, i)
-            lhs = a.multiply(ei, a.unit)
-            rhs = a.alpha.column(i)
-            if not vec_eq(lhs, rhs):
-                report.add("unit_right_action", False, ((i,), lhs, rhs))
-                right_ok = False
-                break
-        if right_ok:
-            report.add("unit_right_action", True)
-        for i in range(d):
-            ei = unit_vec(a.field, d, i)
-            lhs = a.multiply(a.unit, ei)
-            rhs = a.beta.column(i)
-            if not vec_eq(lhs, rhs):
-                report.add("unit_left_action", False, ((i,), lhs, rhs))
-                left_ok = False
-                break
-        if left_ok:
-            report.add("unit_left_action", True)
-    return report
+        table += unit_axioms(a, a.unit)
+    return check(table)
 
 
 def check_left_module(a: BiHomAlgebra, mod: LeftModule) -> CheckReport:
     """The left-module axioms over all basis pairs/triples."""
-    report = CheckReport()
     if mod.action.d1 != a.dim:
         raise ShapeMismatch("module action first index != algebra dimension")
-    w = mat_eq_witness(
-        mat_mul(mod.alphaM, mod.betaM), mat_mul(mod.betaM, mod.alphaM)
-    )
-    report.add("module_maps_commute", w is None, w)
-
     act = mod.action
-    for axiom, mapA, mapM in (
-        ("action_alpha_equivariance", a.alpha, mod.alphaM),
-        ("action_beta_equivariance", a.beta, mod.betaM),
-    ):
-        ok = True
-        for i in range(a.dim):
-            for j in range(mod.dim):
-                lhs = mapM.apply(act.column(i, j))
-                rhs = bilinear_apply(act, mapA.column(i), mapM.column(j))
-                if not vec_eq(lhs, rhs):
-                    report.add(axiom, False, ((i, j), lhs, rhs))
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            report.add(axiom, True)
-
-    ok = True
-    for i in range(a.dim):
-        ai = a.alpha.column(i)
-        for j in range(a.dim):
-            mij = a.mu.column(i, j)
-            for k in range(mod.dim):
-                lhs = bilinear_apply(act, ai, act.column(j, k))
-                rhs = bilinear_apply(act, mij, mod.betaM.column(k))
-                if not vec_eq(lhs, rhs):
-                    report.add("module_associativity", False, ((i, j, k), lhs, rhs))
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("module_associativity", True)
-
+    table = [
+        Commute("module_maps_commute", mod.alphaM, mod.betaM),
+        equivariant("action_alpha_equivariance", act, a.alpha, mod.alphaM),
+        equivariant("action_beta_equivariance", act, a.beta, mod.betaM),
+        associativity("module_associativity", act, a.mu, a.alpha, mod.betaM),
+    ]
     if a.unit is not None:
-        ok = True
-        for k in range(mod.dim):
-            mk = unit_vec(act.field, mod.dim, k)
-            lhs = bilinear_apply(act, a.unit, mk)
-            rhs = mod.betaM.column(k)
-            if not vec_eq(lhs, rhs):
-                report.add("unital_module", False, ((k,), lhs, rhs))
-                ok = False
-                break
-        if ok:
-            report.add("unital_module", True)
-    return report
+        table.append(unit_law("unital_module", act, a.unit, mod.betaM, "left"))
+    return check(table)
 
 
 # ---------------------------------------------------------------------------
@@ -249,35 +184,23 @@ def check_left_module(a: BiHomAlgebra, mod: LeftModule) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_multiplicative(mu, m, name):
-    d = mu.d1
-    for i in range(d):
-        for j in range(d):
-            lhs = m.apply(mu.column(i, j))
-            rhs = bilinear_apply(mu, m.column(i), m.column(j))
-            if not vec_eq(lhs, rhs):
-                raise NotMultiplicative(
-                    f"{name} is not multiplicative at basis pair ({i}, {j})",
-                    witness=((i, j), lhs, rhs),
-                )
+def _require_multiplicative(mu, m, name, broken="is not multiplicative at basis pair"):
+    w = witness(multiplicative(name, mu, m))
+    if w is not None:
+        i, j = w[0]
+        raise NotMultiplicative(f"{name} {broken} ({i}, {j})", witness=w)
 
 
 def _require_pairwise_commuting(named_maps):
-    items = list(named_maps)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            (n1, m1), (n2, m2) = items[i], items[j]
-            w = mat_eq_witness(mat_mul(m1, m2), mat_mul(m2, m1))
-            if w is not None:
-                raise MapsDoNotCommute(f"{n1} and {n2} do not commute", witness=w)
+    pairs = combinations(named_maps, 2)
+    failure = first_failure(Commute(f"{n1} and {n2}", m1, m2) for (n1, m1), (n2, m2) in pairs)
+    if failure is not None:
+        raise MapsDoNotCommute(f"{failure[0].name} do not commute", witness=failure[1])
 
 
 def _carried_unit(unit, *maps):
-    if unit is None:
+    if unit is None or not holds(*(fixes("", m, unit) for m in maps)):
         return None
-    for m in maps:
-        if not vec_eq(m.apply(unit), unit):
-            return None
     return list(unit)
 
 
@@ -292,17 +215,10 @@ def yau_twist(a: BiHomAlgebra, alpha2: Matrix, beta2: Matrix) -> BiHomAlgebra:
     _require_pairwise_commuting(
         [("alpha", a.alpha), ("beta", a.beta), ("alpha2", alpha2), ("beta2", beta2)]
     )
-    mu2 = Tensor3.from_function(
-        a.field,
-        a.dim,
-        a.dim,
-        a.dim,
-        lambda i, j: bilinear_apply(a.mu, alpha2.column(i), beta2.column(j)),
-    )
     return BiHomAlgebra(
         field=a.field,
         dim=a.dim,
-        mu=mu2,
+        mu=twisted_product(a.mu, alpha2, beta2),
         alpha=mat_mul(a.alpha, alpha2),
         beta=mat_mul(a.beta, beta2),
         unit=_carried_unit(a.unit, alpha2, beta2),
@@ -314,18 +230,11 @@ def untwist(a: BiHomAlgebra) -> BiHomAlgebra:
     """Recover the underlying associative product mu o (alpha^-1 (x) beta^-1)."""
     ainv = mat_inverse(a.alpha)
     binv = mat_inverse(a.beta)
-    mu2 = Tensor3.from_function(
-        a.field,
-        a.dim,
-        a.dim,
-        a.dim,
-        lambda i, j: bilinear_apply(a.mu, ainv.column(i), binv.column(j)),
-    )
     ident = Matrix.identity(a.field, a.dim)
     return BiHomAlgebra(
         field=a.field,
         dim=a.dim,
-        mu=mu2,
+        mu=twisted_product(a.mu, ainv, binv),
         alpha=ident,
         beta=ident.copy(),
         unit=_carried_unit(a.unit, ainv, binv),
@@ -342,12 +251,9 @@ def tensor_product(a: BiHomAlgebra, b: BiHomAlgebra) -> BiHomAlgebra:
     da, db = a.dim, b.dim
     d = da * db
 
-    def col(i, j):
-        ia, ib = divmod(i, db)
-        ja, jb = divmod(j, db)
-        return vec_tensor(a.mu.column(ia, ja), b.mu.column(ib, jb), a.field)
-
-    mu = Tensor3.from_function(a.field, d, d, d, col)
+    # (a (x) b)(a' (x) b') = a a' (x) b b'
+    pair = Compose(Kron(Mul(a.mu), Mul(b.mu)), Perm((da, db, da, db), (0, 2, 1, 3)))
+    mu = product_tensor(pair, d)
     unit = None
     if a.unit is not None and b.unit is not None:
         unit = vec_tensor(a.unit, b.unit, a.field)
@@ -372,7 +278,7 @@ def endomorphism_algebra(u: Matrix, v: Matrix) -> BiHomAlgebra:
     """
     if u.rows != u.cols or v.rows != v.cols or u.rows != v.rows:
         raise ShapeMismatch("u and v must be square of equal size")
-    w = mat_eq_witness(mat_mul(u, v), mat_mul(v, u))
+    w = commutation(u, v)
     if w is not None:
         raise MapsDoNotCommute("u and v do not commute", witness=w)
     field = u.field
@@ -380,53 +286,19 @@ def endomorphism_algebra(u: Matrix, v: Matrix) -> BiHomAlgebra:
     uinv = mat_inverse(u)
     vinv = mat_inverse(v)
     d = n * n
-
-    def flat(i, j):
-        return i * n + j
-
     # u E_ij u^-1 E_kl v^-1 has (r, c) entry u[r][i] * uinv[j][k] * vinv[l][c]
-    def mu_col(p, q):
-        i, j = divmod(p, n)
-        k, l = divmod(q, n)
-        out = zero_vec(field, d)
-        f = uinv.e[j][k]
-        if f:
-            for r in range(n):
-                ur = u.e[r][i]
-                if not ur:
-                    continue
-                c0 = f * ur
-                for c in range(n):
-                    vc = vinv.e[l][c]
-                    if vc:
-                        out[flat(r, c)] = c0 * vc
-        return out
-
-    mu = Tensor3.from_function(field, d, d, d, mu_col)
-
-    def conj_matrix(g, ginv):
-        m = Matrix.zero(field, d, d)
-        for k in range(n):
-            for l in range(n):
-                # g E_kl g^-1 has (r, c) entry g[r][k] * ginv[l][c]
-                for r in range(n):
-                    grk = g.e[r][k]
-                    if not grk:
-                        continue
-                    for c in range(n):
-                        glc = ginv.e[l][c]
-                        if glc:
-                            m.e[flat(r, c)][flat(k, l)] = grk * glc
-        return m
-
+    middle = Lin(Matrix(field, [[x for row in uinv.e for x in row]]), (n, n), ())
+    mu = product_tensor(Kron(Lin(u), middle, Lin(vinv.transpose())), d)
+    # g E_kl g^-1 has (r, c) entry g[r][k] * ginv[l][c]
+    alpha, beta = kron(u, uinv.transpose()), kron(v, vinv.transpose())
     unit = [v.e[i][j] for i in range(n) for j in range(n)]
     labels = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     return BiHomAlgebra(
         field=field,
         dim=d,
         mu=mu,
-        alpha=conj_matrix(u, uinv),
-        beta=conj_matrix(v, vinv),
+        alpha=alpha,
+        beta=beta,
         unit=unit,
         labels=labels,
     )

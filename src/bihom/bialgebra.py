@@ -10,6 +10,7 @@ inconsistency become rank facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 from typing import Optional
 
 from .algebra_core import (
@@ -19,6 +20,32 @@ from .algebra_core import (
     _require_pairwise_commuting,
     check_bihom_algebra,
     check_left_module,
+)
+from .axioms import (
+    Axiom,
+    Commute,
+    Comul,
+    Compose,
+    Covec,
+    Id,
+    Kron,
+    Lin,
+    Mul,
+    Perm,
+    Swap,
+    Vec,
+    check,
+    commutation,
+    comultiplicative,
+    comultiplicative_product,
+    counit_invariant,
+    equivariant,
+    first_failure,
+    fixes,
+    holds,
+    multiplicative,
+    twisted_product,
+    witness,
 )
 from .coalgebra import BiHomCoalgebra, _pairs, check_bihom_coalgebra
 from .errors import (
@@ -45,7 +72,6 @@ from .linalg import (
     vec_eq,
     vec_sub,
     vec_tensor,
-    zero_vec,
 )
 from .report import CheckReport
 
@@ -128,91 +154,38 @@ def check_bihom_bialgebra(H: BiHomBialgebra) -> CheckReport:
     report = CheckReport()
     report.merge(check_bihom_algebra(H.algebra_part()), prefix="algebra:")
     report.merge(check_bihom_coalgebra(H.coalgebra_part()), prefix="coalgebra:")
-    d = H.dim
-
-    # Delta(h h') = h1 h'1 (x) h2 h'2 over all basis pairs
-    ok = True
-    for i in range(d):
-        for j in range(d):
-            prod = H.mu.column(i, j)
-            lhs = H.coproduct(prod)
-            rhs = zero_vec(H.field, d * d)
-            for (a, b, c1) in _pairs(H.delta.t[i], d):
-                for (c, e, c2) in _pairs(H.delta.t[j], d):
-                    cc = c1 * c2
-                    first = H.mu.column(a, c)
-                    second = H.mu.column(b, e)
-                    for p in range(d):
-                        if first[p]:
-                            cp = cc * first[p]
-                            for r in range(d):
-                                if second[r]:
-                                    rhs[p * d + r] = rhs[p * d + r] + cp * second[r]
-            if not vec_eq(lhs, rhs):
-                report.add("delta_multiplicative", False, ((i, j), lhs, rhs))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("delta_multiplicative", True)
-
-    for name, m1, m2 in (
-        ("alpha_psi_commute", H.alpha, H.psi),
-        ("alpha_omega_commute", H.alpha, H.omega),
-        ("beta_psi_commute", H.beta, H.psi),
-        ("beta_omega_commute", H.beta, H.omega),
+    # Delta(h h') = h1 h'1 (x) h2 h'2
+    table = [comultiplicative_product("delta_multiplicative", H.delta, H.mu, H.mu, H.mu)]
+    for (n1, m1), (n2, m2) in product(
+        (("alpha", H.alpha), ("beta", H.beta)), (("psi", H.psi), ("omega", H.omega))
     ):
-        w = mat_eq_witness(mat_mul(m1, m2), mat_mul(m2, m1))
-        report.add(name, w is None, w)
-
-    # alpha, beta comultiplicative; psi, omega multiplicative
-    from .coalgebra import _check_comultiplicative
-
-    _check_comultiplicative(report, "alpha_comultiplicative", H.coalgebra_part(), H.alpha)
-    _check_comultiplicative(report, "beta_comultiplicative", H.coalgebra_part(), H.beta)
-    from .algebra_core import _check_map_multiplicative
-
-    _check_map_multiplicative(report, "psi_multiplicative", H.mu, H.psi)
-    _check_map_multiplicative(report, "omega_multiplicative", H.mu, H.omega)
-
+        table.append(Commute(f"{n1}_{n2}_commute", m1, m2))
+    table += [
+        comultiplicative("alpha_comultiplicative", H.delta, H.alpha),
+        comultiplicative("beta_comultiplicative", H.delta, H.beta),
+        multiplicative("psi_multiplicative", H.mu, H.psi),
+        multiplicative("omega_multiplicative", H.mu, H.omega),
+    ]
     if H.unit is not None:
-        one = H.unit
-        report.add_eq(
-            "coproduct_of_unit", ("1",), H.coproduct(one), vec_tensor(one, one, H.field)
-        )
-        report.add_eq("psi_fixes_unit", ("1",), H.psi.apply(one), list(one))
-        report.add_eq("omega_fixes_unit", ("1",), H.omega.apply(one), list(one))
+        one = Vec(H.unit)
+        table += [
+            Axiom("coproduct_of_unit", Compose(Comul(H.delta), one), Kron(one, one), ("1",)),
+            fixes("psi_fixes_unit", H.psi, H.unit),
+            fixes("omega_fixes_unit", H.omega, H.unit),
+        ]
         if H.counit is not None:
-            eps_of_one = sum(
-                (H.counit[i] * one[i] for i in range(d) if one[i]), H.field.zero()
+            scalar_one = Lin(Matrix.identity(H.field, 1), (), ())
+            table.append(
+                Axiom("counit_of_unit", Compose(Covec(H.counit), one), scalar_one, ("1",))
             )
-            report.add_eq("counit_of_unit", ("1",), eps_of_one, H.field.one())
     if H.counit is not None:
-        eps = H.counit
-        for name, m in (("counit_alpha", H.alpha), ("counit_beta", H.beta)):
-            comp = [
-                sum((eps[j] * m.e[j][i] for j in range(d) if m.e[j][i]), H.field.zero())
-                for i in range(d)
-            ]
-            report.add_eq(name, ("eps",), comp, list(eps))
-        ok = True
-        for i in range(d):
-            for j in range(d):
-                prod = H.mu.column(i, j)
-                lhs = sum(
-                    (eps[k] * prod[k] for k in range(d) if prod[k]), H.field.zero()
-                )
-                rhs = eps[i] * eps[j]
-                if lhs != rhs:
-                    report.add("counit_multiplicative", False, ((i, j), lhs, rhs))
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            report.add("counit_multiplicative", True)
-    return report
+        eps = Covec(H.counit)
+        table += [
+            counit_invariant("counit_alpha", H.counit, H.alpha),
+            counit_invariant("counit_beta", H.counit, H.beta),
+            Axiom("counit_multiplicative", Compose(eps, Mul(H.mu)), Kron(eps, eps)),
+        ]
+    return check(table, report)
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +194,9 @@ def check_bihom_bialgebra(H: BiHomBialgebra) -> CheckReport:
 
 
 def _require_bialgebra_map(H: BiHomBialgebra, m: Matrix, name):
-    from .algebra_core import _check_map_multiplicative
-    from .coalgebra import _check_comultiplicative
-
-    probe = CheckReport()
-    _check_map_multiplicative(probe, "m", H.mu, m)
-    _check_comultiplicative(probe, "c", H.coalgebra_part(), m)
-    if not probe.ok:
-        raise NotBialgebraMap(
-            f"{name} is not a bialgebra map", witness=probe.failures()[0].witness
-        )
+    w = witness(multiplicative(name, H.mu, m), comultiplicative(name, H.delta, m))
+    if w is not None:
+        raise NotBialgebraMap(f"{name} is not a bialgebra map", witness=w)
 
 
 def yau_twist_bialgebra(
@@ -357,6 +323,20 @@ def primitive_bracket(H: BiHomBialgebra, x, y):
 # ---------------------------------------------------------------------------
 
 
+def _module_algebra_compat(name, H, A, action, first, second):
+    """h.(a a') = [first(h1) . a] [second(h2) . a'] over basis tuples (h, a, a')."""
+    d, da, act = H.dim, A.dim, Mul(action)
+    split = Compose(
+        Perm((d, d, da, da), (0, 2, 1, 3)), Kron(Comul(H.delta), Id(da), Id(da))
+    )
+    legs = Kron(Compose(act, Kron(first, Id(da))), Compose(act, Kron(second, Id(da))))
+    return Axiom(
+        name,
+        Compose(act, Kron(Id(d), Mul(A.mu))),
+        Compose(Compose(Mul(A.mu), legs), split),
+    )
+
+
 def check_module_bihom_algebra(
     H: BiHomBialgebra, A: BiHomAlgebra, act: ModuleAlgebraAction
 ) -> CheckReport:
@@ -377,42 +357,11 @@ def check_module_bihom_algebra(
     report.merge(
         check_left_module(H.algebra_part(), act.as_left_module(A)), prefix="module:"
     )
-    d, da = H.dim, A.dim
-    action = act.action
-    first_map = mat_mul(ainv, oinv)  # alpha^-1 o omega^-1
-    second_map = mat_mul(binv, pinv)  # beta^-1 o psi^-1
-    ok = True
-    for h in range(d):
-        # precompute the coproduct legs of e_h, pushed through the inverses
-        split = [
-            (first_map.column(u), second_map.column(v), c)
-            for (u, v, c) in _pairs(H.delta.t[h], d)
-        ]
-        for a in range(da):
-            for b in range(da):
-                prod = A.mu.column(a, b)
-                lhs = bilinear_apply(action, unit_vec(H.field, d, h), prod)
-                rhs = zero_vec(H.field, da)
-                ea = unit_vec(H.field, da, a)
-                eb = unit_vec(H.field, da, b)
-                for (leg1, leg2, c) in split:
-                    t1 = bilinear_apply(action, leg1, ea)
-                    t2 = bilinear_apply(action, leg2, eb)
-                    term = bilinear_apply(A.mu, t1, t2)
-                    for k in range(da):
-                        if term[k]:
-                            rhs[k] = rhs[k] + c * term[k]
-                if not vec_eq(lhs, rhs):
-                    report.add("module_algebra_compat", False, ((h, a, b), lhs, rhs))
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("module_algebra_compat", True)
-    return report
+    compat = _module_algebra_compat(
+        "module_algebra_compat", H, A, act.action,
+        Lin(mat_mul(ainv, oinv)), Lin(mat_mul(binv, pinv)),
+    )
+    return check([compat], report)
 
 
 def twist_left_module(
@@ -437,34 +386,20 @@ def twist_left_module(
             "input is not a classical left module",
             witness=base.failures()[0].witness,
         )
-    w = mat_eq_witness(
-        mat_mul(mod.alphaM, mod.betaM), mat_mul(mod.betaM, mod.alphaM)
-    )
+    w = commutation(mod.alphaM, mod.betaM)
     if w is not None:
         raise HypothesisFailure("alphaM and betaM do not commute", witness=w)
     act = mod.action
-    for name, m_alg, m_mod in (
-        ("alphaM", alpha2, mod.alphaM),
-        ("betaM", beta2, mod.betaM),
-    ):
-        for i in range(a_classical.dim):
-            for j in range(mod.dim):
-                lhs = m_mod.apply(act.column(i, j))
-                rhs = bilinear_apply(act, m_alg.column(i), m_mod.column(j))
-                if not vec_eq(lhs, rhs):
-                    raise HypothesisFailure(
-                        f"{name} equivariance fails", witness=((i, j), lhs, rhs)
-                    )
+    failure = first_failure([
+        equivariant("alphaM", act, alpha2, mod.alphaM),
+        equivariant("betaM", act, beta2, mod.betaM),
+    ])
+    if failure is not None:
+        raise HypothesisFailure(f"{failure[0].name} equivariance fails", witness=failure[1])
     from .algebra_core import yau_twist
 
     a2 = yau_twist(a_classical, alpha2, beta2)
-    new_action = Tensor3.from_function(
-        act.field,
-        a_classical.dim,
-        mod.dim,
-        mod.dim,
-        lambda i, j: bilinear_apply(act, alpha2.column(i), mod.betaM.column(j)),
-    )
+    new_action = twisted_product(act, alpha2, mod.betaM)
     return a2, LeftModule(
         dim=mod.dim, action=new_action, alphaM=mod.alphaM.copy(), betaM=mod.betaM.copy()
     )
@@ -505,27 +440,17 @@ def twist_module_algebra(
     _require_multiplicative(A.mu, betaA, "betaA")
     _require_pairwise_commuting([("alphaA", alphaA), ("betaA", betaA)])
     action = act.action
-    for name, mh, ma in (("alpha", alphaH, alphaA), ("beta", betaH, betaA)):
-        for i in range(H.dim):
-            for j in range(A.dim):
-                lhs = ma.apply(action.column(i, j))
-                rhs = bilinear_apply(action, mh.column(i), ma.column(j))
-                if not vec_eq(lhs, rhs):
-                    raise HypothesisFailure(
-                        f"{name} equivariance fails", witness=((i, j), lhs, rhs)
-                    )
+    failure = first_failure([
+        equivariant("alpha", action, alphaH, alphaA),
+        equivariant("beta", action, betaH, betaA),
+    ])
+    if failure is not None:
+        raise HypothesisFailure(f"{failure[0].name} equivariance fails", witness=failure[1])
     from .algebra_core import yau_twist
 
     H2 = yau_twist_bialgebra(H, alphaH, betaH, psiH, omegaH)
     A2 = yau_twist(A, alphaA, betaA)
-    new_action = Tensor3.from_function(
-        action.field,
-        H.dim,
-        A.dim,
-        A.dim,
-        lambda i, j: bilinear_apply(action, alphaH.column(i), betaA.column(j)),
-    )
-    return H2, A2, ModuleAlgebraAction(action=new_action)
+    return H2, A2, ModuleAlgebraAction(action=twisted_product(action, alphaH, betaA))
 
 
 def _verify_classical_module_algebra(H, A, act):
@@ -537,29 +462,10 @@ def _verify_classical_module_algebra(H, A, act):
         raise HypothesisFailure(
             "not a classical left module", witness=base.failures()[0].witness
         )
-    d, da = H.dim, A.dim
-    action = act.action
-    for h in range(d):
-        for a in range(da):
-            for b in range(da):
-                lhs = bilinear_apply(
-                    action, unit_vec(H.field, d, h), A.mu.column(a, b)
-                )
-                rhs = zero_vec(H.field, da)
-                ea = unit_vec(H.field, da, a)
-                eb = unit_vec(H.field, da, b)
-                for (u, v, c) in _pairs(H.delta.t[h], d):
-                    t1 = bilinear_apply(action, unit_vec(H.field, d, u), ea)
-                    t2 = bilinear_apply(action, unit_vec(H.field, d, v), eb)
-                    term = bilinear_apply(A.mu, t1, t2)
-                    for k in range(da):
-                        if term[k]:
-                            rhs[k] = rhs[k] + c * term[k]
-                if not vec_eq(lhs, rhs):
-                    raise HypothesisFailure(
-                        "not a classical module algebra",
-                        witness=((h, a, b), lhs, rhs),
-                    )
+    ident = Id(H.dim)
+    w = witness(_module_algebra_compat("", H, A, act.action, ident, ident))
+    if w is not None:
+        raise HypothesisFailure("not a classical module algebra", witness=w)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +507,7 @@ def solve_antipode_monoidal(H: BiHomBialgebra):
     # sum_{u,v} Delta_h^{uv} S(e_u) e_v = eps_h 1   (rows per h, output k)
     for h in range(d):
         coeff = [[field.zero()] * n_unknowns for _ in range(d)]
-        for (u, v, c) in _pairs(H.delta.t[h], d):
+        for (u, v, c) in _pairs(H.delta.t[h]):
             for i in range(d):
                 prod = H.mu.column(i, v)
                 for k in range(d):
@@ -613,7 +519,7 @@ def solve_antipode_monoidal(H: BiHomBialgebra):
     # sum_{u,v} Delta_h^{uv} e_u S(e_v) = eps_h 1
     for h in range(d):
         coeff = [[field.zero()] * n_unknowns for _ in range(d)]
-        for (u, v, c) in _pairs(H.delta.t[h], d):
+        for (u, v, c) in _pairs(H.delta.t[h]):
             for j in range(d):
                 prod = H.mu.column(u, j)
                 for k in range(d):
@@ -649,6 +555,20 @@ def solve_antipode_monoidal(H: BiHomBialgebra):
     return s
 
 
+def _antipode_axioms(H: BiHomBialgebra, S: Matrix, before, after):
+    """mu o (before S (x) after) o Delta = eta o eps = mu o (before (x) after S) o Delta."""
+    s = Lin(S)
+    target = Compose(Vec(H.unit), Covec(H.counit))
+
+    def convolution(left, right):
+        return Compose(Compose(Mul(H.mu), Kron(left, right)), Comul(H.delta))
+
+    return [
+        Axiom("antipode_left", convolution(Compose(before, s), after), target),
+        Axiom("antipode_right", convolution(before, Compose(after, s)), target),
+    ]
+
+
 def check_antipode_general(H: BiHomBialgebra, S: Matrix) -> CheckReport:
     """The Yau-twist-invariant antipode axioms for a supplied S:
 
@@ -659,45 +579,18 @@ def check_antipode_general(H: BiHomBialgebra, S: Matrix) -> CheckReport:
         raise MissingUnit("the antipode axioms need a unit and a counit")
     if (S.rows, S.cols) != (H.dim, H.dim):
         raise ShapeMismatch("antipode matrix shape")
-    report = CheckReport()
-    for name, m in (
-        ("S_alpha_commute", H.alpha),
-        ("S_beta_commute", H.beta),
-        ("S_psi_commute", H.psi),
-        ("S_omega_commute", H.omega),
-    ):
-        w = mat_eq_witness(mat_mul(m, S), mat_mul(S, m))
-        report.add(name, w is None, w)
-    d = H.dim
-    bp = mat_mul(H.beta, H.psi)
-    ao = mat_mul(H.alpha, H.omega)
-    bpS = mat_mul(bp, S)
-    aoS = mat_mul(ao, S)
-    left_ok = right_ok = True
-    for h in range(d):
-        target = [H.counit[h] * H.unit[k] for k in range(d)]
-        lhs = zero_vec(H.field, d)
-        rhs = zero_vec(H.field, d)
-        for (u, v, c) in _pairs(H.delta.t[h], d):
-            t = bilinear_apply(H.mu, bpS.column(u), ao.column(v))
-            for k in range(d):
-                if t[k]:
-                    lhs[k] = lhs[k] + c * t[k]
-            t = bilinear_apply(H.mu, bp.column(u), aoS.column(v))
-            for k in range(d):
-                if t[k]:
-                    rhs[k] = rhs[k] + c * t[k]
-        if left_ok and not vec_eq(lhs, target):
-            report.add("antipode_left", False, ((h,), lhs, target))
-            left_ok = False
-        if right_ok and not vec_eq(rhs, target):
-            report.add("antipode_right", False, ((h,), rhs, target))
-            right_ok = False
-    if left_ok:
-        report.add("antipode_left", True)
-    if right_ok:
-        report.add("antipode_right", True)
-    return report
+    table = [
+        Commute(name, m, S)
+        for name, m in (
+            ("S_alpha_commute", H.alpha),
+            ("S_beta_commute", H.beta),
+            ("S_psi_commute", H.psi),
+            ("S_omega_commute", H.omega),
+        )
+    ]
+    bp = Lin(mat_mul(H.beta, H.psi))
+    ao = Lin(mat_mul(H.alpha, H.omega))
+    return check(table + _antipode_axioms(H, S, bp, ao))
 
 
 def hopf_to_monoidal(
@@ -720,16 +613,9 @@ def hopf_to_monoidal(
             _require_bialgebra_map(H, m, name)
         except NotBialgebraMap as exc:
             raise _not_automorphism(name, exc.witness)
-        if not vec_eq(m.apply(H.unit), list(H.unit)):
+        if not holds(fixes(name, m, H.unit)):
             raise _not_automorphism(name, "does not fix the unit")
-        comp = [
-            sum(
-                (H.counit[j] * m.e[j][i] for j in range(H.dim) if m.e[j][i]),
-                H.field.zero(),
-            )
-            for i in range(H.dim)
-        ]
-        if not vec_eq(comp, list(H.counit)):
+        if not holds(counit_invariant(name, H.counit, m)):
             raise _not_automorphism(name, "does not preserve the counit")
     _require_pairwise_commuting([("alpha", alpha), ("beta", beta)])
     ainv = mat_inverse(alpha)
@@ -754,95 +640,27 @@ def check_antipode_properties(H: BiHomBialgebra, S: Matrix) -> CheckReport:
     report = CheckReport()
     report.merge(_monoidal_antipode_axiom(H, S), prefix="axiom:")
     d = H.dim
-    report.add_eq("S_fixes_unit", ("1",), S.apply(H.unit), list(H.unit))
-    comp = [
-        sum((H.counit[j] * S.e[j][i] for j in range(d) if S.e[j][i]), H.field.zero())
-        for i in range(d)
-    ]
-    report.add_eq("eps_after_S", ("eps",), comp, list(H.counit))
-
-    ok = True
-    for a in range(d):
-        ba = H.beta.column(a)
-        Sa = S.apply(H.alpha.column(a))
-        for b in range(d):
-            lhs = S.apply(H.multiply(ba, H.alpha.column(b)))
-            rhs = H.multiply(S.apply(H.beta.column(b)), Sa)
-            if not vec_eq(lhs, rhs):
-                report.add("antihomomorphism", False, ((a, b), lhs, rhs))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("antihomomorphism", True)
-
-    ok = True
-    for h in range(d):
-        lhs = zero_vec(H.field, d * d)
-        sh = S.column(h)
-        cop = H.coproduct(sh)
-        for p in range(d):
-            ap = H.alpha.column(p)
-            for r in range(d):
-                c = cop[p * d + r]
-                if not c:
-                    continue
-                br = H.beta.column(r)
-                for i in range(d):
-                    if ap[i]:
-                        ci = c * ap[i]
-                        for j in range(d):
-                            if br[j]:
-                                lhs[i * d + j] = lhs[i * d + j] + ci * br[j]
-        rhs = zero_vec(H.field, d * d)
-        for (u, v, c) in _pairs(H.delta.t[h], d):
-            bsv = H.beta.apply(S.column(v))
-            asu = H.alpha.apply(S.column(u))
-            for i in range(d):
-                if bsv[i]:
-                    ci = c * bsv[i]
-                    for j in range(d):
-                        if asu[j]:
-                            rhs[i * d + j] = rhs[i * d + j] + ci * asu[j]
-        if not vec_eq(lhs, rhs):
-            report.add("coproduct_flip", False, ((h,), lhs, rhs))
-            ok = False
-            break
-    if ok:
-        report.add("coproduct_flip", True)
-    return report
+    s, alpha, beta, mu = Lin(S), Lin(H.alpha), Lin(H.beta), Mul(H.mu)
+    return check([
+        fixes("S_fixes_unit", S, H.unit),
+        counit_invariant("eps_after_S", H.counit, S),
+        Axiom(
+            "antihomomorphism",
+            Compose(s, Compose(mu, Kron(beta, alpha))),
+            Compose(Compose(mu, Kron(Compose(s, beta), Compose(s, alpha))), Swap(d, d)),
+        ),
+        Axiom(
+            "coproduct_flip",
+            Compose(Kron(alpha, beta), Comul(H.delta), s),
+            Compose(Kron(Compose(beta, s), Compose(alpha, s)), Swap(d, d), Comul(H.delta)),
+        ),
+    ], report)
 
 
 def _monoidal_antipode_axiom(H: BiHomBialgebra, S: Matrix) -> CheckReport:
     """S(h1) h2 = eps(h) 1 = h1 S(h2) plus commutation with alpha and beta."""
-    report = CheckReport()
-    for name, m in (("S_alpha_commute", H.alpha), ("S_beta_commute", H.beta)):
-        w = mat_eq_witness(mat_mul(m, S), mat_mul(S, m))
-        report.add(name, w is None, w)
-    d = H.dim
-    left_ok = right_ok = True
-    for h in range(d):
-        target = [H.counit[h] * H.unit[k] for k in range(d)]
-        lhs = zero_vec(H.field, d)
-        rhs = zero_vec(H.field, d)
-        for (u, v, c) in _pairs(H.delta.t[h], d):
-            t = H.multiply(S.column(u), unit_vec(H.field, d, v))
-            for k in range(d):
-                if t[k]:
-                    lhs[k] = lhs[k] + c * t[k]
-            t = H.multiply(unit_vec(H.field, d, u), S.column(v))
-            for k in range(d):
-                if t[k]:
-                    rhs[k] = rhs[k] + c * t[k]
-        if left_ok and not vec_eq(lhs, target):
-            report.add("antipode_left", False, ((h,), lhs, target))
-            left_ok = False
-        if right_ok and not vec_eq(rhs, target):
-            report.add("antipode_right", False, ((h,), rhs, target))
-            right_ok = False
-    if left_ok:
-        report.add("antipode_left", True)
-    if right_ok:
-        report.add("antipode_right", True)
-    return report
+    ident = Id(H.dim)
+    return check(
+        [Commute("S_alpha_commute", H.alpha, S), Commute("S_beta_commute", H.beta, S)]
+        + _antipode_axioms(H, S, ident, ident)
+    )

@@ -23,12 +23,31 @@ from .errors import (
     NotComultiplicative,
     ShapeMismatch,
 )
+from .axioms import (
+    Axiom,
+    Commute,
+    Comul,
+    Compose,
+    Kron,
+    Lin,
+    Mul,
+    Perm,
+    check,
+    coequivariant,
+    commutation,
+    comultiplicative,
+    counit_invariant,
+    counit_law,
+    coproduct_tensor,
+    holds,
+    product_tensor,
+    witness,
+)
 from .exactnum import Field
 from .linalg import (
     Matrix,
     Tensor3,
     kron,
-    mat_eq_witness,
     mat_mul,
     vec_eq,
     vec_tensor,
@@ -113,12 +132,8 @@ class Comodule:
 # ---------------------------------------------------------------------------
 
 
-def _pairs(plane, d=None):
-    """Nonzero (j, k, coeff) triples of a coefficient plane.
-
-    Iterates the actual (possibly rectangular) shape; the second argument
-    is accepted for call-site symmetry and ignored.
-    """
+def _pairs(plane):
+    """Nonzero (j, k, coeff) triples of a coefficient plane."""
     out = []
     for j, row in enumerate(plane):
         for k, x in enumerate(row):
@@ -127,186 +142,52 @@ def _pairs(plane, d=None):
     return out
 
 
-def _check_comultiplicative(report, axiom, C: BiHomCoalgebra, m: Matrix):
-    """(m (x) m) o Delta = Delta o m, checked per basis element."""
-    d = C.dim
-    for i in range(d):
-        lhs = zero_vec(C.field, d * d)
-        for (j, k, c) in _pairs(C.delta.t[i], d):
-            mj = m.column(j)
-            mk = m.column(k)
-            for p in range(d):
-                if mj[p]:
-                    cp = c * mj[p]
-                    for r in range(d):
-                        if mk[r]:
-                            lhs[p * d + r] = lhs[p * d + r] + cp * mk[r]
-        rhs = C.coproduct(m.column(i))
-        if not vec_eq(lhs, rhs):
-            report.add(axiom, False, ((i,), lhs, rhs))
-            return
-    report.add(axiom, True)
-
-
 def check_bihom_coalgebra(C: BiHomCoalgebra) -> CheckReport:
-    report = CheckReport()
-    d = C.dim
-    w = mat_eq_witness(mat_mul(C.psi, C.omega), mat_mul(C.omega, C.psi))
-    report.add("psi_omega_commute", w is None, w)
-    _check_comultiplicative(report, "psi_comultiplicative", C, C.psi)
-    _check_comultiplicative(report, "omega_comultiplicative", C, C.omega)
-
-    # (Delta (x) psi) o Delta = (omega (x) Delta) o Delta on each basis element
-    ok = True
-    for i in range(d):
-        lhs = zero_vec(C.field, d * d * d)
-        rhs = zero_vec(C.field, d * d * d)
-        for (j, k, c) in _pairs(C.delta.t[i], d):
-            psik = C.psi.column(k)
-            for (p, r, c2) in _pairs(C.delta.t[j], d):
-                cc = c * c2
-                for s in range(d):
-                    if psik[s]:
-                        idx = (p * d + r) * d + s
-                        lhs[idx] = lhs[idx] + cc * psik[s]
-            omj = C.omega.column(j)
-            for p in range(d):
-                if omj[p]:
-                    cp = c * omj[p]
-                    for (r, s, c3) in _pairs(C.delta.t[k], d):
-                        idx = (p * d + r) * d + s
-                        rhs[idx] = rhs[idx] + cp * c3
-        if not vec_eq(lhs, rhs):
-            report.add("bihom_coassociativity", False, ((i,), lhs, rhs))
-            ok = False
-            break
-    if ok:
-        report.add("bihom_coassociativity", True)
-
+    delta, psi, omega = Comul(C.delta), Lin(C.psi), Lin(C.omega)
+    table = [
+        Commute("psi_omega_commute", C.psi, C.omega),
+        comultiplicative("psi_comultiplicative", C.delta, C.psi),
+        comultiplicative("omega_comultiplicative", C.delta, C.omega),
+        # (Delta (x) psi) o Delta = (omega (x) Delta) o Delta
+        Axiom(
+            "bihom_coassociativity",
+            Compose(Kron(delta, psi), delta),
+            Compose(Kron(omega, delta), delta),
+        ),
+    ]
     if C.counit is not None:
-        eps = C.counit
-        for axiom, m in (("counit_psi", C.psi), ("counit_omega", C.omega)):
-            composed = [
-                sum((eps[j] * m.e[j][i] for j in range(d) if m.e[j][i]), C.field.zero())
-                for i in range(d)
-            ]
-            report.add_eq(axiom, ("eps",), composed, list(eps))
-        left_ok = right_ok = True
-        for i in range(d):
-            id_eps = zero_vec(C.field, d)
-            eps_id = zero_vec(C.field, d)
-            for (j, k, c) in _pairs(C.delta.t[i], d):
-                if eps[k]:
-                    id_eps[j] = id_eps[j] + c * eps[k]
-                if eps[j]:
-                    eps_id[k] = eps_id[k] + c * eps[j]
-            if right_ok and not vec_eq(id_eps, C.omega.column(i)):
-                report.add(
-                    "counit_right", False, ((i,), id_eps, C.omega.column(i))
-                )
-                right_ok = False
-            if left_ok and not vec_eq(eps_id, C.psi.column(i)):
-                report.add("counit_left", False, ((i,), eps_id, C.psi.column(i)))
-                left_ok = False
-        if right_ok:
-            report.add("counit_right", True)
-        if left_ok:
-            report.add("counit_left", True)
-    return report
+        table += [
+            counit_invariant("counit_psi", C.counit, C.psi),
+            counit_invariant("counit_omega", C.counit, C.omega),
+            counit_law("counit_right", C.delta, C.counit, C.omega, "right"),
+            counit_law("counit_left", C.delta, C.counit, C.psi, "left"),
+        ]
+    return check(table)
 
 
 def check_comodule(C: BiHomCoalgebra, M: Comodule) -> CheckReport:
-    report = CheckReport()
     if M.rho.d3 != C.dim:
         raise ShapeMismatch("coaction target coalgebra dimension")
-    dm, dc = M.dim, C.dim
-    w = mat_eq_witness(mat_mul(M.psiM, M.omegaM), mat_mul(M.omegaM, M.psiM))
-    report.add("comodule_maps_commute", w is None, w)
-
-    for axiom, mm, mc in (
-        ("coaction_psi_equivariance", M.psiM, C.psi),
-        ("coaction_omega_equivariance", M.omegaM, C.omega),
-    ):
-        ok = True
-        for i in range(dm):
-            lhs = zero_vec(C.field, dm * dc)
-            for (j, k, c) in _pairs(M.rho.t[i], dc):
-                mj = mm.column(j)
-                mk = mc.column(k)
-                for p in range(dm):
-                    if mj[p]:
-                        cp = c * mj[p]
-                        for r in range(dc):
-                            if mk[r]:
-                                lhs[p * dc + r] = lhs[p * dc + r] + cp * mk[r]
-            rhs = zero_vec(C.field, dm * dc)
-            for p, cp in enumerate(mm.column(i)):
-                if cp:
-                    for (j, k, c) in _pairs(M.rho.t[p], dc):
-                        rhs[j * dc + k] = rhs[j * dc + k] + cp * c
-            if not vec_eq(lhs, rhs):
-                report.add(axiom, False, ((i,), lhs, rhs))
-                ok = False
-                break
-        if ok:
-            report.add(axiom, True)
-
-    # (omega_M (x) Delta_C) o rho = (rho (x) psi_C) o rho
-    ok = True
-    for i in range(dm):
-        lhs = zero_vec(C.field, dm * dc * dc)
-        rhs = zero_vec(C.field, dm * dc * dc)
-        for (j, k, c) in _pairs(M.rho.t[i], dc):
-            omj = M.omegaM.column(j)
-            for p in range(dm):
-                if omj[p]:
-                    cp = c * omj[p]
-                    for (r, s, c2) in _pairs(C.delta.t[k], dc):
-                        idx = (p * dc + r) * dc + s
-                        lhs[idx] = lhs[idx] + cp * c2
-            psik = C.psi.column(k)
-            for (p, r, c2) in _pairs(M.rho.t[j], dc):
-                cc = c * c2
-                for s in range(dc):
-                    if psik[s]:
-                        idx = (p * dc + r) * dc + s
-                        rhs[idx] = rhs[idx] + cc * psik[s]
-        if not vec_eq(lhs, rhs):
-            report.add("comodule_coassociativity", False, ((i,), lhs, rhs))
-            ok = False
-            break
-    if ok:
-        report.add("comodule_coassociativity", True)
-
+    rho = Comul(M.rho)
+    table = [
+        Commute("comodule_maps_commute", M.psiM, M.omegaM),
+        coequivariant("coaction_psi_equivariance", M.rho, M.psiM, C.psi),
+        coequivariant("coaction_omega_equivariance", M.rho, M.omegaM, C.omega),
+        # (omega_M (x) Delta_C) o rho = (rho (x) psi_C) o rho
+        Axiom(
+            "comodule_coassociativity",
+            Compose(Kron(Lin(M.omegaM), Comul(C.delta)), rho),
+            Compose(Kron(rho, Lin(C.psi)), rho),
+        ),
+    ]
     if C.counit is not None:
-        eps = C.counit
-        ok = True
-        for i in range(dm):
-            lhs = zero_vec(C.field, dm)
-            for (j, k, c) in _pairs(M.rho.t[i], dc):
-                if eps[k]:
-                    lhs[j] = lhs[j] + c * eps[k]
-            if not vec_eq(lhs, M.omegaM.column(i)):
-                report.add("comodule_counital", False, ((i,), lhs, M.omegaM.column(i)))
-                ok = False
-                break
-        if ok:
-            report.add("comodule_counital", True)
-    return report
+        table.append(counit_law("comodule_counital", M.rho, C.counit, M.omegaM, "right"))
+    return check(table)
 
 
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
-
-
-def _require_comultiplicative(C: BiHomCoalgebra, m: Matrix, name):
-    probe = CheckReport()
-    _check_comultiplicative(probe, "x", C, m)
-    if not probe.ok:
-        raise NotComultiplicative(
-            f"{name} is not comultiplicative", witness=probe.failures()[0].witness
-        )
 
 
 def yau_twist_coalgebra(
@@ -317,40 +198,20 @@ def yau_twist_coalgebra(
     The counit is carried over whenever it is invariant under both twisting
     maps (always the case for counital coalgebra endomorphisms).
     """
-    _require_comultiplicative(C, psi2, "psi2")
-    _require_comultiplicative(C, omega2, "omega2")
+    for name, m in (("psi2", psi2), ("omega2", omega2)):
+        w = witness(comultiplicative(name, C.delta, m))
+        if w is not None:
+            raise NotComultiplicative(f"{name} is not comultiplicative", witness=w)
     _require_pairwise_commuting(
         [("psi", C.psi), ("omega", C.omega), ("psi2", psi2), ("omega2", omega2)]
     )
     d = C.dim
-
-    def col(i):
-        out = [[C.field.zero()] * d for _ in range(d)]
-        for (j, k, c) in _pairs(C.delta.t[i], d):
-            oj = omega2.column(j)
-            pk = psi2.column(k)
-            for p in range(d):
-                if oj[p]:
-                    cp = c * oj[p]
-                    for r in range(d):
-                        if pk[r]:
-                            out[p][r] = out[p][r] + cp * pk[r]
-        return out
-
-    delta2 = Tensor3(C.field, [col(i) for i in range(d)])
+    delta2 = coproduct_tensor(Compose(Kron(Lin(omega2), Lin(psi2)), Comul(C.delta)), d)
     counit = None
-    if C.counit is not None:
-        eps = C.counit
-        keeps = True
-        for m in (psi2, omega2):
-            comp = [
-                sum((eps[j] * m.e[j][i] for j in range(d) if m.e[j][i]), C.field.zero())
-                for i in range(d)
-            ]
-            if not vec_eq(comp, list(eps)):
-                keeps = False
-        if keeps:
-            counit = list(eps)
+    if C.counit is not None and holds(
+        counit_invariant("", C.counit, psi2), counit_invariant("", C.counit, omega2)
+    ):
+        counit = list(C.counit)
     return BiHomCoalgebra(
         field=C.field,
         dim=d,
@@ -410,13 +271,8 @@ def tensor_product_coalgebras(C: BiHomCoalgebra, D: BiHomCoalgebra) -> BiHomCoal
         raise MixedFields("tensor product across fields")
     dc, dd = C.dim, D.dim
     d = dc * dd
-    delta = Tensor3.zero(C.field, d, d, d)
-    for i in range(dc):
-        for a in range(dd):
-            src = i * dd + a
-            for (j, k, c1) in _pairs(C.delta.t[i], dc):
-                for (b, e, c2) in _pairs(D.delta.t[a], dd):
-                    delta.t[src][j * dd + b][k * dd + e] = c1 * c2
+    both = Kron(Comul(C.delta), Comul(D.delta))
+    delta = coproduct_tensor(Compose(Perm((dc, dc, dd, dd), (0, 2, 1, 3)), both), d)
     counit = None
     if C.counit is not None and D.counit is not None:
         counit = vec_tensor(C.counit, D.counit, C.field)
@@ -447,46 +303,17 @@ def twist_comodule(
     m -> omegaM(m_(0)) (x) psi2(m_(1)).
     """
     dm, dc = M.dim, C.dim
-    w = mat_eq_witness(mat_mul(M.psiM, M.omegaM), mat_mul(M.omegaM, M.psiM))
+    w = commutation(M.psiM, M.omegaM)
     if w is not None:
         raise ConditionFailure("psiM and omegaM do not commute", witness=w)
-    for name, mm, mc in (
-        ("psi", M.psiM, psi2),
-        ("omega", M.omegaM, omega2),
-    ):
-        for i in range(dm):
-            lhs = zero_vec(C.field, dm * dc)
-            for (j, k, c) in _pairs(M.rho.t[i], dc):
-                mj = mm.column(j)
-                mk = mc.column(k)
-                for p in range(dm):
-                    if mj[p]:
-                        cp = c * mj[p]
-                        for r in range(dc):
-                            if mk[r]:
-                                lhs[p * dc + r] = lhs[p * dc + r] + cp * mk[r]
-            rhs = zero_vec(C.field, dm * dc)
-            for p, cp in enumerate(mm.column(i)):
-                if cp:
-                    for (j, k, c) in _pairs(M.rho.t[p], dc):
-                        rhs[j * dc + k] = rhs[j * dc + k] + cp * c
-            if not vec_eq(lhs, rhs):
-                raise ConditionFailure(
-                    f"({name}_M (x) {name}_C) o rho != rho o {name}_M",
-                    witness=((i,), lhs, rhs),
-                )
+    for name, mm, mc in (("psi", M.psiM, psi2), ("omega", M.omegaM, omega2)):
+        w = witness(coequivariant(name, M.rho, mm, mc))
+        if w is not None:
+            raise ConditionFailure(
+                f"({name}_M (x) {name}_C) o rho != rho o {name}_M", witness=w
+            )
     C2 = yau_twist_coalgebra(C, psi2, omega2)
-    rho2 = Tensor3.zero(C.field, dm, dm, dc)
-    for i in range(dm):
-        for (j, k, c) in _pairs(M.rho.t[i], dc):
-            oj = M.omegaM.column(j)
-            pk = psi2.column(k)
-            for p in range(dm):
-                if oj[p]:
-                    cp = c * oj[p]
-                    for r in range(dc):
-                        if pk[r]:
-                            rho2.t[i][p][r] = rho2.t[i][p][r] + cp * pk[r]
+    rho2 = coproduct_tensor(Compose(Kron(Lin(M.omegaM), Lin(psi2)), Comul(M.rho)), dc)
     return C2, Comodule(dim=dm, rho=rho2, psiM=M.psiM.copy(), omegaM=M.omegaM.copy())
 
 
@@ -511,21 +338,9 @@ def convolution_algebra(C: BiHomCoalgebra, A: BiHomAlgebra) -> BiHomAlgebra:
         raise MixedFields("convolution across fields")
     dc, da = C.dim, A.dim
     d = dc * da
-    mu = Tensor3.zero(C.field, d, d, d)
-    for c in range(dc):
-        for a in range(da):
-            src1 = c * da + a
-            for e in range(dc):
-                for b in range(da):
-                    src2 = e * da + b
-                    prod = A.mu.column(a, b)
-                    col = mu.t[src1][src2]
-                    for i in range(dc):
-                        coeff = C.delta.t[i][c][e]
-                        if coeff:
-                            for t in range(da):
-                                if prod[t]:
-                                    col[i * da + t] = col[i * da + t] + coeff * prod[t]
+    # (e_c -> e_a) * (e_e -> e_b) = sum_i Delta(e_i)[c][e] (e_i -> e_a e_b)
+    pairs = Kron(Mul(dual_algebra(C).mu), Mul(A.mu))
+    mu = product_tensor(Compose(pairs, Perm((dc, da, dc, da), (0, 2, 1, 3))), d)
     phi = kron(C.omega.transpose(), A.alpha)
     gamma = kron(C.psi.transpose(), A.beta)
     unit = None

@@ -15,20 +15,37 @@ from .algebra_core import (
     LeftModule,
     check_left_module,
     _default_labels,
+    _require_multiplicative,
     _require_pairwise_commuting,
 )
-from .errors import ModuleAxiomFailure, NotMultiplicative, ShapeMismatch
+from .axioms import (
+    Axiom,
+    Commute,
+    Compose,
+    Id,
+    Kron,
+    Lin,
+    Mul,
+    Neg,
+    Perm,
+    Sum,
+    Swap,
+    Zero,
+    check,
+    equivariant,
+    multiplicative,
+    product_tensor,
+    twisted_product,
+)
+from .errors import ModuleAxiomFailure, ShapeMismatch
 from .exactnum import Field
 from .linalg import (
     Matrix,
     Tensor3,
     bilinear_apply,
-    mat_eq_witness,
     mat_inverse,
     mat_mul,
     unit_vec,
-    vec_eq,
-    vec_sub,
     zero_vec,
 )
 from .report import CheckReport
@@ -101,126 +118,47 @@ class LieRepresentation:
 
 def check_bihom_lie(L: BiHomLieAlgebra) -> CheckReport:
     """All five axiom families, exhaustively over basis tuples."""
-    report = CheckReport()
     d = L.dim
-    w = mat_eq_witness(mat_mul(L.alpha, L.beta), mat_mul(L.beta, L.alpha))
-    report.add("alpha_beta_commute", w is None, w)
+    beta = Lin(L.beta)
+    # [beta(x), alpha(y)] and [beta^2(x), [beta(y), alpha(z)]]
+    twisted = Compose(Mul(L.bracket), Kron(beta, Lin(L.alpha)))
+    nested = Compose(Mul(L.bracket), Kron(Compose(beta, beta), twisted))
 
-    for axiom, m in (
-        ("alpha_bracket_multiplicative", L.alpha),
-        ("beta_bracket_multiplicative", L.beta),
-    ):
-        ok = True
-        for i in range(d):
-            for j in range(d):
-                lhs = m.apply(L.bracket.column(i, j))
-                rhs = bilinear_apply(L.bracket, m.column(i), m.column(j))
-                if not vec_eq(lhs, rhs):
-                    report.add(axiom, False, ((i, j), lhs, rhs))
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            report.add(axiom, True)
+    def cyclic(order):
+        return Compose(nested, Perm((d, d, d), order))
 
-    # skew-symmetry in the twisted form: [beta(a), alpha(b)] = -[beta(b), alpha(a)]
-    ok = True
-    for i in range(d):
-        for j in range(d):
-            lhs = L.br(L.beta.column(i), L.alpha.column(j))
-            rhs = [-x for x in L.br(L.beta.column(j), L.alpha.column(i))]
-            if not vec_eq(lhs, rhs):
-                report.add("skew_symmetry", False, ((i, j), lhs, rhs))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("skew_symmetry", True)
-
-    beta2 = mat_mul(L.beta, L.beta)
-    ok = True
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                triples = ((i, j, k), (j, k, i), (k, i, j))
-                total = zero_vec(L.field, d)
-                for (x, y, z) in triples:
-                    inner = L.br(L.beta.column(y), L.alpha.column(z))
-                    term = L.br(beta2.column(x), inner)
-                    total = [a + b for a, b in zip(total, term)]
-                if any(total):
-                    report.add(
-                        "bihom_jacobi", False, ((i, j, k), total, zero_vec(L.field, d))
-                    )
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("bihom_jacobi", True)
-    return report
+    return check([
+        Commute("alpha_beta_commute", L.alpha, L.beta),
+        multiplicative("alpha_bracket_multiplicative", L.bracket, L.alpha),
+        multiplicative("beta_bracket_multiplicative", L.bracket, L.beta),
+        Axiom("skew_symmetry", twisted, Neg(Compose(twisted, Swap(d, d)))),
+        Axiom(
+            "bihom_jacobi",
+            Sum(Sum(nested, cyclic((1, 2, 0))), cyclic((2, 0, 1))),
+            Zero((d, d, d), (d,)),
+        ),
+    ])
 
 
 def check_representation(L: BiHomLieAlgebra, rep: LieRepresentation) -> CheckReport:
     """The three representation equations plus map commutation."""
-    report = CheckReport()
     if rep.rho.d1 != L.dim:
         raise ShapeMismatch("representation tensor first index != dim L")
-    w = mat_eq_witness(
-        mat_mul(rep.alphaM, rep.betaM), mat_mul(rep.betaM, rep.alphaM)
+    d, dm = L.dim, rep.dim
+    rho, alpha, beta = Mul(rep.rho), Lin(L.alpha), Lin(L.beta)
+    # rho([beta(x), y]) betaM = rho(alpha beta(x)) rho(y) - rho(beta(y)) rho(alpha(x))
+    lhs = Compose(rho, Kron(Compose(Mul(L.bracket), Kron(beta, Id(d))), Lin(rep.betaM)))
+    first = Compose(rho, Kron(Compose(alpha, beta), rho))
+    second = Compose(
+        Compose(rho, Kron(beta, Compose(rho, Kron(alpha, Id(dm))))),
+        Perm((d, d, dm), (1, 0, 2)),
     )
-    report.add("rep_maps_commute", w is None, w)
-
-    rho_of = rep.matrix_of
-    d = L.dim
-    for axiom, mapL, mapM in (
-        ("rep_alpha_equivariance", L.alpha, rep.alphaM),
-        ("rep_beta_equivariance", L.beta, rep.betaM),
-    ):
-        ok = True
-        for x in range(d):
-            lhs = mat_mul(rho_of(mapL.column(x)), mapM)
-            rhs = mat_mul(mapM, rho_of(unit_vec(L.field, d, x)))
-            wtn = mat_eq_witness(lhs, rhs)
-            if wtn is not None:
-                report.add(axiom, False, ((x,) + wtn[0], wtn[1], wtn[2]))
-                ok = False
-                break
-        if ok:
-            report.add(axiom, True)
-
-    ok = True
-    alphabeta = mat_mul(L.alpha, L.beta)
-    for x in range(d):
-        bx = L.beta.column(x)
-        rho_ab_x = rho_of(alphabeta.column(x))
-        rho_a_x = rho_of(L.alpha.column(x))
-        for y in range(d):
-            ey = unit_vec(L.field, d, y)
-            lhs = mat_mul(rho_of(L.br(bx, ey)), rep.betaM)
-            rhs_m = mat_mul(rho_ab_x, rho_of(ey))
-            rhs_s = mat_mul(rho_of(L.beta.column(y)), rho_a_x)
-            rhs = Matrix(
-                L.field,
-                [
-                    [rhs_m.e[i][j] - rhs_s.e[i][j] for j in range(rep.dim)]
-                    for i in range(rep.dim)
-                ],
-            )
-            wtn = mat_eq_witness(lhs, rhs)
-            if wtn is not None:
-                report.add("rep_bracket_equation", False, ((x, y) + wtn[0], wtn[1], wtn[2]))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("rep_bracket_equation", True)
-    return report
+    return check([
+        Commute("rep_maps_commute", rep.alphaM, rep.betaM),
+        equivariant("rep_alpha_equivariance", rep.rho, L.alpha, rep.alphaM),
+        equivariant("rep_beta_equivariance", rep.rho, L.beta, rep.betaM),
+        Axiom("rep_bracket_equation", lhs, Sum(first, Neg(second))),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -235,53 +173,30 @@ def commutator_lie(a: BiHomAlgebra) -> BiHomLieAlgebra:
     p = mat_mul(ainv, a.beta)  # alpha^-1 beta
     q = mat_mul(a.alpha, binv)  # alpha beta^-1
 
-    def col(i, j):
-        first = a.mu.column(i, j)
-        second = bilinear_apply(a.mu, p.column(j), q.column(i))
-        return vec_sub(first, second)
-
-    bracket = Tensor3.from_function(a.field, a.dim, a.dim, a.dim, col)
+    # mu(e_i, e_j) - mu(p(e_j), q(e_i))
+    swapped = Compose(Compose(Mul(a.mu), Kron(Lin(p), Lin(q))), Swap(a.dim, a.dim))
     return BiHomLieAlgebra(
         field=a.field,
         dim=a.dim,
-        bracket=bracket,
+        bracket=product_tensor(Sum(Mul(a.mu), Neg(swapped))),
         alpha=a.alpha.copy(),
         beta=a.beta.copy(),
         labels=list(a.labels),
     )
 
 
-def _require_bracket_multiplicative(bracket, m, name):
-    d = bracket.d1
-    for i in range(d):
-        for j in range(d):
-            lhs = m.apply(bracket.column(i, j))
-            rhs = bilinear_apply(bracket, m.column(i), m.column(j))
-            if not vec_eq(lhs, rhs):
-                raise NotMultiplicative(
-                    f"{name} does not preserve the bracket at ({i}, {j})",
-                    witness=((i, j), lhs, rhs),
-                )
-
-
 def yau_twist_lie(L: BiHomLieAlgebra, alpha2: Matrix, beta2: Matrix) -> BiHomLieAlgebra:
     """Deform the bracket to [-] o (alpha2 (x) beta2), composing the maps."""
-    _require_bracket_multiplicative(L.bracket, alpha2, "alpha2")
-    _require_bracket_multiplicative(L.bracket, beta2, "beta2")
+    broken = "does not preserve the bracket at"
+    _require_multiplicative(L.bracket, alpha2, "alpha2", broken)
+    _require_multiplicative(L.bracket, beta2, "beta2", broken)
     _require_pairwise_commuting(
         [("alpha", L.alpha), ("beta", L.beta), ("alpha2", alpha2), ("beta2", beta2)]
-    )
-    bracket = Tensor3.from_function(
-        L.field,
-        L.dim,
-        L.dim,
-        L.dim,
-        lambda i, j: bilinear_apply(L.bracket, alpha2.column(i), beta2.column(j)),
     )
     return BiHomLieAlgebra(
         field=L.field,
         dim=L.dim,
-        bracket=bracket,
+        bracket=twisted_product(L.bracket, alpha2, beta2),
         alpha=mat_mul(L.alpha, alpha2),
         beta=mat_mul(L.beta, beta2),
         labels=list(L.labels),

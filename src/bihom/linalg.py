@@ -27,10 +27,6 @@ def unit_vec(field, n, i):
     return v
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
 def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
 
@@ -41,10 +37,6 @@ def vec_scale(v, c):
 
 def vec_eq(u, v):
     return len(u) == len(v) and all(a == b for a, b in zip(u, v))
-
-
-def vec_is_zero(v):
-    return not any(v)
 
 
 def vec_tensor(u, v, field):
@@ -192,26 +184,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     y = brow[j]
                     if y:
                         orow[j] = orow[j] + x * y
-    return out
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise ShapeMismatch("matrix sum shape")
-    out = a.copy()
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out.e[i][j] = out.e[i][j] + b.e[i][j]
-    return out
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise ShapeMismatch("matrix difference shape")
-    out = a.copy()
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out.e[i][j] = out.e[i][j] - b.e[i][j]
     return out
 
 
@@ -484,27 +456,4 @@ def bilinear_apply(mu: Tensor3, x, y):
                 z = col[k]
                 if z:
                     out[k] = out[k] + c * z
-    return out
-
-
-def tensor_as_matrix(mu: Tensor3) -> Matrix:
-    """The d3 x (d1*d2) matrix of the induced linear map on the tensor square."""
-    out = Matrix.zero(mu.field, mu.d3, mu.d1 * mu.d2)
-    for i in range(mu.d1):
-        for j in range(mu.d2):
-            col = mu.t[i][j]
-            for k in range(mu.d3):
-                if col[k]:
-                    out.e[k][i * mu.d2 + j] = col[k]
-    return out
-
-
-def matrix_as_tensor(field, m: Matrix, d1, d2) -> Tensor3:
-    """Inverse of tensor_as_matrix for a d3 x (d1*d2) matrix."""
-    if m.cols != d1 * d2:
-        raise ShapeMismatch("matrix columns != d1*d2")
-    out = Tensor3.zero(field, d1, d2, m.rows)
-    for i in range(d1):
-        for j in range(d2):
-            out.t[i][j] = m.column(i * d2 + j)
     return out

@@ -13,19 +13,35 @@ from .bialgebra import (
     ModuleAlgebraAction,
     check_module_bihom_algebra,
 )
-from .coalgebra import Comodule, _pairs, check_comodule
+from .axioms import (
+    Axiom,
+    Comul,
+    Compose,
+    Id,
+    Kron,
+    Lin,
+    Mul,
+    Perm,
+    check,
+    coequivariant,
+    comultiplicative_product,
+    coproduct_tensor,
+    counit_invariant,
+    equivariant,
+    first_failure,
+    holds,
+    images,
+    multiplicative,
+)
+from .coalgebra import Comodule, check_comodule
 from .errors import HypothesisFailure, ModuleAxiomFailure, Singular
 from .linalg import (
     Matrix,
     MatrixPowers,
     Tensor3,
-    bilinear_apply,
     kron,
     mat_inverse,
     mat_mul,
-    unit_vec,
-    vec_eq,
-    zero_vec,
 )
 from .report import CheckReport
 from .twisting import TwistingMap, twisted_tensor_product
@@ -75,30 +91,18 @@ def smash_twisting_map(S: SmashData) -> TwistingMap:
     """R_{m,n,p}(h (x) a) = alpha^m beta^n omega^p(h1) . betaA^-1(a) (x) psi^-1(h2)."""
     S.validate()
     H, A = S.H, S.A
-    field = H.field
     dh, da = H.dim, A.dim
-    pow_a = MatrixPowers(H.alpha)
-    pow_b = MatrixPowers(H.beta)
-    pow_o = MatrixPowers(H.omega)
-    front = mat_mul(pow_a(S.m), mat_mul(pow_b(S.n), pow_o(S.p)))
-    psi_inv = mat_inverse(H.psi)
-    betaA_inv = mat_inverse(A.beta)
-    R = Matrix.zero(field, da * dh, dh * da)
-    act = S.action.action
-    for h in range(dh):
-        legs = [(front.column(u), psi_inv.column(v), c) for (u, v, c) in _pairs(H.delta.t[h], dh)]
-        for a in range(da):
-            src = h * da + a
-            avec = betaA_inv.column(a)
-            for (w, tail, c) in legs:
-                hit = bilinear_apply(act, w, avec)
-                for i in range(da):
-                    if hit[i]:
-                        ci = c * hit[i]
-                        for j in range(dh):
-                            if tail[j]:
-                                R.e[i * dh + j][src] = R.e[i * dh + j][src] + ci * tail[j]
-    return TwistingMap(R=R, dimA=da, dimB=dh)
+    front = mat_mul(
+        MatrixPowers(H.alpha)(S.m), mat_mul(MatrixPowers(H.beta)(S.n), MatrixPowers(H.omega)(S.p))
+    )
+    # e_h (x) e_a -> h1 (x) a (x) h2 -> front(h1) . betaA^-1(a) (x) psi^-1(h2)
+    acting = Compose(Mul(S.action.action), Kron(Lin(front), Lin(mat_inverse(A.beta))))
+    R = Compose(
+        Kron(acting, Lin(mat_inverse(H.psi))),
+        Perm((dh, dh, da), (0, 2, 1)),
+        Kron(Comul(H.delta), Id(da)),
+    )
+    return TwistingMap(R=Matrix.from_columns(H.field, images(R)), dimA=da, dimB=dh)
 
 
 def smash_product(S: SmashData) -> BiHomAlgebra:
@@ -128,109 +132,34 @@ def smash_comodule_structure(
     """
     S.validate()
     H, A = S.H, S.A
-    field = H.field
-    dh, da = H.dim, A.dim
     _require_pairwise_commuting(
         [("alphaA", A.alpha), ("betaA", A.beta), ("psiA", psiA), ("omegaA", omegaA)]
     )
-    for i in range(da):
-        for j in range(da):
-            lhs = omegaA.apply(A.mu.column(i, j))
-            rhs = bilinear_apply(A.mu, omegaA.column(i), omegaA.column(j))
-            if not vec_eq(lhs, rhs):
-                raise HypothesisFailure(
-                    "omegaA is not multiplicative", witness=((i, j), lhs, rhs)
-                )
-    act = S.action.action
-    for h in range(dh):
-        for a in range(da):
-            lhs = omegaA.apply(act.column(h, a))
-            rhs = bilinear_apply(act, H.omega.column(h), omegaA.column(a))
-            if not vec_eq(lhs, rhs):
-                raise HypothesisFailure(
-                    "omegaA(h.a) != omegaH(h).omegaA(a)", witness=((h, a), lhs, rhs)
-                )
+    failure = first_failure([
+        multiplicative("omegaA is not multiplicative", A.mu, omegaA),
+        equivariant("omegaA(h.a) != omegaH(h).omegaA(a)", S.action.action, H.omega, omegaA),
+    ])
+    if failure is not None:
+        raise HypothesisFailure(failure[0].name, witness=failure[1])
 
     D = smash_product(S)
-    d = D.dim  # = da * dh
-    rho = Tensor3.zero(field, d, d, dh)
-    for a in range(da):
-        oa = omegaA.column(a)
-        for h in range(dh):
-            src = a * dh + h
-            for (u, v, c) in _pairs(H.delta.t[h], dh):
-                for pidx in range(da):
-                    if oa[pidx]:
-                        rho.t[src][pidx * dh + u][v] = (
-                            rho.t[src][pidx * dh + u][v] + c * oa[pidx]
-                        )
-    comod = Comodule(dim=d, rho=rho, psiM=kron(psiA, H.psi), omegaM=kron(omegaA, H.omega))
+    # rho(a # h) = (omegaA(a) # h1) (x) h2
+    rho = coproduct_tensor(Kron(Lin(omegaA), Comul(H.delta)), H.dim)
+    comod = Comodule(dim=D.dim, rho=rho, psiM=kron(psiA, H.psi), omegaM=kron(omegaA, H.omega))
     report = CheckReport()
     report.merge(check_comodule(H.coalgebra_part(), comod), prefix="comodule:")
 
     # rho is a morphism of BiHom-associative algebras D -> D (x) H
-    halg = H.algebra_part()
-    for name, mD, mH in (
-        ("rho_alpha_morphism", D.alpha, H.alpha),
-        ("rho_beta_morphism", D.beta, H.beta),
-    ):
-        ok = True
-        for src in range(d):
-            lhs = _coaction_apply(rho, mD.column(src), dh, field)
-            rhs = zero_vec(field, d * dh)
-            for (j, k, c) in _pairs(rho.t[src], dh):
-                mj = mD.column(j)
-                mk = mH.column(k)
-                for pp in range(d):
-                    if mj[pp]:
-                        cp = c * mj[pp]
-                        for r in range(dh):
-                            if mk[r]:
-                                rhs[pp * dh + r] = rhs[pp * dh + r] + cp * mk[r]
-            if not vec_eq(lhs, rhs):
-                report.add(name, False, ((src,), lhs, rhs))
-                ok = False
-                break
-        if ok:
-            report.add(name, True)
+    def morphism(name, mD, mH):
+        ax = coequivariant(name, rho, mD, mH)
+        return Axiom(name, ax.rhs, ax.lhs)
 
-    ok = True
-    for s1 in range(d):
-        rs1 = rho.t[s1]
-        for s2 in range(d):
-            prod = D.mu.column(s1, s2)
-            lhs = _coaction_apply(rho, prod, dh, field)
-            rhs = zero_vec(field, d * dh)
-            for (j1, k1, c1) in _pairs(rs1, dh):
-                for (j2, k2, c2) in _pairs(rho.t[s2], dh):
-                    cc = c1 * c2
-                    dprod = D.mu.column(j1, j2)
-                    hprod = halg.mu.column(k1, k2)
-                    for pp in range(d):
-                        if dprod[pp]:
-                            cp = cc * dprod[pp]
-                            for r in range(dh):
-                                if hprod[r]:
-                                    rhs[pp * dh + r] = rhs[pp * dh + r] + cp * hprod[r]
-            if not vec_eq(lhs, rhs):
-                report.add("rho_multiplicative", False, ((s1, s2), lhs, rhs))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("rho_multiplicative", True)
+    check([
+        morphism("rho_alpha_morphism", D.alpha, H.alpha),
+        morphism("rho_beta_morphism", D.beta, H.beta),
+        comultiplicative_product("rho_multiplicative", rho, D.mu, D.mu, H.mu),
+    ], report)
     return D, comod, report
-
-
-def _coaction_apply(rho: Tensor3, v, dc, field):
-    out = zero_vec(field, rho.d2 * dc)
-    for i, c in enumerate(v):
-        if not c:
-            continue
-        for (j, k, c2) in _pairs(rho.t[i], dc):
-            out[j * dc + k] = out[j * dc + k] + c * c2
-    return out
 
 
 def dual_module_algebra(H: BiHomBialgebra) -> tuple:
@@ -252,35 +181,17 @@ def dual_module_algebra(H: BiHomBialgebra) -> tuple:
         oinv = mat_inverse(H.omega)
     except Singular as exc:
         raise Singular(f"dual module algebra needs bijective maps: {exc}")
-    m1 = mat_mul(ainv, oinv)
-    m2 = mat_mul(binv, pinv)
-    mu = Tensor3.zero(field, d, d, d)
-    for h in range(d):
-        for (u, v, c) in _pairs(H.delta.t[h], d):
-            for i in range(d):
-                x = m1.e[i][u]
-                if not x:
-                    continue
-                cx = c * x
-                for j in range(d):
-                    y = m2.e[j][v]
-                    if y:
-                        mu.t[i][j][h] = mu.t[i][j][h] + cx * y
+    # mu[i][j][h] is the coefficient of e_i (x) e_j in (m1 (x) m2)(Delta(e_h))
+    split = Compose(Kron(Lin(mat_mul(ainv, oinv)), Lin(mat_mul(binv, pinv))), Comul(H.delta))
+    planes = coproduct_tensor(split, d).t
+    mu = Tensor3.from_function(field, d, d, d, lambda i, j: [p[i][j] for p in planes])
     alphaA = ainv.transpose()
     betaA = binv.transpose()
     unit = None
-    if H.counit is not None:
-        eps = H.counit
-        keeps = True
-        for m in (H.alpha, H.beta):
-            comp = [
-                sum((eps[j] * m.e[j][i] for j in range(d) if m.e[j][i]), field.zero())
-                for i in range(d)
-            ]
-            if not vec_eq(comp, list(eps)):
-                keeps = False
-        if keeps:
-            unit = list(eps)
+    if H.counit is not None and holds(
+        counit_invariant("", H.counit, H.alpha), counit_invariant("", H.counit, H.beta)
+    ):
+        unit = list(H.counit)
     dual = BiHomAlgebra(
         field=field,
         dim=d,
@@ -290,13 +201,9 @@ def dual_module_algebra(H: BiHomBialgebra) -> tuple:
         unit=unit,
         labels=[f"{l}*" for l in H.labels],
     )
-    n = mat_mul(ainv, binv)
-    action = Tensor3.zero(field, d, d, d)
-    for h in range(d):
-        eh = unit_vec(field, d, h)
-        for hp in range(d):
-            w = H.multiply(n.column(hp), eh)
-            for i in range(d):
-                if w[i]:
-                    action.t[h][i][hp] = w[i]
+    # action[h][i][h'] is the coefficient of e_i in (alphaH^-1 betaH^-1(e_h')) e_h
+    cols = images(Compose(Mul(H.mu), Kron(Lin(mat_mul(ainv, binv)), Id(d))))
+    action = Tensor3.from_function(
+        field, d, d, d, lambda h, i: [cols[hp * d + h][i] for hp in range(d)]
+    )
     return dual, ModuleAlgebraAction(action=action)

@@ -10,12 +10,32 @@ Twisting maps R: B (x) A -> A (x) B are (dA*dB) x (dB*dA) matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 
 from .algebra_core import (
     BiHomAlgebra,
     _require_multiplicative,
     _require_pairwise_commuting,
     tensor_product,
+    unit_axioms,
+)
+from .axioms import (
+    Axiom,
+    Commute,
+    Compose,
+    Id,
+    Kron,
+    Lin,
+    Mul,
+    Swap,
+    check,
+    first_failure,
+    holds,
+    images,
+    multiplicative,
+    product_tensor,
+    witness,
 )
 from .errors import (
     HypothesisFailure,
@@ -24,19 +44,7 @@ from .errors import (
     Singular,
     TwistingMapInvalid,
 )
-from .linalg import (
-    Matrix,
-    kron,
-    mat_eq_witness,
-    mat_inverse,
-    mat_mul,
-    matrix_as_tensor,
-    tensor_as_matrix,
-    unit_vec,
-    vec_eq,
-    vec_tensor,
-    zero_vec,
-)
+from .linalg import Matrix, kron, mat_inverse, mat_mul, vec_tensor
 from .report import CheckReport
 
 
@@ -95,73 +103,34 @@ class TwistingMap:
 
 def check_pseudotwistor(D: BiHomAlgebra, P: Pseudotwistor) -> CheckReport:
     """All seven defining identities plus the hypothesis clauses, each as
-    an exact matrix identity on the full tensor space."""
-    report = CheckReport()
+    an identity of maps on tensor powers of D."""
     if P.alpha2.rows != D.dim:
         raise ShapeMismatch("pseudotwistor dimension != algebra dimension")
-    probe = CheckReport()
-    from .algebra_core import _check_map_multiplicative
-
-    _check_map_multiplicative(probe, "alpha2_multiplicative", D.mu, P.alpha2)
-    _check_map_multiplicative(probe, "beta2_multiplicative", D.mu, P.beta2)
-    report.merge(probe)
-    names = [
-        ("alpha", D.alpha),
-        ("beta", D.beta),
-        ("alpha2", P.alpha2),
-        ("beta2", P.beta2),
+    d = D.dim
+    square, cube = (d, d), (d, d, d)
+    T = Lin(P.T, square, square)
+    T1, T2 = Lin(P.T1tilde, cube, cube), Lin(P.T2tilde, cube, cube)
+    ident, mu = Id(d), Mul(D.mu)
+    names = [("alpha", D.alpha), ("beta", D.beta), ("alpha2", P.alpha2), ("beta2", P.beta2)]
+    table = [
+        multiplicative("alpha2_multiplicative", D.mu, P.alpha2),
+        multiplicative("beta2_multiplicative", D.mu, P.beta2),
     ]
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            (n1, m1), (n2, m2) = names[i], names[j]
-            w = mat_eq_witness(mat_mul(m1, m2), mat_mul(m2, m1))
-            report.add(f"{n1}_{n2}_commute", w is None, w)
-
-    ident = Matrix.identity(D.field, D.dim)
-    mu_mat = tensor_as_matrix(D.mu)  # d x d^2
-
-    def pair(name, lhs, rhs):
-        w = mat_eq_witness(lhs, rhs)
-        report.add(name, w is None, w)
-
-    pair(
-        "T_alpha2_compat",
-        mat_mul(kron(P.alpha2, P.alpha2), P.T),
-        mat_mul(P.T, kron(P.alpha2, P.alpha2)),
-    )
-    pair(
-        "T_beta2_compat",
-        mat_mul(kron(P.beta2, P.beta2), P.T),
-        mat_mul(P.T, kron(P.beta2, P.beta2)),
-    )
-    pair(
-        "T_alpha_compat",
-        mat_mul(kron(D.alpha, D.alpha), P.T),
-        mat_mul(P.T, kron(D.alpha, D.alpha)),
-    )
-    pair(
-        "T_beta_compat",
-        mat_mul(kron(D.beta, D.beta), P.T),
-        mat_mul(P.T, kron(D.beta, D.beta)),
-    )
-    alpha_mu = kron(D.alpha, mu_mat)  # d^3 -> d^2
-    mu_beta = kron(mu_mat, D.beta)
-    pair(
-        "T_left_product",
-        mat_mul(P.T, alpha_mu),
-        mat_mul(alpha_mu, mat_mul(P.T1tilde, kron(P.T, ident))),
-    )
-    pair(
-        "T_right_product",
-        mat_mul(P.T, mu_beta),
-        mat_mul(mu_beta, mat_mul(P.T2tilde, kron(ident, P.T))),
-    )
-    pair(
-        "companion_exchange",
-        mat_mul(P.T1tilde, mat_mul(kron(P.T, ident), kron(P.alpha2, P.T))),
-        mat_mul(P.T2tilde, mat_mul(kron(ident, P.T), kron(P.T, P.beta2))),
-    )
-    return report
+    table += [Commute(f"{n1}_{n2}_commute", m1, m2) for (n1, m1), (n2, m2) in combinations(names, 2)]
+    for name, m in (("alpha2", P.alpha2), ("beta2", P.beta2), ("alpha", D.alpha), ("beta", D.beta)):
+        both = Kron(Lin(m), Lin(m))
+        table.append(Axiom(f"T_{name}_compat", Compose(both, T), Compose(T, both)))
+    alpha_mu, mu_beta = Kron(Lin(D.alpha), mu), Kron(mu, Lin(D.beta))
+    table += [
+        Axiom("T_left_product", Compose(T, alpha_mu), Compose(alpha_mu, T1, Kron(T, ident))),
+        Axiom("T_right_product", Compose(T, mu_beta), Compose(mu_beta, T2, Kron(ident, T))),
+        Axiom(
+            "companion_exchange",
+            Compose(T1, Kron(T, ident), Kron(Lin(P.alpha2), T)),
+            Compose(T2, Kron(ident, T), Kron(T, Lin(P.beta2))),
+        ),
+    ]
+    return check(table)
 
 
 def canonical_pseudotwistor(D: BiHomAlgebra, alpha2: Matrix, beta2: Matrix) -> Pseudotwistor:
@@ -198,12 +167,11 @@ def apply_pseudotwistor(D: BiHomAlgebra, P: Pseudotwistor) -> BiHomAlgebra:
         raise PseudotwistorInvalid(
             f"pseudotwistor fails {report.failures()[0].axiom}", report=report
         )
-    mu_mat = mat_mul(tensor_as_matrix(D.mu), P.T)
-    mu2 = matrix_as_tensor(D.field, mu_mat, D.dim, D.dim)
+    square = (D.dim, D.dim)
     out = BiHomAlgebra(
         field=D.field,
         dim=D.dim,
-        mu=mu2,
+        mu=product_tensor(Compose(Mul(D.mu), Lin(P.T, square, square))),
         alpha=mat_mul(D.alpha, P.alpha2),
         beta=mat_mul(D.beta, P.beta2),
         unit=None,
@@ -216,18 +184,8 @@ def apply_pseudotwistor(D: BiHomAlgebra, P: Pseudotwistor) -> BiHomAlgebra:
 
 def _validated_unit(a: BiHomAlgebra, candidate):
     """Keep the unit only if it actually satisfies the unit axioms."""
-    if candidate is None:
+    if candidate is None or not holds(*unit_axioms(a, candidate)):
         return None
-    if not vec_eq(a.alpha.apply(candidate), list(candidate)):
-        return None
-    if not vec_eq(a.beta.apply(candidate), list(candidate)):
-        return None
-    for i in range(a.dim):
-        ei = unit_vec(a.field, a.dim, i)
-        if not vec_eq(a.multiply(ei, candidate), a.alpha.column(i)):
-            return None
-        if not vec_eq(a.multiply(candidate, ei), a.beta.column(i)):
-            return None
     return list(candidate)
 
 
@@ -236,140 +194,56 @@ def _validated_unit(a: BiHomAlgebra, candidate):
 # ---------------------------------------------------------------------------
 
 
+def _twisting(tw: TwistingMap):
+    """R as a map B (x) A -> A (x) B."""
+    return Lin(tw.R, (tw.dimB, tw.dimA), (tw.dimA, tw.dimB))
+
+
+def _intertwines(name, R, mA, mB):
+    """(mA (x) mB) o R = R o (mB (x) mA)."""
+    return Axiom(name, Compose(Kron(Lin(mA), Lin(mB)), R), Compose(R, Kron(Lin(mB), Lin(mA))))
+
+
+def _by_columns(steps):
+    """((f o g) o h) o k: the images of each composite of outer maps on basis
+    tuples are memoized, as the columns of a product matrix are, where
+    Compose(f, g, h, k) applies one map after another (Sweedler form)."""
+    return reduce(Compose, steps)
+
+
 def check_twisting_map(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> CheckReport:
-    """The four matrix identities of a BiHom-twisting map, plus per-basis
-    Sweedler-form evaluations that must agree with the matrix form."""
+    """The four identities of a BiHom-twisting map, plus the agreement of the
+    Sweedler-form evaluation of their right sides with the composite maps."""
     if tw.dimA != A.dim or tw.dimB != B.dim:
         raise ShapeMismatch("twisting map dimensions")
     try:
         aAi = mat_inverse(A.alpha)
-        bAi = mat_inverse(A.beta)
-        aBi = mat_inverse(B.alpha)
+        mat_inverse(A.beta)
+        mat_inverse(B.alpha)
         bBi = mat_inverse(B.beta)
     except Singular as exc:
         raise Singular(f"twisting maps need bijective structure maps: {exc}")
-    report = CheckReport()
-    field = A.field
-    R = tw.R
-    da, db = A.dim, B.dim
-    idA = Matrix.identity(field, da)
-    idB = Matrix.identity(field, db)
-    muA = tensor_as_matrix(A.mu)
-    muB = tensor_as_matrix(B.mu)
-
-    def pair(name, lhs, rhs):
-        w = mat_eq_witness(lhs, rhs)
-        report.add(name, w is None, w)
-
-    pair(
-        "R_alpha_compat",
-        mat_mul(kron(A.alpha, B.alpha), R),
-        mat_mul(R, kron(B.alpha, A.alpha)),
-    )
-    pair(
-        "R_beta_compat",
-        mat_mul(kron(A.beta, B.beta), R),
-        mat_mul(R, kron(B.beta, A.beta)),
-    )
+    R, idA, idB = _twisting(tw), Id(A.dim), Id(B.dim)
     # R o (alpha_B (x) mu_A) =
     #   (mu_A (x) beta_B) o (id_A (x) R) o (id_A (x) alpha_B beta_B^-1 (x) id_A) o (R (x) id_A)
-    ab_binv = mat_mul(B.alpha, bBi)
-    lhs1 = mat_mul(R, kron(B.alpha, muA))
-    rhs1 = mat_mul(
-        kron(muA, B.beta),
-        mat_mul(
-            kron(idA, R),
-            mat_mul(kron(idA, kron(ab_binv, idA)), kron(R, idA)),
-        ),
+    left = (
+        Kron(Mul(A.mu), Lin(B.beta)), Kron(idA, R),
+        Kron(idA, Lin(mat_mul(B.alpha, bBi)), idA), Kron(R, idA),
     )
-    pair("R_left_product", lhs1, rhs1)
     # R o (mu_B (x) beta_A) =
     #   (alpha_A (x) mu_B) o (R (x) id_B) o (id_B (x) alpha_A^-1 beta_A (x) id_B) o (id_B (x) R)
-    ainv_bA = mat_mul(aAi, A.beta)
-    lhs2 = mat_mul(R, kron(muB, A.beta))
-    rhs2 = mat_mul(
-        kron(A.alpha, muB),
-        mat_mul(
-            kron(R, idB),
-            mat_mul(kron(idB, kron(ainv_bA, idB)), kron(idB, R)),
-        ),
+    right = (
+        Kron(Lin(A.alpha), Mul(B.mu)), Kron(R, idB),
+        Kron(idB, Lin(mat_mul(aAi, A.beta)), idB), Kron(idB, R),
     )
-    pair("R_right_product", lhs2, rhs2)
-
-    # Sweedler-form spot checks on all basis pairs must agree with the
-    # matrix-form columns computed above.
-    ok = True
-    for b in range(db):
-        for a in range(da):
-            for a2 in range(da):
-                src = (b * da + a) * da + a2
-                expect = [rhs1.e[i][src] for i in range(rhs1.rows)]
-                got = zero_vec(field, da * db)
-                for ((ar, br), c) in tw.pairs(b, a):
-                    wvec = ab_binv.column(br)
-                    for b1, cb in enumerate(wvec):
-                        if not cb:
-                            continue
-                        for ((ar2, br2), c2) in tw.pairs(b1, a2):
-                            prod = A.mu.column(ar, ar2)
-                            bb = B.beta.column(br2)
-                            cc = c * cb * c2
-                            for i in range(da):
-                                if prod[i]:
-                                    ci = cc * prod[i]
-                                    for j in range(db):
-                                        if bb[j]:
-                                            got[i * db + j] = (
-                                                got[i * db + j] + ci * bb[j]
-                                            )
-                if not vec_eq(got, expect):
-                    report.add("sweedler_left_agrees", False, ((b, a, a2), got, expect))
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("sweedler_left_agrees", True)
-
-    ok = True
-    for b in range(db):
-        for b2 in range(db):
-            for a in range(da):
-                src = (b * db + b2) * da + a
-                expect = [rhs2.e[i][src] for i in range(rhs2.rows)]
-                got = zero_vec(field, da * db)
-                for ((ar, br), c) in tw.pairs(b2, a):
-                    wvec = ainv_bA.column(ar)
-                    for a1, ca in enumerate(wvec):
-                        if not ca:
-                            continue
-                        for ((ar2, br2), c2) in tw.pairs(b, a1):
-                            aa = A.alpha.column(ar2)
-                            prod = B.mu.column(br2, br)
-                            cc = c * ca * c2
-                            for i in range(da):
-                                if aa[i]:
-                                    ci = cc * aa[i]
-                                    for j in range(db):
-                                        if prod[j]:
-                                            got[i * db + j] = (
-                                                got[i * db + j] + ci * prod[j]
-                                            )
-                if not vec_eq(got, expect):
-                    report.add(
-                        "sweedler_right_agrees", False, ((b, b2, a), got, expect)
-                    )
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("sweedler_right_agrees", True)
-    return report
+    return check([
+        _intertwines("R_alpha_compat", R, A.alpha, B.alpha),
+        _intertwines("R_beta_compat", R, A.beta, B.beta),
+        Axiom("R_left_product", Compose(R, Kron(Lin(B.alpha), Mul(A.mu))), Compose(*left)),
+        Axiom("R_right_product", Compose(R, Kron(Mul(B.mu), Lin(A.beta))), Compose(*right)),
+        Axiom("sweedler_left_agrees", Compose(*left), _by_columns(left)),
+        Axiom("sweedler_right_agrees", Compose(*right), _by_columns(right)),
+    ])
 
 
 def flip_map(A: BiHomAlgebra, B: BiHomAlgebra) -> TwistingMap:
@@ -384,42 +258,25 @@ def flip_map(A: BiHomAlgebra, B: BiHomAlgebra) -> TwistingMap:
     return TwistingMap(R=R, dimA=da, dimB=db)
 
 
-def _swap_matrix(field, da, db):
-    """The flip A (x) B -> B (x) A on flattened coordinates."""
-    m = Matrix.zero(field, db * da, da * db)
-    one = field.one()
-    for a in range(da):
-        for b in range(db):
-            m.e[b * da + a][a * db + b] = one
-    return m
-
-
 def helper_identity_witness(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap):
     """The auxiliary exchange identity every accepted R satisfies:
 
     (aB^-1 bB)([aB bB^-1(b)]_R) (x) a_R = b_R (x) (aA bA^-1)([aA^-1 bA(a)]_R)
 
-    checked as one matrix identity B (x) A -> B (x) A; None when it holds,
-    otherwise the first differing entry.
+    checked on B (x) A; None when it holds, otherwise the witness at the
+    first basis pair (b, a) where it fails.
     """
-    field = A.field
     da, db = A.dim, B.dim
-    idA = Matrix.identity(field, da)
-    idB = Matrix.identity(field, db)
-    swap = _swap_matrix(field, da, db)  # A (x) B -> B (x) A
-    ab_binv = mat_mul(B.alpha, mat_inverse(B.beta))
-    abinv_b = mat_mul(mat_inverse(B.alpha), B.beta)
-    aA_bAinv = mat_mul(A.alpha, mat_inverse(A.beta))
-    aAinv_bA = mat_mul(mat_inverse(A.alpha), A.beta)
-    lhs = mat_mul(
-        kron(abinv_b, idA),
-        mat_mul(swap, mat_mul(tw.R, kron(ab_binv, idA))),
-    )
-    rhs = mat_mul(
-        kron(idB, aA_bAinv),
-        mat_mul(swap, mat_mul(tw.R, kron(idB, aAinv_bA))),
-    )
-    return mat_eq_witness(lhs, rhs)
+    R, flip = _twisting(tw), Swap(da, db)
+    ab_binv = Lin(mat_mul(B.alpha, mat_inverse(B.beta)))
+    abinv_b = Lin(mat_mul(mat_inverse(B.alpha), B.beta))
+    aA_bAinv = Lin(mat_mul(A.alpha, mat_inverse(A.beta)))
+    aAinv_bA = Lin(mat_mul(mat_inverse(A.alpha), A.beta))
+    return witness(Axiom(
+        "helper_identity",
+        Compose(Kron(abinv_b, Id(da)), flip, R, Kron(ab_binv, Id(da))),
+        Compose(Kron(Id(db), aA_bAinv), flip, R, Kron(Id(db), aAinv_bA)),
+    ))
 
 
 def _ttp_square_map(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> Matrix:
@@ -492,13 +349,11 @@ def twisted_tensor_product(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) ->
     plain = tensor_product(A, B)
     field = A.field
     d = A.dim * B.dim
-    T = _ttp_square_map(A, B, tw)
-    mu_mat = mat_mul(tensor_as_matrix(plain.mu), T)
-    mu2 = matrix_as_tensor(field, mu_mat, d, d)
+    T = Lin(_ttp_square_map(A, B, tw), (d, d), (d, d))
     out = BiHomAlgebra(
         field=field,
         dim=d,
-        mu=mu2,
+        mu=product_tensor(Compose(Mul(plain.mu), T)),
         alpha=plain.alpha,
         beta=plain.beta,
         unit=None,
@@ -526,7 +381,6 @@ def lift_twisting_map(
     twisting-map equations for P, the commutation conditions, and the
     automorphism hypotheses are verified.
     """
-    field = A.field
     da, db = A.dim, B.dim
     for name, m, alg in (
         ("alphaA", alphaA, A),
@@ -542,34 +396,25 @@ def lift_twisting_map(
     _require_pairwise_commuting([("alphaA", alphaA), ("betaA", betaA)])
     _require_pairwise_commuting([("alphaB", alphaB), ("betaB", betaB)])
 
-    idA = Matrix.identity(field, da)
-    idB = Matrix.identity(field, db)
-    muA = tensor_as_matrix(A.mu)
-    muB = tensor_as_matrix(B.mu)
-    R = P.R
-    lhs = mat_mul(R, kron(idB, muA))
-    rhs = mat_mul(kron(muA, idB), mat_mul(kron(idA, R), kron(R, idA)))
-    w = mat_eq_witness(lhs, rhs)
-    if w is not None:
-        raise HypothesisFailure("P fails the classical left twisting equation", w)
-    lhs = mat_mul(R, kron(muB, idA))
-    rhs = mat_mul(kron(idA, muB), mat_mul(kron(R, idB), kron(idB, R)))
-    w = mat_eq_witness(lhs, rhs)
-    if w is not None:
-        raise HypothesisFailure("P fails the classical right twisting equation", w)
-    w = mat_eq_witness(
-        mat_mul(kron(alphaA, alphaB), R), mat_mul(R, kron(alphaB, alphaA))
-    )
-    if w is not None:
-        raise HypothesisFailure("P does not intertwine the alphas", w)
-    w = mat_eq_witness(
-        mat_mul(kron(betaA, betaB), R), mat_mul(R, kron(betaB, betaA))
-    )
-    if w is not None:
-        raise HypothesisFailure("P does not intertwine the betas", w)
+    R, idA, idB, muA, muB = _twisting(P), Id(da), Id(db), Mul(A.mu), Mul(B.mu)
+    failure = first_failure([
+        Axiom(
+            "P fails the classical left twisting equation",
+            Compose(R, Kron(idB, muA)),
+            Compose(Kron(muA, idB), Kron(idA, R), Kron(R, idA)),
+        ),
+        Axiom(
+            "P fails the classical right twisting equation",
+            Compose(R, Kron(muB, idA)),
+            Compose(Kron(idA, muB), Kron(R, idB), Kron(idB, R)),
+        ),
+        _intertwines("P does not intertwine the alphas", R, alphaA, alphaB),
+        _intertwines("P does not intertwine the betas", R, betaA, betaB),
+    ])
+    if failure is not None:
+        raise HypothesisFailure(failure[0].name, failure[1])
 
-    U = mat_mul(
-        kron(mat_inverse(betaA), mat_inverse(alphaB)),
-        mat_mul(R, kron(alphaB, betaA)),
+    U = Compose(
+        Kron(Lin(mat_inverse(betaA)), Lin(mat_inverse(alphaB))), R, Kron(Lin(alphaB), Lin(betaA))
     )
-    return TwistingMap(R=U, dimA=da, dimB=db)
+    return TwistingMap(R=Matrix.from_columns(A.field, images(U)), dimA=da, dimB=db)

@@ -61,7 +61,7 @@ class TestSmashTwistingMap:
         for h in range(4):
             for a in range(4):
                 src = h * 4 + a
-                for (u, v, c) in _pairs(H.delta.t[h], 4):
+                for (u, v, c) in _pairs(H.delta.t[h]):
                     hit = act.action.column(u, a)
                     for i in range(4):
                         if hit[i]:
@@ -132,7 +132,7 @@ class TestSmashProduct:
                 for a2 in range(4):
                     for h2 in range(4):
                         out = direct.t[a * 4 + h][a2 * 4 + h2]
-                        for (u, v, c) in _pairs(H2.delta.t[h], 4):
+                        for (u, v, c) in _pairs(H2.delta.t[h]):
                             inner = bilinear_apply(
                                 act2.action, binv_oinv.column(u), betaA_inv.column(a2)
                             )
@@ -181,7 +181,7 @@ class TestSmashProduct:
                     for h2 in range(4):
                         src1, src2 = a * 4 + h, a2 * 4 + h2
                         out = direct.t[src1][src2]
-                        for (u, v, c) in _pairs(H2.delta.t[h], 4):
+                        for (u, v, c) in _pairs(H2.delta.t[h]):
                             acted = bilinear_apply(
                                 act2.action, powers(-2).column(u), aA_inv.column(a2)
                             )
@@ -217,7 +217,7 @@ class TestSmashProduct:
                     for h2 in range(4):
                         src1, src2 = a * 4 + h, a2 * 4 + h2
                         out = direct.t[src1][src2]
-                        for (u, v, c) in _pairs(H2.delta.t[h], 4):
+                        for (u, v, c) in _pairs(H2.delta.t[h]):
                             acted = bilinear_apply(
                                 act2.action, unit_vec(QQ, 4, u), aA_inv.column(a2)
                             )

@@ -265,7 +265,7 @@ class TestLiftTwistingMap:
         for h in range(4):
             for a in range(4):
                 src = h * 4 + a
-                for (u, v, c) in _pairs(H.delta.t[h], 4):
+                for (u, v, c) in _pairs(H.delta.t[h]):
                     hit = act.action.column(u, a)
                     for i in range(4):
                         if hit[i]:
