@@ -558,11 +558,16 @@ _FIELD_TAGS = {"Q": lambda: QQ, "Q(q)": lambda: QQ_Q}
 
 def field_from_tag(tag: str) -> Field:
     """Decode a field descriptor string: "Q", "Fp:<p>", "Q(q)"."""
+    if not isinstance(tag, str):
+        raise BadScalar(f"field tag must be a string, got {tag!r}")
     if tag in _FIELD_TAGS:
         return _FIELD_TAGS[tag]()
     m = re.fullmatch(r"Fp:(\d+)", tag)
     if m:
-        return PrimeField(int(m.group(1)))
+        try:
+            return PrimeField(int(m.group(1)))
+        except ValueError as exc:
+            raise BadScalar(str(exc))
     raise BadScalar(f"unknown field tag {tag!r}")
 
 

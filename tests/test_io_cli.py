@@ -120,6 +120,16 @@ class TestCli:
         missing = tmp_path / "nope.json"
         assert main(["check", str(missing)]) == 2
 
+    @pytest.mark.parametrize("tag", ["Fp:4", "Fp:1", 5, ["Q"]])
+    def test_hostile_field_tag_exit_code(self, tag, tmp_path, capsys):
+        obj = json.loads(serialize_structure(example_family(1, 3, 2), "algebra"))
+        obj["field"] = tag
+        bad = tmp_path / "bad_field.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field: ") and "Traceback" not in err
+
     def test_smash_then_check(self, tmp_path, capsys):
         out = tmp_path / "smash.json"
         rc = main(
