@@ -253,7 +253,7 @@ def tensor_product(a: BiHomAlgebra, b: BiHomAlgebra) -> BiHomAlgebra:
 
     # (a (x) b)(a' (x) b') = a a' (x) b b'
     pair = Compose(Kron(Mul(a.mu), Mul(b.mu)), Perm((da, db, da, db), (0, 2, 1, 3)))
-    mu = product_tensor(pair, d)
+    mu = product_tensor(pair, d, d)
     unit = None
     if a.unit is not None and b.unit is not None:
         unit = vec_tensor(a.unit, b.unit, a.field)
@@ -288,7 +288,7 @@ def endomorphism_algebra(u: Matrix, v: Matrix) -> BiHomAlgebra:
     d = n * n
     # u E_ij u^-1 E_kl v^-1 has (r, c) entry u[r][i] * uinv[j][k] * vinv[l][c]
     middle = Lin(Matrix(field, [[x for row in uinv.e for x in row]]), (n, n), ())
-    mu = product_tensor(Kron(Lin(u), middle, Lin(vinv.transpose())), d)
+    mu = product_tensor(Kron(Lin(u), middle, Lin(vinv.transpose())), d, d)
     # g E_kl g^-1 has (r, c) entry g[r][k] * ginv[l][c]
     alpha, beta = kron(u, uinv.transpose()), kron(v, vinv.transpose())
     unit = [v.e[i][j] for i in range(n) for j in range(n)]

@@ -469,12 +469,12 @@ def images(term):
     return [list(dense(t)) for t in product(*map(range, term.dom))]
 
 
-def product_tensor(term, d2=None) -> Tensor3:
-    """Structure constants t[i][j] = term(e_i (x) e_j) of a map V (x) W -> U,
-    where W is the last domain factor, or has dimension d2."""
-    d2 = term.dom[-1] if d2 is None else d2
+def product_tensor(term, d1=None, d2=None) -> Tensor3:
+    """Structure constants t[i][j] = term(e_i (x) e_j) of a map V (x) W -> U;
+    dim V = d1 and dim W = d2 unless they are the two domain factors."""
+    if d1 is None:
+        d1, d2 = term.dom
     cols = images(term)
-    d1 = len(cols) // d2
     t = Tensor3.zero(term.field, d1, d2, _size(term.cod))
     t.t = [cols[i * d2:(i + 1) * d2] for i in range(d1)]
     return t
@@ -485,10 +485,12 @@ def twisted_product(mu, left, right) -> Tensor3:
     return product_tensor(Compose(Mul(mu), Kron(Lin(left), Lin(right))))
 
 
-def coproduct_tensor(term, d3) -> Tensor3:
-    """t[i][j][k], the coefficient of e_j (x) e_k in term(e_i), for a map
-    whose codomain ends in a factor of dimension d3."""
-    d2 = _size(term.cod) // d3
+def coproduct_tensor(term, d2=None, d3=None) -> Tensor3:
+    """t[i][j][k], the coefficient of e_j (x) e_k in term(e_i) for a map
+    V -> W (x) U; dim W = d2 and dim U = d3 unless they are the two
+    codomain factors."""
+    if d2 is None:
+        d2, d3 = term.cod
     t = Tensor3.zero(term.field, _size(term.dom), d2, d3)
     t.t = [[col[j * d3:(j + 1) * d3] for j in range(d2)] for col in images(term)]
     return t

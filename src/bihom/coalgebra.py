@@ -205,8 +205,7 @@ def yau_twist_coalgebra(
     _require_pairwise_commuting(
         [("psi", C.psi), ("omega", C.omega), ("psi2", psi2), ("omega2", omega2)]
     )
-    d = C.dim
-    delta2 = coproduct_tensor(Compose(Kron(Lin(omega2), Lin(psi2)), Comul(C.delta)), d)
+    delta2 = coproduct_tensor(Compose(Kron(Lin(omega2), Lin(psi2)), Comul(C.delta)))
     counit = None
     if C.counit is not None and holds(
         counit_invariant("", C.counit, psi2), counit_invariant("", C.counit, omega2)
@@ -214,7 +213,7 @@ def yau_twist_coalgebra(
         counit = list(C.counit)
     return BiHomCoalgebra(
         field=C.field,
-        dim=d,
+        dim=C.dim,
         delta=delta2,
         psi=mat_mul(C.psi, psi2),
         omega=mat_mul(C.omega, omega2),
@@ -272,7 +271,7 @@ def tensor_product_coalgebras(C: BiHomCoalgebra, D: BiHomCoalgebra) -> BiHomCoal
     dc, dd = C.dim, D.dim
     d = dc * dd
     both = Kron(Comul(C.delta), Comul(D.delta))
-    delta = coproduct_tensor(Compose(Perm((dc, dc, dd, dd), (0, 2, 1, 3)), both), d)
+    delta = coproduct_tensor(Compose(Perm((dc, dc, dd, dd), (0, 2, 1, 3)), both), d, d)
     counit = None
     if C.counit is not None and D.counit is not None:
         counit = vec_tensor(C.counit, D.counit, C.field)
@@ -302,7 +301,6 @@ def twist_comodule(
     rho o omegaM.  Returns (C twisted, comodule over it) with new coaction
     m -> omegaM(m_(0)) (x) psi2(m_(1)).
     """
-    dm, dc = M.dim, C.dim
     w = commutation(M.psiM, M.omegaM)
     if w is not None:
         raise ConditionFailure("psiM and omegaM do not commute", witness=w)
@@ -313,8 +311,8 @@ def twist_comodule(
                 f"({name}_M (x) {name}_C) o rho != rho o {name}_M", witness=w
             )
     C2 = yau_twist_coalgebra(C, psi2, omega2)
-    rho2 = coproduct_tensor(Compose(Kron(Lin(M.omegaM), Lin(psi2)), Comul(M.rho)), dc)
-    return C2, Comodule(dim=dm, rho=rho2, psiM=M.psiM.copy(), omegaM=M.omegaM.copy())
+    rho2 = coproduct_tensor(Compose(Kron(Lin(M.omegaM), Lin(psi2)), Comul(M.rho)))
+    return C2, Comodule(dim=M.dim, rho=rho2, psiM=M.psiM.copy(), omegaM=M.omegaM.copy())
 
 
 def regular_comodule(C: BiHomCoalgebra) -> Comodule:
@@ -340,7 +338,7 @@ def convolution_algebra(C: BiHomCoalgebra, A: BiHomAlgebra) -> BiHomAlgebra:
     d = dc * da
     # (e_c -> e_a) * (e_e -> e_b) = sum_i Delta(e_i)[c][e] (e_i -> e_a e_b)
     pairs = Kron(Mul(dual_algebra(C).mu), Mul(A.mu))
-    mu = product_tensor(Compose(pairs, Perm((dc, da, dc, da), (0, 2, 1, 3))), d)
+    mu = product_tensor(Compose(pairs, Perm((dc, da, dc, da), (0, 2, 1, 3))), d, d)
     phi = kron(C.omega.transpose(), A.alpha)
     gamma = kron(C.psi.transpose(), A.beta)
     unit = None

@@ -144,7 +144,7 @@ def smash_comodule_structure(
 
     D = smash_product(S)
     # rho(a # h) = (omegaA(a) # h1) (x) h2
-    rho = coproduct_tensor(Kron(Lin(omegaA), Comul(H.delta)), H.dim)
+    rho = coproduct_tensor(Kron(Lin(omegaA), Comul(H.delta)), D.dim, H.dim)
     comod = Comodule(dim=D.dim, rho=rho, psiM=kron(psiA, H.psi), omegaM=kron(omegaA, H.omega))
     report = CheckReport()
     report.merge(check_comodule(H.coalgebra_part(), comod), prefix="comodule:")
@@ -183,7 +183,7 @@ def dual_module_algebra(H: BiHomBialgebra) -> tuple:
         raise Singular(f"dual module algebra needs bijective maps: {exc}")
     # mu[i][j][h] is the coefficient of e_i (x) e_j in (m1 (x) m2)(Delta(e_h))
     split = Compose(Kron(Lin(mat_mul(ainv, oinv)), Lin(mat_mul(binv, pinv))), Comul(H.delta))
-    planes = coproduct_tensor(split, d).t
+    planes = coproduct_tensor(split).t
     mu = Tensor3.from_function(field, d, d, d, lambda i, j: [p[i][j] for p in planes])
     alphaA = ainv.transpose()
     betaA = binv.transpose()
