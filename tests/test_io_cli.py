@@ -15,6 +15,64 @@ from bihom.io_cli import main, parse_structure, serialize_structure
 from bihom.linalg import Matrix
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+FROZENDIR = os.path.join(os.path.dirname(__file__), "data", "serialized")
+
+SAMPLE_NAMES = (
+    "algebra",
+    "coalgebra",
+    "bialgebra",
+    "lie",
+    "module",
+    "comodule",
+    "action",
+    "map",
+    "bialgebra_fp",
+    "map_qq",
+)
+
+
+def _sample_values():
+    """One value of each kind, plus an F_2 bialgebra and a Q(q) map:
+    name -> (kind, value)."""
+    from bihom.algebra_core import LeftModule
+    from bihom.bialgebra import ModuleAlgebraAction
+    from bihom.coalgebra import regular_comodule
+    from bihom.exactnum import QQ_Q, RationalFunction as RF
+    from bihom.fixtures import f2_restricted_line
+    from bihom.lie import commutator_lie
+
+    H = kc4_twisted_bialgebra()
+    mod = LeftModule(
+        dim=4,
+        action=H.mu,
+        alphaM=H.alpha.copy(),
+        betaM=H.beta.copy(),
+    )
+    qq_map = Matrix(
+        QQ_Q,
+        [
+            [RF.q_power(2) - RF.q_power(-1), QQ_Q.one()],
+            [QQ_Q.zero(), QQ_Q.one() / (RF.q_power(1) + 1)],
+        ],
+    )
+    return {
+        "algebra": ("algebra", example_family(1, 3, 2)),
+        "coalgebra": ("coalgebra", H.coalgebra_part()),
+        "bialgebra": ("bialgebra", H),
+        "lie": ("lie", commutator_lie(example_family(1, 3, 2))),
+        "module": ("module", mod),
+        "comodule": ("comodule", regular_comodule(H.coalgebra_part())),
+        "action": (
+            "action",
+            (
+                H.algebra_part(),
+                ModuleAlgebraAction(action=cyclic_self_action(4, 3).action),
+            ),
+        ),
+        "map": ("map", cyclic_power_map(4, 3)),
+        "bialgebra_fp": ("bialgebra", f2_restricted_line()),
+        "map_qq": ("map", qq_map),
+    }
 
 
 def fixture_path(name):
@@ -48,56 +106,34 @@ class TestParseSerialize:
             parse_structure('{"format": 1, "kind": "frobenius", "field": "Q"}')
 
     def test_round_trip_all_kinds(self):
-        from bihom.algebra_core import LeftModule
-        from bihom.bialgebra import ModuleAlgebraAction
-        from bihom.coalgebra import regular_comodule
-        from bihom.exactnum import QQ
-
-        H = kc4_twisted_bialgebra()
-        mod = LeftModule(
-            dim=4,
-            action=H.mu,
-            alphaM=H.alpha.copy(),
-            betaM=H.beta.copy(),
-        )
-        values = [
-            ("algebra", example_family(1, 3, 2)),
-            ("coalgebra", H.coalgebra_part()),
-            ("bialgebra", H),
-            ("lie", __import__("bihom.lie", fromlist=["commutator_lie"]).commutator_lie(
-                example_family(1, 3, 2)
-            )),
-            ("module", mod),
-            ("comodule", regular_comodule(H.coalgebra_part())),
-            ("action", (H.algebra_part(), ModuleAlgebraAction(action=cyclic_self_action(4, 3).action))),
-            ("map", cyclic_power_map(4, 3)),
-        ]
-        for kind, value in values:
+        for name, (kind, value) in _sample_values().items():
             text = serialize_structure(value, kind)
             k2, v2 = parse_structure(text)
             assert k2 == kind
             assert serialize_structure(v2, k2) == text
 
-    def test_qq_field_round_trip(self):
-        from bihom.exactnum import QQ_Q, RationalFunction as RF
+    @pytest.mark.parametrize("name", SAMPLE_NAMES)
+    def test_frozen_bytes(self, name):
+        kind, value = _sample_values()[name]
+        with open(os.path.join(FROZENDIR, f"{name}.json"), encoding="utf-8") as fh:
+            expect = fh.read()
+        assert serialize_structure(value, kind) + "\n" == expect
+        assert serialize_structure(value) + "\n" == expect
 
-        m = Matrix(
-            QQ_Q,
-            [
-                [RF.q_power(2) - RF.q_power(-1), QQ_Q.one()],
-                [QQ_Q.zero(), QQ_Q.one() / (RF.q_power(1) + 1)],
-            ],
-        )
-        text = serialize_structure(m, "map")
-        kind, back = parse_structure(text)
+    @pytest.mark.parametrize("name", sorted(os.listdir(FIXDIR)))
+    def test_fixture_round_trips_byte_for_byte(self, name):
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert serialize_structure(*reversed(parse_structure(text))) + "\n" == text
+
+    def test_qq_field_round_trip(self):
+        _, m = _sample_values()["map_qq"]
+        kind, back = parse_structure(serialize_structure(m, "map"))
         assert back == m
 
     def test_fp_field_round_trip(self):
-        from bihom.fixtures import f2_restricted_line
-
-        H = f2_restricted_line()
-        text = serialize_structure(H, "bialgebra")
-        kind, back = parse_structure(text)
+        _, H = _sample_values()["bialgebra_fp"]
+        kind, back = parse_structure(serialize_structure(H, "bialgebra"))
         assert back.same_tensors(H)
 
 
@@ -218,6 +254,16 @@ class TestCli:
         _, solved = parse_structure(sf.read_text())
         assert solved == S
         assert main(["antipode", "verify", str(hf), "--s", str(sf)]) == 0
+
+    def test_antipode_solve_prints_matrix(self, capsys):
+        assert main(["antipode", "solve", fixture_path("sweedler.json")]) == 0
+        assert capsys.readouterr().out == (
+            "antipode found\n"
+            "  [1, 0, 0, 0]\n"
+            "  [0, 1, 0, 0]\n"
+            "  [0, 0, 0, -1]\n"
+            "  [0, 0, 1, 0]\n"
+        )
 
     def test_antipode_solve_inconsistent(self, tmp_path, capsys):
         from bihom.fixtures import idempotent_monoid_bialgebra
