@@ -386,18 +386,32 @@ class PrimeFieldElement:
         return f"{self.value} mod {self.p}"
 
 
+# Prime-field moduli must lie below this bound: Miller-Rabin with the first
+# twelve primes as bases decides primality exactly there.
+PRIME_LIMIT = 1 << 64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin, exact for p < PRIME_LIMIT."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -471,6 +485,8 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p):
+        if isinstance(p, int) and p >= PRIME_LIMIT:
+            raise ValueError(f"modulus {p} is not below 2^64")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
         self.p = p
@@ -504,7 +520,11 @@ class PrimeField(Field):
             raise BadScalar(
                 f"literal {text!r} declares modulus {m.group(2)}, field is F_{self.p}"
             )
-        return PrimeFieldElement(int(m.group(1)), self.p)
+        try:
+            value = int(m.group(1))
+        except ValueError as exc:  # more digits than int() converts
+            raise BadScalar(f"bad prime-field literal {text!r}: {exc}")
+        return PrimeFieldElement(value, self.p)
 
     def format(self, x):
         return str(x.value)
@@ -598,6 +618,11 @@ _TERM_RE = re.compile(
 )
 
 
+# Largest power of q a literal may name; the parser builds one coefficient
+# per power up to the degree.
+MAX_Q_EXPONENT = 10_000
+
+
 def _parse_poly(text):
     """Parse an integer-coefficient polynomial in q -> coefficient tuple."""
     s = text.strip()
@@ -615,15 +640,20 @@ def _parse_poly(text):
         sign = m.group("sign")
         if not first and sign == "":
             raise BadScalar(f"missing +/- between terms in {text!r}")
-        if m.group("coeff") is not None:
-            c = int(m.group("coeff"))
-            if m.group("qpart1"):
-                k = int(m.group("exp1")) if m.group("exp1") else 1
+        try:
+            if m.group("coeff") is not None:
+                c = int(m.group("coeff"))
+                if m.group("qpart1"):
+                    k = int(m.group("exp1")) if m.group("exp1") else 1
+                else:
+                    k = 0
             else:
-                k = 0
-        else:
-            c = 1
-            k = int(m.group("exp2")) if m.group("exp2") else 1
+                c = 1
+                k = int(m.group("exp2")) if m.group("exp2") else 1
+        except ValueError as exc:  # more digits than int() converts
+            raise BadScalar(f"bad polynomial {text!r}: {exc}")
+        if k > MAX_Q_EXPONENT:
+            raise BadScalar(f"exponent above {MAX_Q_EXPONENT} in {text!r}")
         c = Fraction(-c if sign == "-" else c)
         coeffs[k] = coeffs.get(k, Fraction(0)) + c
         pos = m.end()

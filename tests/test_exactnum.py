@@ -15,6 +15,7 @@ from bihom.exactnum import (
     QQ_Q,
     PrimeField,
     RationalFunction,
+    _is_prime,
     field_from_tag,
     field_tag,
     format_qq_scalar,
@@ -197,6 +198,23 @@ class TestLiterals:
     def test_prime_validation(self):
         with pytest.raises(ValueError):
             PrimeField(6)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(5000) if _is_prime(n)] == [
+            n for n in range(5000) if trial(n)
+        ]
+        # strong pseudoprimes to the smallest prime bases
+        for n in (2047, 1373653, 25326001, 3215031751, 3825123056546413051):
+            assert not _is_prime(n), n
+        assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59)
+
+    def test_prime_limit(self):
+        assert PrimeField(2**64 - 59).p == 2**64 - 59
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            PrimeField(2**89 - 1)
 
 
 class TestNegativePowers:
