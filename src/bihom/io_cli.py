@@ -6,6 +6,10 @@ object per file with "format", "field" ("Q" | "Fp:<p>" | "Q(q)"), "kind",
 shared literal grammar; tensors are nested arrays indexed [i][j][k] with
 mu[i][j][k] the coefficient of e_k in e_i e_j and delta[i][j][k] the
 coefficient of e_j (x) e_k in Delta(e_i).
+
+``LAYOUTS`` is the one place each structure kind's keys are defined:
+parsing, serialization, ``check`` and the output re-check of every
+construction read it.  Only ``action`` and ``map`` files are laid out by hand.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra_core import (
@@ -68,16 +73,78 @@ from .twisting import (
 
 FORMAT_VERSION = 1
 
-KINDS = (
-    "algebra",
-    "coalgebra",
-    "bialgebra",
-    "lie",
-    "module",
-    "comodule",
-    "action",
-    "map",
-)
+
+# ---------------------------------------------------------------------------
+# file layout of each structure kind
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """How one structure dataclass is laid out in a file.
+
+    After "dim" (and "labels" for the classes that carry them) come the
+    extra dimension keys, then the body keys in file order.  Each body key
+    names the dimension keys it spans: three for a tensor, two for a
+    matrix, one for an optional vector (null in the file when absent).
+    """
+
+    cls: type
+    dims: tuple
+    body: tuple
+    # (report title, check); the check names its function at call time, so
+    # that a profiler or tracer that rebinds the module global sees the call
+    check: tuple = None
+
+    @property
+    def labeled(self):
+        """Whether the class stores its own field and basis labels."""
+        return "labels" in self.cls.__dataclass_fields__
+
+
+_V = ("dim",)
+_VV = ("dim", "dim")
+_VVV = ("dim", "dim", "dim")
+
+LAYOUTS = {
+    "algebra": _Layout(
+        BiHomAlgebra,
+        (),
+        (("mu", _VVV), ("alpha", _VV), ("beta", _VV), ("unit", _V)),
+        ("BiHom-associative algebra axioms", lambda s: check_bihom_algebra(s)),
+    ),
+    "coalgebra": _Layout(
+        BiHomCoalgebra,
+        (),
+        (("delta", _VVV), ("psi", _VV), ("omega", _VV), ("counit", _V)),
+        ("BiHom-coassociative coalgebra axioms", lambda s: check_bihom_coalgebra(s)),
+    ),
+    "bialgebra": _Layout(
+        BiHomBialgebra,
+        (),
+        (("mu", _VVV), ("delta", _VVV), ("alpha", _VV), ("beta", _VV),
+         ("psi", _VV), ("omega", _VV), ("unit", _V), ("counit", _V)),
+        ("BiHom-bialgebra axioms", lambda s: check_bihom_bialgebra(s)),
+    ),
+    "lie": _Layout(
+        BiHomLieAlgebra,
+        (),
+        (("bracket", _VVV), ("alpha", _VV), ("beta", _VV)),
+        ("BiHom-Lie algebra axioms", lambda s: check_bihom_lie(s)),
+    ),
+    "module": _Layout(
+        LeftModule,
+        ("algebra_dim",),
+        (("action", ("algebra_dim", "dim", "dim")), ("alphaM", _VV), ("betaM", _VV)),
+    ),
+    "comodule": _Layout(
+        Comodule,
+        ("coalgebra_dim",),
+        (("rho", ("dim", "dim", "coalgebra_dim")), ("psiM", _VV), ("omegaM", _VV)),
+    ),
+}
+
+KINDS = (*LAYOUTS, "action", "map")
 
 
 # ---------------------------------------------------------------------------
@@ -94,46 +161,27 @@ def _parse_scalar(field, text, path):
         raise BadScalar(str(exc), path)
 
 
-def _parse_matrix(field, data, rows, cols, path):
-    if not isinstance(data, list) or len(data) != rows:
-        raise DimensionMismatch(f"expected {rows} rows", path)
-    entries = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise DimensionMismatch(f"expected {cols} entries", f"{path}[{i}]")
-        entries.append(
-            [_parse_scalar(field, x, f"{path}[{i}][{j}]") for j, x in enumerate(row)]
-        )
-    return Matrix(field, entries)
+_NOUNS = (None, "entries", "rows", "planes")
 
 
-def _parse_tensor(field, data, d1, d2, d3, path):
-    if not isinstance(data, list) or len(data) != d1:
-        raise DimensionMismatch(f"expected {d1} planes", path)
-    planes = []
-    for i, plane in enumerate(data):
-        if not isinstance(plane, list) or len(plane) != d2:
-            raise DimensionMismatch(f"expected {d2} rows", f"{path}[{i}]")
-        rows = []
-        for j, row in enumerate(plane):
-            if not isinstance(row, list) or len(row) != d3:
-                raise DimensionMismatch(f"expected {d3} entries", f"{path}[{i}][{j}]")
-            rows.append(
-                [
-                    _parse_scalar(field, x, f"{path}[{i}][{j}][{k}]")
-                    for k, x in enumerate(row)
-                ]
-            )
-        planes.append(rows)
-    return Tensor3(field, planes)
-
-
-def _parse_vector(field, data, n, path):
-    if data is None:
-        return None
+def _parse_array(field, data, shape, path):
+    """Nested lists of scalars with the given extents, checked level by level."""
+    n = shape[0]
     if not isinstance(data, list) or len(data) != n:
-        raise DimensionMismatch(f"expected {n} entries", path)
-    return [_parse_scalar(field, x, f"{path}[{i}]") for i, x in enumerate(data)]
+        raise DimensionMismatch(f"expected {n} {_NOUNS[len(shape)]}", path)
+    if len(shape) == 1:
+        return [_parse_scalar(field, x, f"{path}[{i}]") for i, x in enumerate(data)]
+    return [
+        _parse_array(field, x, shape[1:], f"{path}[{i}]") for i, x in enumerate(data)
+    ]
+
+
+def _parse_entry(field, data, shape, path):
+    """A tensor, matrix or optional vector, by the length of its shape."""
+    if len(shape) == 1:
+        return None if data is None else _parse_array(field, data, shape, path)
+    entries = _parse_array(field, data, shape, path)
+    return Tensor3(field, entries) if len(shape) == 3 else Matrix(field, entries)
 
 
 def parse_structure(text: str):
@@ -153,7 +201,12 @@ def parse_structure(text: str):
         field = field_from_tag(obj.get("field", ""))
     except BiHomError as exc:
         raise BadScalar(str(exc), "field")
-    return kind, _parse_body(kind, field, obj)
+    if kind == "map":
+        shape = (_get_dim(obj, "rows"), _get_dim(obj, "cols"))
+        return kind, _parse_entry(field, obj.get("entries"), shape, "entries")
+    if kind == "action":
+        return kind, _parse_action(field, obj)
+    return kind, _parse_body(LAYOUTS[kind], field, obj)
 
 
 def _get_dim(obj, key="dim"):
@@ -172,81 +225,31 @@ def _labels(obj, d):
     return [str(x) for x in labels]
 
 
-def _parse_body(kind, field, obj):
-    if kind == "map":
-        rows = _get_dim(obj, "rows")
-        cols = _get_dim(obj, "cols")
-        return _parse_matrix(field, obj.get("entries"), rows, cols, "entries")
-    d = _get_dim(obj)
-    labels = _labels(obj, d)
-    if kind == "algebra":
-        return BiHomAlgebra(
-            field=field,
-            dim=d,
-            mu=_parse_tensor(field, obj.get("mu"), d, d, d, "mu"),
-            alpha=_parse_matrix(field, obj.get("alpha"), d, d, "alpha"),
-            beta=_parse_matrix(field, obj.get("beta"), d, d, "beta"),
-            unit=_parse_vector(field, obj.get("unit"), d, "unit"),
-            labels=labels,
-        )
-    if kind == "coalgebra":
-        return BiHomCoalgebra(
-            field=field,
-            dim=d,
-            delta=_parse_tensor(field, obj.get("delta"), d, d, d, "delta"),
-            psi=_parse_matrix(field, obj.get("psi"), d, d, "psi"),
-            omega=_parse_matrix(field, obj.get("omega"), d, d, "omega"),
-            counit=_parse_vector(field, obj.get("counit"), d, "counit"),
-            labels=labels,
-        )
-    if kind == "bialgebra":
-        return BiHomBialgebra(
-            field=field,
-            dim=d,
-            mu=_parse_tensor(field, obj.get("mu"), d, d, d, "mu"),
-            delta=_parse_tensor(field, obj.get("delta"), d, d, d, "delta"),
-            alpha=_parse_matrix(field, obj.get("alpha"), d, d, "alpha"),
-            beta=_parse_matrix(field, obj.get("beta"), d, d, "beta"),
-            psi=_parse_matrix(field, obj.get("psi"), d, d, "psi"),
-            omega=_parse_matrix(field, obj.get("omega"), d, d, "omega"),
-            unit=_parse_vector(field, obj.get("unit"), d, "unit"),
-            counit=_parse_vector(field, obj.get("counit"), d, "counit"),
-            labels=labels,
-        )
-    if kind == "lie":
-        return BiHomLieAlgebra(
-            field=field,
-            dim=d,
-            bracket=_parse_tensor(field, obj.get("bracket"), d, d, d, "bracket"),
-            alpha=_parse_matrix(field, obj.get("alpha"), d, d, "alpha"),
-            beta=_parse_matrix(field, obj.get("beta"), d, d, "beta"),
-            labels=labels,
-        )
-    if kind == "module":
-        over = _get_dim(obj, "algebra_dim")
-        return LeftModule(
-            dim=d,
-            action=_parse_tensor(field, obj.get("action"), over, d, d, "action"),
-            alphaM=_parse_matrix(field, obj.get("alphaM"), d, d, "alphaM"),
-            betaM=_parse_matrix(field, obj.get("betaM"), d, d, "betaM"),
-        )
-    if kind == "comodule":
-        over = _get_dim(obj, "coalgebra_dim")
-        return Comodule(
-            dim=d,
-            rho=_parse_tensor(field, obj.get("rho"), d, d, over, "rho"),
-            psiM=_parse_matrix(field, obj.get("psiM"), d, d, "psiM"),
-            omegaM=_parse_matrix(field, obj.get("omegaM"), d, d, "omegaM"),
-        )
-    if kind == "action":
-        alg = obj.get("algebra")
-        if not isinstance(alg, dict):
-            raise ParseError("action files embed the module algebra", "algebra")
-        a = _parse_body("algebra", field, alg)
-        hd = _get_dim(obj, "h_dim")
-        action = _parse_tensor(field, obj.get("action"), hd, a.dim, a.dim, "action")
-        return a, ModuleAlgebraAction(action=action)
-    raise AssertionError(kind)
+def _parse_body(layout, field, obj):
+    dims = {"dim": _get_dim(obj)}
+    labels = _labels(obj, dims["dim"])
+    for key in layout.dims:
+        dims[key] = _get_dim(obj, key)
+    kw = {
+        key: _parse_entry(field, obj.get(key), [dims[n] for n in names], key)
+        for key, names in layout.body
+    }
+    if layout.labeled:
+        kw.update(field=field, labels=labels)
+    return layout.cls(dim=dims["dim"], **kw)
+
+
+def _parse_action(field, obj):
+    """An action file: a module algebra embedded under "algebra", plus the
+    h_dim x dim x dim action tensor of the bialgebra on it."""
+    _labels(obj, _get_dim(obj))
+    alg = obj.get("algebra")
+    if not isinstance(alg, dict):
+        raise ParseError("action files embed the module algebra", "algebra")
+    a = _parse_body(LAYOUTS["algebra"], field, alg)
+    shape = (_get_dim(obj, "h_dim"), a.dim, a.dim)
+    action = _parse_entry(field, obj.get("action"), shape, "action")
+    return a, ModuleAlgebraAction(action=action)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +257,26 @@ def _parse_body(kind, field, obj):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_matrix(field, m: Matrix):
-    return [[field.format(x) for x in row] for row in m.e]
+def _fmt(field, x):
+    """File form of a Tensor3, a Matrix or an optional coordinate vector."""
+    if isinstance(x, Tensor3):
+        return [[[field.format(c) for c in row] for row in plane] for plane in x.t]
+    if isinstance(x, Matrix):
+        return [[field.format(c) for c in row] for row in x.e]
+    return None if x is None else [field.format(c) for c in x]
 
 
-def _fmt_tensor(field, t: Tensor3):
-    return [[[field.format(x) for x in row] for row in plane] for plane in t.t]
-
-
-def _fmt_vector(field, v):
-    return None if v is None else [field.format(x) for x in v]
+def _body_of(layout, field, value):
+    obj = {"dim": value.dim}
+    if layout.labeled:
+        obj["labels"] = list(value.labels)
+    for key in layout.dims:  # read off the extent of the tensor that spans it
+        name, names = next(entry for entry in layout.body if key in entry[1])
+        t = getattr(value, name)
+        obj[key] = (t.d1, t.d2, t.d3)[names.index(key)]
+    for key, _ in layout.body:
+        obj[key] = _fmt(field, getattr(value, key))
+    return obj
 
 
 def serialize_structure(value, kind=None) -> str:
@@ -272,80 +285,18 @@ def serialize_structure(value, kind=None) -> str:
         kind = _kind_of(value)
     field = _field_of_structure(value)
     obj = {"format": FORMAT_VERSION, "field": field_tag(field), "kind": kind}
-    if kind == "algebra":
-        obj.update(
-            dim=value.dim,
-            labels=list(value.labels),
-            mu=_fmt_tensor(field, value.mu),
-            alpha=_fmt_matrix(field, value.alpha),
-            beta=_fmt_matrix(field, value.beta),
-            unit=_fmt_vector(field, value.unit),
-        )
-    elif kind == "coalgebra":
-        obj.update(
-            dim=value.dim,
-            labels=list(value.labels),
-            delta=_fmt_tensor(field, value.delta),
-            psi=_fmt_matrix(field, value.psi),
-            omega=_fmt_matrix(field, value.omega),
-            counit=_fmt_vector(field, value.counit),
-        )
-    elif kind == "bialgebra":
-        obj.update(
-            dim=value.dim,
-            labels=list(value.labels),
-            mu=_fmt_tensor(field, value.mu),
-            delta=_fmt_tensor(field, value.delta),
-            alpha=_fmt_matrix(field, value.alpha),
-            beta=_fmt_matrix(field, value.beta),
-            psi=_fmt_matrix(field, value.psi),
-            omega=_fmt_matrix(field, value.omega),
-            unit=_fmt_vector(field, value.unit),
-            counit=_fmt_vector(field, value.counit),
-        )
-    elif kind == "lie":
-        obj.update(
-            dim=value.dim,
-            labels=list(value.labels),
-            bracket=_fmt_tensor(field, value.bracket),
-            alpha=_fmt_matrix(field, value.alpha),
-            beta=_fmt_matrix(field, value.beta),
-        )
-    elif kind == "module":
-        obj.update(
-            dim=value.dim,
-            algebra_dim=value.action.d1,
-            action=_fmt_tensor(field, value.action),
-            alphaM=_fmt_matrix(field, value.alphaM),
-            betaM=_fmt_matrix(field, value.betaM),
-        )
-        obj["field"] = field_tag(value.action.field)
-    elif kind == "comodule":
-        obj.update(
-            dim=value.dim,
-            coalgebra_dim=value.rho.d3,
-            rho=_fmt_tensor(field, value.rho),
-            psiM=_fmt_matrix(field, value.psiM),
-            omegaM=_fmt_matrix(field, value.omegaM),
-        )
-        obj["field"] = field_tag(value.rho.field)
-    elif kind == "action":
+    if kind == "action":
         a, act = value
-        inner = json.loads(serialize_structure(a, "algebra"))
-        for key in ("format", "kind"):
-            inner.pop(key, None)
         obj.update(
             dim=a.dim,
             h_dim=act.action.d1,
-            algebra=inner,
-            action=_fmt_tensor(a.field, act.action),
+            algebra={"field": obj["field"], **_body_of(LAYOUTS["algebra"], field, a)},
+            action=_fmt(field, act.action),
         )
     elif kind == "map":
-        obj.update(
-            rows=value.rows,
-            cols=value.cols,
-            entries=_fmt_matrix(field, value),
-        )
+        obj.update(rows=value.rows, cols=value.cols, entries=_fmt(field, value))
+    elif kind in LAYOUTS:
+        obj.update(_body_of(LAYOUTS[kind], field, value))
     else:
         raise ValueError(f"cannot serialize kind {kind!r}")
     return json.dumps(obj, indent=1)
@@ -362,18 +313,9 @@ def _field_of_structure(value):
 
 
 def _kind_of(value):
-    if isinstance(value, BiHomBialgebra):
-        return "bialgebra"
-    if isinstance(value, BiHomAlgebra):
-        return "algebra"
-    if isinstance(value, BiHomCoalgebra):
-        return "coalgebra"
-    if isinstance(value, BiHomLieAlgebra):
-        return "lie"
-    if isinstance(value, LeftModule):
-        return "module"
-    if isinstance(value, Comodule):
-        return "comodule"
+    for kind, layout in LAYOUTS.items():
+        if isinstance(value, layout.cls):
+            return kind
     if isinstance(value, Matrix):
         return "map"
     if isinstance(value, tuple) and len(value) == 2:
@@ -404,6 +346,11 @@ def _load(path, want=None, field_tag_expect=None):
     return kind, value
 
 
+def _load_map(path):
+    """The matrix in a map file."""
+    return _load(path, want=("map",))[1]
+
+
 def _write_out(value, kind, path, label):
     text = serialize_structure(value, kind)
     if path is None or path == "-":
@@ -421,14 +368,9 @@ def _print_report(name, report: CheckReport, args) -> bool:
 
 
 def _run_check(kind, value, over, args) -> bool:
-    if kind == "algebra":
-        return _print_report("BiHom-associative algebra axioms", check_bihom_algebra(value), args)
-    if kind == "coalgebra":
-        return _print_report("BiHom-coassociative coalgebra axioms", check_bihom_coalgebra(value), args)
-    if kind == "bialgebra":
-        return _print_report("BiHom-bialgebra axioms", check_bihom_bialgebra(value), args)
-    if kind == "lie":
-        return _print_report("BiHom-Lie algebra axioms", check_bihom_lie(value), args)
+    if kind in LAYOUTS and LAYOUTS[kind].check:
+        title, check = LAYOUTS[kind].check
+        return _print_report(title, check(value), args)
     if kind == "module":
         if over is None or over[0] != "algebra":
             raise ParseError("checking a module needs --over ALGEBRA_FILE")
@@ -441,13 +383,18 @@ def _run_check(kind, value, over, args) -> bool:
     if kind == "action":
         if over is None or over[0] != "bialgebra":
             raise ParseError("checking an action needs --over BIALGEBRA_FILE")
-        a, act = value
-        return _print_report(
-            "module BiHom-algebra axioms",
-            check_module_bihom_algebra(over[1], a, act),
-            args,
-        )
+        report = check_module_bihom_algebra(over[1], *value)
+        return _print_report("module BiHom-algebra axioms", report, args)
     raise ParseError(f"cannot check kind {kind!r}")
+
+
+def _emit(out, kind, args, label):
+    """Re-check a constructed structure; write it only when every axiom holds."""
+    _, check = LAYOUTS[kind].check
+    if not _print_report("output re-check", check(out), args):
+        return 1
+    _write_out(out, kind, args.out, label)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -467,43 +414,30 @@ def _cmd_check(args):
 
 def _cmd_twist(args):
     kind, value = _load(args.file, field_tag_expect=args.field)
-    _, alpha = _load(args.alpha, want=("map",)) if args.alpha else (None, None)
-    _, beta = _load(args.beta, want=("map",)) if args.beta else (None, None)
-    psi = _load(args.psi, want=("map",))[1] if args.psi else None
-    omega = _load(args.omega, want=("map",))[1] if args.omega else None
+    maps = (args.alpha, args.beta, args.psi, args.omega)
+    alpha, beta, psi, omega = [_load_map(path) if path else None for path in maps]
     if kind in ("algebra", "lie") and (alpha is None or beta is None):
         raise ParseError(f"{kind} twists need --alpha and --beta")
     if kind == "algebra":
         out = yau_twist(value, alpha, beta)
-        report = check_bihom_algebra(out)
     elif kind == "lie":
         out = yau_twist_lie(value, alpha, beta)
-        report = check_bihom_lie(out)
     elif kind == "coalgebra":
         if psi is None or omega is None:
             raise ParseError("coalgebra twists need --psi and --omega")
         out = yau_twist_coalgebra(value, psi, omega)
-        report = check_bihom_coalgebra(out)
     elif kind == "bialgebra":
         if alpha is None or beta is None or psi is None or omega is None:
             raise ParseError("bialgebra twists need all four maps")
         out = yau_twist_bialgebra(value, alpha, beta, psi, omega)
-        report = check_bihom_bialgebra(out)
     else:
         raise ParseError(f"cannot twist kind {kind!r}")
-    if not _print_report("output re-check", report, args):
-        return 1
-    _write_out(out, kind, args.out, "twisted structure")
-    return 0
+    return _emit(out, kind, args, "twisted structure")
 
 
 def _cmd_untwist(args):
     kind, value = _load(args.file, want=("algebra",), field_tag_expect=args.field)
-    out = untwist(value)
-    if not _print_report("output re-check", check_bihom_algebra(out), args):
-        return 1
-    _write_out(out, "algebra", args.out, "untwisted algebra")
-    return 0
+    return _emit(untwist(value), "algebra", args, "untwisted algebra")
 
 
 def _cmd_tensor(args):
@@ -513,14 +447,9 @@ def _cmd_tensor(args):
         raise ParseError("tensor products need two algebras or two coalgebras")
     if k1 == "algebra":
         out = tensor_product(v1, v2)
-        report = check_bihom_algebra(out)
     else:
         out = tensor_product_coalgebras(v1, v2)
-        report = check_bihom_coalgebra(out)
-    if not _print_report("output re-check", report, args):
-        return 1
-    _write_out(out, k1, args.out, "tensor product")
-    return 0
+    return _emit(out, k1, args, "tensor product")
 
 
 def _cmd_dual(args):
@@ -528,26 +457,13 @@ def _cmd_dual(args):
         args.file, want=("algebra", "coalgebra"), field_tag_expect=args.field
     )
     if kind == "algebra":
-        out = dual_coalgebra(value)
-        report = check_bihom_coalgebra(out)
-        out_kind = "coalgebra"
-    else:
-        out = dual_algebra(value)
-        report = check_bihom_algebra(out)
-        out_kind = "algebra"
-    if not _print_report("output re-check", report, args):
-        return 1
-    _write_out(out, out_kind, args.out, "dual structure")
-    return 0
+        return _emit(dual_coalgebra(value), "coalgebra", args, "dual structure")
+    return _emit(dual_algebra(value), "algebra", args, "dual structure")
 
 
 def _cmd_lie(args):
     kind, value = _load(args.file, want=("algebra",), field_tag_expect=args.field)
-    out = commutator_lie(value)
-    if not _print_report("output re-check", check_bihom_lie(out), args):
-        return 1
-    _write_out(out, "lie", args.out, "commutator BiHom-Lie algebra")
-    return 0
+    return _emit(commutator_lie(value), "lie", args, "commutator BiHom-Lie algebra")
 
 
 def _cmd_primitives(args):
@@ -575,70 +491,54 @@ def _cmd_antipode(args):
         if args.out:
             _write_out(s, "map", args.out, "antipode matrix")
         else:
-            for row in _fmt_matrix(value.field, s):
+            for row in _fmt(value.field, s):
                 print("  [" + ", ".join(row) + "]")
         return 0
-    _, s = _load(args.s, want=("map",))
+    s = _load_map(args.s)
     ok = _print_report("general antipode axioms", check_antipode_general(value, s), args)
     return 0 if ok else 1
 
 
 def _cmd_pseudotwistor(args):
     _, D = _load(args.file, want=("algebra",), field_tag_expect=args.field)
-    alpha2 = _load(args.alpha2, want=("map",))[1]
-    beta2 = _load(args.beta2, want=("map",))[1]
+    alpha2, beta2 = _load_map(args.alpha2), _load_map(args.beta2)
     if args.canonical:
         P = canonical_pseudotwistor(D, alpha2, beta2)
     else:
         if not (args.t and args.t1 and args.t2):
             raise ParseError("explicit pseudotwistors need --t, --t1 and --t2")
-        P = Pseudotwistor(
-            T=_load(args.t, want=("map",))[1],
-            T1tilde=_load(args.t1, want=("map",))[1],
-            T2tilde=_load(args.t2, want=("map",))[1],
-            alpha2=alpha2,
-            beta2=beta2,
-        )
+        T, T1, T2 = [_load_map(path) for path in (args.t, args.t1, args.t2)]
+        P = Pseudotwistor(T=T, T1tilde=T1, T2tilde=T2, alpha2=alpha2, beta2=beta2)
     if args.pseudotwistor_cmd == "verify":
         ok = _print_report("pseudotwistor equations", check_pseudotwistor(D, P), args)
         return 0 if ok else 1
-    out = apply_pseudotwistor(D, P)
-    if not _print_report("output re-check", check_bihom_algebra(out), args):
-        return 1
-    _write_out(out, "algebra", args.out, "deformed algebra")
-    return 0
+    return _emit(apply_pseudotwistor(D, P), "algebra", args, "deformed algebra")
 
 
 def _cmd_ttp(args):
     _, A = _load(args.files[0], want=("algebra",), field_tag_expect=args.field)
     _, B = _load(args.files[1], want=("algebra",), field_tag_expect=args.field)
-    _, R = _load(args.r, want=("map",))
+    R = _load_map(args.r)
     tw = TwistingMap(R=R, dimA=A.dim, dimB=B.dim)
     ok = _print_report("twisting map equations", check_twisting_map(A, B, tw), args)
     if not ok:
         return 1
     out = twisted_tensor_product(A, B, tw)
-    if not _print_report("output re-check", check_bihom_algebra(out), args):
-        return 1
-    _write_out(out, "algebra", args.out, "twisted tensor product")
-    return 0
+    return _emit(out, "algebra", args, "twisted tensor product")
 
 
 def _cmd_smash(args):
     _, H = _load(args.files[0], want=("bialgebra",), field_tag_expect=args.field)
-    _, pair = _load(args.files[1], want=("action",), field_tag_expect=args.field)
-    A, act = pair
-    data = SmashData(H=H, A=A, action=act)
-    out = smash_product(data)
-    if not _print_report("output re-check", check_bihom_algebra(out), args):
-        return 1
-    _write_out(out, "algebra", args.out, "smash product")
-    return 0
+    _, (A, act) = _load(args.files[1], want=("action",), field_tag_expect=args.field)
+    out = smash_product(SmashData(H=H, A=A, action=act))
+    return _emit(out, "algebra", args, "smash product")
 
 
 def _cmd_demo(args):
     if args.demo_cmd != "uqsl2":
         raise ParseError(f"unknown demo {args.demo_cmd!r}")
+    if args.grid < 1:
+        raise ParseError(f"--grid must be at least 1, got {args.grid}")
     from .qexamples import (
         PBWElement,
         TwistParams,
@@ -797,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="demo_cmd", required=True)
     pd = dsub.add_parser("uqsl2", help="verify the quantum-plane smash formulas")
     pd.add_argument("--grid", type=int, default=2,
-                    help="exponents m, n, r, s range over 0..GRID-1")
+                    help="exponents m, n, r, s range over 0..GRID-1 (GRID >= 1)")
     pd.add_argument("--lambda1", default="2")
     pd.add_argument("--lambda2", default="3")
     pd.add_argument("--lambda3", default="5")

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -156,7 +157,9 @@ class TestCli:
         missing = tmp_path / "nope.json"
         assert main(["check", str(missing)]) == 2
 
-    @pytest.mark.parametrize("tag", ["Fp:4", "Fp:1", 5, ["Q"]])
+    @pytest.mark.parametrize(
+        "tag", ["Fp:4", "Fp:1", 5, ["Q"], "Fp:618970019642690137449562111"]
+    )
     def test_hostile_field_tag_exit_code(self, tag, tmp_path, capsys):
         obj = json.loads(serialize_structure(example_family(1, 3, 2), "algebra"))
         obj["field"] = tag
@@ -165,6 +168,44 @@ class TestCli:
         assert main(["check", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: field: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "tag, literal",
+        [
+            ("Q(q)", "q^99999999"),
+            ("Q(q)", "1/q^" + "9" * 5000),
+            pytest.param(
+                "Fp:7",
+                "9" * 5000,
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts integers of any length",
+                ),
+            ),
+        ],
+        ids=["qq-exponent", "qq-exponent-digits", "fp-digits"],
+    )
+    def test_hostile_scalar_exit_code(self, tag, literal, tmp_path, capsys):
+        obj = json.loads(serialize_structure(example_family(1, 3, 2), "algebra"))
+        obj["field"] = tag
+        obj["mu"] = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+        obj["alpha"][1][0] = literal
+        bad = tmp_path / "bad_scalar.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha[1][0]: ") and "Traceback" not in err
+
+    def test_largest_64_bit_prime_field_accepted(self, tmp_path, capsys):
+        from bihom.fixtures import cyclic_group_bialgebra
+        from bihom.exactnum import PrimeField
+
+        p = 18446744073709551557
+        alg = cyclic_group_bialgebra(2, field=PrimeField(p)).algebra_part()
+        src = tmp_path / "alg.json"
+        src.write_text(serialize_structure(alg, "algebra"))
+        assert json.loads(src.read_text())["field"] == f"Fp:{p}"
+        assert main(["check", str(src)]) == 0
 
     def test_smash_then_check(self, tmp_path, capsys):
         out = tmp_path / "smash.json"
@@ -329,6 +370,13 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "all match" in out
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_demo_empty_grid_is_usage_error(self, grid, capsys):
+        assert main(["demo", "uqsl2", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --grid must be at least 1")
+        assert "verified" not in captured.out
 
     def test_check_module_with_over(self, tmp_path):
         from bihom.algebra_core import LeftModule
