@@ -96,20 +96,6 @@ class LieRepresentation:
             if (m.rows, m.cols) != (self.dim, self.dim):
                 raise ShapeMismatch("representation map shape")
 
-    def matrix_of(self, x) -> Matrix:
-        """The endomorphism rho(x) for a coordinate vector x in L."""
-        out = Matrix.zero(self.rho.field, self.dim, self.dim)
-        for g, c in enumerate(x):
-            if not c:
-                continue
-            plane = self.rho.t[g]
-            for j in range(self.dim):
-                col = plane[j]
-                for i in range(self.dim):
-                    if col[i]:
-                        out.e[i][j] = out.e[i][j] + c * col[i]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # axiom checking

@@ -26,14 +26,6 @@ class CheckReport:
         self.entries.append(CheckEntry(axiom, bool(passed), witness))
         return self
 
-    def add_eq(self, axiom: str, index, lhs, rhs):
-        """Record an equality check; lhs/rhs may be scalars or vectors."""
-        ok = lhs == rhs
-        self.entries.append(
-            CheckEntry(axiom, ok, None if ok else (index, lhs, rhs))
-        )
-        return self
-
     def merge(self, other: "CheckReport", prefix: str = ""):
         for e in other.entries:
             self.entries.append(
