@@ -4,21 +4,22 @@ field Q(q), behind one small field-descriptor interface.
 Elements are plain immutable values:
 
 * Q       -> fractions.Fraction
-* F_p     -> PrimeFieldElement (residue + modulus)
-* Q(q)    -> RationalFunction (reduced fraction of Fraction-coefficient
-             polynomials, monic denominator)
+* F_p     -> PrimeFieldElement (residue in [0, p) + modulus)
+* Q(q)    -> RationalFunction, stored as q^k * N / D with N and D integer
+             polynomials in lowest terms (see the class docstring)
 
 All three support ``+ - * /`` via operator overloading, are falsy exactly
-when zero, and are hashable.  A field descriptor (``QQ``, ``PrimeField(p)``,
-``QQ_Q``) supplies zero/one, promotion from int, parsing and formatting;
-containers (matrices, tensors) carry the descriptor, elements do not need
-to be wrapped.
+when zero, and are hashable; a value equal to an int or a Fraction hashes
+like it.  A field descriptor (``QQ``, ``PrimeField(p)``, ``QQ_Q``) supplies
+zero/one, promotion from int, parsing and formatting; containers (matrices,
+tensors) carry the descriptor, elements do not need to be wrapped.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     BadScalar,
@@ -28,92 +29,150 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# polynomials over Q, represented as tuples of Fraction, low degree first,
-# no trailing zeros; the zero polynomial is the empty tuple.
+# polynomials over Z, represented as tuples of int, low degree first, no
+# trailing zeros; the zero polynomial is the empty tuple.
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(c):
+def _trim(c):
     c = list(c)
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
 
-def pconst(x) -> tuple:
-    x = Fraction(x)
-    return (x,) if x else ()
-
-
-def padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def pneg(a):
-    return tuple(-x for x in a)
-
-
-def psub(a, b):
-    return padd(a, pneg(b))
-
-
-def pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _mul(a, b):
+    """Product of two nonzero polynomials; Z has no zero divisors, so the
+    result needs no trimming."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(c * x for x in a)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _ptrim(out)
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
 
 
-def pscale(a, c):
-    c = Fraction(c)
-    if not c:
-        return ()
-    return tuple(x * c for x in a)
+def _add_shifted(a, sa, b, sb):
+    """q^sa * a + q^sb * b."""
+    out = [0] * max(len(a) + sa, len(b) + sb)
+    for i, x in enumerate(a, sa):
+        out[i] = x
+    for i, x in enumerate(b, sb):
+        out[i] += x
+    return _trim(out)
 
 
-def pdivmod(a, b):
-    """Polynomial division over Q.  Returns (quotient, remainder)."""
-    if not b:
-        raise ZeroDenominator("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coeff = rem[i + len(b) - 1] / lead
-        if coeff:
-            quo[i] = coeff
-            for j, y in enumerate(b):
-                rem[i + j] -= coeff * y
-    return _ptrim(quo), _ptrim(rem)
+def _primitive(a):
+    c = gcd(*a)
+    return a if c == 1 else tuple(x // c for x in a)
 
 
-def pgcd(a, b):
-    """Monic gcd over Q; gcd((), ()) = ()."""
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    return pmonic(a)
+def _prem(a, b):
+    """A nonzero integer multiple of the remainder of a by b over Q.
+
+    A step subtracts an integer multiple of b when lc(b) divides the top
+    coefficient, and scales the dividend by lc(b) first otherwise.
+    """
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    while len(r) > db:
+        top, s = r[-1], len(r) - 1 - db
+        if top % lb:
+            r = [lb * x for x in r]
+        else:
+            top //= lb
+        for j, y in enumerate(b, s):
+            r[j] -= top * y
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
 
 
-def pmonic(a):
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return tuple(x / lead for x in a)
+def _poly_gcd(a, b):
+    """Primitive gcd with positive leading coefficient, by the primitive
+    PRS (Collins 1967, Brown 1971): pseudo-remainders, each divided by its
+    content.  Both arguments are nonzero."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b if b[-1] > 0 else tuple(-x for x in b)
+        a, b = b, _primitive(r)
+    return (1,)
 
 
-def _pformat(a, var="q"):
-    """Human form, highest degree first.  Used by RationalFunction.__str__."""
+def _quo(a, g):
+    """a / g for a primitive divisor g of a; the quotient is integral by
+    Gauss's lemma, so every step divides exactly."""
+    r = list(a)
+    lg, dg = g[-1], len(g) - 1
+    out = [0] * (len(a) - dg)
+    for i in range(len(out) - 1, -1, -1):
+        c = r[i + dg] // lg
+        if c:
+            out[i] = c
+            for j, y in enumerate(g, i):
+                r[j] -= c * y
+    return tuple(out)
+
+
+def _cancel(a, b):
+    """a and b divided by their primitive gcd, which is computed only when
+    both are non-constant."""
+    if len(a) > 1 and len(b) > 1:
+        g = _poly_gcd(a, b)
+        if len(g) > 1:
+            return _quo(a, g), _quo(b, g)
+    return a, b
+
+
+def _unit_content(n, d):
+    """n and d divided by their joint content, signed so that lc(d) > 0."""
+    c = gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c == 1:
+        return n, d
+    return tuple(x // c for x in n), tuple(x // c for x in d)
+
+
+def _reduce(n, d, k):
+    """Canonical (N, D, k) of q^k * n / d for trimmed integer n and
+    nonzero trimmed integer d; see RationalFunction."""
+    if not n:
+        return (), (1,), 0
+    i = 0
+    while not n[i]:
+        i += 1
+    j = 0
+    while not d[j]:
+        j += 1
+    if i or j:
+        n, d, k = n[i:], d[j:], k + i - j
+    return (*_unit_content(*_cancel(n, d)), k)
+
+
+def _integral(coeffs):
+    """(integer coefficients, s) with coeffs = integer coefficients / s."""
+    coeffs = list(coeffs)
+    if all(type(c) is int for c in coeffs):
+        return coeffs, 1
+    coeffs = [Fraction(c) for c in coeffs]
+    s = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (s // c.denominator) for c in coeffs], s
+
+
+def _pformat(a, shift=0, var="q"):
+    """Human form of q^shift * a, highest degree first.  Used by
+    format_qq_scalar."""
     if not a:
         return "0"
     terms = []
@@ -121,6 +180,7 @@ def _pformat(a, var="q"):
         c = a[k]
         if not c:
             continue
+        k += shift
         if k == 0:
             body = str(abs(c))
         else:
@@ -140,53 +200,72 @@ def _pformat(a, var="q"):
 
 
 class RationalFunction:
-    """A reduced fraction of polynomials over Q with monic denominator.
+    """An element q^k * N / D of Q(q), N and D polynomials over Z.
 
-    The canonical form is unique: two rational functions are equal as
-    functions iff their (num, den) tuples coincide.
+    Invariants of the stored form (``k``, ``n`` = N, ``d`` = D, both tuples
+    of int, low degree first, no trailing zeros):
+
+    * N(0) != 0 and D(0) != 0, so the power of q lives only in k;
+    * gcd(N, D) = 1 in Z[q];
+    * the coefficients of N and D taken together have content 1;
+    * the leading coefficient of D is positive;
+    * zero is k = 0, N = (), D = (1,).
+
+    The form is unique, so equality is tuple equality.  ``num`` and ``den``
+    give the reduced fraction with a monic denominator as Fraction tuples.
+
+    ``__init__`` accepts int or Fraction coefficient sequences and reduces
+    them; ``_normalized=True`` stores (num, den, k) that already obey the
+    invariants, as the arithmetic below builds them.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("n", "d", "k")
 
-    def __init__(self, num, den=(Fraction(1),), _normalized=False):
+    def __init__(self, num, den=(1,), k=0, _normalized=False):
         if _normalized:
-            self.num, self.den = num, den
+            self.n, self.d, self.k = num, den, k
             return
-        num = _ptrim(Fraction(c) for c in num)
-        den = _ptrim(Fraction(c) for c in den)
+        num, s = _integral(num)
+        den, t = _integral(den)
+        den = _trim(x * s for x in den)
         if not den:
             raise ZeroDenominator("rational function with zero denominator")
-        if not num:
-            self.num, self.den = (), (Fraction(1),)
-            return
-        g = pgcd(num, den)
-        if len(g) > 1:
-            num = pdivmod(num, g)[0]
-            den = pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(x / lead for x in num)
-            den = tuple(x / lead for x in den)
-        self.num, self.den = num, den
+        num = _trim(x * t for x in num)
+        self.n, self.d, self.k = _reduce(num, den, k)
+
+    @property
+    def num(self):
+        """Numerator of the monic-denominator form, low degree first."""
+        lead = self.d[-1]
+        return (Fraction(0),) * max(self.k, 0) + tuple(
+            Fraction(c, lead) for c in self.n
+        )
+
+    @property
+    def den(self):
+        """Monic denominator, low degree first."""
+        lead = self.d[-1]
+        return (Fraction(0),) * max(-self.k, 0) + tuple(
+            Fraction(c, lead) for c in self.d
+        )
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_int(n):
-        return RationalFunction(pconst(n))
+        return RationalFunction((n,), (1,), 0, True) if n else _RF_ZERO
 
     @staticmethod
     def from_fraction(f):
-        return RationalFunction(pconst(f))
+        f = Fraction(f)
+        if not f:
+            return _RF_ZERO
+        return RationalFunction((f.numerator,), (f.denominator,), 0, True)
 
     @staticmethod
     def q_power(k):
         """q**k for any integer k (negative powers are fractions)."""
-        if k >= 0:
-            return RationalFunction((Fraction(0),) * k + (Fraction(1),))
-        return RationalFunction(
-            (Fraction(1),), (Fraction(0),) * (-k) + (Fraction(1),)
-        )
+        return RationalFunction((1,), (1,), k, True)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -194,22 +273,31 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, (int, Fraction)):
-            return RationalFunction.from_fraction(Fraction(other))
+            return RationalFunction.from_fraction(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(
-            padd(pmul(self.num, o.den), pmul(o.num, self.den)),
-            pmul(self.den, o.den),
-        )
+        if not o.n:
+            return self
+        if not self.n:
+            return o
+        m = min(self.k, o.k)
+        if self.d == o.d:
+            n, d = _add_shifted(self.n, self.k - m, o.n, o.k - m), self.d
+        else:
+            n = _add_shifted(
+                _mul(self.n, o.d), self.k - m, _mul(o.n, self.d), o.k - m
+            )
+            d = _mul(self.d, o.d)
+        return RationalFunction(*_reduce(n, d, m), True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(pneg(self.num), self.den, _normalized=True)
+        return RationalFunction(tuple(-x for x in self.n), self.d, self.k, True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -227,9 +315,9 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
+        if not self.n or not o.n:
             return _RF_ZERO
-        return RationalFunction(pmul(self.num, o.num), pmul(self.den, o.den))
+        return _product(self.n, self.d, self.k, o.n, o.d, o.k)
 
     __rmul__ = __mul__
 
@@ -237,9 +325,11 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        if not o.n:
             raise DivisionByZero("division by zero in Q(q)")
-        return RationalFunction(pmul(self.num, o.den), pmul(self.den, o.num))
+        if not self.n:
+            return _RF_ZERO
+        return _product(self.n, self.d, self.k, o.d, o.n, -o.k)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -264,13 +354,16 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.k == o.k and self.n == o.n and self.d == o.d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        if self.k or len(self.n) > 1 or len(self.d) > 1:
+            return hash((self.k, self.n, self.d))
+        # a constant hashes like the equal int or Fraction
+        return hash(Fraction(self.n[0], self.d[0])) if self.n else 0
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.n)
 
     def __repr__(self):
         return f"RationalFunction({self})"
@@ -279,8 +372,21 @@ class RationalFunction:
         return format_qq_scalar(self)
 
 
-_RF_ZERO = RationalFunction((), _normalized=True)
-_RF_ONE = RationalFunction((Fraction(1),), (Fraction(1),), _normalized=True)
+def _product(n1, d1, k1, n2, d2, k2):
+    """(q^k1 n1/d1) * (q^k2 n2/d2) for nonzero canonical factors, except
+    that d2 has a negative leading coefficient when it is a divisor's N.
+
+    Cancelling crosswise, gcd(n1, d2) and gcd(n2, d1), leaves the product
+    coprime, so only the integer content and the sign remain to fix.
+    """
+    n1, d2 = _cancel(n1, d2)
+    n2, d1 = _cancel(n2, d1)
+    n, d = _unit_content(_mul(n1, n2), _mul(d1, d2))
+    return RationalFunction(n, d, k1 + k2, True)
+
+
+_RF_ZERO = RationalFunction((), (1,), 0, True)
+_RF_ONE = RationalFunction((1,), (1,), 0, True)
 RF_Q = RationalFunction.q_power(1)
 
 
@@ -373,11 +479,12 @@ class PrimeFieldElement:
         if isinstance(other, PrimeFieldElement):
             return self.p == other.p and self.value == other.value
         if isinstance(other, int):
-            return self.value == other % self.p
+            # only the canonical residue, so that equal values hash alike
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.p))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0
@@ -654,12 +761,11 @@ def _parse_poly(text):
             raise BadScalar(f"bad polynomial {text!r}: {exc}")
         if k > MAX_Q_EXPONENT:
             raise BadScalar(f"exponent above {MAX_Q_EXPONENT} in {text!r}")
-        c = Fraction(-c if sign == "-" else c)
-        coeffs[k] = coeffs.get(k, Fraction(0)) + c
+        coeffs[k] = coeffs.get(k, 0) + (-c if sign == "-" else c)
         pos = m.end()
         first = False
     deg = max(coeffs)
-    return _ptrim(coeffs.get(i, Fraction(0)) for i in range(deg + 1))
+    return _trim(coeffs.get(i, 0) for i in range(deg + 1))
 
 
 def parse_qq_scalar(text) -> RationalFunction:
@@ -680,43 +786,22 @@ def parse_qq_scalar(text) -> RationalFunction:
 def format_qq_scalar(x: RationalFunction) -> str:
     """Canonical string form with integer coefficients and one '/'.
 
-    The in-memory canonical form has a monic denominator with rational
-    coefficients; for printing, both polynomials are scaled by a common
-    factor so every coefficient is an integer (the string round-trips to
-    the identical canonical value).
+    Prints q^k * N over D, a negative k moving to the denominator.  The
+    stored form is already primitive with a positive leading coefficient
+    of D, so the string round-trips to the identical value.
     """
-    num, den = x.num, x.den
-    if not num:
+    if not x.n:
         return "0"
-    denoms = [c.denominator for c in num] + [c.denominator for c in den]
-    lcm = 1
-    for d in denoms:
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    inum = tuple(c * lcm for c in num)
-    iden = tuple(c * lcm for c in den)
-    content = 0
-    for c in list(inum) + list(iden):
-        content = _gcd(content, abs(c.numerator))
-    if content > 1:
-        inum = tuple(c / content for c in inum)
-        iden = tuple(c / content for c in iden)
-    if iden == (Fraction(1),):
-        return _pformat(inum)
-    num_s = _pformat(inum)
-    den_s = _pformat(iden)
-    if len([c for c in inum if c]) > 1:
+    num_k, den_k = max(x.k, 0), max(-x.k, 0)
+    num_s = _pformat(x.n, num_k)
+    if x.d == (1,) and not den_k:
+        return num_s
+    den_s = _pformat(x.d, den_k)
+    if sum(1 for c in x.n if c) > 1:
         num_s = f"({num_s})"
-    if len([c for c in iden if c]) > 1:
+    if sum(1 for c in x.d if c) > 1:
         den_s = f"({den_s})"
     return f"{num_s}/{den_s}"
-
-
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

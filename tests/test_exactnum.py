@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from bihom.exactnum import (
     QQ,
     QQ_Q,
     PrimeField,
+    PrimeFieldElement,
     RationalFunction,
     _is_prime,
     field_from_tag,
@@ -226,3 +229,95 @@ class TestNegativePowers:
     def test_power_arithmetic(self):
         assert RF.q_power(3) * RF.q_power(-3) == QQ_Q.one()
         assert RF.q_power(1) ** -2 == RF.q_power(-2)
+
+
+small_fractions = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3
+)
+# small ranges, so that equal pairs of different types are common
+scalars = st.one_of(
+    st.integers(-3, 7),
+    small_fractions,
+    small_fractions.map(RF.from_fraction),
+    st.integers(-2, 2).map(RF.q_power),
+    st.builds(PrimeFieldElement, st.integers(-8, 8), st.sampled_from([2, 7])),
+)
+
+
+class TestEqHashContract:
+    @given(scalars, scalars)
+    @settings(max_examples=300, deadline=None)
+    def test_equal_values_hash_alike(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_constant_rational_function_as_dict_key(self):
+        assert {Fraction(1, 2): "v"}.get(rf((1,), (2,))) == "v"
+        assert {3: "v"}.get(rf((6,), (2,))) == "v"
+
+    def test_prime_field_equals_only_its_residue(self):
+        assert PrimeFieldElement(6, 7) == 6
+        assert PrimeFieldElement(6, 7) != -1
+        assert {6: "v"}.get(PrimeFieldElement(-1, 7)) == "v"
+
+
+def _sympy_monic(sympy, q, num, den):
+    """sympy.cancel of num/den, as (num, den) Fraction tuples, low degree
+    first, with a monic denominator."""
+    c, p, r = sympy.cancel((num, den), q)
+    p, r = sympy.Poly(c * p, q), sympy.Poly(r, q)
+    lead = r.LC()
+
+    def coeffs(poly):
+        return tuple(
+            Fraction(int(x.p), int(x.q))
+            for x in (sympy.Rational(c) / lead for c in poly.all_coeffs()[::-1])
+        )
+
+    return coeffs(p), coeffs(r)
+
+
+class TestNormalizationOracle:
+    """RationalFunction's canonical form against sympy.cancel."""
+
+    int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
+
+    @given(
+        int_polys,
+        int_polys.filter(any),
+        st.one_of(st.just([1]), int_polys.filter(any)),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy_cancel(self, num, den, factor, a, b):
+        sympy = pytest.importorskip("sympy")
+        q = sympy.Symbol("q")
+
+        def poly(c, shift):
+            return sympy.Poly(list(reversed(c)), q) * sympy.Poly(q**shift, q)
+
+        # a common factor and powers of q planted on both sides
+        n = poly(num, a) * poly(factor, 0)
+        d = poly(den, b) * poly(factor, 0)
+        x = RationalFunction(
+            [int(c) for c in n.all_coeffs()[::-1]],
+            [int(c) for c in d.all_coeffs()[::-1]],
+        )
+        if n.is_zero:
+            assert not x and x.den == (1,)
+            return
+        assert (x.num, x.den) == _sympy_monic(sympy, q, n.as_expr(), d.as_expr())
+
+    def test_dense_degree_80_over_79(self):
+        sympy = pytest.importorskip("sympy")
+        q = sympy.Symbol("q")
+        rng = random.Random(80)
+        num = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(81)]
+        den = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(80)]
+        t0 = time.perf_counter()
+        x = RationalFunction(num, den)
+        assert time.perf_counter() - t0 < 1.0
+        n = sum(c * q**i for i, c in enumerate(num))
+        d = sum(c * q**i for i, c in enumerate(den))
+        assert (x.num, x.den) == _sympy_monic(sympy, q, n, d)
