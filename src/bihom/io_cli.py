@@ -181,7 +181,10 @@ def _parse_entry(field, data, shape, path):
     if len(shape) == 1:
         return None if data is None else _parse_array(field, data, shape, path)
     entries = _parse_array(field, data, shape, path)
-    return Tensor3(field, entries) if len(shape) == 3 else Matrix(field, entries)
+    if len(shape) == 2:
+        return Matrix(field, entries)
+    # an empty tensor keeps the extents its entries cannot show
+    return Tensor3.zero(field, *shape) if 0 in shape else Tensor3(field, entries)
 
 
 def parse_structure(text: str):

@@ -390,6 +390,21 @@ class TestCli:
         # missing --over is a usage error
         assert main(["check", str(mf)]) == 2
 
+    def test_check_module_over_zero_algebra(self, tmp_path):
+        # the empty action tensor keeps the module's extents
+        zero = {"format": 1, "field": "Q", "kind": "algebra", "dim": 0,
+                "mu": [], "alpha": [], "beta": []}
+        mod = {"format": 1, "field": "Q", "kind": "module", "dim": 1,
+               "algebra_dim": 0, "action": [], "alphaM": [["1"]],
+               "betaM": [["1"]]}
+        af, mf = tmp_path / "zero.json", tmp_path / "mod.json"
+        af.write_text(json.dumps(zero))
+        mf.write_text(json.dumps(mod))
+        _, value = parse_structure(mf.read_text())
+        action = value.action
+        assert (action.d1, action.d2, action.d3) == (0, 1, 1)
+        assert main(["check", str(mf), "--over", str(af)]) == 0
+
     def test_check_comodule_with_over(self, tmp_path):
         from bihom.coalgebra import regular_comodule
 
