@@ -98,8 +98,6 @@ def _poly_gcd(a, b):
     """Primitive gcd with positive leading coefficient, by the primitive
     PRS (Collins 1967, Brown 1971): pseudo-remainders, each divided by its
     content.  Both arguments are nonzero."""
-    if len(a) < len(b):
-        a, b = b, a
     a, b = _primitive(a), _primitive(b)
     while len(b) > 1:
         r = _prem(a, b)
