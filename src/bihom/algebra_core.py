@@ -37,6 +37,7 @@ from .axioms import (
     holds,
     multiplicative,
     product_tensor,
+    solve,
     twisted_product,
     unit_law,
     witness,
@@ -50,7 +51,6 @@ from .linalg import (
     mat_inverse,
     mat_mul,
     solve_affine,
-    kernel,
     unit_vec,
     vec_eq,
     vec_tensor,
@@ -85,10 +85,6 @@ class BiHomAlgebra:
             raise ShapeMismatch("unit vector length")
         if len(self.labels) != d:
             raise ShapeMismatch("label count")
-
-    @property
-    def is_unital(self):
-        return self.unit is not None
 
     def multiply(self, x, y):
         return bilinear_apply(self.mu, x, y)
@@ -314,13 +310,9 @@ def fixed_subalgebra(a: BiHomAlgebra) -> tuple:
     """
     field = a.field
     d = a.dim
-    ident = Matrix.identity(field, d)
-    stacked = Matrix.zero(field, 2 * d, d)
-    for i in range(d):
-        for j in range(d):
-            stacked.e[i][j] = a.alpha.e[i][j] - ident.e[i][j]
-            stacked.e[d + i][j] = a.beta.e[i][j] - ident.e[i][j]
-    basis = kernel(stacked)
+    _, basis = solve(
+        lambda x: [fixes("alpha", a.alpha, x), fixes("beta", a.beta, x)], field, (d,)
+    )
     r = len(basis)
     basis_matrix = Matrix.zero(field, d, r)
     for j, vec in enumerate(basis):
@@ -420,30 +412,13 @@ def example_family(which: int, a, b, field=None) -> BiHomAlgebra:
 
 
 def find_unit(a: BiHomAlgebra):
-    """Solve the linear unit equations; None when no unit exists.
+    """Solve the unit axioms for u; None when no unit exists.
 
-    The system encodes e_i u = alpha(e_i), u e_i = beta(e_i), alpha(u) = u,
-    beta(u) = u; by uniqueness of units a consistent system has exactly one
-    solution.
+    They say alpha(u) = u, beta(u) = u, e_i u = alpha(e_i) and
+    u e_i = beta(e_i); by uniqueness of units a consistent system has
+    exactly one solution.
     """
-    field = a.field
-    d = a.dim
-    rows = []
-    rhs = []
-    for i in range(d):
-        for k in range(d):
-            rows.append([a.mu.t[i][j][k] for j in range(d)])
-            rhs.append(a.alpha.e[k][i])
-    for i in range(d):
-        for k in range(d):
-            rows.append([a.mu.t[j][i][k] for j in range(d)])
-            rhs.append(a.beta.e[k][i])
-    ident = Matrix.identity(field, d)
-    for m in (a.alpha, a.beta):
-        for i in range(d):
-            rows.append([m.e[i][j] - ident.e[i][j] for j in range(d)])
-            rhs.append(field.zero())
-    res = solve_affine(Matrix(field, rows), rhs)
+    res = solve(lambda u: unit_axioms(a, u), a.field, (a.dim,))
     if res is None:
         return None
     x, null = res

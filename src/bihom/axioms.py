@@ -32,15 +32,31 @@ goes straight to bilinear_apply without forming the flattened tensor.
 
 ``Commute(name, a, b)`` compares a b with b a as d x d matrices; its
 witness is the first differing entry ``((i, j), (ab)_ij, (ba)_ij)``.
+
+``solve(table_of, field, shape)`` solves the same tables for an unknown
+vector or matrix x: every equation the package solves for (units,
+antipodes, primitive elements, fixed vectors) is affine in x, so lhs - rhs
+at x = 0 and at each unit vector gives the linear system.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import mul
+from operator import mul, sub
 
 from .errors import ShapeMismatch
-from .linalg import Tensor3, bilinear_apply, mat_eq_witness, mat_mul, vec_tensor
+from .linalg import (
+    Matrix,
+    Tensor3,
+    bilinear_apply,
+    mat_eq_witness,
+    mat_mul,
+    solve_affine,
+    unit_vec,
+    vec_sub,
+    vec_tensor,
+    zero_vec,
+)
 from .report import CheckReport
 
 
@@ -397,6 +413,11 @@ class Axiom:
             )
         self.name, self.lhs, self.rhs, self.label = name, lhs, rhs, label
 
+    def defect(self, ev):
+        """lhs - rhs on every basis tuple of the domain, concatenated."""
+        lhs, rhs = ev.view("_dense", self.lhs, False), ev.view("_dense", self.rhs, False)
+        return [x for t in product(*map(range, self.lhs.dom)) for x in map(sub, lhs(t), rhs(t))]
+
     def witness(self, ev):
         lhs, rhs = ev.view("_dense", self.lhs, False), ev.view("_dense", self.rhs, False)
         tuples = product(*map(range, self.lhs.dom))
@@ -427,6 +448,10 @@ class Commute:
 
     def __init__(self, name, a, b):
         self.name, self.a, self.b = name, a, b
+
+    def defect(self, ev):
+        ab, ba = mat_mul(self.a, self.b), mat_mul(self.b, self.a)
+        return [x for r, s in zip(ab.e, ba.e) for x in map(sub, r, s)]
 
     def witness(self, ev):
         return commutation(self.a, self.b)
@@ -461,6 +486,37 @@ def witness(*table):
 
 def holds(*table) -> bool:
     return first_failure(table) is None
+
+
+def solve(table_of, field, shape):
+    """Solve lhs = rhs for every axiom of table_of(x), where x is a vector of
+    length shape[0] or a shape[0] x shape[1] matrix and each table is affine
+    in x.
+
+    lhs - rhs is evaluated at x = 0 and at each unit vector (matrix unit, in
+    row-major order); the differences from the value at 0 are the columns
+    of the system.  Returns None when it is inconsistent, else (particular
+    solution, kernel basis), each in the shape of x.
+    """
+    n = _size(shape)
+
+    def unknown(coords):
+        if len(shape) == 1:
+            return coords
+        c = shape[1]
+        return Matrix(field, [coords[i * c:(i + 1) * c] for i in range(shape[0])])
+
+    def defect(coords):
+        ev = _Eval(field)
+        return [x for ax in table_of(unknown(coords)) for x in ax.defect(ev)]
+
+    base = defect(zero_vec(field, n))
+    columns = [vec_sub(defect(unit_vec(field, n, j)), base) for j in range(n)]
+    res = solve_affine(Matrix.from_columns(field, columns), [-x for x in base])
+    if res is None:
+        return None
+    x, null = res
+    return unknown(x), [unknown(v) for v in null]
 
 
 def images(term):

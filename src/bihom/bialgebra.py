@@ -2,9 +2,9 @@
 BiHom-bialgebras and antipodes (monoidal and Yau-twist-invariant forms).
 
 A bialgebra carries algebra data (mu, alpha, beta, unit) and coalgebra data
-(delta, psi, omega, counit) on one space.  Antipode solving assembles one
-stacked linear system over the d^2 matrix unknowns so that uniqueness and
-inconsistency become rank facts.
+(delta, psi, omega, counit) on one space.  The monoidal antipode and the
+primitive elements are solved for from the same axioms that check them
+(``axioms.solve``), so uniqueness and inconsistency become rank facts.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .axioms import (
     Lin,
     Mul,
     Perm,
+    Sum,
     Swap,
     Vec,
     check,
@@ -44,10 +45,11 @@ from .axioms import (
     fixes,
     holds,
     multiplicative,
+    solve,
     twisted_product,
     witness,
 )
-from .coalgebra import BiHomCoalgebra, _pairs, check_bihom_coalgebra
+from .coalgebra import BiHomCoalgebra, check_bihom_coalgebra
 from .errors import (
     HypothesisFailure,
     MissingUnit,
@@ -63,15 +65,11 @@ from .linalg import (
     MatrixPowers,
     Tensor3,
     bilinear_apply,
-    kernel,
     mat_eq_witness,
     mat_inverse,
     mat_mul,
-    solve_affine,
-    unit_vec,
     vec_eq,
     vec_sub,
-    vec_tensor,
 )
 from .report import CheckReport
 
@@ -252,32 +250,21 @@ def yau_twist_bialgebra(
 # ---------------------------------------------------------------------------
 
 
-def _primitive_defect_matrix(H: BiHomBialgebra) -> Matrix:
-    """Matrix of x -> Delta(x) - 1 (x) x - x (x) 1 (columns on basis)."""
+def primitive(H: BiHomBialgebra, x):
+    """Delta(x) = 1 (x) x + x (x) 1, compared whole under the label ("1",)."""
     if H.unit is None:
         raise MissingUnit("primitive elements need a unit")
-    d = H.dim
-    one = H.unit
-    m = Matrix.zero(H.field, d * d, d)
-    for j in range(d):
-        col = H.coproduct(unit_vec(H.field, d, j))
-        ej = unit_vec(H.field, d, j)
-        col = vec_sub(col, vec_tensor(one, ej, H.field))
-        col = vec_sub(col, vec_tensor(ej, one, H.field))
-        for i in range(d * d):
-            if col[i]:
-                m.e[i][j] = col[i]
-    return m
+    one, v = Vec(H.unit), Vec(x)
+    return Axiom("primitive", Compose(Comul(H.delta), v), Sum(Kron(one, v), Kron(v, one)), ("1",))
 
 
 def find_primitives(H: BiHomBialgebra):
-    """Kernel basis of x -> Delta(x) - 1 (x) x - x (x) 1."""
-    return kernel(_primitive_defect_matrix(H))
+    """A basis of the primitive elements."""
+    return solve(lambda x: [primitive(H, x)], H.field, (H.dim,))[1]
 
 
 def is_primitive(H: BiHomBialgebra, x) -> bool:
-    m = _primitive_defect_matrix(H)
-    return not any(m.apply(x))
+    return holds(primitive(H, x))
 
 
 def primitive_bracket(H: BiHomBialgebra, x, y):
@@ -287,9 +274,8 @@ def primitive_bracket(H: BiHomBialgebra, x, y):
     that psi = omega on both inputs, and that alpha^p beta^q of each input
     stays primitive for p, q in {-1, 0, 1}.
     """
-    defect = _primitive_defect_matrix(H)
     for name, v in (("x", x), ("y", y)):
-        if any(defect.apply(v)):
+        if not is_primitive(H, v):
             raise NotPrimitive(f"{name} is not primitive")
     try:
         ainv = mat_inverse(H.alpha)
@@ -301,7 +287,7 @@ def primitive_bracket(H: BiHomBialgebra, x, y):
     bracket = vec_sub(
         H.multiply(x, y), H.multiply(p.apply(y), q.apply(x))
     )
-    if any(defect.apply(bracket)):
+    if not is_primitive(H, bracket):
         raise AssertionError("bracket of primitives failed to be primitive")
     powers_a = MatrixPowers(H.alpha)
     powers_b = MatrixPowers(H.beta)
@@ -311,7 +297,7 @@ def primitive_bracket(H: BiHomBialgebra, x, y):
         for pe in (-1, 0, 1):
             for qe in (-1, 0, 1):
                 w = powers_a(pe).apply(powers_b(qe).apply(v))
-                if any(defect.apply(w)):
+                if not is_primitive(H, w):
                     raise AssertionError(
                         f"alpha^{pe} beta^{qe} did not preserve primitivity"
                     )
@@ -486,72 +472,23 @@ def is_monoidal(H: BiHomBialgebra) -> bool:
 def solve_antipode_monoidal(H: BiHomBialgebra):
     """Solve S(h1) h2 = eps(h) 1 = h1 S(h2) with S commuting with alpha, beta.
 
-    One stacked linear system over the d^2 unknowns of S.  Returns the
-    unique solution as a Matrix, None when the system is inconsistent, and
-    raises NonUnique if underdetermined (which cannot happen for a valid
-    monoidal BiHom-bialgebra, by convolution-inverse uniqueness).
+    Returns the unique solution as a Matrix, None when the system is
+    inconsistent, and raises NonUnique if underdetermined (which cannot
+    happen for a valid monoidal BiHom-bialgebra, by convolution-inverse
+    uniqueness).
     """
     if H.unit is None or H.counit is None:
         raise MissingUnit("antipode needs a unit and a counit")
     if not is_monoidal(H):
         raise HypothesisFailure("antipode solving requires a monoidal bialgebra")
-    field = H.field
-    d = H.dim
-    n_unknowns = d * d  # s[i][j] = coefficient of e_i in S(e_j)
-    rows = []
-    rhs = []
-
-    def s_index(i, j):
-        return i * d + j
-
-    # sum_{u,v} Delta_h^{uv} S(e_u) e_v = eps_h 1   (rows per h, output k)
-    for h in range(d):
-        coeff = [[field.zero()] * n_unknowns for _ in range(d)]
-        for (u, v, c) in _pairs(H.delta.t[h]):
-            for i in range(d):
-                prod = H.mu.column(i, v)
-                for k in range(d):
-                    if prod[k]:
-                        coeff[k][s_index(i, u)] = coeff[k][s_index(i, u)] + c * prod[k]
-        for k in range(d):
-            rows.append(coeff[k])
-            rhs.append(H.counit[h] * H.unit[k])
-    # sum_{u,v} Delta_h^{uv} e_u S(e_v) = eps_h 1
-    for h in range(d):
-        coeff = [[field.zero()] * n_unknowns for _ in range(d)]
-        for (u, v, c) in _pairs(H.delta.t[h]):
-            for j in range(d):
-                prod = H.mu.column(u, j)
-                for k in range(d):
-                    if prod[k]:
-                        coeff[k][s_index(j, v)] = coeff[k][s_index(j, v)] + c * prod[k]
-        for k in range(d):
-            rows.append(coeff[k])
-            rhs.append(H.counit[h] * H.unit[k])
-    # alpha S - S alpha = 0 and beta S - S beta = 0
-    for m in (H.alpha, H.beta):
-        for i in range(d):
-            for j in range(d):
-                row = [field.zero()] * n_unknowns
-                for k in range(d):
-                    if m.e[i][k]:
-                        row[s_index(k, j)] = row[s_index(k, j)] + m.e[i][k]
-                    if m.e[k][j]:
-                        row[s_index(i, k)] = row[s_index(i, k)] - m.e[k][j]
-                rows.append(row)
-                rhs.append(field.zero())
-    res = solve_affine(Matrix(field, rows), rhs)
+    res = solve(lambda S: _monoidal_antipode_table(H, S), H.field, (H.dim, H.dim))
     if res is None:
         return None
-    x, null = res
+    s, null = res
     if null:
         raise NonUnique(
             f"antipode system underdetermined (solution space dim {len(null)})"
         )
-    s = Matrix.zero(field, d, d)
-    for i in range(d):
-        for j in range(d):
-            s.e[i][j] = x[s_index(i, j)]
     return s
 
 
@@ -638,7 +575,7 @@ def check_antipode_properties(H: BiHomBialgebra, S: Matrix) -> CheckReport:
     (iii) alpha(S(h)_1) (x) beta(S(h)_2) = beta(S(h_2)) (x) alpha(S(h_1)).
     """
     report = CheckReport()
-    report.merge(_monoidal_antipode_axiom(H, S), prefix="axiom:")
+    report.merge(check(_monoidal_antipode_table(H, S)), prefix="axiom:")
     d = H.dim
     s, alpha, beta, mu = Lin(S), Lin(H.alpha), Lin(H.beta), Mul(H.mu)
     return check([
@@ -657,10 +594,9 @@ def check_antipode_properties(H: BiHomBialgebra, S: Matrix) -> CheckReport:
     ], report)
 
 
-def _monoidal_antipode_axiom(H: BiHomBialgebra, S: Matrix) -> CheckReport:
+def _monoidal_antipode_table(H: BiHomBialgebra, S: Matrix):
     """S(h1) h2 = eps(h) 1 = h1 S(h2) plus commutation with alpha and beta."""
     ident = Id(H.dim)
-    return check(
-        [Commute("S_alpha_commute", H.alpha, S), Commute("S_beta_commute", H.beta, S)]
-        + _antipode_axioms(H, S, ident, ident)
-    )
+    return [
+        Commute("S_alpha_commute", H.alpha, S), Commute("S_beta_commute", H.beta, S)
+    ] + _antipode_axioms(H, S, ident, ident)

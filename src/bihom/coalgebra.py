@@ -78,10 +78,6 @@ class BiHomCoalgebra:
         if self.counit is not None and len(self.counit) != d:
             raise ShapeMismatch("counit covector length")
 
-    @property
-    def is_counital(self):
-        return self.counit is not None
-
     def coproduct(self, v):
         """Delta(v) as a flattened d*d vector."""
         d = self.dim
@@ -130,16 +126,6 @@ class Comodule:
 # ---------------------------------------------------------------------------
 # axiom checking
 # ---------------------------------------------------------------------------
-
-
-def _pairs(plane):
-    """Nonzero (j, k, coeff) triples of a coefficient plane."""
-    out = []
-    for j, row in enumerate(plane):
-        for k, x in enumerate(row):
-            if x:
-                out.append((j, k, x))
-    return out
 
 
 def check_bihom_coalgebra(C: BiHomCoalgebra) -> CheckReport:

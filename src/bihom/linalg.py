@@ -72,7 +72,11 @@ class Matrix:
 
     @staticmethod
     def zero(field, rows, cols):
-        return Matrix(field, [[field.zero()] * cols for _ in range(rows)])
+        z = field.zero()
+        out = Matrix.__new__(Matrix)
+        out.field, out.rows, out.cols = field, rows, cols
+        out.e = [[z] * cols for _ in range(rows)]
+        return out
 
     @staticmethod
     def identity(field, n):
@@ -85,7 +89,9 @@ class Matrix:
     @staticmethod
     def from_columns(field, columns):
         rows = len(columns[0]) if columns else 0
-        return Matrix(field, [[columns[j][i] for j in range(len(columns))] for i in range(rows)])
+        out = Matrix(field, [[col[i] for col in columns] for i in range(rows)])
+        out.cols = len(columns)  # kept when there are no rows
+        return out
 
     @staticmethod
     def diagonal(field, diag):
@@ -355,10 +361,6 @@ class MatrixPowers:
             if k not in self._cache:
                 self._cache[k] = mat_mul(self(k + 1), self._inv)
         return self._cache[k]
-
-
-def commute(a: Matrix, b: Matrix) -> bool:
-    return mat_eq_witness(mat_mul(a, b), mat_mul(b, a)) is None
 
 
 # ---------------------------------------------------------------------------

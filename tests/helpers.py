@@ -221,3 +221,8 @@ def random_bihom_algebra(rng, dim=None):
 
     a, alpha, beta = random_associative_with_endos(rng, dim=dim, invertible=True)
     return yau_twist(a, alpha, beta)
+
+
+def pairs(plane):
+    """Nonzero (j, k, coeff) triples of a coefficient plane."""
+    return [(j, k, x) for j, row in enumerate(plane) for k, x in enumerate(row) if x]

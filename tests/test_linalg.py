@@ -48,6 +48,16 @@ class TestMatMul:
             mat_mul(M([[1, 2]]), M([[1, 2]]))
 
 
+class TestEmptyShapes:
+    def test_no_rows_keeps_the_column_count(self):
+        for m in (Matrix.zero(QQ, 0, 3), Matrix.from_columns(QQ, [[], [], []])):
+            assert (m.rows, m.cols) == (0, 3)
+
+    def test_kernel_of_a_system_with_no_equations(self):
+        assert kernel(Matrix.from_columns(QQ, [[], []])) == [unit_vec(QQ, 2, 0),
+                                                             unit_vec(QQ, 2, 1)]
+
+
 class TestInverse:
     def test_identity(self):
         assert mat_inverse(Matrix.identity(QQ, 3)) == Matrix.identity(QQ, 3)

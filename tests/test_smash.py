@@ -8,7 +8,6 @@ from bihom.bialgebra import (
     check_module_bihom_algebra,
     twist_module_algebra,
 )
-from bihom.coalgebra import _pairs
 from bihom.errors import HypothesisFailure, ModuleAxiomFailure, Singular
 from bihom.exactnum import QQ
 from bihom.fixtures import (
@@ -34,6 +33,8 @@ from bihom.smash import (
     smash_twisting_map,
 )
 from bihom.twisting import check_twisting_map
+
+from helpers import pairs
 
 
 def ident(n=4):
@@ -61,7 +62,7 @@ class TestSmashTwistingMap:
         for h in range(4):
             for a in range(4):
                 src = h * 4 + a
-                for (u, v, c) in _pairs(H.delta.t[h]):
+                for (u, v, c) in pairs(H.delta.t[h]):
                     hit = act.action.column(u, a)
                     for i in range(4):
                         if hit[i]:
@@ -132,7 +133,7 @@ class TestSmashProduct:
                 for a2 in range(4):
                     for h2 in range(4):
                         out = direct.t[a * 4 + h][a2 * 4 + h2]
-                        for (u, v, c) in _pairs(H2.delta.t[h]):
+                        for (u, v, c) in pairs(H2.delta.t[h]):
                             inner = bilinear_apply(
                                 act2.action, binv_oinv.column(u), betaA_inv.column(a2)
                             )
@@ -181,7 +182,7 @@ class TestSmashProduct:
                     for h2 in range(4):
                         src1, src2 = a * 4 + h, a2 * 4 + h2
                         out = direct.t[src1][src2]
-                        for (u, v, c) in _pairs(H2.delta.t[h]):
+                        for (u, v, c) in pairs(H2.delta.t[h]):
                             acted = bilinear_apply(
                                 act2.action, powers(-2).column(u), aA_inv.column(a2)
                             )
@@ -217,7 +218,7 @@ class TestSmashProduct:
                     for h2 in range(4):
                         src1, src2 = a * 4 + h, a2 * 4 + h2
                         out = direct.t[src1][src2]
-                        for (u, v, c) in _pairs(H2.delta.t[h]):
+                        for (u, v, c) in pairs(H2.delta.t[h]):
                             acted = bilinear_apply(
                                 act2.action, unit_vec(QQ, 4, u), aA_inv.column(a2)
                             )

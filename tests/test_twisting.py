@@ -30,7 +30,7 @@ from bihom.twisting import (
     twisted_tensor_product,
 )
 
-from helpers import random_associative_with_endos, random_bihom_algebra
+from helpers import pairs, random_associative_with_endos, random_bihom_algebra
 
 
 def left_projection_algebra():
@@ -253,7 +253,6 @@ class TestLiftTwistingMap:
     def test_classical_smash_map_lifts_to_r(self):
         # the classical smash twisting map P(h (x) a) = h1.a (x) h2 lifts to
         # exactly the map affording the twisted smash product
-        from bihom.coalgebra import _pairs
         from bihom.smash import SmashData, smash_twisting_map
 
         H = cyclic_group_bialgebra(4)
@@ -265,7 +264,7 @@ class TestLiftTwistingMap:
         for h in range(4):
             for a in range(4):
                 src = h * 4 + a
-                for (u, v, c) in _pairs(H.delta.t[h]):
+                for (u, v, c) in pairs(H.delta.t[h]):
                     hit = act.action.column(u, a)
                     for i in range(4):
                         if hit[i]:
