@@ -573,9 +573,14 @@ class RationalField(Field):
         raise MixedFields(f"cannot interpret {x!r} in Q")
 
     def parse(self, text):
+        """An optional sign, digits and an optional "/digits"; whitespace is
+        ignored.  Decimal points and exponents are not accepted."""
+        m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", "".join(text.split()))
+        if not m:
+            raise BadScalar(f"bad rational literal {text!r}")
         try:
-            return Fraction(text.replace(" ", ""))
-        except (ValueError, ZeroDivisionError) as exc:
+            return Fraction(int(m.group(1)), int(m.group(2) or 1))
+        except (ValueError, ZeroDivisionError) as exc:  # too many digits, or n/0
             raise BadScalar(f"bad rational literal {text!r}: {exc}")
 
     def format(self, x):

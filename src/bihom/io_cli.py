@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra_core import (
     BiHomAlgebra,
@@ -56,7 +55,7 @@ from .errors import (
     DimensionMismatch,
     ParseError,
 )
-from .exactnum import field_from_tag, field_tag
+from .exactnum import QQ, field_from_tag, field_tag
 from .lie import BiHomLieAlgebra, check_bihom_lie, commutator_lie, yau_twist_lie
 from .linalg import Matrix, Tensor3
 from .report import CheckReport
@@ -181,10 +180,9 @@ def _parse_entry(field, data, shape, path):
     if len(shape) == 1:
         return None if data is None else _parse_array(field, data, shape, path)
     entries = _parse_array(field, data, shape, path)
-    if len(shape) == 2:
-        return Matrix(field, entries)
-    # an empty tensor keeps the extents its entries cannot show
-    return Tensor3.zero(field, *shape) if 0 in shape else Tensor3(field, entries)
+    cls = Matrix if len(shape) == 2 else Tensor3
+    # an empty matrix or tensor keeps the extents its entries cannot show
+    return cls.zero(field, *shape) if 0 in shape else cls(field, entries)
 
 
 def parse_structure(text: str):
@@ -540,23 +538,20 @@ def _cmd_smash(args):
 def _cmd_demo(args):
     if args.demo_cmd != "uqsl2":
         raise ParseError(f"unknown demo {args.demo_cmd!r}")
-    if args.grid < 1:
-        raise ParseError(f"--grid must be at least 1, got {args.grid}")
     from .qexamples import (
+        DEFAULT_TRUNCATION,
         PBWElement,
         TwistParams,
         verify_smash_formulas,
     )
 
-    def rat(text):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {text!r}: {exc}")
+    # the product of degree m + n + r + s + 1 must stay below the truncation
+    largest = (DEFAULT_TRUNCATION - 2) // 4 + 1
+    if not 1 <= args.grid <= largest:
+        raise ParseError(f"--grid must be at least 1 and at most {largest}, got {args.grid}")
 
     tp = TwistParams.of(
-        rat(args.lambda1), rat(args.lambda2), rat(args.lambda3), rat(args.lambda4),
-        rat(args.xi),
+        *map(QQ.parse, (args.lambda1, args.lambda2, args.lambda3, args.lambda4, args.xi))
     )
     grid = range(args.grid)
     gs = {
@@ -700,7 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="demo_cmd", required=True)
     pd = dsub.add_parser("uqsl2", help="verify the quantum-plane smash formulas")
     pd.add_argument("--grid", type=int, default=2,
-                    help="exponents m, n, r, s range over 0..GRID-1 (GRID >= 1)")
+                    help="exponents m, n, r, s range over 0..GRID-1 (GRID >= 1, and "
+                    "4 (GRID - 1) + 1 below the truncation degree)")
     pd.add_argument("--lambda1", default="2")
     pd.add_argument("--lambda2", default="3")
     pd.add_argument("--lambda3", default="5")

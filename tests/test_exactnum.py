@@ -157,6 +157,11 @@ class TestLiterals:
     def test_rational_literals(self, text, expected):
         assert QQ.parse(text) == expected
 
+    @pytest.mark.parametrize("text", ["1e10000000", "2.5", "1_000", "1/-2", "1/0", "", "3/"])
+    def test_rational_literals_outside_the_grammar(self, text):
+        with pytest.raises(BadScalar):
+            QQ.parse(text)
+
     def test_prime_field_literals(self):
         assert F7.parse("5 mod 7") == F7.from_int(5)
         assert F7.parse("12") == F7.from_int(5)

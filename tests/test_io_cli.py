@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import sys
+import tempfile
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bihom.algebra_core import example_family
 from bihom.errors import BadScalar, DimensionMismatch, ParseError
+from bihom.exactnum import QQ
 from bihom.fixtures import (
     cyclic_group_bialgebra,
     cyclic_power_map,
@@ -137,6 +144,13 @@ class TestParseSerialize:
         kind, back = parse_structure(serialize_structure(H, "bialgebra"))
         assert back.same_tensors(H)
 
+    def test_map_with_no_rows_keeps_its_columns(self):
+        obj = {"format": 1, "field": "Q", "kind": "map", "rows": 0, "cols": 2, "entries": []}
+        kind, m = parse_structure(json.dumps(obj))
+        assert (m.rows, m.cols) == (0, 2)
+        assert json.loads(serialize_structure(m, kind)) == obj
+        assert json.loads(serialize_structure(Matrix.zero(QQ, 0, 2), "map")) == obj
+
 
 class TestCli:
     def test_check_family1(self, capsys):
@@ -174,6 +188,7 @@ class TestCli:
         [
             ("Q(q)", "q^99999999"),
             ("Q(q)", "1/q^" + "9" * 5000),
+            ("Q", "1e10000000"),
             pytest.param(
                 "Fp:7",
                 "9" * 5000,
@@ -183,7 +198,7 @@ class TestCli:
                 ),
             ),
         ],
-        ids=["qq-exponent", "qq-exponent-digits", "fp-digits"],
+        ids=["qq-exponent", "qq-exponent-digits", "q-exponent-literal", "fp-digits"],
     )
     def test_hostile_scalar_exit_code(self, tag, literal, tmp_path, capsys):
         obj = json.loads(serialize_structure(example_family(1, 3, 2), "algebra"))
@@ -371,7 +386,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "all match" in out
 
-    @pytest.mark.parametrize("grid", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--lambda1", "--xi"])
+    def test_demo_exponent_literal_is_usage_error(self, flag, capsys):
+        assert main(["demo", "uqsl2", flag, "1e10000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad rational literal '1e10000000'")
+        assert "verified" not in captured.out
+
+    @pytest.mark.parametrize("grid", ["0", "-3", "4"])
     def test_demo_empty_grid_is_usage_error(self, grid, capsys):
         assert main(["demo", "uqsl2", "--grid", grid]) == 2
         captured = capsys.readouterr()
@@ -471,3 +493,85 @@ class TestFixtureFilesStayValid:
         with open(fixture_path("kc4_selfmod.json")) as fh:
             _, (A, act) = parse_structure(fh.read())
         assert check_module_bihom_algebra(H, A, act).ok
+
+
+# ---------------------------------------------------------------------------
+# hostile files: one mutation of a fixture's JSON
+# ---------------------------------------------------------------------------
+
+FUZZ_FILES = {
+    "family1.json": (),
+    "kc4_bialg.json": (),
+    "sweedler.json": (),
+    "kc4_selfmod.json": ("--over", fixture_path("kc4_bialg.json")),
+}
+DIMENSION_KEYS = ("dim", "algebra_dim", "coalgebra_dim", "h_dim", "rows", "cols")
+HOSTILE_LITERALS = ("1e10000000", "-2E999999999", "2.5", "1/0", "0/0", "q^99999999",
+                    "9" * 5000, "5 mod 11", "", "x", "Fp:7", "Q(q)")
+VALUES = st.one_of(
+    st.sampled_from(HOSTILE_LITERALS),
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.text(max_size=3),
+    st.lists(st.sampled_from(["0", "1", "-1/2"]), max_size=3),
+    st.dictionaries(st.sampled_from(["dim", "mu"]), st.integers(0, 2), max_size=1),
+)
+
+
+def _fixture_json(name):
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _paths(obj, path=()):
+    """The path of every key and list item below obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutations(draw):
+    """(fixture, path, operation, value): drop the key or item at path,
+    replace it by value, or set a dimension key to a small integer."""
+    name = draw(st.sampled_from(sorted(FUZZ_FILES)))
+    paths = list(_paths(_fixture_json(name)))
+    op = draw(st.sampled_from(("drop", "replace", "dimension")))
+    if op == "dimension":
+        dims = [p for p in paths if p[-1] in DIMENSION_KEYS]
+        return name, draw(st.sampled_from(dims)), "replace", draw(st.integers(0, 6))
+    return name, draw(st.sampled_from(paths)), op, draw(VALUES)
+
+
+class TestHostileFiles:
+    @given(mutations())
+    @example(("family1.json", ("mu", 1, 1, 0), "replace", "1e10000000"))
+    @example(("kc4_selfmod.json", ("algebra", "alpha", 0, 0), "replace", "-2E999999999"))
+    @settings(max_examples=250, deadline=None)
+    def test_one_mutation_never_escapes(self, mutation):
+        name, path, op, value = mutation
+        obj = _fixture_json(name)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, name)
+            with open(bad, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["check", bad, *FUZZ_FILES[name]])
+            elapsed = time.perf_counter() - start
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith("error:")
+        assert elapsed < 5, f"check took {elapsed:.1f} s"
