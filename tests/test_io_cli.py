@@ -526,8 +526,12 @@ def _fixture_json(name):
 
 def _paths(obj, path=()):
     """The path of every key and list item below obj."""
-    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
-        if isinstance(obj, list) else ()
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
     for key, value in items:
         yield path + (key,)
         yield from _paths(value, path + (key,))
