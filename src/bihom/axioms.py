@@ -18,17 +18,20 @@ Map terms; ``dom`` and ``cod`` list the dimensions of the tensor factors:
     Kron(f, g)    f (x) g;  Compose(f, g) = f o g
     Sum(f, g), Neg(f), Zero(dom, cod)
 
-A value is a flat coordinate list over the codomain, row-major (e_j (x) e_k
-in V (x) W has index j * dim W + k); a value in k itself is reported as a
-scalar.  An axiom with a ``label`` compares the two maps whole instead: its
-witness is ``(label, lhs, rhs)`` with the images of all basis tuples (or of
-1 when the domain is k).
+A value is the list of (basis tuple, coefficient) pairs of its nonzero
+coordinates; a coefficient that cancels is dropped, so equal values hold the
+same pairs.  Each leaf lists the nonzero pairs of its columns once per check
+call, a Kron multiplies the supports of its factors, a Compose applies its
+outer map only to the support of the inner value, and the images of
+composites are memoized for one check call.  A product of a pure tensor,
+Mul o (f (x) g), is one bilinear_apply on the product's nonzero table.
 
-Evaluation is sparse.  A composite applies its outer map only to the basis
-tuples in the support of the inner value, and the images of subterms on
-basis tuples are memoized for the duration of one check call; values of
-whole sides are never kept.  A product of a pure tensor, Mul o (f (x) g),
-goes straight to bilinear_apply without forming the flattened tensor.
+Dense coordinate lists, row-major over the codomain (e_j (x) e_k in V (x) W
+has index j * dim W + k), are built only for witnesses, for ``solve`` and
+for ``images``; a value in k itself is reported as a scalar.  An axiom with
+a ``label`` compares the two maps whole instead: its witness is
+``(label, lhs, rhs)`` with the images of all basis tuples (or of 1 when the
+domain is k).
 
 ``Commute(name, a, b)`` compares a b with b a as d x d matrices; its
 witness is the first differing entry ``((i, j), (ab)_ij, (ba)_ij)``.
@@ -42,7 +45,7 @@ at x = 0 and at each unit vector gives the linear system.
 from __future__ import annotations
 
 from itertools import product
-from operator import mul, sub
+from operator import mul
 
 from .errors import ShapeMismatch
 from .linalg import (
@@ -53,8 +56,6 @@ from .linalg import (
     mat_mul,
     solve_affine,
     unit_vec,
-    vec_sub,
-    vec_tensor,
     zero_vec,
 )
 from .report import CheckReport
@@ -87,114 +88,109 @@ def _memoized(fn):
     return memo
 
 
+def _add(a, b):
+    """{key: coefficient} of a + b, two (key, coefficient) lists, on the union of supports."""
+    out = dict(a)
+    for w, x in b:
+        v = out.get(w)
+        out[w] = x if v is None else v + x
+    return out
+
+
 # ---------------------------------------------------------------------------
 # map terms
 # ---------------------------------------------------------------------------
 
 
 class Term:
-    """A linear map between tensor powers.  Its two views, the dense value
-    and the nonzero (basis tuple, coefficient) pairs, compile to functions
-    of the domain basis tuple."""
+    """A linear map between tensor powers.  ``compile`` gives the function
+    from a domain basis tuple to the nonzero pairs of its image."""
 
     __slots__ = ("dom", "cod")
     field = None
-    # views whose values are memoized when the term sits below the top level
-    cached = ("_dense", "_nz")
-
-    def _nz(self, ev, memo):
-        # entries equal to 1 become the field's one object, so that products
-        # can skip multiplying by it
-        dense, tuples, one = ev.view("_dense", self, memo), ev.tuples(self.cod), ev.one
-        return lambda t: [(tuples[k], one if x == one else x) for k, x in enumerate(dense(t)) if x]
+    cached = True  # memoize the images when the term sits below the top level
 
 
 class _Columns(Term):
     """A leaf given by the image of every domain basis tuple."""
 
-    __slots__ = ()
-    cached = ("_nz",)
+    __slots__ = ("data",)
+    cached = False
 
-    def _dense(self, ev, memo):
-        cols = self._columns()
+    @property
+    def field(self):
+        return getattr(self.data, "field", None)
+
+    def compile(self, ev, memo):
+        table = ev.table(self, lambda: [ev.pairs(col, self.cod) for col in self._columns()])
         if len(self.dom) == 1:
-            return lambda t: cols[t[0]]
+            return lambda t: table[t[0]]
         flat = _flat(self.dom)
-        return lambda t: cols[flat(t)]
+        return lambda t: table[flat(t)]
 
 
 class Lin(_Columns):
-    __slots__ = ("m",)
+    __slots__ = ()
 
     def __init__(self, m, dom=None, cod=None):
-        self.m = m
+        self.data = m
         self.dom = (m.cols,) if dom is None else tuple(dom)
         self.cod = (m.rows,) if cod is None else tuple(cod)
         if _size(self.dom) != m.cols or _size(self.cod) != m.rows:
             raise ShapeMismatch(f"{m.rows}x{m.cols} matrix as a map {self.dom} -> {self.cod}")
 
-    @property
-    def field(self):
-        return self.m.field
-
     def _columns(self):
-        return [self.m.column(j) for j in range(self.m.cols)]
+        return [self.data.column(j) for j in range(self.data.cols)]
 
 
 class Vec(_Columns):
-    __slots__ = ("v",)
+    __slots__ = ()
 
     def __init__(self, v):
-        self.v, self.dom, self.cod = v, (), (len(v),)
+        self.data, self.dom, self.cod = v, (), (len(v),)
 
     def _columns(self):
-        return [list(self.v)]
+        return [self.data]
 
 
 class Covec(_Columns):
-    __slots__ = ("c",)
+    __slots__ = ()
 
     def __init__(self, c):
-        self.c, self.dom, self.cod = c, (len(c),), ()
+        self.data, self.dom, self.cod = c, (len(c),), ()
 
     def _columns(self):
-        return [[x] for x in self.c]
+        return [[x] for x in self.data]
 
 
-class Mul(Term):
-    __slots__ = ("t",)
-    cached = ("_nz",)
-
-    def __init__(self, t):
-        self.t, self.dom, self.cod = t, (t.d1, t.d2), (t.d3,)
-
-    @property
-    def field(self):
-        return self.t.field
-
-    def _dense(self, ev, memo):
-        planes = self.t.t
-        return lambda t: planes[t[0]][t[1]]
-
-
-class Comul(Term):
-    __slots__ = ("t",)
+class Mul(_Columns):
+    __slots__ = ()
 
     def __init__(self, t):
-        self.t, self.dom, self.cod = t, (t.d1,), (t.d2, t.d3)
+        self.data, self.dom, self.cod = t, (t.d1, t.d2), (t.d3,)
 
-    @property
-    def field(self):
-        return self.t.field
+    def nonzero(self, ev):
+        """[i][j] -> the nonzero pairs of t[i][j], as bilinear_apply takes it."""
+        return ev.table(self, lambda: [[ev.pairs(c, self.cod) for c in p] for p in self.data.t])
 
-    def _dense(self, ev, memo):
-        planes = self.t.t
-        return lambda t: [x for row in planes[t[0]] for x in row]
+    def compile(self, ev, memo):
+        table = self.nonzero(ev)
+        return lambda t: table[t[0]][t[1]]
+
+
+class Comul(_Columns):
+    __slots__ = ()
+
+    def __init__(self, t):
+        self.data, self.dom, self.cod = t, (t.d1,), (t.d2, t.d3)
+
+    def _columns(self):
+        return [[x for row in plane for x in row] for plane in self.data.t]
 
 
 class Perm(Term):
     __slots__ = ("order",)
-    cached = ("_dense",)
+    cached = False
 
     def __init__(self, dims, order):
         self.dom, self.order = tuple(dims), tuple(order)
@@ -209,17 +205,7 @@ class Perm(Term):
             return lambda t: t
         return lambda t: tuple([t[o] for o in order])
 
-    def _dense(self, ev, memo):
-        move, flat, size, zero, one = self.move(), _flat(self.cod), _size(self.cod), ev.zero, ev.one
-
-        def dense(t):
-            out = [zero] * size
-            out[flat(move(t))] = one
-            return out
-
-        return dense
-
-    def _nz(self, ev, memo):
+    def compile(self, ev, memo):
         move, one = self.move(), ev.one
         return lambda t: [(move(t), one)]
 
@@ -235,14 +221,13 @@ def Swap(d1, d2):
 
 class Zero(Term):
     __slots__ = ()
-    cached = ()
+    cached = False
 
     def __init__(self, dom, cod):
         self.dom, self.cod = tuple(dom), tuple(cod)
 
-    def _dense(self, ev, memo):
-        zero, size = ev.zero, _size(self.cod)
-        return lambda t: [zero] * size
+    def compile(self, ev, memo):
+        return lambda t: []
 
 
 class _Binary(Term):
@@ -255,7 +240,6 @@ class _Binary(Term):
 
 class Kron(_Binary):
     __slots__ = ()
-    cached = ("_nz",)
 
     def __init__(self, f, g, *more):
         if more:
@@ -263,12 +247,9 @@ class Kron(_Binary):
         self.f, self.g = f, g
         self.dom, self.cod = f.dom + g.dom, f.cod + g.cod
 
-    def _dense(self, ev, memo):
-        f, g, n, field = ev.view("_dense", self.f), ev.view("_dense", self.g), len(self.f.dom), ev.field
-        return lambda t: vec_tensor(f(t[:n]), g(t[n:]), field)
-
-    def _nz(self, ev, memo):
-        f, g, n, one = ev.view("_nz", self.f), ev.view("_nz", self.g), len(self.f.dom), ev.one
+    def compile(self, ev, memo):
+        # a product of nonzero coefficients is nonzero: nothing cancels here
+        f, g, n, one = ev.view(self.f), ev.view(self.g), len(self.f.dom), ev.one
         # a factor that permutes basis tuples contributes no coefficient
         if isinstance(self.f, Perm):
             move = self.f.move()
@@ -296,11 +277,20 @@ class Compose(_Binary):
         self.f, self.g = f, g
         self.dom, self.cod = g.dom, f.cod
 
-    def _sparse(self, ev, memo):
-        """t -> {basis tuple: coefficient}, summed over the support of g(t)."""
-        inner, outer, one = ev.view("_nz", self.g, memo), ev.view("_nz", self.f), ev.one
+    def compile(self, ev, memo):
+        f, g = self.f, self.g
+        if isinstance(g, Perm):  # f at the image tuple
+            outer, move = ev.view(f, memo), g.move()
+            return lambda t: outer(move(t))
+        if isinstance(f, Perm):
+            inner, move = ev.view(g, memo), f.move()
+            return lambda t: [(move(u), c) for u, c in inner(t)]
+        if isinstance(f, Mul) and isinstance(g, Kron) and len(g.f.cod) == len(g.g.cod) == 1:
+            table, left, right, n = f.nonzero(ev), ev.view(g.f), ev.view(g.g), len(g.f.dom)
+            return lambda t: bilinear_apply(table, left(t[:n]), right(t[n:]))
+        inner, outer, one = ev.view(g, memo), ev.view(f), ev.one
 
-        def sparse(t):
+        def sparse(t):  # f summed over the support of g(t)
             out = {}
             for u, c in inner(t):
                 for w, x in outer(u):
@@ -308,40 +298,9 @@ class Compose(_Binary):
                         x = c if x is one else c * x
                     v = out.get(w)
                     out[w] = x if v is None else v + x
-            return out
+            return [(w, x) for w, x in out.items() if x]
 
         return sparse
-
-    def _dense(self, ev, memo):
-        f, g = self.f, self.g
-        if isinstance(g, Perm):  # f at the image tuple
-            outer, move = ev.view("_dense", f, memo), g.move()
-            return lambda t: outer(move(t))
-        if isinstance(f, Mul) and isinstance(g, Kron) and len(g.f.cod) == len(g.g.cod) == 1:
-            mu, left, right, n = f.t, ev.view("_dense", g.f), ev.view("_dense", g.g), len(g.f.dom)
-            return lambda t: bilinear_apply(mu, left(t[:n]), right(t[n:]))
-        sparse, flat, zero, size = self._sparse(ev, memo), _flat(self.cod), ev.zero, _size(self.cod)
-
-        def dense(t):
-            out = [zero] * size
-            for w, x in sparse(t).items():
-                out[flat(w)] = x
-            return out
-
-        return dense
-
-    def _nz(self, ev, memo):
-        f, g = self.f, self.g
-        if isinstance(g, Perm):
-            outer, move = ev.view("_nz", f, memo), g.move()
-            return lambda t: outer(move(t))
-        if isinstance(f, Perm):
-            inner, move = ev.view("_nz", g, memo), f.move()
-            return lambda t: [(move(u), c) for u, c in inner(t)]
-        if isinstance(f, Mul) and isinstance(g, Kron):
-            return Term._nz(self, ev, memo)
-        sparse = self._sparse(ev, memo)
-        return lambda t: [(w, x) for w, x in sparse(t).items() if x]
 
 
 class Sum(_Binary):
@@ -352,9 +311,9 @@ class Sum(_Binary):
             raise ShapeMismatch(f"adding maps {f.dom} -> {f.cod} and {g.dom} -> {g.cod}")
         self.f, self.g, self.dom, self.cod = f, g, f.dom, f.cod
 
-    def _dense(self, ev, memo):
-        f, g = ev.view("_dense", self.f, memo), ev.view("_dense", self.g, memo)
-        return lambda t: [a + b for a, b in zip(f(t), g(t))]
+    def compile(self, ev, memo):
+        f, g = ev.view(self.f, memo), ev.view(self.g, memo)
+        return lambda t: [(w, x) for w, x in _add(f(t), g(t)).items() if x]
 
 
 class Neg(Term):
@@ -367,27 +326,27 @@ class Neg(Term):
     def field(self):
         return self.f.field
 
-    def _dense(self, ev, memo):
-        f = ev.view("_dense", self.f, memo)
-        return lambda t: [-x for x in f(t)]
+    def compile(self, ev, memo):
+        f = ev.view(self.f, memo)
+        return lambda t: [(w, -x) for w, x in f(t)]
 
 
 class _Eval:
-    """The compiled views of the terms of one check call and their memos."""
+    """The compiled terms of one check call, their memos and the nonzero
+    tables of their leaves."""
 
     def __init__(self, field):
-        self.field, self.zero, self.one = field, field.zero(), field.one()
-        self._fns = {}
-        self._tuples = {}
+        self.zero, self.one = field.zero(), field.one()
+        self._fns, self._tuples, self._tables = {}, {}, {}
 
-    def view(self, view, term, memo=True):
+    def view(self, term, memo=True):
         """memo=True: the term is evaluated on basis tuples that recur
         (inside a Kron, or after a Compose); False: once per axiom tuple."""
-        key = (view, term, memo)
+        key = (term, memo)
         fn = self._fns.get(key)
         if fn is None:
-            fn = getattr(term, view)(self, memo)
-            if memo and view in term.cached:
+            fn = term.compile(self, memo)
+            if memo and term.cached:
                 fn = _memoized(fn)
             self._fns[key] = fn
         return fn
@@ -396,6 +355,28 @@ class _Eval:
         if dims not in self._tuples:
             self._tuples[dims] = list(product(*map(range, dims)))
         return self._tuples[dims]
+
+    def table(self, leaf, build):
+        """build(), once for every leaf of one kind, data and codomain."""
+        key = (id(leaf.data), type(leaf), leaf.cod)
+        hit = self._tables.get(key)
+        if hit is None:  # holding the data keeps its id from being reused
+            hit = self._tables[key] = (leaf.data, build())
+        return hit[1]
+
+    def pairs(self, col, cod):
+        """The nonzero (basis tuple, coefficient) pairs of a coordinate list;
+        entries equal to 1 become the field's one object, so that products
+        can skip multiplying by it."""
+        tuples, one = self.tuples(cod), self.one
+        return [(tuples[k], one if x == one else x) for k, x in enumerate(col) if x]
+
+    def dense(self, value, cod):
+        """The coordinate list of a value over the codomain."""
+        out, flat = [self.zero] * _size(cod), _flat(cod)
+        for w, x in value:
+            out[flat(w)] = x
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +395,31 @@ class Axiom:
         self.name, self.lhs, self.rhs, self.label = name, lhs, rhs, label
 
     def defect(self, ev):
-        """lhs - rhs on every basis tuple of the domain, concatenated."""
-        lhs, rhs = ev.view("_dense", self.lhs, False), ev.view("_dense", self.rhs, False)
-        return [x for t in product(*map(range, self.lhs.dom)) for x in map(sub, lhs(t), rhs(t))]
+        """(number of coordinates, {position: nonzero lhs - rhs}) over every
+        basis tuple of the domain, concatenated."""
+        diff, cod = ev.view(Sum(self.lhs, Neg(self.rhs)), False), self.lhs.cod
+        tuples, size, flat = ev.tuples(self.lhs.dom), _size(cod), _flat(cod)
+        return len(tuples) * size, {n * size + flat(w): x
+                                    for n, t in enumerate(tuples) for w, x in diff(t)}
 
     def witness(self, ev):
-        lhs, rhs = ev.view("_dense", self.lhs, False), ev.view("_dense", self.rhs, False)
+        lhs, rhs, cod = ev.view(self.lhs, False), ev.view(self.rhs, False), self.lhs.cod
         tuples = product(*map(range, self.lhs.dom))
-        scalar = not self.lhs.cod
+
+        def dense(v):
+            return ev.dense(v, cod) if cod else ev.dense(v, cod)[0]
+
+        # values are equal when they hold the same pairs, in any order
         if self.label is None:
             for t in tuples:
                 a, b = lhs(t), rhs(t)
-                if a != b:
-                    return (t, a[0], b[0]) if scalar else (t, list(a), list(b))
+                if a != b and dict(a) != dict(b):
+                    return (t, dense(a), dense(b))
             return None
         pairs = [(lhs(t), rhs(t)) for t in tuples]
-        if all(a == b for a, b in pairs):
+        if all(a == b or dict(a) == dict(b) for a, b in pairs):
             return None
-        sides = [[v[0] if scalar else list(v) for v in side] for side in zip(*pairs)]
+        sides = [[dense(v) for v in side] for side in zip(*pairs)]
         if not self.lhs.dom:
             sides = [side[0] for side in sides]
         return (self.label, sides[0], sides[1])
@@ -450,8 +438,9 @@ class Commute:
         self.name, self.a, self.b = name, a, b
 
     def defect(self, ev):
-        ab, ba = mat_mul(self.a, self.b), mat_mul(self.b, self.a)
-        return [x for r, s in zip(ab.e, ba.e) for x in map(sub, r, s)]
+        ab, ba, n = mat_mul(self.a, self.b), mat_mul(self.b, self.a), self.b.cols
+        return ab.rows * n, {i * n + j: x - y for i, (r, s) in enumerate(zip(ab.e, ba.e))
+                             for j, (x, y) in enumerate(zip(r, s)) if x != y}
 
     def witness(self, ev):
         return commutation(self.a, self.b)
@@ -507,12 +496,22 @@ def solve(table_of, field, shape):
         return Matrix(field, [coords[i * c:(i + 1) * c] for i in range(shape[0])])
 
     def defect(coords):
-        ev = _Eval(field)
-        return [x for ax in table_of(unknown(coords)) for x in ax.defect(ev)]
+        """(number of equations, {equation: nonzero lhs - rhs})."""
+        ev, out, rows = _Eval(field), {}, 0
+        for ax in table_of(unknown(coords)):
+            size, entries = ax.defect(ev)
+            out.update((rows + i, x) for i, x in entries.items())
+            rows += size
+        return rows, out
 
-    base = defect(zero_vec(field, n))
-    columns = [vec_sub(defect(unit_vec(field, n, j)), base) for j in range(n)]
-    res = solve_affine(Matrix.from_columns(field, columns), [-x for x in base])
+    rows, base = defect(zero_vec(field, n))
+    rhs = {i: -x for i, x in base.items()}
+    a, b = Matrix.zero(field, rows, n), [rhs.get(i, field.zero()) for i in range(rows)]
+    for j in range(n):
+        for i, x in _add(defect(unit_vec(field, n, j))[1].items(), rhs.items()).items():
+            if x:
+                a.e[i][j] = x
+    res = solve_affine(a, b)
     if res is None:
         return None
     x, null = res
@@ -521,8 +520,9 @@ def solve(table_of, field, shape):
 
 def images(term):
     """The image of every basis tuple of the domain, in lexicographic order."""
-    dense = _Eval(term.field).view("_dense", term, False)
-    return [list(dense(t)) for t in product(*map(range, term.dom))]
+    ev = _Eval(term.field)
+    view = ev.view(term, False)
+    return [ev.dense(view(t), term.cod) for t in product(*map(range, term.dom))]
 
 
 def product_tensor(term, d1=None, d2=None) -> Tensor3:

@@ -438,24 +438,38 @@ class Tensor3:
         return f"Tensor3[{self.d1}x{self.d2}x{self.d3}]"
 
 
-def bilinear_apply(mu: Tensor3, x, y):
-    """Evaluate the bilinear map with structure constants mu on (x, y)."""
-    if len(x) != mu.d1 or len(y) != mu.d2:
-        raise ShapeMismatch(
-            f"bilinear map {mu.d1}x{mu.d2} applied to ({len(x)}, {len(y)})"
-        )
-    out = zero_vec(mu.field, mu.d3)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        plane = mu.t[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            c = xi * yj
-            col = plane[j]
-            for k in range(mu.d3):
-                z = col[k]
-                if z:
-                    out[k] = out[k] + c * z
-    return out
+def bilinear_apply(mu, x, y):
+    """Evaluate the bilinear map with structure constants mu on (x, y).
+
+    With mu a Tensor3 and x, y coordinate lists the result is a coordinate
+    list.  The sparse form, which the axiom engine uses, takes x and y as
+    lists of their nonzero ((i,), x_i) pairs and mu as the table with
+    mu[i][j] the nonzero ((k,), z) pairs of column (i, j); it returns the
+    nonzero ((k,), out_k) pairs.  Only products of nonzero entries are
+    formed.
+    """
+    dense = isinstance(mu, Tensor3)
+    if dense:
+        if len(x) != mu.d1 or len(y) != mu.d2:
+            raise ShapeMismatch(
+                f"bilinear map {mu.d1}x{mu.d2} applied to ({len(x)}, {len(y)})"
+            )
+        field, d3, planes = mu.field, mu.d3, mu.t
+        x = [((i,), a) for i, a in enumerate(x) if a]
+        y = [((j,), b) for j, b in enumerate(y) if b]
+        mu = {i: {j: [((k,), z) for k, z in enumerate(planes[i][j]) if z] for (j,), _ in y}
+              for (i,), _ in x}
+    out = {}
+    for (i,), a in x:
+        row = mu[i]
+        for (j,), b in y:
+            c = a * b
+            for k, z in row[j]:
+                v = out.get(k)
+                out[k] = c * z if v is None else v + c * z
+    if not dense:
+        return [(k, v) for k, v in out.items() if v]
+    vec = zero_vec(field, d3)
+    for (k,), v in out.items():
+        vec[k] = v
+    return vec

@@ -1,0 +1,172 @@
+"""The axiom engine on sparse values: cancellation, scalar and labelled
+witnesses, and the sparse form of bilinear_apply, over Q and F_7."""
+
+import random
+
+import pytest
+
+from bihom.axioms import (
+    Axiom,
+    Compose,
+    Covec,
+    Kron,
+    Lin,
+    Mul,
+    Neg,
+    Sum,
+    Vec,
+    Zero,
+    _Eval,
+    check,
+    counit_invariant,
+    fixes,
+    holds,
+    witness,
+)
+from bihom.exactnum import QQ, PrimeField
+from bihom.linalg import Matrix, Tensor3, bilinear_apply
+
+F7 = PrimeField(7)
+FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+
+
+def group_c2(field):
+    """k[C_2]: e_i e_j = e_{i+j mod 2}, with counit (1, 1)."""
+    return Tensor3(field, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+
+
+def value(term, t):
+    """The nonzero pairs the engine computes for term at basis tuple t."""
+    return _Eval(term.field or QQ).view(term, False)(t)
+
+
+# ---------------------------------------------------------------------------
+# coefficients that cancel
+# ---------------------------------------------------------------------------
+
+
+@FIELDS
+def test_sum_with_its_negative_is_zero(field):
+    m = Lin(Matrix(field, [[1, 2], [0, 3]]))
+    side = Sum(m, Neg(m))
+    assert value(side, (0,)) == [] and value(side, (1,)) == []
+    assert holds(Axiom("cancel", side, Zero((2,), (2,))))
+    assert holds(Axiom("cancel", side, Lin(Matrix.zero(field, 2, 2))))
+
+
+@FIELDS
+def test_cancelling_summand_leaves_the_leaf(field):
+    m, n = Matrix(field, [[1, 2], [0, 3]]), Lin(Matrix(field, [[5, 0], [1, 1]]))
+    side = Sum(Lin(m), Sum(n, Neg(n)))
+    assert holds(Axiom("cancel", side, Lin(m)))
+    assert holds(Axiom("cancel", Sum(Lin(m), n), Sum(n, Lin(m))))
+
+
+@FIELDS
+def test_composite_through_a_nonzero_middle_cancels(field):
+    # e_0 -> e_0 - e_1 -> (1 - 1) e_0 + (2 - 2) e_1
+    inner = Lin(Matrix(field, [[1, 0], [-1, 0]]))
+    outer = Lin(Matrix(field, [[1, 1], [2, 2]]))
+    side = Compose(outer, inner)
+    assert value(inner, (0,)) != [] and value(side, (0,)) == []
+    assert holds(Axiom("cancel", side, Zero((2,), (2,))))
+    assert holds(Axiom("cancel", side, Lin(Matrix.zero(field, 2, 2))))
+
+
+@FIELDS
+def test_product_of_pure_tensor_cancels(field):
+    # (e_0 + e_1)(e_0 + e_1) with e_0 e_0 = e_0, e_1 e_1 = -e_0, e_0 e_1 = e_1 e_0 = 0
+    mu = Tensor3(field, [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]])
+    one = Vec([field.one(), field.one()])
+    side = Compose(Mul(mu), Kron(one, one))
+    assert value(side, ()) == []
+    assert holds(Axiom("cancel", side, Zero((), (2,))))
+    assert holds(Axiom("cancel", side, Vec([field.zero(), field.zero()])))
+
+
+def test_cancellation_depends_on_the_field():
+    # 3 + 4 is 0 in F_7 only
+    def axiom(field):
+        return Axiom("three_plus_four", Sum(Lin(Matrix(field, [[3]])), Lin(Matrix(field, [[4]]))),
+                     Zero((1,), (1,)))
+
+    assert holds(axiom(F7))
+    assert witness(axiom(QQ)) == ((0,), [QQ.from_int(7)], [QQ.zero()])
+
+
+# ---------------------------------------------------------------------------
+# scalar and labelled witnesses
+# ---------------------------------------------------------------------------
+
+
+def eps_multiplicative(mu, eps):
+    """eps o mu = eps (x) eps, a map to k."""
+    return Axiom("eps_mul", Compose(Covec(eps), Mul(mu)), Kron(Covec(eps), Covec(eps)))
+
+
+@FIELDS
+def test_scalar_codomain_witness(field):
+    mu, eps = group_c2(field), [field.one(), field.one()]
+    assert holds(eps_multiplicative(mu, eps))
+    mu.t[1][1][0] = mu.t[1][1][0] + 1
+    report = check([eps_multiplicative(mu, eps)])
+    assert not report.ok
+    w = report.entry("eps_mul").witness
+    assert w == ((1, 1), field.from_int(2), field.one())
+    assert not isinstance(w[1], list) and not isinstance(w[2], list)
+
+
+@FIELDS
+def test_fixes_witness_is_the_whole_vector(field):
+    m, v = Matrix.identity(field, 2), [field.one(), field.zero()]
+    assert holds(fixes("alpha_fixes", m, v))
+    m.e[1][0] = m.e[1][0] + 1
+    assert witness(fixes("alpha_fixes", m, v)) == (("1",), [field.one(), field.one()], v)
+
+
+@FIELDS
+def test_counit_invariant_witness_lists_every_basis_vector(field):
+    eps, m = [field.one(), field.zero(), field.one()], Matrix.identity(field, 3)
+    assert holds(counit_invariant("eps_alpha", eps, m))
+    m.e[0][1] = m.e[0][1] + 1
+    assert witness(counit_invariant("eps_alpha", eps, m)) == (
+        ("eps",), [field.one(), field.one(), field.one()], eps)
+
+
+# ---------------------------------------------------------------------------
+# bilinear_apply: list operands against the sparse form
+# ---------------------------------------------------------------------------
+
+
+def pairs(vec):
+    return [((i,), x) for i, x in enumerate(vec) if x]
+
+
+def random_case(rng, field):
+    d1, d2, d3 = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+
+    def entry():
+        return field.from_int(rng.choice([0, 0, 0, 1, -1, 2, 3]))
+
+    mu = Tensor3.from_function(field, d1, d2, d3, lambda i, j: [entry() for _ in range(d3)])
+    mu.t[rng.randrange(d1)] = [[field.zero()] * d3 for _ in range(d2)]  # a zero row
+    j = rng.randrange(d2)
+    for plane in mu.t:  # a zero column
+        plane[j] = [field.zero()] * d3
+    x, y = [entry() for _ in range(d1)], [entry() for _ in range(d2)]
+    return mu, x, y
+
+
+@FIELDS
+def test_bilinear_apply_list_and_sparse_forms_agree(field):
+    rng = random.Random(6)
+    for _ in range(300):
+        mu, x, y = random_case(rng, field)
+        dense = bilinear_apply(mu, x, y)
+        table = [[pairs(col) for col in plane] for plane in mu.t]
+        sparse = bilinear_apply(table, pairs(x), pairs(y))
+        assert all(c for _, c in sparse)
+        assert dict(sparse) == dict(pairs(dense))
+        expect = [sum((x[i] * y[j] * mu.t[i][j][k] for i in range(mu.d1) for j in range(mu.d2)),
+                      field.zero()) for k in range(mu.d3)]
+        assert dense == expect
