@@ -119,9 +119,6 @@ class BiHomBialgebra:
     def multiply(self, x, y):
         return bilinear_apply(self.mu, x, y)
 
-    def coproduct(self, v):
-        return self.coalgebra_part().coproduct(v)
-
     def same_tensors(self, other: "BiHomBialgebra") -> bool:
         return (
             self.algebra_part().same_tensors(other.algebra_part())

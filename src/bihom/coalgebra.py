@@ -51,7 +51,6 @@ from .linalg import (
     mat_mul,
     vec_eq,
     vec_tensor,
-    zero_vec,
 )
 from .report import CheckReport
 
@@ -77,21 +76,6 @@ class BiHomCoalgebra:
                 raise ShapeMismatch("structure map shape")
         if self.counit is not None and len(self.counit) != d:
             raise ShapeMismatch("counit covector length")
-
-    def coproduct(self, v):
-        """Delta(v) as a flattened d*d vector."""
-        d = self.dim
-        out = zero_vec(self.field, d * d)
-        for i, c in enumerate(v):
-            if not c:
-                continue
-            plane = self.delta.t[i]
-            for j in range(d):
-                row = plane[j]
-                for k in range(d):
-                    if row[k]:
-                        out[j * d + k] = out[j * d + k] + c * row[k]
-        return out
 
     def same_tensors(self, other: "BiHomCoalgebra") -> bool:
         counits_equal = (self.counit is None) == (other.counit is None) and (
