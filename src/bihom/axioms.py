@@ -89,7 +89,7 @@ def _memoized(fn):
 
 
 def _add(a, b):
-    """{key: coefficient} of a + b, two (key, coefficient) lists, on the union of supports."""
+    """a + b as {key: coefficient}, for two (key, coefficient) lists, over both supports."""
     out = dict(a)
     for w, x in b:
         v = out.get(w)
