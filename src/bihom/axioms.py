@@ -26,6 +26,15 @@ outer map only to the support of the inner value, and the images of
 composites are memoized for one check call.  A product of a pure tensor,
 Mul o (f (x) g), is one bilinear_apply on the product's nonzero table.
 
+Kronecker structure is evaluated factor by factor.  A term's factors are
+those of a Kron, one Id per factor of an identity Perm, and for a Lin whose
+matrix is exactly A (x) B (checked on its nonzero table) Lin(A) on the first
+factor followed by the factors of Lin(B), an identity factor being Id.  When
+the domain factors of f and the codomain factors of g share an inner
+boundary, f o g is the Kron of the composites of the blocks between them,
+(A (x) B) o (C (x) D) = AC (x) BD, with Id o x and x o Id dropped to x; it is
+one term per pair (f, g), so every Compose of f after g shares its memos.
+
 Dense coordinate lists, row-major over the codomain (e_j (x) e_k in V (x) W
 has index j * dim W + k), are built only for witnesses, for ``solve`` and
 for ``images``; a value in k itself is reported as a scalar.  An axiom with
@@ -110,6 +119,10 @@ class Term:
     field = None
     cached = True  # memoize the images when the term sits below the top level
 
+    def factors(self, ev):
+        """Terms whose Kron is this term."""
+        return [self]
+
 
 class _Columns(Term):
     """A leaf given by the image of every domain basis tuple."""
@@ -121,8 +134,12 @@ class _Columns(Term):
     def field(self):
         return getattr(self.data, "field", None)
 
+    def nonzero(self, ev):
+        """The nonzero pairs of every column, in domain order."""
+        return ev.table(self, lambda: [ev.pairs(col, self.cod) for col in self._columns()])
+
     def compile(self, ev, memo):
-        table = ev.table(self, lambda: [ev.pairs(col, self.cod) for col in self._columns()])
+        table = self.nonzero(ev)
         if len(self.dom) == 1:
             return lambda t: table[t[0]]
         flat = _flat(self.dom)
@@ -140,7 +157,35 @@ class Lin(_Columns):
             raise ShapeMismatch(f"{m.rows}x{m.cols} matrix as a map {self.dom} -> {self.cod}")
 
     def _columns(self):
-        return [self.data.column(j) for j in range(self.data.cols)]
+        return list(zip(*self.data.e)) or [()] * self.data.cols
+
+    def factors(self, ev):
+        """[Lin(A)] + the factors of Lin(B) when the matrix is exactly A (x) B,
+        A on the first tensor factor; an identity factor is Id."""
+        cols = self.nonzero(ev) if len(self.cod) == len(self.dom) > 1 else []
+        c0 = next((j for j, col in enumerate(cols) if col), None)
+        if c0 is None:  # one factor, or the zero matrix
+            return [self]
+        (w0, x0), m, flat = cols[c0][0], self.data, _flat(self.cod)
+        q, p = _size(self.cod[1:]), _size(self.dom[1:])  # B is q x p
+        (i0, k0), (j0, l0) = divmod(flat(w0), q), divmod(c0, p)
+        b = Matrix(m.field, [row[j0 * p:(j0 + 1) * p] for row in m.e[i0 * q:(i0 + 1) * q]])
+        if b == Matrix.diagonal(m.field, [x0] * q):  # B = c 1: keep c in A
+            b, x0 = Matrix.identity(m.field, q), ev.one
+        a = Matrix(m.field, [[m.e[i * q + k0][j * p + l0] / x0 for j in range(self.dom[0])]
+                             for i in range(self.cod[0])])
+        # every nonzero entry equals its product and there are as many of them
+        # as products of nonzeros, so M and A (x) B have one support and agree
+        nnz = [sum(1 for row in x.e for y in row if y) for x in (a, b)]
+        if sum(map(len, cols)) != nnz[0] * nnz[1] or any(
+                x != a.e[flat(w) // q][n // p] * b.e[flat(w) % q][n % p]
+                for n, col in enumerate(cols) for w, x in col):
+            return [self]
+        head = Id(self.dom[0]) if a.is_identity() else Lin(a)
+        tail = Lin(b, self.dom[1:], self.cod[1:])
+        if b.is_identity() and tail.dom == tail.cod:
+            tail = Perm(tail.dom, range(len(tail.dom)))
+        return [head] + ev.factors(tail)
 
 
 class Vec(_Columns):
@@ -198,12 +243,18 @@ class Perm(Term):
             raise ShapeMismatch(f"{order} is not a permutation of {len(self.dom)} factors")
         self.cod = tuple(self.dom[o] for o in self.order)
 
+    def identity(self):
+        return self.order == tuple(range(len(self.order)))
+
     def move(self):
         """The basis tuple a basis tuple is sent to."""
         order = self.order
-        if order == tuple(range(len(order))):
+        if self.identity():
             return lambda t: t
         return lambda t: tuple([t[o] for o in order])
+
+    def factors(self, ev):
+        return [Id(d) for d in self.dom] if len(self.dom) > 1 and self.identity() else [self]
 
     def compile(self, ev, memo):
         move, one = self.move(), ev.one
@@ -247,6 +298,9 @@ class Kron(_Binary):
         self.f, self.g = f, g
         self.dom, self.cod = f.dom + g.dom, f.cod + g.cod
 
+    def factors(self, ev):
+        return ev.factors(self.f) + ev.factors(self.g)
+
     def compile(self, ev, memo):
         # a product of nonzero coefficients is nonzero: nothing cancels here
         f, g, n, one = ev.view(self.f), ev.view(self.g), len(self.f.dom), ev.one
@@ -277,8 +331,15 @@ class Compose(_Binary):
         self.f, self.g = f, g
         self.dom, self.cod = g.dom, f.cod
 
+    def factors(self, ev):
+        fused = ev.fused(self.f, self.g)
+        return [self] if fused is None else ev.factors(fused)
+
     def compile(self, ev, memo):
         f, g = self.f, self.g
+        fused = ev.fused(f, g)
+        if fused is not None:
+            return ev.view(fused, memo)
         if isinstance(g, Perm):  # f at the image tuple
             outer, move = ev.view(f, memo), g.move()
             return lambda t: outer(move(t))
@@ -331,13 +392,42 @@ class Neg(Term):
         return lambda t: [(w, -x) for w, x in f(t)]
 
 
+def _fuse(fs, gs):
+    """The Kron of the composites F o G of the blocks between the boundaries
+    that the domain factors fs of f and the codomain factors gs of g share,
+    (A (x) B) o (C (x) D) = AC (x) BD; None when they share only the ends."""
+    if not all(h.dom for h in fs) or not all(h.cod for h in gs):
+        return None
+    blocks, i, j, nf, ng = [], 0, 0, 0, 0
+    while i < len(fs):
+        i0, j0 = i, j
+        nf, i = nf + len(fs[i].dom), i + 1
+        while nf != ng:
+            if ng < nf:
+                ng, j = ng + len(gs[j].cod), j + 1
+            else:
+                nf, i = nf + len(fs[i].dom), i + 1
+        blocks.append((fs[i0:i], gs[j0:j]))
+    if len(blocks) < 2:
+        return None
+
+    def kron(hs):
+        return hs[0] if len(hs) == 1 else Kron(*hs)
+
+    def identity(hs):
+        return all(isinstance(h, Perm) and h.identity() for h in hs)
+
+    return Kron(*[kron(gb) if identity(fb) else kron(fb) if identity(gb)
+                  else Compose(kron(fb), kron(gb)) for fb, gb in blocks])
+
+
 class _Eval:
     """The compiled terms of one check call, their memos and the nonzero
     tables of their leaves."""
 
     def __init__(self, field):
         self.zero, self.one = field.zero(), field.one()
-        self._fns, self._tuples, self._tables = {}, {}, {}
+        self._fns, self._tuples, self._tables, self._factors, self._fused = {}, {}, {}, {}, {}
 
     def view(self, term, memo=True):
         """memo=True: the term is evaluated on basis tuples that recur
@@ -350,6 +440,20 @@ class _Eval:
                 fn = _memoized(fn)
             self._fns[key] = fn
         return fn
+
+    def factors(self, term):
+        """Terms whose Kron is term, memoized for the check call."""
+        if term not in self._factors:
+            self._factors[term] = term.factors(self)
+        return self._factors[term]
+
+    def fused(self, f, g):
+        """f o g as the Kron of its block composites, or None; one per (f, g)."""
+        key = (f, g)
+        if key not in self._fused:
+            fs = self.factors(f)
+            self._fused[key] = None if len(fs) < 2 else _fuse(fs, self.factors(g))
+        return self._fused[key]
 
     def tuples(self, dims):
         if dims not in self._tuples:

@@ -1,5 +1,6 @@
 """The axiom engine on sparse values: cancellation, scalar and labelled
-witnesses, and the sparse form of bilinear_apply, over Q and F_7."""
+witnesses, the sparse form of bilinear_apply, and Kronecker factors, over
+Q and F_7 (and Q(q) for the factors)."""
 
 import random
 
@@ -23,8 +24,8 @@ from bihom.axioms import (
     holds,
     witness,
 )
-from bihom.exactnum import QQ, PrimeField
-from bihom.linalg import Matrix, Tensor3, bilinear_apply
+from bihom.exactnum import QQ, QQ_Q, PrimeField
+from bihom.linalg import Matrix, Tensor3, bilinear_apply, kron, mat_mul
 
 F7 = PrimeField(7)
 FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
@@ -170,3 +171,138 @@ def test_bilinear_apply_list_and_sparse_forms_agree(field):
         expect = [sum((x[i] * y[j] * mu.t[i][j][k] for i in range(mu.d1) for j in range(mu.d2)),
                       field.zero()) for k in range(mu.d3)]
         assert dense == expect
+
+
+# ---------------------------------------------------------------------------
+# Kronecker factors: splitting Lin leaves and fusing aligned composites
+# ---------------------------------------------------------------------------
+
+ALL_FIELDS = pytest.mark.parametrize("field", [QQ, F7, QQ_Q], ids=["Q", "F7", "Qq"])
+SQUARE, CUBE = (2, 2), (2, 2, 2)
+
+
+def generic(field):
+    """A scalar that is not an integer in Q(q)."""
+    return field.parse("q") if field == QQ_Q else field.from_int(3)
+
+
+def factor_pair(field):
+    """A and B with a zero entry each, and a product that is no Kronecker product."""
+    g = generic(field)
+    a, b = Matrix(field, [[g, 2], [0, 1]]), Matrix(field, [[1, 1], [0, g]])
+    other = Matrix(field, [[1, 2, 0, 1], [0, 1, 1, 0], [3, 0, 1, 0], [0, 0, 1, g]])
+    return a, b, other
+
+
+def factors(m, dims):
+    return _Eval(m.field).factors(Lin(m, dims, dims))
+
+
+def commute(m, other, dims):
+    """m o other = other o m, with both matrices as maps on dims."""
+    x, y = Lin(m, dims, dims), Lin(other, dims, dims)
+    return Axiom("commute", Compose(x, y), Compose(y, x))
+
+
+def assert_same_as_flat(m, other):
+    """The verdict and witness on 2 (x) 2 factors are those on one factor of 4."""
+    split, flat = witness(commute(m, other, SQUARE)), witness(commute(m, other, (4,)))
+    if split is None:
+        assert flat is None
+    else:
+        (i, j), lhs, rhs = split
+        assert flat == ((2 * i + j,), lhs, rhs)
+
+
+@ALL_FIELDS
+def test_kron_product_splits(field):
+    a, b, other = factor_pair(field)
+    m = kron(a, b)
+    head, tail = factors(m, SQUARE)
+    assert kron(head.data, tail.data) == m
+    for o in (other, kron(b, a), kron(mat_mul(a, a), b)):
+        assert_same_as_flat(m, o)
+    assert witness(commute(m, other, SQUARE)) is not None
+    assert witness(commute(m, kron(mat_mul(a, a), b), SQUARE)) is None
+
+
+@ALL_FIELDS
+def test_identity_factors_become_id(field):
+    a, _, _ = factor_pair(field)
+    one, c = Matrix.identity(field, 2), generic(field)
+    kinds = [type(f).__name__ for f in factors(kron(a, kron(one, one)), CUBE)]
+    assert kinds == ["Lin", "Perm", "Perm"]
+    scaled = Matrix.diagonal(field, [c, c])  # c 1 (x) a (x) c 1 = 1 (x) c^2 a (x) 1
+    kinds = [type(f).__name__ for f in factors(kron(scaled, kron(a, scaled)), CUBE)]
+    assert kinds == ["Perm", "Lin", "Perm"]
+
+
+def non_products(field):
+    a, b, _ = factor_pair(field)
+    bumped, extra, missing = kron(a, b), kron(a, b), kron(a, b)
+    bumped.e[0][0] = bumped.e[0][0] + 1
+    extra.e[2][0] = field.one()  # the product is 0 there: a is 0 at (1, 0)
+    # the entries A and B are read from are kept, so only the count tells
+    missing.e[3][3] = field.zero()
+    return {"bumped": bumped, "extra": extra, "missing": missing,
+            "zero": Matrix.zero(field, 4, 4)}
+
+
+@ALL_FIELDS
+@pytest.mark.parametrize("case", ["bumped", "extra", "missing", "zero"])
+def test_non_products_do_not_split(field, case):
+    a, b, other = factor_pair(field)
+    m = non_products(field)[case]
+    assert len(factors(m, SQUARE)) == 1
+    for o in (other, kron(a, b), m):
+        assert_same_as_flat(m, o)
+    assert_same_as_flat(kron(a, b), m)
+    if case != "zero":
+        assert witness(commute(m, kron(a, b), SQUARE)) is not None
+
+
+@ALL_FIELDS
+def test_misaligned_krons_take_the_generic_path(field):
+    a, b, other = factor_pair(field)
+    assert len(factors(other, SQUARE)) == 1
+    f = Kron(Lin(a), Lin(other, SQUARE, SQUARE))  # boundary after factor 1
+    g = Kron(Lin(other, SQUARE, SQUARE), Lin(b))  # boundary after factor 2
+    assert _Eval(field).fused(f, g) is None
+    dense = Lin(mat_mul(kron(a, other), kron(other, b)), CUBE, CUBE)
+    assert holds(Axiom("generic", Compose(f, g), dense))
+    bumped = dense.data.copy()
+    bumped.e[5][1] = bumped.e[5][1] + 1
+    assert witness(Axiom("generic", Compose(f, g), Lin(bumped, CUBE, CUBE)))[0] == (0, 0, 1)
+
+
+class Counted(Lin):
+    """A Lin leaf that counts the basis tuples it is evaluated on."""
+
+    __slots__ = ()
+    calls = 0
+
+    def compile(self, ev, memo):
+        fn = super().compile(ev, memo)
+
+        def counted(t):
+            Counted.calls += 1
+            return fn(t)
+
+        return counted
+
+
+@ALL_FIELDS
+def test_composites_over_the_same_children_share_one_fused_term(field):
+    a, b, _ = factor_pair(field)
+    f, g = Kron(Counted(a), Counted(b)), Lin(kron(b, a), SQUARE, SQUARE)
+    first, second = Compose(f, g), Compose(f, g)
+    ev = _Eval(field)
+    fused = ev.fused(first.f, first.g)
+    assert isinstance(fused, Kron) and ev.fused(second.f, second.g) is fused
+    Counted.calls = 0
+    lhs = [ev.view(first, False)(t) for t in ev.tuples(SQUARE)]
+    calls = Counted.calls
+    assert calls > 0
+    assert [ev.view(second, False)(t) for t in ev.tuples(SQUARE)] == lhs
+    assert Counted.calls == calls
+    assert holds(Axiom("fused", first, Lin(mat_mul(kron(a, b), kron(b, a)), SQUARE, SQUARE)))
