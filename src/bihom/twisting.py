@@ -1,10 +1,14 @@
 """BiHom-pseudotwistors, BiHom-twisting maps, twisted tensor products, and
 lifting of classical twisting maps to the twisted setting.
 
-A pseudotwistor is stored as explicit matrices on the tensor-power spaces:
-T on D (x) D (d^2 x d^2) and its two companions on D (x) D (x) D (d^3 x d^3),
-so every clause of the main theorem becomes one exact matrix identity.
-Twisting maps R: B (x) A -> A (x) B are (dA*dB) x (dB*dA) matrices.
+A pseudotwistor is stored as matrices on the tensor-power spaces: T on
+D (x) D (d^2 x d^2) and its two companions on D (x) D (x) D (d^3 x d^3).
+check_pseudotwistor states every clause of the main theorem as an identity
+of map terms over them; the axiom engine splits a matrix that is a Kronecker
+product, such as the canonical T = alpha2 (x) beta2, into its factors and
+composes factor by factor.  The twisted tensor product's T and companions
+are built as terms from R and read off as matrices.  Twisting maps
+R: B (x) A -> A (x) B are (dA*dB) x (dB*dA) matrices.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .axioms import (
     Kron,
     Lin,
     Mul,
+    Perm,
     Swap,
     check,
     first_failure,
@@ -44,7 +49,7 @@ from .errors import (
     Singular,
     TwistingMapInvalid,
 )
-from .linalg import Matrix, kron, mat_inverse, mat_mul, vec_tensor
+from .linalg import Matrix, kron, mat_inverse, mat_mul
 from .report import CheckReport
 
 
@@ -82,18 +87,10 @@ class TwistingMap:
         ):
             raise ShapeMismatch("twisting map must send B (x) A to A (x) B")
 
-    def apply(self, b_vec, a_vec):
-        """R(b (x) a) as a flattened vector on A (x) B."""
-        return self.R.apply(vec_tensor(b_vec, a_vec, self.R.field))
-
     def pairs(self, b_idx, a_idx):
         """Nonzero ((a', b'), coeff) entries of R(e_b (x) e_a)."""
         col = self.R.column(b_idx * self.dimA + a_idx)
-        out = []
-        for flat, c in enumerate(col):
-            if c:
-                out.append((divmod(flat, self.dimB), c))
-        return out
+        return [(divmod(flat, self.dimB), c) for flat, c in enumerate(col) if c]
 
 
 # ---------------------------------------------------------------------------
@@ -279,58 +276,32 @@ def helper_identity_witness(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap):
     ))
 
 
-def _ttp_square_map(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> Matrix:
-    """T((a (x) b) (x) (a' (x) b')) = (a (x) b_R) (x) (a'_R (x) b')."""
-    field = A.field
-    da, db = A.dim, B.dim
-    d = da * db
-    T = Matrix.zero(field, d * d, d * d)
-    for i in range(da):
-        for j in range(db):
-            for k in range(da):
-                for l in range(db):
-                    src = (i * db + j) * d + (k * db + l)
-                    for ((kr, jr), c) in tw.pairs(j, k):
-                        T.e[(i * db + jr) * d + (kr * db + l)][src] = c
-    return T
+def _ttp_square(tw: TwistingMap):
+    """T((a (x) b) (x) (a' (x) b')) = (a (x) b_R) (x) (a'_R (x) b'), a map on
+    the factors (dimA, dimB, dimA, dimB)."""
+    da, db = tw.dimA, tw.dimB
+    return Compose(Perm((da, da, db, db), (0, 2, 1, 3)), Kron(Id(da), _twisting(tw), Id(db)))
 
 
 def ttp_pseudotwistor(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> Pseudotwistor:
     """The pseudotwistor on the tensor-product algebra realizing A (x)_R B.
 
-    The companions conjugate T applied to the outer slots by
-    alpha_B beta_B^-1 on the first B leg (first companion) and by
-    alpha_A^-1 beta_A on the third A leg (second companion).  Dense
-    matrices on the cube of A (x) B: keep the factors small.
+    T13 is T on the outer two of three copies of A (x) B.  The companions
+    conjugate T13 by alpha_B beta_B^-1 on the first B leg (first companion)
+    and by alpha_A^-1 beta_A on the third A leg (second companion).  All
+    three are map terms, stored as the matrices of their images.
     """
-    field = A.field
-    da, db = A.dim, B.dim
-    d = da * db
-    T = _ttp_square_map(A, B, tw)
-    t13 = Matrix.zero(field, d**3, d**3)
-    for i in range(da):
-        for j in range(db):
-            left = i * db + j
-            for mid in range(d):
-                for m in range(da):
-                    for n in range(db):
-                        src = (left * d + mid) * d + (m * db + n)
-                        for ((mr, jr), c) in tw.pairs(j, m):
-                            dst = ((i * db + jr) * d + mid) * d + (mr * db + n)
-                            t13.e[dst][src] = c
-    idA = Matrix.identity(field, da)
-    idB = Matrix.identity(field, db)
-    id_dd = Matrix.identity(field, d * d)
-    conj_b = kron(idA, mat_mul(mat_inverse(B.alpha), B.beta))
-    conj_b_inv = kron(idA, mat_mul(B.alpha, mat_inverse(B.beta)))
-    t1 = mat_mul(kron(conj_b, id_dd), mat_mul(t13, kron(conj_b_inv, id_dd)))
-    conj_a = kron(mat_mul(A.alpha, mat_inverse(A.beta)), idB)
-    conj_a_inv = kron(mat_mul(mat_inverse(A.alpha), A.beta), idB)
-    t2 = mat_mul(kron(id_dd, conj_a), mat_mul(t13, kron(id_dd, conj_a_inv)))
-    ident = Matrix.identity(field, d)
-    return Pseudotwistor(
-        T=T, T1tilde=t1, T2tilde=t2, alpha2=ident, beta2=ident.copy()
-    )
+    field, da, db = A.field, A.dim, B.dim
+    T, rest = _ttp_square(tw), (Id(da), Id(db), Id(da), Id(db))
+    swap23 = Perm((da, db) * 3, (0, 1, 4, 5, 2, 3))
+    t13 = Compose(swap23, Kron(T, Id(da), Id(db)), swap23)
+    t1 = Compose(Kron(Id(da), Lin(mat_mul(mat_inverse(B.alpha), B.beta)), *rest), t13,
+                 Kron(Id(da), Lin(mat_mul(B.alpha, mat_inverse(B.beta))), *rest))
+    t2 = Compose(Kron(*rest, Lin(mat_mul(A.alpha, mat_inverse(A.beta))), Id(db)), t13,
+                 Kron(*rest, Lin(mat_mul(mat_inverse(A.alpha), A.beta)), Id(db)))
+    T1, T2, T = (Matrix.from_columns(field, images(m)) for m in (t1, t2, T))
+    ident = Matrix.identity(field, da * db)
+    return Pseudotwistor(T=T, T1tilde=T1, T2tilde=T2, alpha2=ident, beta2=ident.copy())
 
 
 def twisted_tensor_product(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> BiHomAlgebra:
@@ -347,9 +318,8 @@ def twisted_tensor_product(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) ->
             f"twisting map fails {report.failures()[0].axiom}", report=report
         )
     plain = tensor_product(A, B)
-    field = A.field
-    d = A.dim * B.dim
-    T = Lin(_ttp_square_map(A, B, tw), (d, d), (d, d))
+    field, d = A.field, A.dim * B.dim
+    T = Lin(Matrix.from_columns(field, images(_ttp_square(tw))), (d, d), (d, d))
     out = BiHomAlgebra(
         field=field,
         dim=d,
