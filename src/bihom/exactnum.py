@@ -553,6 +553,10 @@ class Field:
         return self.name
 
 
+_Q_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_FP_LITERAL = re.compile(r"\s*(-?\d+)\s*(?:mod\s*(\d+)\s*)?")
+
+
 class RationalField(Field):
     name = "Q"
 
@@ -575,7 +579,7 @@ class RationalField(Field):
     def parse(self, text):
         """An optional sign, digits and an optional "/digits"; whitespace is
         ignored.  Decimal points and exponents are not accepted."""
-        m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", "".join(text.split()))
+        m = _Q_LITERAL.fullmatch("".join(text.split()))
         if not m:
             raise BadScalar(f"bad rational literal {text!r}")
         try:
@@ -623,7 +627,7 @@ class PrimeField(Field):
         raise MixedFields(f"cannot interpret {x!r} in F_{self.p}")
 
     def parse(self, text):
-        m = re.fullmatch(r"\s*(-?\d+)\s*(?:mod\s*(\d+)\s*)?", text)
+        m = _FP_LITERAL.fullmatch(text)
         if not m:
             raise BadScalar(f"bad prime-field literal {text!r}")
         if m.group(2) and int(m.group(2)) != self.p:
@@ -684,6 +688,7 @@ QQ = RationalField()
 QQ_Q = FunctionField()
 
 _FIELD_TAGS = {"Q": lambda: QQ, "Q(q)": lambda: QQ_Q}
+_FP_TAG = re.compile(r"Fp:(\d+)")
 
 
 def field_from_tag(tag: str) -> Field:
@@ -692,7 +697,7 @@ def field_from_tag(tag: str) -> Field:
         raise BadScalar(f"field tag must be a string, got {tag!r}")
     if tag in _FIELD_TAGS:
         return _FIELD_TAGS[tag]()
-    m = re.fullmatch(r"Fp:(\d+)", tag)
+    m = _FP_TAG.fullmatch(tag)
     if m:
         try:
             return PrimeField(int(m.group(1)))
