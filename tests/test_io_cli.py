@@ -353,6 +353,37 @@ class TestCli:
         assert rc == 0
         assert main(["check", str(out)]) == 0
 
+    def test_pseudotwistor_verify_explicit_files(self, tmp_path, capsys):
+        from bihom.fixtures import cyclic_group_bialgebra
+        from bihom.twisting import canonical_pseudotwistor
+
+        alg = cyclic_group_bialgebra(4).algebra_part()
+        src = tmp_path / "alg.json"
+        src.write_text(serialize_structure(alg, "algebra"))
+        alpha2, beta2 = fixture_path("kc4_g3_map.json"), fixture_path("id4_map.json")
+        maps = []
+        for path in (alpha2, beta2):
+            with open(path, encoding="utf-8") as fh:
+                maps.append(parse_structure(fh.read())[1])
+        p = canonical_pseudotwistor(alg, *maps)
+        files = {}
+        for flag, m in (("--t", p.T), ("--t1", p.T1tilde), ("--t2", p.T2tilde)):
+            files[flag] = tmp_path / f"{flag[2:]}.json"
+            files[flag].write_text(serialize_structure(m, "map"))
+        args = ["pseudotwistor", "verify", str(src), "--alpha2", alpha2, "--beta2", beta2]
+        for flag, path in files.items():
+            args += [flag, str(path)]
+        assert main(args) == 0
+        assert "ALL PASS" in capsys.readouterr().out
+
+        bumped = p.T1tilde.copy()
+        bumped.e[0][0] = bumped.e[0][0] + 1
+        files["--t1"].write_text(serialize_structure(bumped, "map"))
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert "FAIL T_left_product @ (0, 0, 0): lhs=(1, 0, 0, 0," in out
+        assert "rhs=(2, 0, 0, 0," in out
+
     def test_ttp_flip(self, tmp_path):
         from bihom.twisting import flip_map
         from bihom.fixtures import cyclic_group_bialgebra
