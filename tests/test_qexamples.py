@@ -1,7 +1,10 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
+
+import qexamples_corpus
 
 from bihom.errors import TruncationOverflow, ZeroParameter
 from bihom.exactnum import QQ_Q, RationalFunction as RF
@@ -238,3 +241,17 @@ class TestSmashFormulas:
     def test_truncation_guard(self):
         with pytest.raises(TruncationOverflow):
             verify_smash_formulas(3, 3, 3, 3, ONE, TP_DISTINCT, bound=12)
+
+
+def test_corpus_reproduces():
+    """Every case of tests/qexamples_corpus.py gives the recorded value, and
+    the data file is reproduced byte for byte."""
+    with open(qexamples_corpus.CORPUS, encoding="utf-8") as fh:
+        text = fh.read()
+    got = qexamples_corpus.build()
+    recorded = json.loads(text)["cases"]
+    assert [c["id"] for c in got] == [c["id"] for c in recorded]
+    differ = [(g, r) for g, r in zip(got, recorded) if g != r]
+    assert not differ, f"{len(differ)} cases differ, first: got {differ[0][0]} " \
+        f"recorded {differ[0][1]}"
+    assert qexamples_corpus.dump(got) == text
