@@ -9,8 +9,13 @@ U_q(sl2) is generated by E, F, K, K^-1 with
 
 and elements are kept in the F-K-E normal form: exponent triples
 (a, b, c) with a, c >= 0 and b in Z stand for F^a K^b E^c.  Words are
-normalized by a confluent rewriting engine; an independent straightening
-recursion serves as the oracle.
+normalized by a confluent rewriting engine, whose rules are the table
+``_RULES``: an adjacent pair with a rule is exactly a violation of the
+normal form.  An independent straightening recursion serves as the oracle.
+
+PBW elements, quantum-plane elements and smash-product totals (keyed by
+(plane monomial, PBW monomial)) are one sparse type: ``terms`` maps each
+monomial of the support to its nonzero Q(q) coefficient.
 """
 
 from __future__ import annotations
@@ -28,16 +33,16 @@ _QINV = RF.q_power(-1)
 _EF_COEFF = _ONE / (_Q - _QINV)  # 1/(q - q^-1)
 
 GENERATORS = ("E", "F", "K", "Kinv")
-_RANK = {"F": 0, "K": 1, "Kinv": 1, "E": 2}
 
 
 # ---------------------------------------------------------------------------
-# PBW elements
+# sparse linear combinations
 # ---------------------------------------------------------------------------
 
 
-class PBWElement:
-    """Finitely supported map from exponent triples (a, b, c) to Q(q)."""
+class _Combination:
+    """A finitely supported Q(q)-linear combination of monomials: ``terms``
+    maps each monomial of the support to its nonzero coefficient."""
 
     __slots__ = ("terms",)
 
@@ -45,16 +50,72 @@ class PBWElement:
         self.terms = {}
         if terms:
             for mono, coeff in terms.items():
-                if coeff:
-                    self.terms[mono] = self.terms.get(mono, _ZERO) + coeff
-            self.terms = {m: c for m, c in self.terms.items() if c}
+                self.add(mono, coeff)
+
+    def _zero(self, other=None):
+        """The zero element of self's kind (of self + other's)."""
+        return type(self)()
+
+    def add(self, mono, coeff):
+        """self += coeff * mono, in place."""
+        s = self.terms.get(mono, _ZERO) + coeff
+        if s:
+            self.terms[mono] = s
+        elif mono in self.terms:
+            del self.terms[mono]
+
+    def __iadd__(self, other):
+        for mono, coeff in other.terms.items():
+            self.add(mono, coeff)
+        return self
+
+    def __add__(self, other):
+        out = self._zero(other)
+        out.terms = dict(self.terms)
+        out += other
+        return out
+
+    def __sub__(self, other):
+        return self + other.scale(-_ONE)
+
+    def scale(self, coeff):
+        out = self._zero()
+        if coeff:
+            out.terms = {m: c * coeff for m, c in self.terms.items()}
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def items(self):
+        return sorted(self.terms.items())
+
+
+def _tensor(x, y):
+    """x (x) y, keyed by (monomial of x, monomial of y)."""
+    out = _Combination()
+    out.terms = {(m, u): c * d for m, c in x.terms.items() for u, d in y.terms.items()}
+    return out
+
+
+# ---------------------------------------------------------------------------
+# PBW elements
+# ---------------------------------------------------------------------------
+
+
+class PBWElement(_Combination):
+    """Finitely supported map from exponent triples (a, b, c) to Q(q)."""
+
+    __slots__ = ()
 
     @staticmethod
     def monomial(a, b, c, coeff=_ONE):
-        out = PBWElement()
-        if coeff:
-            out.terms[(a, b, c)] = coeff
-        return out
+        return PBWElement({(a, b, c): coeff})
 
     @staticmethod
     def one():
@@ -64,40 +125,8 @@ class PBWElement:
     def generator(g):
         return PBWElement.monomial(*_GEN_TRIPLE[g])
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        res = PBWElement()
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-_ONE)
-
-    def scale(self, coeff):
-        res = PBWElement()
-        if coeff:
-            res.terms = {m: c * coeff for m, c in self.terms.items()}
-        return res
-
-    def __eq__(self, other):
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def items(self):
-        return sorted(self.terms.items())
 
     def __repr__(self):
         if not self.terms:
@@ -131,35 +160,24 @@ def _monomial_word(mono):
 # word rewriting
 # ---------------------------------------------------------------------------
 
+# An adjacent pair out of F-K-E order, or K next to K^-1, and what replaces
+# it, as (coefficient, word) terms.
+_RULES = {
+    ("K", "Kinv"): [(_ONE, ())],
+    ("Kinv", "K"): [(_ONE, ())],
+    ("E", "F"): [(_ONE, ("F", "E")), (_EF_COEFF, ("K",)), (-_EF_COEFF, ("Kinv",))],
+    ("E", "K"): [(RF.q_power(-2), ("K", "E"))],
+    ("E", "Kinv"): [(RF.q_power(2), ("Kinv", "E"))],
+    ("K", "F"): [(RF.q_power(-2), ("F", "K"))],
+    ("Kinv", "F"): [(RF.q_power(2), ("F", "Kinv"))],
+}
+
 
 def _find_violation(word, strategy):
     rng = range(len(word) - 1)
     if strategy == "rightmost":
-        rng = range(len(word) - 2, -1, -1)
-    for i in rng:
-        x, y = word[i], word[i + 1]
-        if (x, y) in (("K", "Kinv"), ("Kinv", "K")):
-            return i
-        if _RANK[x] > _RANK[y]:
-            return i
-    return None
-
-
-def _rewrite_pair(x, y):
-    """Replacement of the adjacent pair (x, y) as [(coeff, replacement)]."""
-    if (x, y) in (("K", "Kinv"), ("Kinv", "K")):
-        return [(_ONE, ())]
-    if (x, y) == ("E", "F"):
-        return [(_ONE, ("F", "E")), (_EF_COEFF, ("K",)), (-_EF_COEFF, ("Kinv",))]
-    if (x, y) == ("E", "K"):
-        return [(RF.q_power(-2), ("K", "E"))]
-    if (x, y) == ("E", "Kinv"):
-        return [(RF.q_power(2), ("Kinv", "E"))]
-    if (x, y) == ("K", "F"):
-        return [(RF.q_power(-2), ("F", "K"))]
-    if (x, y) == ("Kinv", "F"):
-        return [(RF.q_power(2), ("F", "Kinv"))]
-    raise AssertionError(f"no rule for pair ({x}, {y})")
+        rng = reversed(rng)
+    return next((i for i in rng if word[i:i + 2] in _RULES), None)
 
 
 def _word_to_monomial(word):
@@ -181,9 +199,9 @@ def uq_normalize(word, strategy="leftmost") -> PBWElement:
         coeff, w = pending.pop()
         i = _find_violation(w, strategy)
         if i is None:
-            out = out + PBWElement.monomial(*_word_to_monomial(w), coeff=coeff)
+            out.add(_word_to_monomial(w), coeff)
             continue
-        for c2, repl in _rewrite_pair(w[i], w[i + 1]):
+        for c2, repl in _RULES[w[i:i + 2]]:
             pending.append((coeff * c2, w[:i] + repl + w[i + 2 :]))
     return out
 
@@ -194,8 +212,7 @@ def uq_multiply(x: PBWElement, y: PBWElement) -> PBWElement:
     for m1, c1 in x.terms.items():
         w1 = _monomial_word(m1)
         for m2, c2 in y.terms.items():
-            w2 = _monomial_word(m2)
-            out = out + uq_normalize(w1 + w2).scale(c1 * c2)
+            out += uq_normalize(w1 + _monomial_word(m2)).scale(c1 * c2)
     return out
 
 
@@ -208,22 +225,18 @@ def _mul_gen_left(g, elem: PBWElement) -> PBWElement:
     out = PBWElement()
     for (a, b, c), coeff in elem.terms.items():
         if g == "F":
-            out = out + PBWElement.monomial(a + 1, b, c, coeff)
+            out.add((a + 1, b, c), coeff)
         elif g == "K":
-            out = out + PBWElement.monomial(a, b + 1, c, coeff * RF.q_power(-2 * a))
+            out.add((a, b + 1, c), coeff * RF.q_power(-2 * a))
         elif g == "Kinv":
-            out = out + PBWElement.monomial(a, b - 1, c, coeff * RF.q_power(2 * a))
-        else:  # E
-            if a == 0:
-                out = out + PBWElement.monomial(
-                    0, b, c + 1, coeff * RF.q_power(-2 * b)
-                )
-            else:
-                rest = PBWElement.monomial(a - 1, b, c)
-                head = _mul_gen_left("F", _mul_gen_left("E", rest))
-                head = head + _mul_gen_left("K", rest).scale(_EF_COEFF)
-                head = head - _mul_gen_left("Kinv", rest).scale(_EF_COEFF)
-                out = out + head.scale(coeff)
+            out.add((a, b - 1, c), coeff * RF.q_power(2 * a))
+        elif a == 0:  # E
+            out.add((0, b, c + 1), coeff * RF.q_power(-2 * b))
+        else:
+            rest = PBWElement.monomial(a - 1, b, c)
+            head = _mul_gen_left("F", _mul_gen_left("E", rest))
+            head += (_mul_gen_left("K", rest) - _mul_gen_left("Kinv", rest)).scale(_EF_COEFF)
+            out += head.scale(coeff)
     return out
 
 
@@ -270,10 +283,9 @@ class UqScaling:
                     raise AssertionError(f"scaling breaks the ({x}, {y}) relation")
 
     def __call__(self, elem: PBWElement) -> PBWElement:
-        out = PBWElement()
-        for (a, b, c), coeff in elem.terms.items():
-            out = out + PBWElement.monomial(a, b, c, coeff * self.t ** (c - a))
-        return out
+        return PBWElement(
+            {(a, b, c): coeff * self.t ** (c - a) for (a, b, c), coeff in elem.terms.items()}
+        )
 
     def inverse(self) -> "UqScaling":
         return UqScaling(_ONE / self.t, check=False)
@@ -290,27 +302,26 @@ def uq_twist_endomorphism(t) -> UqScaling:
 DEFAULT_TRUNCATION = 12
 
 
-class QPElement:
+class QPElement(_Combination):
     """An element of k<x, y>/(yx - q xy), truncated at total degree < bound.
 
     Products whose total degree reaches the bound raise TruncationOverflow
     rather than silently truncating.
     """
 
-    __slots__ = ("terms", "bound")
+    __slots__ = ("bound",)
 
     def __init__(self, terms=None, bound=DEFAULT_TRUNCATION):
         self.bound = bound
-        self.terms = {}
-        if terms:
-            for (m, n), coeff in terms.items():
-                if m + n >= bound:
-                    raise TruncationOverflow(
-                        f"monomial x^{m} y^{n} exceeds the degree bound {bound}"
-                    )
-                if coeff:
-                    self.terms[(m, n)] = self.terms.get((m, n), _ZERO) + coeff
-            self.terms = {k: v for k, v in self.terms.items() if v}
+        for m, n in terms or ():
+            if m + n >= bound:
+                raise TruncationOverflow(
+                    f"monomial x^{m} y^{n} exceeds the degree bound {bound}"
+                )
+        super().__init__(terms)
+
+    def _zero(self, other=None):
+        return QPElement(bound=self.bound if other is None else min(self.bound, other.bound))
 
     @staticmethod
     def monomial(m, n, coeff=_ONE, bound=DEFAULT_TRUNCATION):
@@ -320,62 +331,23 @@ class QPElement:
     def one(bound=DEFAULT_TRUNCATION):
         return QPElement.monomial(0, 0, bound=bound)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, _ZERO) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        res = QPElement(bound=min(self.bound, other.bound))
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-_ONE)
-
-    def scale(self, coeff):
-        res = QPElement(bound=self.bound)
-        if coeff:
-            res.terms = {k: c * coeff for k, c in self.terms.items()}
-        return res
-
     def substitute(self, cx, cy) -> "QPElement":
         """The algebra map x -> cx * x, y -> cy * y."""
-        res = QPElement(bound=self.bound)
-        for (m, n), coeff in self.terms.items():
-            res.terms[(m, n)] = coeff * cx**m * cy**n
+        res = self._zero()
+        res.terms = {(m, n): c * cx**m * cy**n for (m, n), c in self.terms.items()}
         return res
 
     def __mul__(self, other):
         """Classical quantum-plane product: y x = q x y."""
-        res = QPElement(bound=min(self.bound, other.bound))
+        res = self._zero(other)
         for (m, n), c1 in self.terms.items():
             for (r, s), c2 in other.terms.items():
                 if m + n + r + s >= res.bound:
                     raise TruncationOverflow(
                         f"product degree {m + n + r + s} exceeds bound {res.bound}"
                     )
-                key = (m + r, n + s)
-                add = c1 * c2 * RF.q_power(n * r)
-                prev = res.terms.get(key, _ZERO) + add
-                if prev:
-                    res.terms[key] = prev
-                elif key in res.terms:
-                    del res.terms[key]
+                res.add((m + r, n + s), c1 * c2 * RF.q_power(n * r))
         return res
-
-    def __eq__(self, other):
-        if not isinstance(other, QPElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def items(self):
-        return sorted(self.terms.items())
 
     def __repr__(self):
         if not self.terms:
@@ -443,17 +415,13 @@ def classical_action_gen(g, P: QPElement) -> QPElement:
     out = QPElement(bound=P.bound)
     for (m, n), coeff in P.terms.items():
         if g == "E":
-            c = q_integer(n) * coeff
-            if c:
-                out = out + QPElement.monomial(m + 1, n - 1, c, bound=P.bound)
+            out.add((m + 1, n - 1), q_integer(n) * coeff)
         elif g == "F":
-            c = q_integer(m) * coeff
-            if c:
-                out = out + QPElement.monomial(m - 1, n + 1, c, bound=P.bound)
+            out.add((m - 1, n + 1), q_integer(m) * coeff)
         elif g == "K":
-            out = out + QPElement.monomial(m, n, coeff * RF.q_power(m - n), bound=P.bound)
+            out.add((m, n), coeff * RF.q_power(m - n))
         else:  # Kinv
-            out = out + QPElement.monomial(m, n, coeff * RF.q_power(n - m), bound=P.bound)
+            out.add((m, n), coeff * RF.q_power(n - m))
     return out
 
 
@@ -468,7 +436,7 @@ def classical_action(h: PBWElement, P: QPElement) -> QPElement:
             cur = classical_action_gen("K" if b > 0 else "Kinv", cur)
         for _ in range(a):
             cur = classical_action_gen("F", cur)
-        out = out + cur.scale(coeff)
+        out += cur.scale(coeff)
     return out
 
 
@@ -489,23 +457,13 @@ def qplane_action(gen, P: QPElement, tp: TwistParams) -> QPElement:
     for (m, n), coeff in P.terms.items():
         scale = tp.xi ** (m + n) * tp.lambda2 ** (-n)
         if gen == "E":
-            c = q_integer(n) * scale * tp.lambda1 * coeff
-            if c:
-                out = out + QPElement.monomial(m + 1, n - 1, c, bound=P.bound)
+            out.add((m + 1, n - 1), q_integer(n) * scale * tp.lambda1 * coeff)
         elif gen == "F":
-            c = q_integer(m) * scale / tp.lambda1 * coeff
-            if c:
-                out = out + QPElement.monomial(m - 1, n + 1, c, bound=P.bound)
+            out.add((m - 1, n + 1), q_integer(m) * scale / tp.lambda1 * coeff)
         elif gen == "K":
-            out = out + QPElement.monomial(
-                m, n, coeff * (_Q * tp.xi) ** m * (_QINV * tp.xi / tp.lambda2) ** n,
-                bound=P.bound,
-            )
+            out.add((m, n), coeff * (_Q * tp.xi) ** m * (_QINV * tp.xi / tp.lambda2) ** n)
         elif gen == "Kinv":
-            out = out + QPElement.monomial(
-                m, n, coeff * (_QINV * tp.xi) ** m * (_Q * tp.xi / tp.lambda2) ** n,
-                bound=P.bound,
-            )
+            out.add((m, n), coeff * (_QINV * tp.xi) ** m * (_Q * tp.xi / tp.lambda2) ** n)
         else:
             raise ValueError(f"unknown generator {gen!r}")
     return out
@@ -519,38 +477,12 @@ def qplane_action(gen, P: QPElement, tp: TwistParams) -> QPElement:
 def _twisted_coproduct(gen, tp: TwistParams):
     """Delta_(psi, omega)(gen) = (omega (x) psi) Delta(gen) as a list of
     (coefficient, left PBW monomial, right PBW monomial)."""
-    _, _, psi, omega = tp.uq_maps()
     out = []
     for coeff, left, right in _COPRODUCT[gen]:
         lscale = tp.lambda4 ** (left[2] - left[0])
         rscale = tp.lambda3 ** (right[2] - right[0])
         out.append((coeff * lscale * rscale, left, right))
     return out
-
-
-def _smash_terms(plane: QPElement, uq: PBWElement):
-    """Tensor expansion: dict ((m, n), (a, b, c)) -> coefficient."""
-    out = {}
-    for pm, pc in plane.terms.items():
-        for um, uc in uq.terms.items():
-            c = pc * uc
-            if c:
-                key = (pm, um)
-                prev = out.get(key, _ZERO) + c
-                if prev:
-                    out[key] = prev
-                elif key in out:
-                    del out[key]
-    return out
-
-
-def _smash_accumulate(total, terms):
-    for key, c in terms.items():
-        prev = total.get(key, _ZERO) + c
-        if prev:
-            total[key] = prev
-        elif key in total:
-            del total[key]
 
 
 def smash_multiply_left_generator(
@@ -569,7 +501,7 @@ def smash_multiply_left_generator(
     omega_inv = omega.inverse()
     a = QPElement.monomial(m, n, bound=bound)
     aprime = QPElement.monomial(r, s, bound=bound)
-    total = {}
+    total = _Combination()
     for coeff, left, right in _twisted_coproduct(gen, tp):
         h1 = PBWElement.monomial(*left)
         h2 = PBWElement.monomial(*right)
@@ -577,7 +509,7 @@ def smash_multiply_left_generator(
         v = twisted_action(u, qp_beta_inv(aprime, tp), tp)
         first = qp_twisted_mul(a, v, tp)
         second = uq_multiply(alpha(psi_inv(h2)), beta(G))
-        _smash_accumulate(total, _smash_terms(first.scale(coeff), second))
+        total += _tensor(first.scale(coeff), second)
     return total
 
 
@@ -591,40 +523,24 @@ def smash_formula_rhs(gen, m, n, r, s, G: PBWElement, tp: TwistParams):
     bg = beta(G)
     lam1, lam2, xi = tp.lambda1, tp.lambda2, tp.xi
     common = xi ** (m + n + r + s) * lam1 ** (-n) * lam2 ** (-s)
-    total = {}
+    total = _Combination()
+
+    def add(c, i, j, g=None):
+        """total += c x^i y^j (x) g beta(G), with g a generator or None for 1."""
+        nonlocal total
+        if c:
+            second = bg if g is None else uq_multiply(PBWElement.generator(g), bg)
+            total += _tensor(QPElement.monomial(i, j, c), second)
+
     if gen in ("K", "Kinv"):
         sign = 1 if gen == "K" else -1
-        c = RF.q_power(sign * r - sign * s + n * r) * common
-        second = uq_multiply(PBWElement.generator(gen), bg)
-        _smash_accumulate(
-            total,
-            _smash_terms(QPElement.monomial(m + r, n + s, c), second),
-        )
+        add(RF.q_power(sign * r - sign * s + n * r) * common, m + r, n + s, gen)
     elif gen == "E":
-        c1 = RF.q_power(n * r) * common * lam1
-        second = uq_multiply(PBWElement.generator("E"), bg)
-        _smash_accumulate(
-            total, _smash_terms(QPElement.monomial(m + r, n + s, c1), second)
-        )
-        c2 = q_integer(s) * RF.q_power(n * (r + 1)) * common * lam1
-        if c2:
-            second = uq_multiply(PBWElement.generator("K"), bg)
-            _smash_accumulate(
-                total,
-                _smash_terms(QPElement.monomial(m + r + 1, n + s - 1, c2), second),
-            )
+        add(RF.q_power(n * r) * common * lam1, m + r, n + s, "E")
+        add(q_integer(s) * RF.q_power(n * (r + 1)) * common * lam1, m + r + 1, n + s - 1, "K")
     elif gen == "F":
-        c1 = RF.q_power(s - r + n * r) * common / lam1
-        second = uq_multiply(PBWElement.generator("F"), bg)
-        _smash_accumulate(
-            total, _smash_terms(QPElement.monomial(m + r, n + s, c1), second)
-        )
-        c2 = q_integer(r) * RF.q_power(n * (r - 1)) * common / lam1
-        if c2:
-            _smash_accumulate(
-                total,
-                _smash_terms(QPElement.monomial(m + r - 1, n + s + 1, c2), bg),
-            )
+        add(RF.q_power(s - r + n * r) * common / lam1, m + r, n + s, "F")
+        add(q_integer(r) * RF.q_power(n * (r - 1)) * common / lam1, m + r - 1, n + s + 1)
     else:
         raise ValueError(f"unknown generator {gen!r}")
     return total
@@ -653,15 +569,14 @@ def verify_smash_formulas(
         if lhs == rhs:
             report.add(axiom, True)
         else:
-            keys = sorted(set(lhs) | set(rhs))
-            bad = next(k for k in keys if lhs.get(k, _ZERO) != rhs.get(k, _ZERO))
+            bad = (lhs - rhs).items()[0][0]  # the least key where they differ
             report.add(
                 axiom,
                 False,
                 (
                     (m, n, r, s, bad),
-                    lhs.get(bad, _ZERO),
-                    rhs.get(bad, _ZERO),
+                    lhs.terms.get(bad, _ZERO),
+                    rhs.terms.get(bad, _ZERO),
                 ),
             )
     return report
