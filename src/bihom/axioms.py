@@ -337,9 +337,6 @@ class Compose(_Binary):
 
     def compile(self, ev, memo):
         f, g = self.f, self.g
-        fused = ev.fused(f, g)
-        if fused is not None:
-            return ev.view(fused, memo)
         if isinstance(g, Perm):  # f at the image tuple
             outer, move = ev.view(f, memo), g.move()
             return lambda t: outer(move(t))
@@ -431,7 +428,10 @@ class _Eval:
 
     def view(self, term, memo=True):
         """memo=True: the term is evaluated on basis tuples that recur
-        (inside a Kron, or after a Compose); False: once per axiom tuple."""
+        (inside a Kron, or after a Compose); False: once per axiom tuple.
+        A Compose that fuses is viewed as its fused term, sharing its memo."""
+        if isinstance(term, Compose):
+            term = self.fused(term.f, term.g) or term
         key = (term, memo)
         fn = self._fns.get(key)
         if fn is None:

@@ -306,3 +306,11 @@ def test_composites_over_the_same_children_share_one_fused_term(field):
     assert [ev.view(second, False)(t) for t in ev.tuples(SQUARE)] == lhs
     assert Counted.calls == calls
     assert holds(Axiom("fused", first, Lin(mat_mul(kron(a, b), kron(b, a)), SQUARE, SQUARE)))
+
+
+@ALL_FIELDS
+def test_a_fused_composite_is_memoized_once(field):
+    a, b, _ = factor_pair(field)
+    f, g = Kron(Lin(a), Lin(b)), Lin(kron(b, a), SQUARE, SQUARE)
+    ev = _Eval(field)
+    assert ev.view(Compose(f, g)) is ev.view(ev.fused(f, g))
