@@ -233,13 +233,14 @@ def check_twisting_map(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> Che
         Kron(Lin(A.alpha), Mul(B.mu)), Kron(R, idB),
         Kron(idB, Lin(mat_mul(aAi, A.beta)), idB), Kron(idB, R),
     )
+    left_chain, right_chain = Compose(*left), Compose(*right)
     return check([
         _intertwines("R_alpha_compat", R, A.alpha, B.alpha),
         _intertwines("R_beta_compat", R, A.beta, B.beta),
-        Axiom("R_left_product", Compose(R, Kron(Lin(B.alpha), Mul(A.mu))), Compose(*left)),
-        Axiom("R_right_product", Compose(R, Kron(Mul(B.mu), Lin(A.beta))), Compose(*right)),
-        Axiom("sweedler_left_agrees", Compose(*left), _by_columns(left)),
-        Axiom("sweedler_right_agrees", Compose(*right), _by_columns(right)),
+        Axiom("R_left_product", Compose(R, Kron(Lin(B.alpha), Mul(A.mu))), left_chain),
+        Axiom("R_right_product", Compose(R, Kron(Mul(B.mu), Lin(A.beta))), right_chain),
+        Axiom("sweedler_left_agrees", left_chain, _by_columns(left)),
+        Axiom("sweedler_right_agrees", right_chain, _by_columns(right)),
     ])
 
 
