@@ -71,6 +71,10 @@ from .twisting import (
 )
 
 FORMAT_VERSION = 1
+# The longest structure text read, in characters (bytes, for the ASCII files
+# the package writes), checked before json.loads: 16 MiB, about 50 times the
+# largest input the test suite or the benchmark writes.
+MAX_FILE_BYTES = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +191,8 @@ def _parse_entry(field, data, shape, path):
 
 def parse_structure(text: str):
     """Parse a structure file.  Returns (kind, value)."""
+    if len(text) > MAX_FILE_BYTES:
+        raise ParseError(f"text longer than {MAX_FILE_BYTES} characters")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -332,9 +338,12 @@ def _kind_of(value):
 def _load(path, want=None, field_tag_expect=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            kind, value = parse_structure(fh.read())
-    except OSError as exc:
+            text = fh.read(MAX_FILE_BYTES + 1)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    if len(text) > MAX_FILE_BYTES:
+        raise ParseError(f"{path}: larger than {MAX_FILE_BYTES} characters")
+    kind, value = parse_structure(text)
     if want is not None and kind not in want:
         raise ParseError(f"{path}: expected kind in {want}, found {kind!r}")
     if field_tag_expect is not None:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bihom import io_cli
 from bihom.algebra_core import example_family
 from bihom.errors import BadScalar, DimensionMismatch, ParseError
 from bihom.exactnum import QQ
@@ -182,6 +183,31 @@ class TestCli:
         assert main(["check", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: field: ") and "Traceback" not in err
+
+    def test_file_size_limit(self, tmp_path, capsys, monkeypatch):
+        text = serialize_structure(example_family(1, 3, 2), "algebra")
+        path = tmp_path / "family.json"
+        path.write_text(text)
+        monkeypatch.setattr(io_cli, "MAX_FILE_BYTES", len(text))
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(io_cli, "MAX_FILE_BYTES", len(text) - 1)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: larger than {len(text) - 1} characters\n"
+
+        def unreachable(_):
+            raise AssertionError("json.loads ran on an oversized text")
+
+        monkeypatch.setattr(io_cli.json, "loads", unreachable)
+        with pytest.raises(ParseError, match=f"text longer than {len(text) - 1} characters"):
+            parse_structure(text)
+
+    def test_undecodable_file_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"format": 1, "kind": "algebra", "field": "\xe9"}')
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "tag, literal",
