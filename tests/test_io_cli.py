@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 
 from bihom import io_cli
 from bihom.algebra_core import example_family
+from bihom.bialgebra import ModuleAlgebraAction
 from bihom.errors import BadScalar, DimensionMismatch, ParseError
-from bihom.exactnum import QQ
+from bihom.exactnum import QQ, QQ_Q, PrimeField, RationalFunction as RF
 from bihom.fixtures import (
     cyclic_group_bialgebra,
     cyclic_power_map,
     cyclic_self_action,
     kc4_twisted_bialgebra,
 )
-from bihom.io_cli import main, parse_structure, serialize_structure
-from bihom.linalg import Matrix
+from bihom.io_cli import KINDS, LAYOUTS, main, parse_structure, serialize_structure
+from bihom.linalg import Matrix, Tensor3
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 FROZENDIR = os.path.join(os.path.dirname(__file__), "data", "serialized")
@@ -44,9 +45,7 @@ def _sample_values():
     """One value of each kind, plus an F_2 bialgebra and a Q(q) map:
     name -> (kind, value)."""
     from bihom.algebra_core import LeftModule
-    from bihom.bialgebra import ModuleAlgebraAction
     from bihom.coalgebra import regular_comodule
-    from bihom.exactnum import QQ_Q, RationalFunction as RF
     from bihom.fixtures import f2_restricted_line
     from bihom.lie import commutator_lie
 
@@ -550,6 +549,75 @@ class TestFixtureFilesStayValid:
         with open(fixture_path("kc4_selfmod.json")) as fh:
             _, (A, act) = parse_structure(fh.read())
         assert check_module_bihom_algebra(H, A, act).ok
+
+
+# ---------------------------------------------------------------------------
+# round trip: serialize, parse, serialize generated structures
+# ---------------------------------------------------------------------------
+
+ROUND_TRIP_FIELDS = (QQ, PrimeField(7), PrimeField(2**61 - 1), QQ_Q)
+
+
+def _scalars(field):
+    if field is QQ:
+        nonzero = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    elif field is QQ_Q:
+        q = RF.q_power(1)
+        nonzero = st.builds(
+            lambda coeffs, k, den: sum(c * q**i for i, c in enumerate(coeffs)) * q**k / den,
+            st.lists(st.integers(-3, 3), min_size=1, max_size=3), st.integers(-3, 3),
+            st.sampled_from((1, q + 1, q * q - 2)))
+    else:
+        nonzero = st.integers(0, field.p - 1)
+    return st.one_of(st.just(0), nonzero).map(field.promote)
+
+
+@st.composite
+def structures(draw):
+    """(kind, value): a structure of any kind with dimensions 0 to 3 over Q,
+    F_7, F_(2^61 - 1) or Q(q), its entries drawn at random."""
+    kind = draw(st.sampled_from(KINDS))
+    field = draw(st.sampled_from(ROUND_TRIP_FIELDS))
+    scalar, dim = _scalars(field), st.integers(0, 3)
+
+    def entry(shape):
+        """A Tensor3 or Matrix of the given extents, or an optional vector."""
+        if len(shape) == 1:
+            return draw(st.none() | st.lists(scalar, min_size=shape[0], max_size=shape[0]))
+        cls = Matrix if len(shape) == 2 else Tensor3
+        if 0 in shape:
+            return cls.zero(field, *shape)
+        cells = st.lists(scalar, min_size=shape[-1], max_size=shape[-1])
+        for n in reversed(shape[:-1]):
+            cells = st.lists(cells, min_size=n, max_size=n)
+        return cls(field, draw(cells))
+
+    def body(layout):
+        dims = {key: draw(dim) for key in ("dim",) + layout.dims}
+        kw = {key: entry([dims[n] for n in names]) for key, names in layout.body}
+        if layout.labeled:
+            labels = st.text("abxy_01", min_size=1, max_size=3)
+            kw.update(field=field, labels=draw(st.lists(labels, min_size=dims["dim"],
+                                                        max_size=dims["dim"])))
+        return layout.cls(dim=dims["dim"], **kw)
+
+    if kind == "map":
+        return kind, entry((draw(dim), draw(dim)))
+    if kind == "action":
+        a = body(LAYOUTS["algebra"])
+        return kind, (a, ModuleAlgebraAction(action=entry((draw(dim), a.dim, a.dim))))
+    return kind, body(LAYOUTS[kind])
+
+
+@given(structures())
+@settings(max_examples=150, deadline=None)
+def test_serialize_parse_serialize_round_trips(structure):
+    kind, value = structure
+    text = serialize_structure(value, kind)
+    kind2, back = parse_structure(text)
+    assert kind2 == kind
+    assert serialize_structure(back, kind) == text
+    assert back == value
 
 
 # ---------------------------------------------------------------------------
