@@ -74,6 +74,7 @@ from bihom import (
 )
 from bihom import fixtures as fx
 from bihom.algebra_core import monomial_substitution, truncated_polynomial_algebra
+from bihom.axioms import Term, images
 from bihom.coalgebra import Comodule, regular_comodule
 from bihom.io_cli import parse_structure
 from bihom.linalg import mat_inverse
@@ -130,6 +131,14 @@ def record(case_id, fn, field, thunk):
 # ---------------------------------------------------------------------------
 
 
+def as_value(x):
+    """x, with a map term read off as the matrix of its images; the corpus
+    sweeps and records maps as matrices whichever way a structure holds them."""
+    if isinstance(x, Term):
+        return Matrix.from_columns(x.field, images(x))
+    return x
+
+
 def _positions(x):
     if isinstance(x, Matrix):
         return list(itertools.product(range(x.rows), range(x.cols)))
@@ -179,7 +188,7 @@ def sweep(out, fn_name, fn, field, name, args, targets, k=4):
     out.append(record(f"{fn_name}:{name}", fn_name, field, lambda: fn(*args)))
     for idx, attr in targets:
         holder = args[idx]
-        value = holder if attr is None else getattr(holder, attr)
+        value = as_value(holder if attr is None else getattr(holder, attr))
         if value is None:
             continue
         label = f"{idx}" if attr is None else f"{idx}.{attr}"
@@ -483,9 +492,9 @@ def _preconditions(out):
                                                fx.cyclic_antipode(4), i4, i4)))
 
     D, alpha2, beta2 = _worked_pseudotwistor()
-    sweep(out, "canonical_pseudotwistor", lambda *a: canonical_pseudotwistor(*a).T, QQ,
+    sweep(out, "canonical_pseudotwistor", lambda *a: as_value(canonical_pseudotwistor(*a).T), QQ,
           "worked", [D, alpha2, beta2], [(1, None), (2, None)], k=4)
-    sweep(out, "canonical_pseudotwistor", lambda *a: canonical_pseudotwistor(*a).T, QQ,
+    sweep(out, "canonical_pseudotwistor", lambda *a: as_value(canonical_pseudotwistor(*a).T), QQ,
           "fam1", [fam1, fam1.alpha, fam1.beta], [(1, None), (2, None)], k=4)
 
     def applied(Dd, P):
