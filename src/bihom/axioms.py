@@ -26,14 +26,14 @@ outer map only to the support of the inner value, and the images of
 composites are memoized for one check call.  A product of a pure tensor,
 Mul o (f (x) g), is one bilinear_apply on the product's nonzero table.
 
-Kronecker structure is evaluated factor by factor.  A term's factors are
-those of a Kron, one Id per factor of an identity Perm, and for a Lin whose
-matrix is exactly A (x) B (checked on its nonzero table) Lin(A) on the first
-factor followed by the factors of Lin(B), an identity factor being Id.  When
-the domain factors of f and the codomain factors of g share an inner
-boundary, f o g is the Kron of the composites of the blocks between them,
-(A (x) B) o (C (x) D) = AC (x) BD, with Id o x and x o Id dropped to x; it is
-one term per pair (f, g), so every Compose of f after g shares its memos.
+Kronecker structure is evaluated factor by factor, as the terms state it:
+a term's factors are those of a Kron, one Id per factor of an identity Perm,
+and the blocks of a fused Compose; any other term, a Lin included, is one
+factor.  When the domain factors of f and the codomain factors of g share an
+inner boundary, f o g is the Kron of the composites of the blocks between
+them, (A (x) B) o (C (x) D) = AC (x) BD, with Id o x and x o Id dropped to x;
+it is one term per pair (f, g), so every Compose of f after g shares its
+memos.
 
 Dense coordinate lists, row-major over the codomain (e_j (x) e_k in V (x) W
 has index j * dim W + k), are built only for witnesses, for ``solve`` and
@@ -158,34 +158,6 @@ class Lin(_Columns):
 
     def _columns(self):
         return list(zip(*self.data.e)) or [()] * self.data.cols
-
-    def factors(self, ev):
-        """[Lin(A)] + the factors of Lin(B) when the matrix is exactly A (x) B,
-        A on the first tensor factor; an identity factor is Id."""
-        cols = self.nonzero(ev) if len(self.cod) == len(self.dom) > 1 else []
-        c0 = next((j for j, col in enumerate(cols) if col), None)
-        if c0 is None:  # one factor, or the zero matrix
-            return [self]
-        (w0, x0), m, flat = cols[c0][0], self.data, _flat(self.cod)
-        q, p = _size(self.cod[1:]), _size(self.dom[1:])  # B is q x p
-        (i0, k0), (j0, l0) = divmod(flat(w0), q), divmod(c0, p)
-        b = Matrix(m.field, [row[j0 * p:(j0 + 1) * p] for row in m.e[i0 * q:(i0 + 1) * q]])
-        if b == Matrix.diagonal(m.field, [x0] * q):  # B = c 1: keep c in A
-            b, x0 = Matrix.identity(m.field, q), ev.one
-        a = Matrix(m.field, [[m.e[i * q + k0][j * p + l0] / x0 for j in range(self.dom[0])]
-                             for i in range(self.cod[0])])
-        # every nonzero entry equals its product and there are as many of them
-        # as products of nonzeros, so M and A (x) B have one support and agree
-        nnz = [sum(1 for row in x.e for y in row if y) for x in (a, b)]
-        if sum(map(len, cols)) != nnz[0] * nnz[1] or any(
-                x != a.e[flat(w) // q][n // p] * b.e[flat(w) % q][n % p]
-                for n, col in enumerate(cols) for w, x in col):
-            return [self]
-        head = Id(self.dom[0]) if a.is_identity() else Lin(a)
-        tail = Lin(b, self.dom[1:], self.cod[1:])
-        if b.is_identity() and tail.dom == tail.cod:
-            tail = Perm(tail.dom, range(len(tail.dom)))
-        return [head] + ev.factors(tail)
 
 
 class Vec(_Columns):

@@ -1,12 +1,12 @@
 """BiHom-pseudotwistors, BiHom-twisting maps, twisted tensor products, and
 lifting of classical twisting maps to the twisted setting.
 
-A pseudotwistor is stored as matrices on the tensor-power spaces: T on
-D (x) D (d^2 x d^2) and its two companions on D (x) D (x) D (d^3 x d^3).
-check_pseudotwistor states every clause of the main theorem as an identity
-of map terms over them; the axiom engine splits a matrix that is a Kronecker
-product, such as the canonical T = alpha2 (x) beta2, into its factors and
-composes factor by factor.  The twisted tensor product's T and companions
+A pseudotwistor holds T as a map term on D (x) D and its two companions as
+map terms on D (x) D (x) D; a matrix given for one of them is read as a Lin
+on those factors.  check_pseudotwistor states every clause of the main
+theorem as an identity of map terms over them.  The canonical pseudotwistor
+keeps its Kronecker factors, T = alpha2 (x) beta2, so the axiom engine
+composes it factor by factor.  The twisted tensor product's T and companions
 are built as terms from R and read off as matrices.  Twisting maps
 R: B (x) A -> A (x) B are (dA*dB) x (dB*dA) matrices.
 """
@@ -34,6 +34,7 @@ from .axioms import (
     Mul,
     Perm,
     Swap,
+    Term,
     check,
     first_failure,
     holds,
@@ -49,15 +50,18 @@ from .errors import (
     Singular,
     TwistingMapInvalid,
 )
-from .linalg import Matrix, kron, mat_inverse, mat_mul
+from .linalg import Matrix, mat_inverse, mat_mul
 from .report import CheckReport
 
 
 @dataclass
 class Pseudotwistor:
-    T: Matrix  # on D (x) D
-    T1tilde: Matrix  # on D (x) D (x) D
-    T2tilde: Matrix  # on D (x) D (x) D
+    """T, T1tilde and T2tilde are map terms; a Matrix given for one of them
+    is read as a Lin on its tensor power of D."""
+
+    T: Term  # on D (x) D
+    T1tilde: Term  # on D (x) D (x) D
+    T2tilde: Term  # on D (x) D (x) D
     alpha2: Matrix  # on D
     beta2: Matrix  # on D
 
@@ -65,11 +69,14 @@ class Pseudotwistor:
         d = self.alpha2.rows
         if (self.alpha2.cols, self.beta2.rows, self.beta2.cols) != (d, d, d):
             raise ShapeMismatch("pseudotwistor auxiliary map shape")
-        if (self.T.rows, self.T.cols) != (d * d, d * d):
-            raise ShapeMismatch("T must act on the tensor square")
-        for m in (self.T1tilde, self.T2tilde):
-            if (m.rows, m.cols) != (d**3, d**3):
-                raise ShapeMismatch("companions must act on the tensor cube")
+        for name, k in (("T", 2), ("T1tilde", 3), ("T2tilde", 3)):
+            m, dims = getattr(self, name), (d,) * k
+            if isinstance(m, Matrix):
+                m = Lin(m, dims, dims) if (m.rows, m.cols) == (d**k, d**k) else None
+            if m is None or (m.dom, m.cod) != (dims, dims):
+                raise ShapeMismatch("T must act on the tensor square" if k == 2
+                                    else "companions must act on the tensor cube")
+            setattr(self, name, m)
 
 
 @dataclass
@@ -103,11 +110,7 @@ def check_pseudotwistor(D: BiHomAlgebra, P: Pseudotwistor) -> CheckReport:
     an identity of maps on tensor powers of D."""
     if P.alpha2.rows != D.dim:
         raise ShapeMismatch("pseudotwistor dimension != algebra dimension")
-    d = D.dim
-    square, cube = (d, d), (d, d, d)
-    T = Lin(P.T, square, square)
-    T1, T2 = Lin(P.T1tilde, cube, cube), Lin(P.T2tilde, cube, cube)
-    ident, mu = Id(d), Mul(D.mu)
+    T, T1, T2, ident, mu = P.T, P.T1tilde, P.T2tilde, Id(D.dim), Mul(D.mu)
     names = [("alpha", D.alpha), ("beta", D.beta), ("alpha2", P.alpha2), ("beta2", P.beta2)]
     table = [
         multiplicative("alpha2_multiplicative", D.mu, P.alpha2),
@@ -146,12 +149,11 @@ def canonical_pseudotwistor(D: BiHomAlgebra, alpha2: Matrix, beta2: Matrix) -> P
         )
     except Exception as exc:
         raise HypothesisFailure(f"twist hypotheses fail: {exc}")
-    ident = Matrix.identity(D.field, D.dim)
-    ident2 = Matrix.identity(D.field, D.dim * D.dim)
+    a2, b2, ident = Lin(alpha2), Lin(beta2), Id(D.dim)
     return Pseudotwistor(
-        T=kron(alpha2, beta2),
-        T1tilde=kron(ident2, beta2),
-        T2tilde=kron(alpha2, ident2),
+        T=Kron(a2, b2),
+        T1tilde=Kron(ident, ident, b2),
+        T2tilde=Kron(a2, ident, ident),
         alpha2=alpha2,
         beta2=beta2,
     )
@@ -164,11 +166,10 @@ def apply_pseudotwistor(D: BiHomAlgebra, P: Pseudotwistor) -> BiHomAlgebra:
         raise PseudotwistorInvalid(
             f"pseudotwistor fails {report.failures()[0].axiom}", report=report
         )
-    square = (D.dim, D.dim)
     out = BiHomAlgebra(
         field=D.field,
         dim=D.dim,
-        mu=product_tensor(Compose(Mul(D.mu), Lin(P.T, square, square))),
+        mu=product_tensor(Compose(Mul(D.mu), P.T)),
         alpha=mat_mul(D.alpha, P.alpha2),
         beta=mat_mul(D.beta, P.beta2),
         unit=None,

@@ -14,6 +14,7 @@ from bihom.axioms import (
     Lin,
     Mul,
     Neg,
+    Perm,
     Sum,
     Vec,
     Zero,
@@ -174,7 +175,7 @@ def test_bilinear_apply_list_and_sparse_forms_agree(field):
 
 
 # ---------------------------------------------------------------------------
-# Kronecker factors: splitting Lin leaves and fusing aligned composites
+# Kronecker factors: Kron terms against their matrices, and fusing aligned composites
 # ---------------------------------------------------------------------------
 
 ALL_FIELDS = pytest.mark.parametrize("field", [QQ, F7, QQ_Q], ids=["Q", "F7", "Qq"])
@@ -194,13 +195,15 @@ def factor_pair(field):
     return a, b, other
 
 
-def factors(m, dims):
-    return _Eval(m.field).factors(Lin(m, dims, dims))
+def factors(term):
+    return _Eval(term.field).factors(term)
 
 
 def commute(m, other, dims):
-    """m o other = other o m, with both matrices as maps on dims."""
-    x, y = Lin(m, dims, dims), Lin(other, dims, dims)
+    """m o other = other o m, with both matrices as maps on dims; m may be
+    a term already."""
+    x = Lin(m, dims, dims) if isinstance(m, Matrix) else m
+    y = Lin(other, dims, dims)
     return Axiom("commute", Compose(x, y), Compose(y, x))
 
 
@@ -214,46 +217,53 @@ def assert_same_as_flat(m, other):
         assert flat == ((2 * i + j,), lhs, rhs)
 
 
+def bumped_product(field):
+    a, b, _ = factor_pair(field)
+    m = kron(a, b)
+    m.e[0][0] = m.e[0][0] + 1
+    return m
+
+
 @ALL_FIELDS
 def test_kron_product_splits(field):
+    """A Kron of Lin factors has them as its factors, and gives the verdicts
+    and witnesses of one Lin of its kron matrix."""
     a, b, other = factor_pair(field)
-    m = kron(a, b)
-    head, tail = factors(m, SQUARE)
-    assert kron(head.data, tail.data) == m
-    for o in (other, kron(b, a), kron(mat_mul(a, a), b)):
+    m, term = kron(a, b), Kron(Lin(a), Lin(b))
+    assert [f.data for f in factors(term)] == [a, b]
+    for o in (other, kron(b, a), kron(mat_mul(a, a), b), bumped_product(field)):
+        assert witness(commute(term, o, SQUARE)) == witness(commute(m, o, SQUARE))
         assert_same_as_flat(m, o)
-    assert witness(commute(m, other, SQUARE)) is not None
-    assert witness(commute(m, kron(mat_mul(a, a), b), SQUARE)) is None
+    assert witness(commute(term, other, SQUARE)) is not None
+    assert witness(commute(term, kron(mat_mul(a, a), b), SQUARE)) is None
+    assert holds(Axiom("kron", term, Lin(m, SQUARE, SQUARE)))
+    (t, lhs, rhs) = witness(Axiom("kron", term, Lin(bumped_product(field), SQUARE, SQUARE)))
+    assert t == (0, 0) and rhs[0] == lhs[0] + 1 and rhs[1:] == lhs[1:]
 
 
 @ALL_FIELDS
 def test_identity_factors_become_id(field):
     a, _, _ = factor_pair(field)
-    one, c = Matrix.identity(field, 2), generic(field)
-    kinds = [type(f).__name__ for f in factors(kron(a, kron(one, one)), CUBE)]
-    assert kinds == ["Lin", "Perm", "Perm"]
-    scaled = Matrix.diagonal(field, [c, c])  # c 1 (x) a (x) c 1 = 1 (x) c^2 a (x) 1
-    kinds = [type(f).__name__ for f in factors(kron(scaled, kron(a, scaled)), CUBE)]
-    assert kinds == ["Perm", "Lin", "Perm"]
+    kinds = [(type(f).__name__, f.dom) for f in factors(Kron(Lin(a), Perm(SQUARE, (0, 1))))]
+    assert kinds == [("Lin", (2,)), ("Perm", (2,)), ("Perm", (2,))]
 
 
 def non_products(field):
     a, b, _ = factor_pair(field)
-    bumped, extra, missing = kron(a, b), kron(a, b), kron(a, b)
-    bumped.e[0][0] = bumped.e[0][0] + 1
+    extra, missing = kron(a, b), kron(a, b)
     extra.e[2][0] = field.one()  # the product is 0 there: a is 0 at (1, 0)
-    # the entries A and B are read from are kept, so only the count tells
     missing.e[3][3] = field.zero()
-    return {"bumped": bumped, "extra": extra, "missing": missing,
+    return {"bumped": bumped_product(field), "extra": extra, "missing": missing,
             "zero": Matrix.zero(field, 4, 4)}
 
 
 @ALL_FIELDS
 @pytest.mark.parametrize("case", ["bumped", "extra", "missing", "zero"])
 def test_non_products_do_not_split(field, case):
+    """A Lin is one factor whatever its entries."""
     a, b, other = factor_pair(field)
     m = non_products(field)[case]
-    assert len(factors(m, SQUARE)) == 1
+    assert len(factors(Lin(m, SQUARE, SQUARE))) == 1
     for o in (other, kron(a, b), m):
         assert_same_as_flat(m, o)
     assert_same_as_flat(kron(a, b), m)
@@ -264,7 +274,7 @@ def test_non_products_do_not_split(field, case):
 @ALL_FIELDS
 def test_misaligned_krons_take_the_generic_path(field):
     a, b, other = factor_pair(field)
-    assert len(factors(other, SQUARE)) == 1
+    assert len(factors(Lin(other, SQUARE, SQUARE))) == 1
     f = Kron(Lin(a), Lin(other, SQUARE, SQUARE))  # boundary after factor 1
     g = Kron(Lin(other, SQUARE, SQUARE), Lin(b))  # boundary after factor 2
     assert _Eval(field).fused(f, g) is None
@@ -294,7 +304,7 @@ class Counted(Lin):
 @ALL_FIELDS
 def test_composites_over_the_same_children_share_one_fused_term(field):
     a, b, _ = factor_pair(field)
-    f, g = Kron(Counted(a), Counted(b)), Lin(kron(b, a), SQUARE, SQUARE)
+    f, g = Kron(Counted(a), Counted(b)), Kron(Lin(b), Lin(a))
     first, second = Compose(f, g), Compose(f, g)
     ev = _Eval(field)
     fused = ev.fused(first.f, first.g)
@@ -311,6 +321,6 @@ def test_composites_over_the_same_children_share_one_fused_term(field):
 @ALL_FIELDS
 def test_a_fused_composite_is_memoized_once(field):
     a, b, _ = factor_pair(field)
-    f, g = Kron(Lin(a), Lin(b)), Lin(kron(b, a), SQUARE, SQUARE)
+    f, g = Kron(Lin(a), Lin(b)), Kron(Lin(b), Lin(a))
     ev = _Eval(field)
     assert ev.view(Compose(f, g)) is ev.view(ev.fused(f, g))

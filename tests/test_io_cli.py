@@ -379,6 +379,7 @@ class TestCli:
         assert main(["check", str(out)]) == 0
 
     def test_pseudotwistor_verify_explicit_files(self, tmp_path, capsys):
+        from bihom.axioms import images
         from bihom.fixtures import cyclic_group_bialgebra
         from bihom.twisting import canonical_pseudotwistor
 
@@ -391,8 +392,10 @@ class TestCli:
             with open(path, encoding="utf-8") as fh:
                 maps.append(parse_structure(fh.read())[1])
         p = canonical_pseudotwistor(alg, *maps)
+        t, t1, t2 = (Matrix.from_columns(alg.field, images(m))
+                     for m in (p.T, p.T1tilde, p.T2tilde))
         files = {}
-        for flag, m in (("--t", p.T), ("--t1", p.T1tilde), ("--t2", p.T2tilde)):
+        for flag, m in (("--t", t), ("--t1", t1), ("--t2", t2)):
             files[flag] = tmp_path / f"{flag[2:]}.json"
             files[flag].write_text(serialize_structure(m, "map"))
         args = ["pseudotwistor", "verify", str(src), "--alpha2", alpha2, "--beta2", beta2]
@@ -401,7 +404,7 @@ class TestCli:
         assert main(args) == 0
         assert "ALL PASS" in capsys.readouterr().out
 
-        bumped = p.T1tilde.copy()
+        bumped = t1.copy()
         bumped.e[0][0] = bumped.e[0][0] + 1
         files["--t1"].write_text(serialize_structure(bumped, "map"))
         assert main(args) == 1

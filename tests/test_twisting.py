@@ -9,8 +9,14 @@ from bihom.algebra_core import (
     tensor_product,
     yau_twist,
 )
-from bihom.errors import HypothesisFailure, PseudotwistorInvalid, TwistingMapInvalid
-from bihom.exactnum import QQ
+from bihom.axioms import Kron, Lin, images
+from bihom.errors import (
+    HypothesisFailure,
+    PseudotwistorInvalid,
+    ShapeMismatch,
+    TwistingMapInvalid,
+)
+from bihom.exactnum import QQ, PrimeField
 from bihom.fixtures import (
     cyclic_group_bialgebra,
     cyclic_power_map,
@@ -66,6 +72,30 @@ class TestPseudotwistor:
         assert out.alpha.column(1) == [QQ.promote(a), QQ.promote(1 - a)]
         assert out.beta.column(1) == [one, zero]
         assert check_bihom_algebra(out).ok
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+    def test_canonical_terms_materialize_to_kron_matrices(self, field):
+        d = cyclic_group_bialgebra(4, field).algebra_part()
+        alpha2, beta2 = cyclic_power_map(4, 3, field), cyclic_power_map(4, 2, field)
+        p = canonical_pseudotwistor(d, alpha2, beta2)
+        assert all(isinstance(t, Kron) for t in (p.T, p.T1tilde, p.T2tilde))
+        ident2 = Matrix.identity(field, 16)
+        for term, m in ((p.T, kron(alpha2, beta2)), (p.T1tilde, kron(ident2, beta2)),
+                        (p.T2tilde, kron(alpha2, ident2))):
+            assert Matrix.from_columns(field, images(term)) == m
+
+    def test_matrix_fields_are_read_as_lin(self):
+        ident = Matrix.identity(QQ, 2)
+        parts = dict(T=Matrix.identity(QQ, 4), T1tilde=Matrix.identity(QQ, 8),
+                     T2tilde=Matrix.identity(QQ, 8), alpha2=ident, beta2=ident)
+        p = Pseudotwistor(**parts)
+        assert isinstance(p.T, Lin) and (p.T.dom, p.T.cod) == ((2, 2), (2, 2))
+        assert (p.T2tilde.dom, p.T2tilde.cod) == ((2, 2, 2), (2, 2, 2))
+        for name, bad, msg in (("T", Matrix.identity(QQ, 8), "tensor square"),
+                               ("T1tilde", Matrix.identity(QQ, 4), "tensor cube"),
+                               ("T2tilde", p.T, "tensor cube")):
+            with pytest.raises(ShapeMismatch, match=msg):
+                Pseudotwistor(**dict(parts, **{name: bad}))
 
     def test_identity_pseudotwistor(self):
         d = left_projection_algebra()
