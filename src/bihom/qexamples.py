@@ -306,22 +306,38 @@ class QPElement(_Combination):
     """An element of k<x, y>/(yx - q xy), truncated at total degree < bound.
 
     Products whose total degree reaches the bound raise TruncationOverflow
-    rather than silently truncating.
+    rather than silently truncating, and so do sums: a sum has the smaller
+    bound of its operands, and a monomial of the other operand at or above
+    it raises.
     """
 
     __slots__ = ("bound",)
 
     def __init__(self, terms=None, bound=DEFAULT_TRUNCATION):
         self.bound = bound
-        for m, n in terms or ():
-            if m + n >= bound:
-                raise TruncationOverflow(
-                    f"monomial x^{m} y^{n} exceeds the degree bound {bound}"
-                )
+        self._fit(terms or ())
         super().__init__(terms)
+
+    def _fit(self, monomials):
+        for m, n in monomials:
+            if m + n >= self.bound:
+                raise TruncationOverflow(
+                    f"monomial x^{m} y^{n} exceeds the degree bound {self.bound}"
+                )
 
     def _zero(self, other=None):
         return QPElement(bound=self.bound if other is None else min(self.bound, other.bound))
+
+    # equal bounds, the common case, need no check
+    def __iadd__(self, other):
+        if other.bound > self.bound:
+            self._fit(other.terms)
+        return super().__iadd__(other)
+
+    def __add__(self, other):
+        if self.bound > other.bound:
+            other._fit(self.terms)
+        return super().__add__(other)
 
     @staticmethod
     def monomial(m, n, coeff=_ONE, bound=DEFAULT_TRUNCATION):
@@ -513,7 +529,9 @@ def smash_multiply_left_generator(
     return total
 
 
-def smash_formula_rhs(gen, m, n, r, s, G: PBWElement, tp: TwistParams):
+def smash_formula_rhs(
+    gen, m, n, r, s, G: PBWElement, tp: TwistParams, bound=DEFAULT_TRUNCATION
+):
     """The displayed closed forms for the same products.
 
     The second tensor legs use the plain U_q(sl2) multiplication against
@@ -530,7 +548,7 @@ def smash_formula_rhs(gen, m, n, r, s, G: PBWElement, tp: TwistParams):
         nonlocal total
         if c:
             second = bg if g is None else uq_multiply(PBWElement.generator(g), bg)
-            total += _tensor(QPElement.monomial(i, j, c), second)
+            total += _tensor(QPElement.monomial(i, j, c, bound), second)
 
     if gen in ("K", "Kinv"):
         sign = 1 if gen == "K" else -1
@@ -565,7 +583,7 @@ def verify_smash_formulas(
         ("F", "smash_formula_F"),
     ):
         lhs = smash_multiply_left_generator(gen, m, n, r, s, G, tp, bound=bound)
-        rhs = smash_formula_rhs(gen, m, n, r, s, G, tp)
+        rhs = smash_formula_rhs(gen, m, n, r, s, G, tp, bound=bound)
         if lhs == rhs:
             report.add(axiom, True)
         else:

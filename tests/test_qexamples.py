@@ -140,6 +140,21 @@ class TestQuantumPlane:
         with pytest.raises(TruncationOverflow):
             QPElement.monomial(12, 0)
 
+    def test_sum_overflowing_the_smaller_bound_raises(self):
+        big, small = QPElement.monomial(5, 5), QPElement.one(bound=3)
+        message = r"monomial x\^5 y\^5 exceeds the degree bound 3"
+        for op in (lambda: big + small, lambda: small + big, lambda: big - small,
+                   lambda: small - big):
+            with pytest.raises(TruncationOverflow, match=message):
+                op()
+        acc = QPElement.one(bound=3)
+        with pytest.raises(TruncationOverflow, match=message):
+            acc += big
+        assert acc == small
+        mixed = QPElement.monomial(1, 1) + small
+        assert mixed.bound == 3 and mixed == QPElement({(1, 1): 1, (0, 0): 1}, bound=3)
+        assert (big + big).bound == 12
+
     def test_twist_maps_as_substitutions(self):
         # alpha(x) = xi x, alpha(y) = xi lambda1^-1 y; beta with lambda2
         tp = TP_DISTINCT
@@ -237,6 +252,11 @@ class TestSmashFormulas:
         tp2 = TwistParams.of(2, 3, 11, 13, Fraction(1, 2))
         b = smash_multiply_left_generator("E", 1, 1, 1, 1, K, tp2)
         assert a == b
+
+    def test_bound_reaches_the_closed_forms(self):
+        # the closed forms build their plane monomials under the same bound
+        for G in (ONE, E, F, K):
+            assert verify_smash_formulas(3, 3, 3, 3, G, TP_DISTINCT, bound=20).ok
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationOverflow):
