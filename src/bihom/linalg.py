@@ -265,21 +265,26 @@ def rank(a: Matrix) -> int:
     return len(_rref(rows, a.cols))
 
 
-def kernel(a: Matrix):
-    """Basis of the right kernel; each vector satisfies A v = 0 exactly."""
-    field = a.field
-    rows = [row[:] for row in a.e]
-    pivots = _rref(rows, a.cols)
+def _null_basis(field, rows, pivots, ncols):
+    """The right kernel basis of a matrix whose reduced rows, in their first
+    ncols columns, are rows, with pivot columns pivots."""
     pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = zero_vec(field, a.cols)
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = zero_vec(field, ncols)
         v[fc] = field.one()
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
         basis.append(v)
     return basis
+
+
+def kernel(a: Matrix):
+    """Basis of the right kernel; each vector satisfies A v = 0 exactly."""
+    rows = [row[:] for row in a.e]
+    return _null_basis(a.field, rows, _rref(rows, a.cols), a.cols)
 
 
 def solve_affine(a: Matrix, b):
@@ -295,7 +300,7 @@ def solve_affine(a: Matrix, b):
     x = zero_vec(field, a.cols)
     for r, pc in enumerate(pivots):
         x[pc] = rows[r][a.cols]
-    return x, kernel(a)
+    return x, _null_basis(field, rows, pivots, a.cols)
 
 
 def solve_unique(a: Matrix, b):
@@ -328,7 +333,8 @@ def mat_inverse(a: Matrix) -> Matrix:
         raise ShapeMismatch("inverting a non-square matrix")
     field = a.field
     n = a.rows
-    rows = [a.e[i][:] + Matrix.identity(field, n).e[i] for i in range(n)]
+    ident = Matrix.identity(field, n).e
+    rows = [a.e[i][:] + ident[i] for i in range(n)]
     pivots = _rref(rows, n)
     if len(pivots) < n:
         raise Singular(f"matrix has rank {len(pivots)} < {n}", rank=len(pivots))
