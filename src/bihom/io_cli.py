@@ -75,6 +75,10 @@ FORMAT_VERSION = 1
 # the package writes), checked before json.loads: 16 MiB, about 50 times the
 # largest input the test suite or the benchmark writes.
 MAX_FILE_BYTES = 1 << 24
+# The largest dimension a file may declare, checked before any entry is
+# parsed: a check costs d^3 to d^4 basis tuples.  A map's rows and cols may
+# reach MAX_DIM ** 3, the size of a companion on the tensor cube.
+MAX_DIM = 64
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +213,19 @@ def parse_structure(text: str):
     except BiHomError as exc:
         raise BadScalar(str(exc), "field")
     if kind == "map":
-        shape = (_get_dim(obj, "rows"), _get_dim(obj, "cols"))
+        shape = (_get_dim(obj, "rows", MAX_DIM**3), _get_dim(obj, "cols", MAX_DIM**3))
         return kind, _parse_entry(field, obj.get("entries"), shape, "entries")
     if kind == "action":
         return kind, _parse_action(field, obj)
     return kind, _parse_body(LAYOUTS[kind], field, obj)
 
 
-def _get_dim(obj, key="dim"):
-    d = obj.get(key)
+def _get_dim(obj, key="dim", limit=None):
+    d, limit = obj.get(key), MAX_DIM if limit is None else limit
     if not isinstance(d, int) or d < 0:
         raise ParseError(f"{key} must be a nonnegative integer", key)
+    if d > limit:
+        raise ParseError(f"{key} must be at most {limit}", key)
     return d
 
 
@@ -253,8 +259,9 @@ def _parse_action(field, obj):
     alg = obj.get("algebra")
     if not isinstance(alg, dict):
         raise ParseError("action files embed the module algebra", "algebra")
+    h_dim = _get_dim(obj, "h_dim")
     a = _parse_body(LAYOUTS["algebra"], field, alg)
-    shape = (_get_dim(obj, "h_dim"), a.dim, a.dim)
+    shape = (h_dim, a.dim, a.dim)
     action = _parse_entry(field, obj.get("action"), shape, "action")
     return a, ModuleAlgebraAction(action=action)
 

@@ -208,6 +208,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {bad}: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, key", [
+        ("algebra", "dim"), ("module", "algebra_dim"), ("comodule", "coalgebra_dim"),
+        ("action", "h_dim"), ("map", "rows"), ("map", "cols"),
+    ])
+    def test_dimension_limit(self, monkeypatch, kind, key):
+        limit = io_cli.MAX_DIM ** 3 if kind == "map" else io_cli.MAX_DIM
+        obj = {"format": 1, "kind": kind, "field": "Q", "dim": 2, "algebra_dim": 2,
+               "coalgebra_dim": 2, "h_dim": 2, "algebra": {"field": "Q", "dim": 2},
+               "rows": 2, "cols": 2}
+
+        def reached(*_):
+            raise AssertionError("an entry was parsed")
+
+        monkeypatch.setattr(io_cli, "_parse_array", reached)
+        with pytest.raises(AssertionError, match="an entry was parsed"):
+            parse_structure(json.dumps(dict(obj, **{key: limit})))
+        with pytest.raises(ParseError, match=f"^{key}: {key} must be at most {limit}$"):
+            parse_structure(json.dumps(dict(obj, **{key: limit + 1})))
+
+    def test_dim_65_header_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"format": 1, "kind": "algebra", "field": "Q", "dim": 65}))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: dim: dim must be at most 64\n"
+
     @pytest.mark.parametrize(
         "tag, literal",
         [
