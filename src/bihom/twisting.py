@@ -291,7 +291,9 @@ def ttp_pseudotwistor(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> Pseu
     T13 is T on the outer two of three copies of A (x) B.  The companions
     conjugate T13 by alpha_B beta_B^-1 on the first B leg (first companion)
     and by alpha_A^-1 beta_A on the third A leg (second companion).  All
-    three are map terms, stored as the matrices of their images.
+    three are map terms on (dA, dB, dA, dB) factors, read off as the
+    matrices of their images, which the Pseudotwistor holds as Lin terms on
+    copies of A (x) B.
     """
     field, da, db = A.field, A.dim, B.dim
     T, rest = _ttp_square(tw), (Id(da), Id(db), Id(da), Id(db))
