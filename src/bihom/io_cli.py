@@ -75,9 +75,8 @@ FORMAT_VERSION = 1
 # the package writes), checked before json.loads: 16 MiB, about 50 times the
 # largest input the test suite or the benchmark writes.
 MAX_FILE_BYTES = 1 << 24
-# The largest dimension a file may declare, checked before any entry is
-# parsed: a check costs d^3 to d^4 basis tuples.  A map's rows and cols may
-# reach MAX_DIM ** 3, the size of a companion on the tensor cube.
+# The largest dimension a file may declare, as a check costs d^3 to d^4
+# tuples; a map's rows and cols may reach MAX_DIM ** 3, a map on the cube.
 MAX_DIM = 64
 
 
@@ -220,8 +219,8 @@ def parse_structure(text: str):
     return kind, _parse_body(LAYOUTS[kind], field, obj)
 
 
-def _get_dim(obj, key="dim", limit=None):
-    d, limit = obj.get(key), MAX_DIM if limit is None else limit
+def _get_dim(obj, key="dim", limit=MAX_DIM):
+    d = obj.get(key)
     if not isinstance(d, int) or d < 0:
         raise ParseError(f"{key} must be a nonnegative integer", key)
     if d > limit:
@@ -261,8 +260,7 @@ def _parse_action(field, obj):
         raise ParseError("action files embed the module algebra", "algebra")
     h_dim = _get_dim(obj, "h_dim")
     a = _parse_body(LAYOUTS["algebra"], field, alg)
-    shape = (h_dim, a.dim, a.dim)
-    action = _parse_entry(field, obj.get("action"), shape, "action")
+    action = _parse_entry(field, obj.get("action"), (h_dim, a.dim, a.dim), "action")
     return a, ModuleAlgebraAction(action=action)
 
 

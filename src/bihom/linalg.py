@@ -268,11 +268,8 @@ def rank(a: Matrix) -> int:
 def _null_basis(field, rows, pivots, ncols):
     """The right kernel basis of a matrix whose reduced rows, in their first
     ncols columns, are rows, with pivot columns pivots."""
-    pivot_set = set(pivots)
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
+    for fc in sorted(set(range(ncols)).difference(pivots)):
         v = zero_vec(field, ncols)
         v[fc] = field.one()
         for r, pc in enumerate(pivots):
@@ -333,8 +330,7 @@ def mat_inverse(a: Matrix) -> Matrix:
         raise ShapeMismatch("inverting a non-square matrix")
     field = a.field
     n = a.rows
-    ident = Matrix.identity(field, n).e
-    rows = [a.e[i][:] + ident[i] for i in range(n)]
+    rows = [row[:] + unit for row, unit in zip(a.e, Matrix.identity(field, n).e)]
     pivots = _rref(rows, n)
     if len(pivots) < n:
         raise Singular(f"matrix has rank {len(pivots)} < {n}", rank=len(pivots))

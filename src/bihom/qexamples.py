@@ -315,28 +315,26 @@ class QPElement(_Combination):
 
     def __init__(self, terms=None, bound=DEFAULT_TRUNCATION):
         self.bound = bound
-        self._fit(terms or ())
-        super().__init__(terms)
-
-    def _fit(self, monomials):
-        for m, n in monomials:
-            if m + n >= self.bound:
+        for m, n in terms or ():
+            if m + n >= bound:
                 raise TruncationOverflow(
-                    f"monomial x^{m} y^{n} exceeds the degree bound {self.bound}"
+                    f"monomial x^{m} y^{n} exceeds the degree bound {bound}"
                 )
+        super().__init__(terms)
 
     def _zero(self, other=None):
         return QPElement(bound=self.bound if other is None else min(self.bound, other.bound))
 
-    # equal bounds, the common case, need no check
+    # an operand with a larger bound than the result's is checked by the
+    # constructor; sums of equal bounds, the hot case, check nothing
     def __iadd__(self, other):
         if other.bound > self.bound:
-            self._fit(other.terms)
+            QPElement(other.terms, self.bound)
         return super().__iadd__(other)
 
     def __add__(self, other):
         if self.bound > other.bound:
-            other._fit(self.terms)
+            QPElement(self.terms, other.bound)
         return super().__add__(other)
 
     @staticmethod

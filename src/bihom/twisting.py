@@ -56,9 +56,6 @@ from .report import CheckReport
 
 @dataclass
 class Pseudotwistor:
-    """T, T1tilde and T2tilde are map terms; a Matrix given for one of them
-    is read as a Lin on its tensor power of D."""
-
     T: Term  # on D (x) D
     T1tilde: Term  # on D (x) D (x) D
     T2tilde: Term  # on D (x) D (x) D
