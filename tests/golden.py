@@ -8,13 +8,19 @@ out, scalars formatted through ``field.format``:
 - a raised exception: its type, message, witness and attached report;
 - a constructed value (a carried unit or counit).
 
+What is a scalar is decided by its place in the record, never by its Python
+type: a witness is (basis index, lhs, rhs) and only its index is kept as it
+is, and a value is all scalars unless its encoder says otherwise.
+
 Corruptions add one to a single entry of one structure tensor, map or
 vector; the entries are drawn by a generator seeded from the case id, so the
-corpus is the same on every run.  Regenerate the data file with
+corpus is the same on every run.  The data file is frozen; to see what the
+code records now, write the cases to another file and compare the two:
 
-    PYTHONPATH=src python tests/golden.py
+    PYTHONPATH=src python tests/golden.py golden_now.json
 
-and compare with ``tests/test_golden.py``.
+The script refuses to overwrite ``tests/data/golden_corpus.json``, which
+``tests/test_golden.py`` compares against.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import itertools
 import json
 import os
 import random
+import sys
 import zlib
 from fractions import Fraction
 
@@ -90,31 +97,66 @@ FIXTURES = os.path.join(HERE, "..", "fixtures")
 # ---------------------------------------------------------------------------
 
 
-def fmt(field, x):
-    """Witness parts as JSON: indices stay ints/strings, scalars go through
-    field.format, tuples and lists become lists."""
-    if x is None or isinstance(x, (bool, str)):
-        return x
+def scalars(field, x):
+    """A scalar, or nested lists and tuples of scalars, through field.format."""
+    if x is None:
+        return None
     if isinstance(x, (tuple, list)):
-        return [fmt(field, y) for y in x]
-    if type(x) is int:
+        return [scalars(field, y) for y in x]
+    return field.format(field.promote(x))
+
+
+def fmt_witness(field, w):
+    """A witness is (index, lhs, rhs), or (index, vector) for a solver: the
+    basis index, of ints or labels, stays as it is and the rest are scalars.
+    A witness that is a phrase stays a string."""
+    if w is None or isinstance(w, str):
+        return w
+    index, *sides = w
+    return [list(index), *(scalars(field, s) for s in sides)]
+
+
+def fmt_structure(field, x):
+    """A structure as its dataclass repr, with its unit and counit vectors
+    through field.format."""
+    parts = []
+    for f in dataclasses.fields(x):
+        if not f.repr:
+            continue
+        v = getattr(x, f.name)
+        if f.name in ("unit", "counit") and v is not None:
+            text = "[" + ", ".join(scalars(field, v)) + "]"
+        else:
+            text = repr(v)
+        parts.append(f"{f.name}={text}")
+    return f"{type(x).__name__}({', '.join(parts)})"
+
+
+def fmt_value(field, x):
+    """A returned value: a verdict or None as it is, a structure or a matrix
+    by its repr, anything else as scalars."""
+    if x is None or isinstance(x, bool):
         return x
-    return field.format(x)
+    if dataclasses.is_dataclass(x):
+        return fmt_structure(field, x)
+    if isinstance(x, Matrix):
+        return repr(x)
+    return scalars(field, x)
 
 
 def fmt_report(field, report):
-    return [[e.axiom, e.passed, fmt(field, e.witness)] for e in report.entries]
+    return [[e.axiom, e.passed, fmt_witness(field, e.witness)] for e in report.entries]
 
 
-def record(case_id, fn, field, thunk):
-    """Run thunk and describe what it returned or raised."""
+def record(case_id, fn, field, thunk, encode=fmt_value):
+    """Run thunk and describe what it returned, through encode, or raised."""
     out = {"id": case_id, "fn": fn}
     try:
         value = thunk()
     except Exception as exc:  # every exception type is part of the record
         out["raises"] = type(exc).__name__
         out["message"] = str(exc)
-        out["witness"] = fmt(field, getattr(exc, "witness", None))
+        out["witness"] = fmt_witness(field, getattr(exc, "witness", None))
         rep = getattr(exc, "report", None)
         if rep is not None:
             out["report"] = fmt_report(field, rep)
@@ -122,7 +164,7 @@ def record(case_id, fn, field, thunk):
     if hasattr(value, "entries"):
         out["report"] = fmt_report(field, value)
     else:
-        out["value"] = fmt(field, value)
+        out["value"] = encode(field, value)
     return out
 
 
@@ -178,14 +220,14 @@ def _k(x, k):
     return k if isinstance(x, (Matrix, Tensor3)) else min(k, 2)
 
 
-def sweep(out, fn_name, fn, field, name, args, targets, k=4):
+def sweep(out, fn_name, fn, field, name, args, targets, k=4, encode=fmt_value):
     """Record fn(*args) and fn on single-entry corruptions of args.
 
     targets names what to corrupt: (arg index, attribute) for a structure
     field, or (arg index, None) for an argument that is itself a matrix,
-    tensor or vector.
+    tensor or vector.  encode turns a returned value into JSON.
     """
-    out.append(record(f"{fn_name}:{name}", fn_name, field, lambda: fn(*args)))
+    out.append(record(f"{fn_name}:{name}", fn_name, field, lambda: fn(*args), encode))
     for idx, attr in targets:
         holder = args[idx]
         value = as_value(holder if attr is None else getattr(holder, attr))
@@ -198,7 +240,7 @@ def sweep(out, fn_name, fn, field, name, args, targets, k=4):
             call = list(args)
             call[idx] = new
             case = f"{fn_name}:{name}:{label}{list(pos)}"
-            out.append(record(case, fn_name, field, lambda call=call: fn(*call)))
+            out.append(record(case, fn_name, field, lambda call=call: fn(*call), encode))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +444,7 @@ def _checks(out):
               [(2, "R"), (0, "mu"), (1, "mu"), (0, "alpha"), (1, "beta")], k=4)
     for name, A, Bb, tw in twisting:
         sweep(out, "helper_identity_witness", helper_identity_witness, QQ, name,
-              [A, Bb, tw], [(2, "R")], k=4)
+              [A, Bb, tw], [(2, "R")], k=4, encode=fmt_witness)
 
     base = SmashData(H=H2, A=A2, action=act2)
     out.append(record("smash_comodule_structure:kc4", "smash_comodule_structure", QQ,
@@ -555,8 +597,19 @@ def dump(records):
     return json.dumps({"cases": records}, indent=0, sort_keys=True) + "\n"
 
 
+def write_corpus(argv, corpus, records, dump=dump):
+    """Write dump(records) to the one path in argv, never over the frozen
+    corpus."""
+    if len(argv) != 1:
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} OUT.json")
+    path = argv[0]
+    if os.path.abspath(path) == os.path.abspath(corpus) or (
+            os.path.exists(path) and os.path.samefile(path, corpus)):
+        sys.exit(f"refusing to overwrite the frozen corpus {corpus}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump(records))
+    print(f"wrote {len(records)} cases to {path}")
+
+
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(CORPUS), exist_ok=True)
-    with open(CORPUS, "w", encoding="utf-8") as fh:
-        fh.write(dump(build()))
-    print(f"wrote {len(build())} cases to {CORPUS}")
+    write_corpus(sys.argv[1:], CORPUS, build())

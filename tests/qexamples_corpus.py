@@ -18,11 +18,13 @@ totals and reports the (key, coefficient) pairs with coefficients through
   grid with G in {1, E, F, K}, and ``verify_smash_formulas`` there;
 - the ``TruncationOverflow`` messages.
 
-Regenerate the data file with
+The data file is frozen; to see what the code records now, write the cases
+to another file and compare the two:
 
-    PYTHONPATH=src python tests/qexamples_corpus.py
+    PYTHONPATH=src python tests/qexamples_corpus.py qexamples_now.json
 
-and compare with ``tests/test_qexamples.py::test_corpus_reproduces``.
+The script refuses to overwrite ``tests/data/qexamples_corpus.json``, which
+``tests/test_qexamples.py::test_corpus_reproduces`` compares against.
 """
 
 from __future__ import annotations
@@ -181,7 +183,8 @@ def dump(records):
 
 
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(CORPUS), exist_ok=True)
-    with open(CORPUS, "w", encoding="utf-8") as fh:
-        fh.write(dump(build()))
-    print(f"wrote {len(build())} cases to {CORPUS}")
+    import sys
+
+    from golden import write_corpus
+
+    write_corpus(sys.argv[1:], CORPUS, build(), dump)

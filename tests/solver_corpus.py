@@ -8,19 +8,21 @@ solve_antipode_monoidal.  Each case records the value (scalars through
 exception raised, as tests/golden.py does for the checks.  Corruptions add
 one to one entry of mu, delta, alpha, beta, psi, omega, unit or counit (and
 of the element handed to is_primitive or primitive_bracket), drawn by a
-generator seeded from the case id.  Regenerate the data file with
+generator seeded from the case id.  The data file is frozen; to see what
+the code records now, write the cases to another file and compare the two:
 
-    PYTHONPATH=src python tests/solver_corpus.py
+    PYTHONPATH=src python tests/solver_corpus.py solver_now.json
 
-and compare with ``tests/test_solver_corpus.py``.
+The script refuses to overwrite ``tests/data/solver_corpus.json``, which
+``tests/test_solver_corpus.py`` compares against.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import os
+import sys
 from fractions import Fraction
 
 from bihom import (
@@ -46,7 +48,7 @@ from bihom.algebra_core import untwist
 from bihom.bialgebra import is_primitive
 from bihom.coalgebra import dual_coalgebra
 from bihom.linalg import unit_vec
-from golden import _endo, _trunc, ident, load_fixture, sweep
+from golden import _endo, _trunc, ident, load_fixture, scalars, sweep, write_corpus
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "data", "solver_corpus.json")
@@ -58,9 +60,15 @@ BIALGEBRA_PARTS = [(0, "mu"), (0, "delta"), (0, "alpha"), (0, "beta"), (0, "psi"
 
 def _subalgebra(result):
     """fixed_subalgebra's (subalgebra, basis) or underline_hom's triple as
-    the product, unit and embedding of the subalgebra."""
+    the dimension, product, unit and embedding of the subalgebra."""
     sub, basis = result[0], result[1]
     return [sub.dim, sub.mu.t, sub.unit, basis]
+
+
+def _fmt_subalgebra(field, value):
+    """A _subalgebra record: the dimension first, then scalars."""
+    dim, *rest = value
+    return [dim, *scalars(field, rest)]
 
 
 def _rows(s):
@@ -149,11 +157,12 @@ def build():
     for name, a in _algebras(bialgebras):
         sweep(out, "find_unit", find_unit, a.field, name, [a], ALGEBRA_PARTS, k=6)
         sweep(out, "fixed_subalgebra", lambda x: _subalgebra(fixed_subalgebra(x)), a.field,
-              name, [a], ALGEBRA_PARTS, k=6)
+              name, [a], ALGEBRA_PARTS, k=6, encode=_fmt_subalgebra)
     for name, C, A in _pairs():
         sweep(out, "underline_hom", lambda c, a: _subalgebra(underline_hom(c, a)), A.field,
               name, [C, A], [(0, "delta"), (0, "psi"), (0, "omega"), (0, "counit"),
-                             (1, "mu"), (1, "alpha"), (1, "beta"), (1, "unit")], k=3)
+                             (1, "mu"), (1, "alpha"), (1, "beta"), (1, "unit")], k=3,
+              encode=_fmt_subalgebra)
     for name, H in bialgebras:
         field = H.field
         sweep(out, "solve_antipode_monoidal", lambda h: _rows(solve_antipode_monoidal(h)),
@@ -170,11 +179,5 @@ def build():
     return out
 
 
-def dump(records):
-    return json.dumps({"cases": records}, indent=0, sort_keys=True) + "\n"
-
-
 if __name__ == "__main__":
-    with open(CORPUS, "w", encoding="utf-8") as fh:
-        fh.write(dump(build()))
-    print(f"wrote {len(build())} cases to {CORPUS}")
+    write_corpus(sys.argv[1:], CORPUS, build())
