@@ -42,7 +42,7 @@ from .axioms import (
     unit_law,
     witness,
 )
-from .exactnum import Field
+from .exactnum import Field, divide, same_field
 from .linalg import (
     Matrix,
     Tensor3,
@@ -161,6 +161,7 @@ def check_bihom_algebra(a: BiHomAlgebra) -> CheckReport:
 
 def check_left_module(a: BiHomAlgebra, mod: LeftModule) -> CheckReport:
     """The left-module axioms over all basis pairs/triples."""
+    same_field("left module", a.field, mod.action.field, mod.alphaM.field, mod.betaM.field)
     if mod.action.d1 != a.dim:
         raise ShapeMismatch("module action first index != algebra dimension")
     act = mod.action
@@ -240,10 +241,7 @@ def untwist(a: BiHomAlgebra) -> BiHomAlgebra:
 
 def tensor_product(a: BiHomAlgebra, b: BiHomAlgebra) -> BiHomAlgebra:
     """(a (x) b)(a' (x) b') = aa' (x) bb' with maps alpha_A (x) alpha_B etc."""
-    if a.field != b.field:
-        from .errors import MixedFields
-
-        raise MixedFields("tensor product across fields")
+    same_field("tensor product", a.field, b.field)
     da, db = a.dim, b.dim
     d = da * db
 
@@ -374,9 +372,9 @@ def example_family(which: int, a, b, field=None) -> BiHomAlgebra:
     if which == 1:
         if b == one:
             raise DegenerateParameter("family 1 needs b != 1")
-        alpha_e2 = [(a + a) / (b - one), -one]
+        alpha_e2 = [divide(a + a, b - one), -one]
         beta_e2 = [-a, b]
-        mu22 = [-(a * a * (b - one - one)) / ((b - one) * (b - one)), a]
+        mu22 = [divide(-(a * a * (b - one - one)), (b - one) * (b - one)), a]
         mu = Tensor3(
             field,
             [
@@ -387,13 +385,13 @@ def example_family(which: int, a, b, field=None) -> BiHomAlgebra:
     elif which == 2:
         if not a:
             raise DegenerateParameter("family 2 needs a != 0")
-        alpha_e2 = [b * (one - a) / a, a]
+        alpha_e2 = [divide(b * (one - a), a), a]
         beta_e2 = [b, one - a]
         mu = Tensor3(
             field,
             [
                 [[one, zero], beta_e2],
-                [alpha_e2, [zero, b / a]],
+                [alpha_e2, [zero, divide(b, a)]],
             ],
         )
     else:

@@ -19,7 +19,6 @@ from .algebra_core import (
 )
 from .errors import (
     ConditionFailure,
-    MixedFields,
     NotComultiplicative,
     ShapeMismatch,
 )
@@ -43,7 +42,7 @@ from .axioms import (
     product_tensor,
     witness,
 )
-from .exactnum import Field
+from .exactnum import Field, same_field
 from .linalg import (
     Matrix,
     Tensor3,
@@ -136,6 +135,7 @@ def check_bihom_coalgebra(C: BiHomCoalgebra) -> CheckReport:
 
 
 def check_comodule(C: BiHomCoalgebra, M: Comodule) -> CheckReport:
+    same_field("comodule", C.field, M.rho.field, M.psiM.field, M.omegaM.field)
     if M.rho.d3 != C.dim:
         raise ShapeMismatch("coaction target coalgebra dimension")
     rho = Comul(M.rho)
@@ -236,8 +236,7 @@ def dual_coalgebra(A: BiHomAlgebra) -> BiHomCoalgebra:
 
 def tensor_product_coalgebras(C: BiHomCoalgebra, D: BiHomCoalgebra) -> BiHomCoalgebra:
     """Delta(c (x) d) = c1 (x) d1 (x) c2 (x) d2 with maps psi (x) psi etc."""
-    if C.field != D.field:
-        raise MixedFields("tensor product across fields")
+    same_field("tensor product", C.field, D.field)
     dc, dd = C.dim, D.dim
     d = dc * dd
     both = Kron(Comul(C.delta), Comul(D.delta))
@@ -302,8 +301,7 @@ def convolution_algebra(C: BiHomCoalgebra, A: BiHomAlgebra) -> BiHomAlgebra:
     c * dim A + a.  phi(f) = alpha o f o omega and gamma(f) = beta o f o psi;
     the unit is eta o eps when A is unital and C counital.
     """
-    if C.field != A.field:
-        raise MixedFields("convolution across fields")
+    same_field("convolution", C.field, A.field)
     dc, da = C.dim, A.dim
     d = dc * da
     # (e_c -> e_a) * (e_e -> e_b) = sum_i Delta(e_i)[c][e] (e_i -> e_a e_b)

@@ -3,22 +3,30 @@ field Q(q), behind one small field-descriptor interface.
 
 Elements are plain immutable values:
 
-* Q       -> fractions.Fraction
+* Q       -> int when integral, else fractions.Fraction
 * F_p     -> PrimeFieldElement (residue in [0, p) + modulus)
 * Q(q)    -> RationalFunction, stored as q^k * N / D with N and D integer
              polynomials in lowest terms (see the class docstring)
 
-All three support ``+ - * /`` via operator overloading, are falsy exactly
+All three support ``+ - *`` via operator overloading, are falsy exactly
 when zero, and are hashable; a value equal to an int or a Fraction hashes
-like it.  A field descriptor (``QQ``, ``PrimeField(p)``, ``QQ_Q``) supplies
+like it.  Division goes through ``divide``, because ``/`` on two ints gives
+a float.  A field descriptor (``QQ``, ``PrimeField(p)``, ``QQ_Q``) supplies
 zero/one, promotion from int, parsing and formatting; containers (matrices,
 tensors) carry the descriptor, elements do not need to be wrapped.
+
+Over Q, ``zero``, ``one``, ``from_int``, ``promote``, ``parse`` and
+``divide`` give an int for an integral value, so the common entries of the
+paper's examples stay in int arithmetic.  Sums and products that involve a
+Fraction may still give an integral Fraction; it equals and hashes like the
+int, and ``promote`` turns it into one.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import (
@@ -557,23 +565,35 @@ _Q_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _FP_LITERAL = re.compile(r"\s*(-?\d+)\s*(?:mod\s*(\d+)\s*)?")
 
 
+def _rational(f):
+    """The Q scalar of a Fraction: its numerator when it is integral."""
+    return f.numerator if f.denominator == 1 else f
+
+
 class RationalField(Field):
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return self.promote(n)
 
     def promote(self, x):
-        if isinstance(x, Fraction):
+        # exact type tests first: isinstance against Fraction goes through
+        # ABCMeta, and promote runs once per entry of every matrix and tensor
+        t = type(x)
+        if t is int:
             return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if t is Fraction:
+            return _rational(x)
+        if isinstance(x, Fraction):
+            return _rational(Fraction(x))
+        if isinstance(x, int):  # bool and other int subclasses
+            return int(x)
         raise MixedFields(f"cannot interpret {x!r} in Q")
 
     def parse(self, text):
@@ -583,7 +603,7 @@ class RationalField(Field):
         if not m:
             raise BadScalar(f"bad rational literal {text!r}")
         try:
-            return Fraction(int(m.group(1)), int(m.group(2) or 1))
+            return _rational(Fraction(int(m.group(1)), int(m.group(2) or 1)))
         except (ValueError, ZeroDivisionError) as exc:  # too many digits, or n/0
             raise BadScalar(f"bad rational literal {text!r}: {exc}")
 
@@ -817,6 +837,7 @@ def format_qq_scalar(x: RationalFunction) -> str:
 # ---------------------------------------------------------------------------
 
 _SCALAR_FIELDS = {
+    int: QQ,
     Fraction: QQ,
     RationalFunction: QQ_Q,
 }
@@ -824,11 +845,45 @@ _SCALAR_FIELDS = {
 
 def field_of(x) -> Field:
     if isinstance(x, PrimeFieldElement):
-        return PrimeField(x.p)
+        return _prime_field(x.p)
     try:
         return _SCALAR_FIELDS[type(x)]
     except KeyError:
         raise MixedFields(f"{x!r} is not a supported scalar")
+
+
+@lru_cache(maxsize=None)
+def _prime_field(p):
+    return PrimeField(p)
+
+
+def same_field(what, *fields) -> Field:
+    """The one field of an operation on several containers or structures.
+
+    Every binary operation on matrices, tensors and structures checks its
+    operands here.  Entries cannot be checked one by one on the way: a Q
+    scalar may be an int, and F_p arithmetic accepts ints.
+    """
+    first = fields[0]
+    for f in fields[1:]:
+        if f != first:
+            raise MixedFields(f"{what} across fields")
+    return first
+
+
+def divide(a, b):
+    """a / b for two scalars of one field; the one way the package divides.
+
+    Over Q an integral quotient comes back as an int and any other as a
+    Fraction, never a float.  Raises DivisionByZero when b is zero.
+    """
+    if not b:
+        raise DivisionByZero(f"{a!r} / 0")
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return _rational(q) if type(q) is Fraction else q
 
 
 def scalar_arith(a, b, op: str):
@@ -842,7 +897,5 @@ def scalar_arith(a, b, op: str):
     if op == "mul":
         return a * b
     if op == "div":
-        if not b:
-            raise DivisionByZero(f"{a!r} / 0")
-        return a / b
+        return divide(a, b)
     raise ValueError(f"unknown op {op!r}")

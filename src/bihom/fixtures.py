@@ -7,7 +7,7 @@ primitive spaces, sl2, and the cyclic-group self-action module algebra.
 from __future__ import annotations
 
 from .bialgebra import BiHomBialgebra, ModuleAlgebraAction, yau_twist_bialgebra
-from .exactnum import QQ, PrimeField
+from .exactnum import QQ, PrimeField, divide
 from .lie import BiHomLieAlgebra
 from .linalg import Matrix, Tensor3, unit_vec
 
@@ -265,4 +265,4 @@ def sl2_lie(field=QQ) -> BiHomLieAlgebra:
 def sl2_scaling(t, field=QQ) -> Matrix:
     """The bracket-multiplicative map h -> h, e -> t e, f -> t^-1 f."""
     t = field.promote(t)
-    return Matrix.diagonal(field, [field.one(), t, field.one() / t])
+    return Matrix.diagonal(field, [field.one(), t, divide(field.one(), t)])

@@ -221,7 +221,7 @@ def parse_structure(text: str):
 
 def _get_dim(obj, key="dim", limit=MAX_DIM):
     d = obj.get(key)
-    if not isinstance(d, int) or d < 0:
+    if type(d) is not int or d < 0:  # JSON true parses as a bool, an int subclass
         raise ParseError(f"{key} must be a nonnegative integer", key)
     if d > limit:
         raise ParseError(f"{key} must be at most {limit}", key)
@@ -361,6 +361,16 @@ def _load(path, want=None, field_tag_expect=None):
     return kind, value
 
 
+def _same_field(path, value, other_path, other):
+    """Exit 2 naming path when its structure is over another field than
+    other_path's."""
+    f, g = _field_of_structure(value), _field_of_structure(other)
+    if f != g:
+        raise ParseError(
+            f"{path}: declares field {field_tag(f)}, {other_path} declares field {field_tag(g)}"
+        )
+
+
 def _load_map(path):
     """The matrix in a map file."""
     return _load(path, want=("map",))[1]
@@ -422,6 +432,8 @@ def _cmd_check(args):
     all_ok = True
     for path in args.files:
         kind, value = _load(path, field_tag_expect=args.field)
+        if over is not None and kind in ("module", "comodule", "action"):
+            _same_field(args.over, over[1], path, value)
         ok = _run_check(kind, value, over, args)
         all_ok = all_ok and ok
     return 0 if all_ok else 1
@@ -545,6 +557,7 @@ def _cmd_ttp(args):
 def _cmd_smash(args):
     _, H = _load(args.files[0], want=("bialgebra",), field_tag_expect=args.field)
     _, (A, act) = _load(args.files[1], want=("action",), field_tag_expect=args.field)
+    _same_field(args.files[1], (A, act), args.files[0], H)
     out = smash_product(SmashData(H=H, A=A, action=act))
     return _emit(out, "algebra", args, "smash product")
 

@@ -8,8 +8,8 @@ heuristics because the arithmetic is exact.
 
 from __future__ import annotations
 
-from .errors import Inconsistent, MixedFields, NonUnique, ShapeMismatch, Singular
-from .exactnum import Field
+from .errors import Inconsistent, NonUnique, ShapeMismatch, Singular
+from .exactnum import Field, divide, field_of, same_field
 
 # ---------------------------------------------------------------------------
 # vectors
@@ -173,8 +173,7 @@ class Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a.field != b.field:
-        raise MixedFields("matrix product across fields")
+    same_field("matrix product", a.field, b.field)
     if a.cols != b.rows:
         raise ShapeMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     out = Matrix.zero(a.field, a.rows, b.cols)
@@ -206,9 +205,7 @@ def mat_eq_witness(a: Matrix, b: Matrix):
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; acts on flattened u (x) v with index i*b.rows + k."""
-    if a.field != b.field:
-        raise MixedFields("kron across fields")
-    field = a.field
+    field = same_field("kron", a.field, b.field)
     z = field.zero()
     rows, cols = a.rows * b.rows, a.cols * b.cols
     out = Matrix.zero(field, rows, cols)
@@ -246,8 +243,7 @@ def _rref(rows, ncols):
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
         if pv != 1:
-            inv_row = rows[r]
-            rows[r] = [x / pv for x in inv_row]
+            rows[r] = [divide(x, pv) for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
@@ -459,6 +455,7 @@ def bilinear_apply(mu, x, y):
         field, d3, planes = mu.field, mu.d3, mu.t
         x = [((i,), a) for i, a in enumerate(x) if a]
         y = [((j,), b) for j, b in enumerate(y) if b]
+        same_field("bilinear map", field, *(field_of(c) for _, c in x + y))
         mu = {i: {j: [((k,), z) for k, z in enumerate(planes[i][j]) if z] for (j,), _ in y}
               for (i,), _ in x}
     out = {}

@@ -19,7 +19,9 @@ from bihom.exactnum import (
     PrimeFieldElement,
     RationalFunction,
     _is_prime,
+    divide,
     field_from_tag,
+    field_of,
     field_tag,
     format_qq_scalar,
     parse_qq_scalar,
@@ -67,6 +69,66 @@ class TestScalarArith:
             QQ_Q.one() / QQ_Q.zero()
         with pytest.raises(DivisionByZero):
             F7.one() / F7.zero()
+
+
+class TestIntegralRationals:
+    """Over Q an integral value is an int, anything else a Fraction."""
+
+    def test_descriptor_gives_ints(self):
+        values = [QQ.zero(), QQ.one(), QQ.from_int(-5), QQ.promote(7),
+                  QQ.promote(Fraction(6, 3)), QQ.parse("-4"), QQ.parse("8/2")]
+        assert values == [0, 1, -5, 7, 2, -4, 4]
+        assert all(type(v) is int for v in values)
+
+    def test_non_integral_values_stay_fractions(self):
+        for x in (QQ.promote(Fraction(1, 2)), QQ.parse("-3/4")):
+            assert type(x) is Fraction and x.denominator != 1
+
+    def test_bool_becomes_a_plain_int(self):
+        x = QQ.promote(True)
+        assert type(x) is int and x == QQ.one()
+        assert QQ.format(x) == "1"
+        assert type(QQ.promote(False)) is int and QQ.format(QQ.promote(False)) == "0"
+
+    def test_float_is_rejected(self):
+        with pytest.raises(MixedFields, match=r"cannot interpret 6\.0 in Q"):
+            QQ.promote(6.0)
+
+    def test_field_of_int_is_q(self):
+        assert field_of(3) == QQ and field_of(Fraction(1, 2)) == QQ
+        with pytest.raises(MixedFields):
+            field_of(True)
+
+    @given(st.integers(-30, 30), st.integers(-30, 30).filter(bool))
+    def test_divide_is_exact(self, a, b):
+        q = divide(a, b)
+        assert q == Fraction(a, b)
+        assert type(q) is (int if a % b == 0 else Fraction)
+
+    def test_divide_returns_ints_for_integral_quotients_of_fractions(self):
+        q = divide(Fraction(3, 2), Fraction(1, 2))
+        assert q == 3 and type(q) is int
+        assert type(divide(1, Fraction(1, 3))) is int
+
+    def test_divide_other_fields(self):
+        assert divide(F7.from_int(3), F7.from_int(5)) == F7.from_int(2)
+        assert divide(QQ_Q.one(), RF.q_power(1)) == RF.q_power(-1)
+
+    def test_divide_by_zero(self):
+        with pytest.raises(DivisionByZero, match=r"^3 / 0$"):
+            divide(3, 0)
+        with pytest.raises(DivisionByZero, match=r"^Fraction\(3, 1\) / 0$"):
+            scalar_arith(Fraction(3), Fraction(0), "div")
+        with pytest.raises(DivisionByZero, match=r"^Fraction\(1, 2\) / 0$"):
+            divide(Fraction(1, 2), 0)
+        with pytest.raises(DivisionByZero, match=r"^3 mod 7 / 0$"):
+            divide(F7.from_int(3), F7.zero())
+
+    def test_mixed_fields_with_ints(self):
+        with pytest.raises(MixedFields, match="live in different fields"):
+            scalar_arith(QQ.from_int(1), F7.one(), "add")
+        with pytest.raises(MixedFields, match="live in different fields"):
+            scalar_arith(2, F7.from_int(3), "div")
 
 
 class TestRfNormalize:

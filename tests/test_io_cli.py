@@ -227,6 +227,24 @@ class TestCli:
         with pytest.raises(ParseError, match=f"^{key}: {key} must be at most {limit}$"):
             parse_structure(json.dumps(dict(obj, **{key: limit + 1})))
 
+    @pytest.mark.parametrize("kind, key", [
+        ("algebra", "dim"), ("module", "algebra_dim"), ("comodule", "coalgebra_dim"),
+        ("action", "h_dim"), ("map", "rows"), ("map", "cols"),
+    ])
+    def test_boolean_dimension_is_rejected(self, kind, key):
+        obj = {"format": 1, "kind": kind, "field": "Q", "dim": 1, "algebra_dim": 1,
+               "coalgebra_dim": 1, "h_dim": 1, "algebra": {"field": "Q", "dim": 1},
+               "rows": 1, "cols": 1}
+        with pytest.raises(ParseError, match=f"^{key}: {key} must be a nonnegative integer$"):
+            parse_structure(json.dumps(dict(obj, **{key: True})))
+
+    def test_boolean_map_shape_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"format": 1, "kind": "map", "field": "Q", "rows": True,
+                                    "cols": True, "entries": [["1"]]}))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: rows: rows must be a nonnegative integer\n"
+
     def test_dim_65_header_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"format": 1, "kind": "algebra", "field": "Q", "dim": 65}))
@@ -539,6 +557,66 @@ class TestCli:
     def test_field_flag_mismatch(self, capsys):
         rc = main(["--field", "Q(q)", "check", fixture_path("family1.json")])
         assert rc == 2
+
+    @staticmethod
+    def _over_f7(tmp_path, name):
+        """A copy of a fixture with every field tag set to F_7."""
+        text = open(fixture_path(name), encoding="utf-8").read()
+        path = tmp_path / f"{name[:-5]}_f7.json"
+        path.write_text(text.replace('"field": "Q"', '"field": "Fp:7"'))
+        return str(path)
+
+    def test_check_over_another_field_exits_2(self, tmp_path, capsys):
+        kc4_f7 = self._over_f7(tmp_path, "kc4_bialg.json")
+        selfmod = fixture_path("kc4_selfmod.json")
+        assert main(["check", selfmod, "--over", kc4_f7]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {kc4_f7}: declares field Fp:7, {selfmod} declares field Q\n")
+
+    def test_smash_with_another_field_exits_2(self, tmp_path, capsys):
+        selfmod_f7 = self._over_f7(tmp_path, "kc4_selfmod.json")
+        kc4 = fixture_path("kc4_bialg.json")
+        out = tmp_path / "smash.json"
+        assert main(["smash", kc4, selfmod_f7, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"error: {selfmod_f7}: declares field Fp:7, {kc4} declares field Q\n")
+
+    def test_mixed_fields_raise_in_the_library(self, tmp_path):
+        """The checks that take two structures compare their fields, so a
+        Q structure with int entries cannot pass against an F_7 one."""
+        from bihom import (
+            SmashData,
+            check_comodule,
+            check_left_module,
+            check_module_bihom_algebra,
+            smash_product,
+        )
+        from bihom.algebra_core import LeftModule
+        from bihom.coalgebra import regular_comodule
+        from bihom.errors import MixedFields
+
+        F7 = PrimeField(7)
+        H, H7 = cyclic_group_bialgebra(4), cyclic_group_bialgebra(4, F7)
+        act, act7 = cyclic_self_action(4, 3), cyclic_self_action(4, 3, F7)
+        A, A7 = H.algebra_part(), H7.algebra_part()
+        mod7 = LeftModule(dim=4, action=A7.mu, alphaM=A7.alpha, betaM=A7.beta)
+        comod7 = regular_comodule(H7.coalgebra_part())
+        calls = [
+            ("left module", lambda: check_left_module(A, mod7)),
+            ("comodule", lambda: check_comodule(H.coalgebra_part(), comod7)),
+            ("module algebra", lambda: check_module_bihom_algebra(H7, A, act)),
+            ("module algebra", lambda: check_module_bihom_algebra(H, A7, act7)),
+            ("module algebra", lambda: SmashData(H=H7, A=A, action=act).validate()),
+            ("module algebra", lambda: smash_product(SmashData(H=H, A=A7, action=act7))),
+        ]
+        for what, call in calls:
+            with pytest.raises(MixedFields, match=f"^{what} across fields$"):
+                call()
+        assert check_module_bihom_algebra(H7, A7, act7).ok
 
     def test_verbose_and_witness_limit(self, capsys, tmp_path):
         obj = json.loads(serialize_structure(example_family(1, 3, 2), "algebra"))

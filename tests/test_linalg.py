@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bihom.errors import Inconsistent, ShapeMismatch, Singular
-from bihom.exactnum import QQ, PrimeField
+from bihom.errors import Inconsistent, MixedFields, ShapeMismatch, Singular
+from bihom.exactnum import QQ, PrimeField, scalar_arith
 from bihom.linalg import (
     Matrix,
     MatrixPowers,
@@ -204,3 +204,35 @@ class TestKronAndPowers:
         m = Matrix(f3, [[1, 2], [2, 2]])
         inv = mat_inverse(m)
         assert mat_mul(m, inv) == Matrix.identity(f3, 2)
+
+
+class TestMixedFields:
+    """Q entries are plain ints and F_p arithmetic accepts ints, so mixing
+    is caught where two containers meet."""
+
+    F7 = PrimeField(7)
+
+    def test_q_entries_are_ints(self):
+        m = M([[Fraction(2), 0], [1, Fraction(4, 2)]])
+        assert all(type(x) is int for row in m.e for x in row)
+
+    def test_mat_mul_and_kron(self):
+        q, f = M([[1, 2], [0, 1]]), Matrix(self.F7, [[1, 2], [0, 1]])
+        for a, b in ((q, f), (f, q)):
+            with pytest.raises(MixedFields, match="^matrix product across fields$"):
+                mat_mul(a, b)
+            with pytest.raises(MixedFields, match="^kron across fields$"):
+                kron(a, b)
+
+    def test_dense_bilinear_apply(self):
+        mu_q, mu_f = Tensor3(QQ, [[[1, 1]]]), Tensor3(self.F7, [[[1, 1]]])
+        with pytest.raises(MixedFields, match="^bilinear map across fields$"):
+            bilinear_apply(mu_q, [self.F7.one()], [self.F7.one()])
+        with pytest.raises(MixedFields, match="^bilinear map across fields$"):
+            bilinear_apply(mu_f, [QQ.one()], [self.F7.one()])
+        assert bilinear_apply(mu_f, [self.F7.one()], [self.F7.from_int(3)]) == [
+            self.F7.from_int(3), self.F7.from_int(3)]
+
+    def test_scalar_arith(self):
+        with pytest.raises(MixedFields):
+            scalar_arith(M([[1]]).e[0][0], Matrix(self.F7, [[1]]).e[0][0], "mul")
