@@ -852,8 +852,9 @@ def field_of(x) -> Field:
         raise MixedFields(f"{x!r} is not a supported scalar")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _prime_field(p):
+    """PrimeField(p) without a primality test on every scalar."""
     return PrimeField(p)
 
 
