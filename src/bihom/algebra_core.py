@@ -161,7 +161,6 @@ def check_bihom_algebra(a: BiHomAlgebra) -> CheckReport:
 
 def check_left_module(a: BiHomAlgebra, mod: LeftModule) -> CheckReport:
     """The left-module axioms over all basis pairs/triples."""
-    same_field("left module", a.field, mod.action.field, mod.alphaM.field, mod.betaM.field)
     if mod.action.d1 != a.dim:
         raise ShapeMismatch("module action first index != algebra dimension")
     act = mod.action

@@ -57,6 +57,7 @@ from itertools import product
 from operator import mul
 
 from .errors import ShapeMismatch
+from .exactnum import same_field
 from .linalg import (
     Matrix,
     Tensor3,
@@ -395,7 +396,7 @@ class _Eval:
     tables of their leaves."""
 
     def __init__(self, field):
-        self.zero, self.one = field.zero(), field.one()
+        self.field, self.zero, self.one = field, field.zero(), field.one()
         self._fns, self._tuples, self._tables, self._factors, self._fused = {}, {}, {}, {}, {}
 
     def view(self, term, memo=True):
@@ -433,10 +434,14 @@ class _Eval:
         return self._tuples[dims]
 
     def table(self, leaf, build):
-        """build(), once for every leaf of one kind, data and codomain."""
+        """build(), once for every leaf of one kind, data and codomain.  Every
+        leaf passes here, so a matrix or tensor over another field than the
+        check's raises MixedFields before it is read."""
         key = (id(leaf.data), type(leaf), leaf.cod)
         hit = self._tables.get(key)
         if hit is None:  # holding the data keeps its id from being reused
+            if leaf.field is not None:  # a plain vector carries no field
+                same_field("map terms", self.field, leaf.field)
             hit = self._tables[key] = (leaf.data, build())
         return hit[1]
 

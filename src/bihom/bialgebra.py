@@ -59,7 +59,7 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .exactnum import Field, same_field
+from .exactnum import Field
 from .linalg import (
     Matrix,
     MatrixPowers,
@@ -329,7 +329,6 @@ def check_module_bihom_algebra(
     h.(a a') = [alpha^-1(omega^-1(h1)) . a] [beta^-1(psi^-1(h2)) . a'],
     which needs all four structure maps of H bijective.
     """
-    same_field("module algebra", H.field, A.field, act.action.field)
     try:
         ainv = mat_inverse(H.alpha)
         binv = mat_inverse(H.beta)

@@ -135,7 +135,6 @@ def check_bihom_coalgebra(C: BiHomCoalgebra) -> CheckReport:
 
 
 def check_comodule(C: BiHomCoalgebra, M: Comodule) -> CheckReport:
-    same_field("comodule", C.field, M.rho.field, M.psiM.field, M.omegaM.field)
     if M.rho.d3 != C.dim:
         raise ShapeMismatch("coaction target coalgebra dimension")
     rho = Comul(M.rho)

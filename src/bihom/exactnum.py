@@ -8,10 +8,10 @@ Elements are plain immutable values:
 * Q(q)    -> RationalFunction, stored as q^k * N / D with N and D integer
              polynomials in lowest terms (see the class docstring)
 
-All three support ``+ - *`` via operator overloading, are falsy exactly
+All three support ``+ - * /`` via operator overloading, are falsy exactly
 when zero, and are hashable; a value equal to an int or a Fraction hashes
-like it.  Division goes through ``divide``, because ``/`` on two ints gives
-a float.  A field descriptor (``QQ``, ``PrimeField(p)``, ``QQ_Q``) supplies
+like it.  The package divides through ``divide``, because ``/`` on two
+ints gives a float.  A field descriptor (``QQ``, ``PrimeField(p)``, ``QQ_Q``) supplies
 zero/one, promotion from int, parsing and formatting; containers (matrices,
 tensors) carry the descriptor, elements do not need to be wrapped.
 
@@ -859,11 +859,13 @@ def _prime_field(p):
 
 
 def same_field(what, *fields) -> Field:
-    """The one field of an operation on several containers or structures.
+    """The one field of the operands of an operation; MixedFields if they
+    differ.
 
-    Every binary operation on matrices, tensors and structures checks its
-    operands here.  Entries cannot be checked one by one on the way: a Q
-    scalar may be an int, and F_p arithmetic accepts ints.
+    Fields are compared where containers meet: in mat_mul, kron, dense
+    bilinear_apply, the tensor products, and at every leaf the axiom engine
+    reads.  Entries cannot be checked one by one on the way: a Q scalar may
+    be an int, and F_p arithmetic accepts ints.
     """
     first = fields[0]
     for f in fields[1:]:

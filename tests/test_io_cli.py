@@ -585,19 +585,26 @@ class TestCli:
         assert captured.err == (
             f"error: {selfmod_f7}: declares field Fp:7, {kc4} declares field Q\n")
 
-    def test_mixed_fields_raise_in_the_library(self, tmp_path):
-        """The checks that take two structures compare their fields, so a
-        Q structure with int entries cannot pass against an F_7 one."""
+    def test_mixed_fields_raise_in_the_library(self):
+        """The axiom engine compares the field of every matrix and tensor it
+        reads, so a Q structure with int entries cannot pass against an F_7
+        one in a check that takes two structures."""
         from bihom import (
             SmashData,
+            adjoint_rep,
             check_comodule,
             check_left_module,
             check_module_bihom_algebra,
+            check_representation,
+            check_twisting_map,
+            flip_map,
             smash_product,
         )
         from bihom.algebra_core import LeftModule
         from bihom.coalgebra import regular_comodule
         from bihom.errors import MixedFields
+
+        from bihom.fixtures import sl2_lie
 
         F7 = PrimeField(7)
         H, H7 = cyclic_group_bialgebra(4), cyclic_group_bialgebra(4, F7)
@@ -606,15 +613,18 @@ class TestCli:
         mod7 = LeftModule(dim=4, action=A7.mu, alphaM=A7.alpha, betaM=A7.beta)
         comod7 = regular_comodule(H7.coalgebra_part())
         calls = [
-            ("left module", lambda: check_left_module(A, mod7)),
-            ("comodule", lambda: check_comodule(H.coalgebra_part(), comod7)),
-            ("module algebra", lambda: check_module_bihom_algebra(H7, A, act)),
-            ("module algebra", lambda: check_module_bihom_algebra(H, A7, act7)),
-            ("module algebra", lambda: SmashData(H=H7, A=A, action=act).validate()),
-            ("module algebra", lambda: smash_product(SmashData(H=H, A=A7, action=act7))),
+            lambda: check_left_module(A, mod7),
+            lambda: check_comodule(H.coalgebra_part(), comod7),
+            lambda: check_module_bihom_algebra(H7, A, act),
+            lambda: check_module_bihom_algebra(H, A7, act7),
+            lambda: SmashData(H=H7, A=A, action=act).validate(),
+            lambda: smash_product(SmashData(H=H, A=A7, action=act7)),
+            lambda: check_twisting_map(A, A7, flip_map(A, A7)),
+            lambda: check_twisting_map(A, A, flip_map(A7, A7)),
+            lambda: check_representation(sl2_lie(), adjoint_rep(sl2_lie(F7))),
         ]
-        for what, call in calls:
-            with pytest.raises(MixedFields, match=f"^{what} across fields$"):
+        for call in calls:
+            with pytest.raises(MixedFields, match="^map terms across fields$"):
                 call()
         assert check_module_bihom_algebra(H7, A7, act7).ok
 
