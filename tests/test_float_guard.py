@@ -47,7 +47,7 @@ from bihom import fixtures as fx
 from bihom.axioms import Term, images
 from bihom.coalgebra import regular_comodule
 from bihom.errors import BiHomError
-from bihom.exactnum import Field, RationalField
+from bihom.exactnum import QQ, Field, RationalField
 from bihom.io_cli import parse_structure
 from bihom.linalg import Matrix, Tensor3
 
@@ -60,7 +60,7 @@ def load(name):
 
 
 def ident(n):
-    return Matrix.identity(fx.QQ, n)
+    return Matrix.identity(QQ, n)
 
 
 def _bialgebras():
