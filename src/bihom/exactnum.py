@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import (
@@ -845,33 +844,45 @@ _SCALAR_FIELDS = {
 
 def field_of(x) -> Field:
     if isinstance(x, PrimeFieldElement):
-        return _prime_field(x.p)
+        return PrimeField(x.p)
     try:
         return _SCALAR_FIELDS[type(x)]
     except KeyError:
         raise MixedFields(f"{x!r} is not a supported scalar")
 
 
-@lru_cache(maxsize=64)
-def _prime_field(p):
-    """PrimeField(p) without a primality test on every scalar."""
-    return PrimeField(p)
-
-
 def same_field(what, *fields) -> Field:
     """The one field of the operands of an operation; MixedFields if they
     differ.
 
-    Fields are compared where containers meet: in mat_mul, kron, dense
-    bilinear_apply, the tensor products, and at every leaf the axiom engine
-    reads.  Entries cannot be checked one by one on the way: a Q scalar may
-    be an int, and F_p arithmetic accepts ints.
+    Fields are compared where containers meet: in mat_mul, kron, the tensor
+    products, and at every leaf the axiom engine reads.  Entries cannot be
+    checked one by one on the way: a Q scalar may be an int, and F_p
+    arithmetic accepts ints.
     """
     first = fields[0]
     for f in fields[1:]:
         if f != first:
             raise MixedFields(f"{what} across fields")
     return first
+
+
+def check_scalars(what, field, scalars):
+    """MixedFields unless every scalar is one of field.
+
+    A plain int is a scalar of every field, as every field's promote takes
+    it, so only F_p elements, Fractions and rational functions are checked.
+    """
+    for c in scalars:
+        t = type(c)
+        if t is int:
+            continue
+        if t is PrimeFieldElement:
+            if isinstance(field, PrimeField) and field.p == c.p:
+                continue
+        elif _SCALAR_FIELDS.get(t) == field:
+            continue
+        raise MixedFields(f"{what} across fields")
 
 
 def divide(a, b):

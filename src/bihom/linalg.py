@@ -9,7 +9,7 @@ heuristics because the arithmetic is exact.
 from __future__ import annotations
 
 from .errors import Inconsistent, NonUnique, ShapeMismatch, Singular
-from .exactnum import Field, divide, field_of, same_field
+from .exactnum import Field, check_scalars, divide, same_field
 
 # ---------------------------------------------------------------------------
 # vectors
@@ -455,7 +455,7 @@ def bilinear_apply(mu, x, y):
         field, d3, planes = mu.field, mu.d3, mu.t
         x = [((i,), a) for i, a in enumerate(x) if a]
         y = [((j,), b) for j, b in enumerate(y) if b]
-        same_field("bilinear map", field, *(field_of(c) for _, c in x + y))
+        check_scalars("bilinear map", field, (c for _, c in x + y))
         mu = {i: {j: [((k,), z) for k, z in enumerate(planes[i][j]) if z] for (j,), _ in y}
               for (i,), _ in x}
     out = {}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bihom.errors import Inconsistent, MixedFields, ShapeMismatch, Singular
-from bihom.exactnum import QQ, PrimeField, scalar_arith
+from bihom.exactnum import QQ, QQ_Q, PrimeField, scalar_arith
 from bihom.linalg import (
     Matrix,
     MatrixPowers,
@@ -229,9 +229,22 @@ class TestMixedFields:
         with pytest.raises(MixedFields, match="^bilinear map across fields$"):
             bilinear_apply(mu_q, [self.F7.one()], [self.F7.one()])
         with pytest.raises(MixedFields, match="^bilinear map across fields$"):
-            bilinear_apply(mu_f, [QQ.one()], [self.F7.one()])
+            bilinear_apply(mu_f, [Fraction(1, 2)], [self.F7.one()])
         assert bilinear_apply(mu_f, [self.F7.one()], [self.F7.from_int(3)]) == [
             self.F7.from_int(3), self.F7.from_int(3)]
+
+    def test_dense_bilinear_apply_takes_int_coordinates_in_any_field(self):
+        # an int is a scalar of every field, as each field's promote takes it
+        mu_f = Tensor3(self.F7, [[[1, 1]]])
+        assert bilinear_apply(mu_f, [QQ.one()], [3]) == [
+            self.F7.from_int(3), self.F7.from_int(3)]
+        mu_q = Tensor3(QQ_Q, [[[1, 1]]])
+        assert bilinear_apply(mu_q, [1], [2]) == [QQ_Q.from_int(2)] * 2
+        from bihom.fixtures import cyclic_group_bialgebra
+
+        kc4 = cyclic_group_bialgebra(4, self.F7)
+        assert kc4.multiply([1, 0, 0, 0], [0, 1, 0, 0]) == [
+            self.F7.from_int(v) for v in (0, 1, 0, 0)]
 
     def test_scalar_arith(self):
         with pytest.raises(MixedFields):
