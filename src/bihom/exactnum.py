@@ -856,8 +856,8 @@ def same_field(what, *fields) -> Field:
     differ.
 
     Fields are compared where containers meet: in mat_mul, kron, the tensor
-    products, and at every leaf the axiom engine reads.  Entries cannot be
-    checked one by one on the way: a Q scalar may be an int, and F_p
+    products, and at every leaf the axiom engine reads.  An entry that is an
+    int does not tell its field: a Q scalar may be an int, and F_p
     arithmetic accepts ints.
     """
     first = fields[0]
