@@ -300,6 +300,26 @@ def _worked_pseudotwistor():
     return D, alpha2, beta2
 
 
+# what check_twisting_map is swept over: R, both products, alpha_A and beta_B
+TWISTING_TARGETS = [(2, "R"), (0, "mu"), (1, "mu"), (0, "alpha"), (1, "beta")]
+
+
+def twisting_maps():
+    """(name, A, B, R) of every twisting map the corpus checks."""
+    H, act, g3, H2, A2, act2 = _kc4_smash_data()
+    B = H2.algebra_part()
+    a, b, alphaA, betaA, alphaB, betaB = _small_lift()
+    at, bt = yau_twist(a, alphaA, betaA), yau_twist(b, alphaB, betaB)
+    return [
+        ("smash_0_-1_-1", A2, B, smash_twisting_map(SmashData(H=H2, A=A2, action=act2))),
+        ("smash_1_0_2", A2, B, smash_twisting_map(SmashData(H=H2, A=A2, action=act2,
+                                                           m=1, n=0, p=2))),
+        ("flip_kc4", A2, B, flip_map(A2, B)),
+        ("lifted", at, bt, lift_twisting_map(a, b, flip_map(a, b), alphaA, betaA, alphaB,
+                                             betaB)),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the cases
 # ---------------------------------------------------------------------------
@@ -430,22 +450,15 @@ def _checks(out):
           [tensor_product(at, bt), ttp_pseudotwistor(at, bt, u)],
           [(1, "T"), (1, "T1tilde"), (1, "T2tilde"), (0, "mu")], k=2)
 
-    H, act, g3, H2, A2, act2 = _kc4_smash_data()
-    B = H2.algebra_part()
-    twisting = [
-        ("smash_0_-1_-1", A2, B, smash_twisting_map(SmashData(H=H2, A=A2, action=act2))),
-        ("smash_1_0_2", A2, B, smash_twisting_map(SmashData(H=H2, A=A2, action=act2,
-                                                           m=1, n=0, p=2))),
-        ("flip_kc4", A2, B, flip_map(A2, B)),
-        ("lifted", at, bt, u),
-    ]
+    twisting = twisting_maps()
     for name, A, Bb, tw in twisting:
         sweep(out, "check_twisting_map", check_twisting_map, QQ, name, [A, Bb, tw],
-              [(2, "R"), (0, "mu"), (1, "mu"), (0, "alpha"), (1, "beta")], k=4)
+              TWISTING_TARGETS, k=4)
     for name, A, Bb, tw in twisting:
         sweep(out, "helper_identity_witness", helper_identity_witness, QQ, name,
               [A, Bb, tw], [(2, "R")], k=4, encode=fmt_witness)
 
+    H, act, g3, H2, A2, act2 = _kc4_smash_data()
     base = SmashData(H=H2, A=A2, action=act2)
     out.append(record("smash_comodule_structure:kc4", "smash_comodule_structure", QQ,
                       lambda: smash_comodule_structure(base, ident(4), ident(4))[2]))

@@ -4,14 +4,41 @@ All generators take a random.Random instance so every test run is
 reproducible; structures come out exact over Q.
 """
 
+import importlib.util
+import os
 from fractions import Fraction
 
 from bihom.algebra_core import (
     BiHomAlgebra,
     truncated_polynomial_algebra,
 )
-from bihom.exactnum import QQ
+from bihom.exactnum import QQ, PrimeFieldElement
 from bihom.linalg import Matrix, Tensor3, mat_inverse, mat_mul
+
+
+def _bench_oracle():
+    """bench/oracle.py: arithmetic over plain Fractions and ints mod p,
+    written without bihom."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "oracle.py")
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _bench_oracle()
+
+
+def plain(sc, x):
+    """A matrix, tensor, vector or scalar of bihom as nested lists of the
+    oracle's scalars."""
+    if isinstance(x, Matrix):
+        return plain(sc, x.e)
+    if isinstance(x, Tensor3):
+        return plain(sc, x.t)
+    if isinstance(x, list):
+        return [plain(sc, y) for y in x]
+    return sc.norm(x.value if isinstance(x, PrimeFieldElement) else x)
 
 
 def rand_fraction(rng, lo=-4, hi=4, nonzero=False):
