@@ -50,44 +50,44 @@ class DegenerateParameter(BiHomError):
     """Parameter value excluded by the example family (b=1, a=0)."""
 
 
-class NotMultiplicative(BiHomError):
-    """A candidate twisting map fails multiplicativity; carries a witness."""
+class _Witnessed(BiHomError):
+    """An error that carries the witness of what failed."""
 
     def __init__(self, msg, witness=None):
         super().__init__(msg)
         self.witness = witness
 
 
-class NotComultiplicative(BiHomError):
-    def __init__(self, msg, witness=None):
+class _Reported(BiHomError):
+    """An error that carries the failing check report."""
+
+    def __init__(self, msg, report=None):
         super().__init__(msg)
-        self.witness = witness
+        self.report = report
 
 
-class NotBialgebraMap(BiHomError):
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+class NotMultiplicative(_Witnessed):
+    """A candidate twisting map fails multiplicativity."""
 
 
-class NotAutomorphism(BiHomError):
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+class NotComultiplicative(_Witnessed):
+    pass
 
 
-class MapsDoNotCommute(BiHomError):
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+class NotBialgebraMap(_Witnessed):
+    pass
 
 
-class NotClosed(BiHomError):
-    """A fixed subspace is not closed under the product; carries the pair."""
+class NotAutomorphism(_Witnessed):
+    pass
 
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+
+class MapsDoNotCommute(_Witnessed):
+    pass
+
+
+class NotClosed(_Witnessed):
+    """A fixed subspace is not closed under the product; the witness is the pair."""
 
 
 class MissingUnit(BiHomError):
@@ -98,36 +98,24 @@ class NotPrimitive(BiHomError):
     pass
 
 
-class HypothesisFailure(BiHomError):
-    """A stated hypothesis of a construction fails; carries a witness."""
-
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+class HypothesisFailure(_Witnessed):
+    """A stated hypothesis of a construction fails."""
 
 
 class ConditionFailure(HypothesisFailure):
     pass
 
 
-class ModuleAxiomFailure(BiHomError):
-    """A module action fails its axioms; carries the failing report."""
-
-    def __init__(self, msg, report=None):
-        super().__init__(msg)
-        self.report = report
+class ModuleAxiomFailure(_Reported):
+    """A module action fails its axioms."""
 
 
-class PseudotwistorInvalid(BiHomError):
-    def __init__(self, msg, report=None):
-        super().__init__(msg)
-        self.report = report
+class PseudotwistorInvalid(_Reported):
+    pass
 
 
-class TwistingMapInvalid(BiHomError):
-    def __init__(self, msg, report=None):
-        super().__init__(msg)
-        self.report = report
+class TwistingMapInvalid(_Reported):
+    pass
 
 
 class TruncationOverflow(BiHomError):
