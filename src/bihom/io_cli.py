@@ -371,9 +371,11 @@ def _same_field(path, value, other_path, other):
         )
 
 
-def _load_map(path):
-    """The matrix in a map file."""
-    return _load(path, want=("map",))[1]
+def _load_map(path, other_path, other):
+    """The matrix in a map file, over the field of other_path's structure."""
+    m = _load(path, want=("map",))[1]
+    _same_field(path, m, other_path, other)
+    return m
 
 
 def _write_out(value, kind, path, label):
@@ -442,7 +444,8 @@ def _cmd_check(args):
 def _cmd_twist(args):
     kind, value = _load(args.file, field_tag_expect=args.field)
     maps = (args.alpha, args.beta, args.psi, args.omega)
-    alpha, beta, psi, omega = [_load_map(path) if path else None for path in maps]
+    alpha, beta, psi, omega = [_load_map(path, args.file, value) if path else None
+                               for path in maps]
     if kind in ("algebra", "lie") and (alpha is None or beta is None):
         raise ParseError(f"{kind} twists need --alpha and --beta")
     if kind == "algebra":
@@ -472,6 +475,7 @@ def _cmd_tensor(args):
     k2, v2 = _load(args.files[1], field_tag_expect=args.field)
     if k1 != k2 or k1 not in ("algebra", "coalgebra"):
         raise ParseError("tensor products need two algebras or two coalgebras")
+    _same_field(args.files[1], v2, args.files[0], v1)
     if k1 == "algebra":
         out = tensor_product(v1, v2)
     else:
@@ -521,20 +525,20 @@ def _cmd_antipode(args):
             for row in _fmt(value.field, s):
                 print("  [" + ", ".join(row) + "]")
         return 0
-    s = _load_map(args.s)
+    s = _load_map(args.s, args.file, value)
     ok = _print_report("general antipode axioms", check_antipode_general(value, s), args)
     return 0 if ok else 1
 
 
 def _cmd_pseudotwistor(args):
     _, D = _load(args.file, want=("algebra",), field_tag_expect=args.field)
-    alpha2, beta2 = _load_map(args.alpha2), _load_map(args.beta2)
+    alpha2, beta2 = (_load_map(path, args.file, D) for path in (args.alpha2, args.beta2))
     if args.canonical:
         P = canonical_pseudotwistor(D, alpha2, beta2)
     else:
         if not (args.t and args.t1 and args.t2):
             raise ParseError("explicit pseudotwistors need --t, --t1 and --t2")
-        T, T1, T2 = [_load_map(path) for path in (args.t, args.t1, args.t2)]
+        T, T1, T2 = [_load_map(path, args.file, D) for path in (args.t, args.t1, args.t2)]
         P = Pseudotwistor(T=T, T1tilde=T1, T2tilde=T2, alpha2=alpha2, beta2=beta2)
     if args.pseudotwistor_cmd == "verify":
         ok = _print_report("pseudotwistor equations", check_pseudotwistor(D, P), args)
@@ -545,7 +549,8 @@ def _cmd_pseudotwistor(args):
 def _cmd_ttp(args):
     _, A = _load(args.files[0], want=("algebra",), field_tag_expect=args.field)
     _, B = _load(args.files[1], want=("algebra",), field_tag_expect=args.field)
-    R = _load_map(args.r)
+    _same_field(args.files[1], B, args.files[0], A)
+    R = _load_map(args.r, args.files[0], A)
     tw = TwistingMap(R=R, dimA=A.dim, dimB=B.dim)
     ok = _print_report("twisting map equations", check_twisting_map(A, B, tw), args)
     if not ok:

@@ -585,6 +585,27 @@ class TestCli:
         assert captured.err == (
             f"error: {selfmod_f7}: declares field Fp:7, {kc4} declares field Q\n")
 
+    @pytest.mark.parametrize("argv,f7,other", [
+        (["tensor", "family1.json", "F7", "--out", "OUT"], "family1.json", "family1.json"),
+        (["twist", "kc4_bialg.json", "--alpha", "F7", "--beta", "id4_map.json", "--psi",
+          "id4_map.json", "--omega", "id4_map.json", "--out", "OUT"], "kc4_g3_map.json",
+         "kc4_bialg.json"),
+        (["ttp", "family1.json", "family1.json", "--r", "F7", "--out", "OUT"], "id4_map.json",
+         "family1.json"),
+        (["antipode", "verify", "sweedler.json", "--s", "F7"], "sweedler_antipode.json",
+         "sweedler.json"),
+    ], ids=["tensor", "twist", "ttp", "antipode_verify"])
+    def test_file_over_another_field_exits_2(self, tmp_path, capsys, argv, f7, other):
+        """F7 stands for an F_7 copy of the fixture f7; the error names it."""
+        f7_path, out = self._over_f7(tmp_path, f7), tmp_path / "out.json"
+        names = {"F7": f7_path, "OUT": str(out)}
+        argv = [names.get(a) or (fixture_path(a) if a.endswith(".json") else a) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (f"error: {f7_path}: declares field Fp:7, "
+                                f"{fixture_path(other)} declares field Q\n")
+
     def test_mixed_fields_raise_in_the_library(self):
         """The axiom engine compares the field of every matrix and tensor it
         reads, so a Q structure with int entries cannot pass against an F_7
