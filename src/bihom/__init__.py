@@ -43,15 +43,7 @@ from .coalgebra import (
     underline_hom,
     yau_twist_coalgebra,
 )
-from .exactnum import (
-    QQ,
-    QQ_Q,
-    PrimeField,
-    RationalFunction,
-    q_integer,
-    rf_normalize,
-    scalar_arith,
-)
+from .exactnum import QQ, QQ_Q, PrimeField, RationalFunction, q_integer
 from .lie import (
     BiHomLieAlgebra,
     LieRepresentation,
@@ -63,7 +55,7 @@ from .lie import (
     semidirect_product,
     yau_twist_lie,
 )
-from .linalg import Matrix, Tensor3, bilinear_apply, kernel, mat_inverse, mat_mul
+from .linalg import Matrix, Tensor3, kernel, mat_inverse, mat_mul
 from .report import CheckReport
 from .smash import (
     SmashData,

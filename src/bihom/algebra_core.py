@@ -29,12 +29,14 @@ from .axioms import (
     Lin,
     Mul,
     Perm,
+    Vec,
     check,
     commutation,
     equivariant,
     first_failure,
     fixes,
     holds,
+    images,
     multiplicative,
     product_tensor,
     solve,
@@ -46,7 +48,6 @@ from .exactnum import Field, divide, same_field
 from .linalg import (
     Matrix,
     Tensor3,
-    bilinear_apply,
     kron,
     mat_inverse,
     mat_mul,
@@ -87,7 +88,7 @@ class BiHomAlgebra:
             raise ShapeMismatch("label count")
 
     def multiply(self, x, y):
-        return bilinear_apply(self.mu, x, y)
+        return images(Compose(Mul(self.mu), Kron(Vec(x), Vec(y))))[0]
 
     def same_tensors(self, other: "BiHomAlgebra") -> bool:
         """Exact structure-constant and structure-map equality."""
@@ -311,10 +312,7 @@ def fixed_subalgebra(a: BiHomAlgebra) -> tuple:
         lambda x: [fixes("alpha", a.alpha, x), fixes("beta", a.beta, x)], field, (d,)
     )
     r = len(basis)
-    basis_matrix = Matrix.zero(field, d, r)
-    for j, vec in enumerate(basis):
-        for i in range(d):
-            basis_matrix.e[i][j] = vec[i]
+    basis_matrix = Matrix.from_columns(field, basis) if r else Matrix.zero(field, d, 0)
 
     def coords(w):
         res = solve_affine(basis_matrix, w)
@@ -324,22 +322,17 @@ def fixed_subalgebra(a: BiHomAlgebra) -> tuple:
         assert not null, "subspace basis is linearly dependent"
         return x
 
-    mu_entries = []
-    for s in range(r):
-        plane = []
-        for t in range(r):
-            w = bilinear_apply(a.mu, basis[s], basis[t])
-            x = coords(w)
-            if x is None:
-                raise NotClosed(
-                    f"fixed subspace not closed at basis pair ({s}, {t})",
-                    witness=((s, t), w),
-                )
-            plane.append(x)
-        mu_entries.append(plane)
-    mu = (
-        Tensor3(field, mu_entries) if r else Tensor3.zero(field, 0, 0, 0)
-    )
+    # the products of basis pairs (s, t) in order, and their coordinates
+    cols = []
+    embed = Lin(basis_matrix)
+    for n, w in enumerate(images(Compose(Mul(a.mu), Kron(embed, embed)))):
+        x = coords(w)
+        if x is None:
+            s, t = divmod(n, r)
+            raise NotClosed(f"fixed subspace not closed at basis pair ({s}, {t})",
+                            witness=((s, t), w))
+        cols.append(x)
+    mu = Tensor3(field, [cols[s * r:(s + 1) * r] for s in range(r)])
     unit = None
     if a.unit is not None:
         unit = coords(a.unit)

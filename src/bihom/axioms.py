@@ -57,7 +57,7 @@ from itertools import product
 from operator import mul
 
 from .errors import ShapeMismatch
-from .exactnum import same_field
+from .exactnum import canonical, check_scalars, same_field
 from .linalg import (
     Matrix,
     Tensor3,
@@ -436,12 +436,15 @@ class _Eval:
     def table(self, leaf, build):
         """build(), once for every leaf of one kind, data and codomain.  Every
         leaf passes here, so a matrix or tensor over another field than the
-        check's raises MixedFields before it is read."""
+        check's, or a plain vector or covector with an entry of another
+        field, raises MixedFields before it is read."""
         key = (id(leaf.data), type(leaf), leaf.cod)
         hit = self._tables.get(key)
         if hit is None:  # holding the data keeps its id from being reused
-            if leaf.field is not None:  # a plain vector carries no field
+            if leaf.field is not None:
                 same_field("map terms", self.field, leaf.field)
+            else:  # a plain list carries no field: its entries tell theirs
+                check_scalars("map terms", self.field, leaf.data)
             hit = self._tables[key] = (leaf.data, build())
         return hit[1]
 
@@ -456,7 +459,7 @@ class _Eval:
         """The coordinate list of a value over the codomain."""
         out, flat = [self.zero] * _size(cod), _flat(cod)
         for w, x in value:
-            out[flat(w)] = x
+            out[flat(w)] = canonical(x)
         return out
 
 
@@ -591,7 +594,7 @@ def solve(table_of, field, shape):
     for j in range(n):
         for i, x in _add(defect(unit_vec(field, n, j))[1].items(), rhs.items()).items():
             if x:
-                a.e[i][j] = x
+                a.e[i][j] = canonical(x)
     res = solve_affine(a, b)
     if res is None:
         return None

@@ -44,6 +44,7 @@ from .axioms import (
     first_failure,
     fixes,
     holds,
+    images,
     multiplicative,
     solve,
     twisted_product,
@@ -64,7 +65,6 @@ from .linalg import (
     Matrix,
     MatrixPowers,
     Tensor3,
-    bilinear_apply,
     mat_eq_witness,
     mat_inverse,
     mat_mul,
@@ -117,7 +117,7 @@ class BiHomBialgebra:
         )
 
     def multiply(self, x, y):
-        return bilinear_apply(self.mu, x, y)
+        return images(Compose(Mul(self.mu), Kron(Vec(x), Vec(y))))[0]
 
     def same_tensors(self, other: "BiHomBialgebra") -> bool:
         return (

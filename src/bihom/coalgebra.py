@@ -39,6 +39,7 @@ from .axioms import (
     counit_law,
     coproduct_tensor,
     holds,
+    images,
     product_tensor,
     witness,
 )
@@ -191,16 +192,18 @@ def yau_twist_coalgebra(
     )
 
 
+def _transposed(term, dom, cod):
+    """The map dom -> cod whose matrix is the transpose of term's."""
+    return Lin(Matrix.from_columns(term.field, images(term)).transpose(), dom, cod)
+
+
 def dual_algebra(C: BiHomCoalgebra) -> BiHomAlgebra:
     """(C*, Delta^T, omega^T, psi^T); unital with unit eps when C is counital."""
     d = C.dim
-    mu = Tensor3.from_function(
-        C.field, d, d, d, lambda i, j: [C.delta.t[k][i][j] for k in range(d)]
-    )
     return BiHomAlgebra(
         field=C.field,
         dim=d,
-        mu=mu,
+        mu=product_tensor(_transposed(Comul(C.delta), (d, d), (d,))),
         alpha=C.omega.transpose(),
         beta=C.psi.transpose(),
         unit=list(C.counit) if C.counit is not None else None,
@@ -215,17 +218,10 @@ def dual_coalgebra(A: BiHomAlgebra) -> BiHomCoalgebra:
     the multiplication is a genuine comultiplication.
     """
     d = A.dim
-    delta = Tensor3.zero(A.field, d, d, d)
-    for i in range(d):
-        for j in range(d):
-            col = A.mu.t[i][j]
-            for k in range(d):
-                if col[k]:
-                    delta.t[k][i][j] = col[k]
     return BiHomCoalgebra(
         field=A.field,
         dim=d,
-        delta=delta,
+        delta=coproduct_tensor(_transposed(Mul(A.mu), (d,), (d, d))),
         psi=A.beta.transpose(),
         omega=A.alpha.transpose(),
         counit=list(A.unit) if A.unit is not None else None,

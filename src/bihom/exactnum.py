@@ -395,15 +395,6 @@ _RF_ONE = RationalFunction((1,), (1,), 0, True)
 RF_Q = RationalFunction.q_power(1)
 
 
-def rf_normalize(num, den) -> RationalFunction:
-    """gcd-reduce and make the denominator monic.
-
-    Inputs are coefficient sequences (low degree first).  Idempotent and
-    equality-deciding: equal functions get identical representations.
-    """
-    return RationalFunction(num, den)
-
-
 def q_integer(n) -> RationalFunction:
     """[n]_q = (q^n - q^-n) / (q - q^-1) as an element of Q(q)."""
     qn = RationalFunction.q_power(n)
@@ -564,9 +555,12 @@ _Q_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _FP_LITERAL = re.compile(r"\s*(-?\d+)\s*(?:mod\s*(\d+)\s*)?")
 
 
-def _rational(f):
-    """The Q scalar of a Fraction: its numerator when it is integral."""
-    return f.numerator if f.denominator == 1 else f
+def canonical(x):
+    """The stored form of a computed scalar: an integral Fraction becomes its
+    numerator, so that an integral Q value is always an int; any other scalar
+    is returned as it is.  Every entry the package computes and writes into a
+    matrix, tensor or vector goes through here."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 class RationalField(Field):
@@ -588,9 +582,9 @@ class RationalField(Field):
         if t is int:
             return x
         if t is Fraction:
-            return _rational(x)
+            return canonical(x)
         if isinstance(x, Fraction):
-            return _rational(Fraction(x))
+            return canonical(Fraction(x))
         if isinstance(x, int):  # bool and other int subclasses
             return int(x)
         raise MixedFields(f"cannot interpret {x!r} in Q")
@@ -602,7 +596,7 @@ class RationalField(Field):
         if not m:
             raise BadScalar(f"bad rational literal {text!r}")
         try:
-            return _rational(Fraction(int(m.group(1)), int(m.group(2) or 1)))
+            return canonical(Fraction(int(m.group(1)), int(m.group(2) or 1)))
         except (ValueError, ZeroDivisionError) as exc:  # too many digits, or n/0
             raise BadScalar(f"bad rational literal {text!r}: {exc}")
 
@@ -896,20 +890,4 @@ def divide(a, b):
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
-    q = a / b
-    return _rational(q) if type(q) is Fraction else q
-
-
-def scalar_arith(a, b, op: str):
-    """Exact field arithmetic on two scalars of the same field."""
-    if field_of(a) != field_of(b):
-        raise MixedFields(f"{a!r} and {b!r} live in different fields")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return divide(a, b)
-    raise ValueError(f"unknown op {op!r}")
+    return canonical(a / b)

@@ -33,21 +33,14 @@ from .axioms import (
     Zero,
     check,
     equivariant,
+    images,
     multiplicative,
     product_tensor,
     twisted_product,
 )
 from .errors import ModuleAxiomFailure, ShapeMismatch
 from .exactnum import Field
-from .linalg import (
-    Matrix,
-    Tensor3,
-    bilinear_apply,
-    mat_inverse,
-    mat_mul,
-    unit_vec,
-    zero_vec,
-)
+from .linalg import Matrix, Tensor3, mat_inverse, mat_mul
 from .report import CheckReport
 
 
@@ -69,9 +62,6 @@ class BiHomLieAlgebra:
         for m in (self.alpha, self.beta):
             if (m.rows, m.cols) != (d, d):
                 raise ShapeMismatch("structure map shape")
-
-    def br(self, x, y):
-        return bilinear_apply(self.bracket, x, y)
 
     def same_tensors(self, other: "BiHomLieAlgebra") -> bool:
         return (
@@ -205,48 +195,28 @@ def semidirect_product(L: BiHomLieAlgebra, rep: LieRepresentation) -> BiHomLieAl
     """
     field = L.field
     n, m = L.dim, rep.dim
-    p = mat_mul(mat_inverse(L.alpha), L.beta)  # alpha^-1 beta on L
-    q = mat_mul(rep.alphaM, mat_inverse(rep.betaM))  # alpha_M beta_M^-1 on M
+    p = Lin(mat_mul(mat_inverse(L.alpha), L.beta))  # alpha^-1 beta on L
+    q = Lin(mat_mul(rep.alphaM, mat_inverse(rep.betaM)))  # alpha_M beta_M^-1 on M
     d = n + m
+    # the embeddings of L and M into L (+) M, and the projections onto them
+    ident = Matrix.identity(field, d).e
+    inL, inM = Matrix(field, [row[:n] for row in ident]), Matrix(field, [row[n:] for row in ident])
+    iL, iM, pL, pM = Lin(inL), Lin(inM), Lin(inL.transpose()), Lin(inM.transpose())
+    rho = Mul(rep.rho)
+    bracket = Sum(
+        Sum(Compose(iL, Mul(L.bracket), Kron(pL, pL)), Compose(iM, rho, Kron(pL, pM))),
+        Neg(Compose(iM, rho, Kron(Compose(p, pL), Compose(q, pM)), Swap(d, d))),
+    )
 
-    def act(xvec, avec):
-        return bilinear_apply(rep.rho, xvec, avec)
-
-    def col(i, j):
-        out = zero_vec(field, d)
-        if i < n and j < n:
-            br = L.bracket.column(i, j)
-            for k in range(n):
-                out[k] = br[k]
-        elif i < n and j >= n:
-            b = unit_vec(field, m, j - n)
-            v = act(unit_vec(field, n, i), b)
-            for k in range(m):
-                out[n + k] = v[k]
-        elif i >= n and j < n:
-            avec = q.column(i - n)
-            v = act(p.column(j), avec)
-            for k in range(m):
-                out[n + k] = -v[k]
-        return out
-
-    bracket = Tensor3.from_function(field, d, d, d, col)
-
-    def direct_sum(m1, m2):
-        out = Matrix.zero(field, d, d)
-        for i in range(n):
-            for j in range(n):
-                out.e[i][j] = m1.e[i][j]
-        for i in range(m):
-            for j in range(m):
-                out.e[n + i][n + j] = m2.e[i][j]
-        return out
+    def direct_sum(mL, mM):
+        both = Sum(Compose(iL, Lin(mL), pL), Compose(iM, Lin(mM), pM))
+        return Matrix.from_columns(field, images(both))
 
     labels = list(L.labels) + [f"m{i}" for i in range(m)]
     return BiHomLieAlgebra(
         field=field,
         dim=d,
-        bracket=bracket,
+        bracket=product_tensor(bracket),
         alpha=direct_sum(L.alpha, rep.alphaM),
         beta=direct_sum(L.beta, rep.betaM),
         labels=labels,

@@ -9,7 +9,7 @@ heuristics because the arithmetic is exact.
 from __future__ import annotations
 
 from .errors import Inconsistent, NonUnique, ShapeMismatch, Singular
-from .exactnum import Field, check_scalars, divide, same_field
+from .exactnum import Field, canonical, divide, same_field
 
 # ---------------------------------------------------------------------------
 # vectors
@@ -28,11 +28,7 @@ def unit_vec(field, n, i):
 
 
 def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(v, c):
-    return [c * x for x in v]
+    return [canonical(a - b) for a, b in zip(u, v)]
 
 
 def vec_eq(u, v):
@@ -45,7 +41,7 @@ def vec_tensor(u, v, field):
     out = []
     for a in u:
         if a:
-            out.extend(a * b for b in v)
+            out.extend(canonical(a * b) for b in v)
         else:
             out.extend([z] * len(v))
     return out
@@ -119,21 +115,6 @@ class Matrix:
         out.e = [[self.e[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return out
 
-    def is_identity(self):
-        if self.rows != self.cols:
-            return False
-        one = self.field.one()
-        for i in range(self.rows):
-            for j in range(self.cols):
-                want = one if i == j else None
-                x = self.e[i][j]
-                if want is None:
-                    if x:
-                        return False
-                elif x != want:
-                    return False
-        return True
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -169,7 +150,7 @@ class Matrix:
                     y = e[i][j]
                     if y:
                         out[i] = out[i] + y * x
-        return out
+        return [canonical(y) for y in out]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -189,6 +170,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     y = brow[j]
                     if y:
                         orow[j] = orow[j] + x * y
+        oe[i] = [canonical(v) for v in orow]
     return out
 
 
@@ -218,7 +200,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 for l in range(b.cols):
                     y = b.e[k][l]
                     if y:
-                        out.e[i * b.rows + k][j * b.cols + l] = x * y
+                        out.e[i * b.rows + k][j * b.cols + l] = canonical(x * y)
     return out
 
 
@@ -248,7 +230,7 @@ def _rref(rows, ncols):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 ri, rr = rows[i], rows[r]
-                rows[i] = [ri[j] - f * rr[j] for j in range(len(ri))]
+                rows[i] = [canonical(ri[j] - f * rr[j]) for j in range(len(ri))]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -437,27 +419,11 @@ class Tensor3:
 
 
 def bilinear_apply(mu, x, y):
-    """Evaluate the bilinear map with structure constants mu on (x, y).
-
-    With mu a Tensor3 and x, y coordinate lists the result is a coordinate
-    list.  The sparse form, which the axiom engine uses, takes x and y as
-    lists of their nonzero ((i,), x_i) pairs and mu as the table with
-    mu[i][j] the nonzero ((k,), z) pairs of column (i, j); it returns the
-    nonzero ((k,), out_k) pairs.  Only products of nonzero entries are
-    formed.
-    """
-    dense = isinstance(mu, Tensor3)
-    if dense:
-        if len(x) != mu.d1 or len(y) != mu.d2:
-            raise ShapeMismatch(
-                f"bilinear map {mu.d1}x{mu.d2} applied to ({len(x)}, {len(y)})"
-            )
-        field, d3, planes = mu.field, mu.d3, mu.t
-        x = [((i,), a) for i, a in enumerate(x) if a]
-        y = [((j,), b) for j, b in enumerate(y) if b]
-        check_scalars("bilinear map", field, (c for _, c in x + y))
-        mu = {i: {j: [((k,), z) for k, z in enumerate(planes[i][j]) if z] for (j,), _ in y}
-              for (i,), _ in x}
+    """The bilinear map with structure constants mu on (x, y), as the axiom
+    engine evaluates a product: x and y are the lists of their nonzero
+    ((i,), x_i) pairs, mu[i][j] the nonzero ((k,), z) pairs of column (i, j),
+    and the result is the list of nonzero ((k,), out_k) pairs.  Only products
+    of nonzero entries are formed."""
     out = {}
     for (i,), a in x:
         row = mu[i]
@@ -466,9 +432,4 @@ def bilinear_apply(mu, x, y):
             for k, z in row[j]:
                 v = out.get(k)
                 out[k] = c * z if v is None else v + c * z
-    if not dense:
-        return [(k, v) for k, v in out.items() if v]
-    vec = zero_vec(field, d3)
-    for (k,), v in out.items():
-        vec[k] = v
-    return vec
+    return [(k, v) for k, v in out.items() if v]

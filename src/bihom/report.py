@@ -49,11 +49,11 @@ class CheckReport:
                 return e
         raise KeyError(axiom)
 
-    def format(self, fmt=str, verbose=False, witness_limit=None) -> str:
-        """Render as one PASS/FAIL line per axiom.
+    def format(self, verbose=False, witness_limit=None) -> str:
+        """Render as one PASS/FAIL line per axiom, scalars through str.
 
-        fmt formats a scalar/vector witness component; verbose includes
-        passing axioms; witness_limit caps the number of detailed failures.
+        verbose includes passing axioms; witness_limit caps the number of
+        detailed failures.
         """
         lines = []
         shown = 0
@@ -67,7 +67,7 @@ class CheckReport:
                 continue
             idx, lhs, rhs = e.witness
             lines.append(
-                f"FAIL {e.axiom} @ {idx}: lhs={_fmt_val(lhs, fmt)} rhs={_fmt_val(rhs, fmt)}"
+                f"FAIL {e.axiom} @ {idx}: lhs={_fmt_val(lhs)} rhs={_fmt_val(rhs)}"
             )
             shown += 1
         summary = "ALL PASS" if self.ok else f"{len(self.failures())} FAILED"
@@ -78,7 +78,7 @@ class CheckReport:
         return self.format(verbose=False)
 
 
-def _fmt_val(v, fmt):
+def _fmt_val(v):
     if isinstance(v, (list, tuple)):
-        return "(" + ", ".join(_fmt_val(x, fmt) for x in v) + ")"
-    return fmt(v)
+        return "(" + ", ".join(_fmt_val(x) for x in v) + ")"
+    return str(v)

@@ -75,9 +75,7 @@ def conjugate_algebra(a: BiHomAlgebra, g: Matrix) -> tuple:
         return mat_mul(ginv, mat_mul(m, g))
 
     def col(i, j):
-        from bihom.linalg import bilinear_apply
-
-        return ginv.apply(bilinear_apply(a.mu, g.column(i), g.column(j)))
+        return ginv.apply(a.multiply(g.column(i), g.column(j)))
 
     mu = Tensor3.from_function(a.field, a.dim, a.dim, a.dim, col)
     unit = ginv.apply(a.unit) if a.unit is not None else None
@@ -131,12 +129,10 @@ def _substitution_endo(rng, a: BiHomAlgebra, invertible):
     for k, c in enumerate(coeffs, start=1):
         if k < d:
             image[k] = QQ.promote(c)
-    from bihom.linalg import bilinear_apply
-
     power = [QQ.zero()] * d
     power[0] = QQ.one()
     for i in range(1, d):
-        power = bilinear_apply(a.mu, power, image)
+        power = a.multiply(power, image)
         for r in range(d):
             m.e[r][i] = power[r]
     return m
@@ -253,3 +249,14 @@ def random_bihom_algebra(rng, dim=None):
 def pairs(plane):
     """Nonzero (j, k, coeff) triples of a coefficient plane."""
     return [(j, k, x) for j, row in enumerate(plane) for k, x in enumerate(row) if x]
+
+
+def bilinear(t, x, y):
+    """sum_{i,j} x_i y_j t[i][j], the bilinear map with structure constants t
+    on two coordinate lists."""
+    out = [t.field.zero()] * t.d3
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b:
+                out = [o + a * b * z for o, z in zip(out, t.t[i][j])]
+    return out

@@ -23,6 +23,7 @@ from bihom.axioms import (
     counit_invariant,
     fixes,
     holds,
+    images,
     witness,
 )
 from bihom.exactnum import QQ, QQ_Q, PrimeField
@@ -136,7 +137,7 @@ def test_counit_invariant_witness_lists_every_basis_vector(field):
 
 
 # ---------------------------------------------------------------------------
-# bilinear_apply: list operands against the sparse form
+# bilinear_apply: the engine's product of plain lists against the sparse form
 # ---------------------------------------------------------------------------
 
 
@@ -164,7 +165,7 @@ def test_bilinear_apply_list_and_sparse_forms_agree(field):
     rng = random.Random(6)
     for _ in range(300):
         mu, x, y = random_case(rng, field)
-        dense = bilinear_apply(mu, x, y)
+        dense = images(Compose(Mul(mu), Kron(Vec(x), Vec(y))))[0]
         table = [[pairs(col) for col in plane] for plane in mu.t]
         sparse = bilinear_apply(table, pairs(x), pairs(y))
         assert all(c for _, c in sparse)

@@ -19,6 +19,7 @@ from bihom.exactnum import (
     PrimeFieldElement,
     RationalFunction,
     _is_prime,
+    check_scalars,
     divide,
     field_from_tag,
     field_of,
@@ -26,8 +27,6 @@ from bihom.exactnum import (
     format_qq_scalar,
     parse_qq_scalar,
     q_integer,
-    rf_normalize,
-    scalar_arith,
 )
 
 RF = RationalFunction
@@ -45,26 +44,26 @@ def rf(num, den=(1,)):
 
 class TestScalarArith:
     def test_rational_addition(self):
-        assert scalar_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
+        assert QQ.parse("1/2") + QQ.parse("1/3") == Fraction(5, 6)
 
     def test_inverse_of_q_minus_qinv(self):
         # 1/(q - q^-1) written as q/(q^2 - 1)
-        x = scalar_arith(QQ_Q.one(), RF.q_power(1) - RF.q_power(-1), "div")
+        x = divide(QQ_Q.one(), RF.q_power(1) - RF.q_power(-1))
         assert x.num == (0, 1)
         assert x.den == (-1, 0, 1)  # monic q^2 - 1
 
     def test_char_two(self):
-        assert scalar_arith(F2.one(), F2.one(), "add") == F2.zero()
+        assert F2.one() + F2.one() == F2.zero()
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(MixedFields):
-            scalar_arith(Fraction(1), F7.one(), "add")
+            check_scalars("sum", F7, [Fraction(1, 2)])
         with pytest.raises(MixedFields):
             F7.one() + PrimeField(5).one()
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
-            scalar_arith(Fraction(1), Fraction(0), "div")
+            divide(Fraction(1), Fraction(0))
         with pytest.raises(DivisionByZero):
             QQ_Q.one() / QQ_Q.zero()
         with pytest.raises(DivisionByZero):
@@ -118,47 +117,49 @@ class TestIntegralRationals:
         with pytest.raises(DivisionByZero, match=r"^3 / 0$"):
             divide(3, 0)
         with pytest.raises(DivisionByZero, match=r"^Fraction\(3, 1\) / 0$"):
-            scalar_arith(Fraction(3), Fraction(0), "div")
+            divide(Fraction(3), Fraction(0))
         with pytest.raises(DivisionByZero, match=r"^Fraction\(1, 2\) / 0$"):
             divide(Fraction(1, 2), 0)
         with pytest.raises(DivisionByZero, match=r"^3 mod 7 / 0$"):
             divide(F7.from_int(3), F7.zero())
 
     def test_mixed_fields_with_ints(self):
-        with pytest.raises(MixedFields, match="live in different fields"):
-            scalar_arith(QQ.from_int(1), F7.one(), "add")
-        with pytest.raises(MixedFields, match="live in different fields"):
-            scalar_arith(2, F7.from_int(3), "div")
+        # an int is a scalar of every field; any other scalar has one field
+        check_scalars("sum", F7, [QQ.from_int(1), 2, F7.from_int(3)])
+        with pytest.raises(MixedFields, match="^sum across fields$"):
+            check_scalars("sum", QQ, [QQ.from_int(1), F7.one()])
+        with pytest.raises(MixedFields, match="^sum across fields$"):
+            check_scalars("sum", F7, [2, PrimeField(5).one()])
 
 
 class TestRfNormalize:
     def test_factor_cancellation(self):
-        x = rf_normalize((-1, 0, 1), (-1, 1))  # (q^2-1)/(q-1)
+        x = RationalFunction((-1, 0, 1), (-1, 1))  # (q^2-1)/(q-1)
         assert x == rf((1, 1))  # q + 1
 
     def test_unit_cancellation_monic(self):
-        x = rf_normalize((0, 2), (2,))  # 2q / 2
+        x = RationalFunction((0, 2), (2,))  # 2q / 2
         assert x == rf((0, 1))
 
     def test_gcd_reduction(self):
         # (q^2-1)(q^3+q) / (q^2-1) -> q^3 + q
         num = RationalFunction((-1, 0, 1)) * RationalFunction((0, 1, 0, 1))
-        x = rf_normalize(num.num, (-1, 0, 1))
+        x = RationalFunction(num.num, (-1, 0, 1))
         assert x == rf((0, 1, 0, 1))
 
     def test_idempotent(self):
-        x = rf_normalize((2, 4), (4, 2))
-        y = rf_normalize(x.num, x.den)
+        x = RationalFunction((2, 4), (4, 2))
+        y = RationalFunction(x.num, x.den)
         assert x.num == y.num and x.den == y.den
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
-            rf_normalize((1,), ())
+            RationalFunction((1,), ())
 
     def test_equality_decision(self):
         # q/(q^2-1) and (2q)/(2q^2-2) get identical canonical forms
-        a = rf_normalize((0, 1), (-1, 0, 1))
-        b = rf_normalize((0, 2), (-2, 0, 2))
+        a = RationalFunction((0, 1), (-1, 0, 1))
+        b = RationalFunction((0, 2), (-2, 0, 2))
         assert a.num == b.num and a.den == b.den
 
 

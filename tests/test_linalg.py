@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from bihom.errors import Inconsistent, MixedFields, ShapeMismatch, Singular
-from bihom.exactnum import QQ, QQ_Q, PrimeField, scalar_arith
+from bihom.axioms import (
+    Compose, Comul, Kron, Lin, Mul, Vec, coproduct_tensor, images, twisted_product,
+)
+from bihom.exactnum import QQ, QQ_Q, PrimeField
 from bihom.linalg import (
     Matrix,
     MatrixPowers,
     Tensor3,
-    bilinear_apply,
     kernel,
     kron,
     mat_inverse,
@@ -27,6 +29,12 @@ from helpers import rand_fraction
 
 def M(rows):
     return Matrix(QQ, rows)
+
+
+def product(mu, x, y):
+    """The bilinear map with structure constants mu on two coordinate lists,
+    as the axiom engine evaluates it."""
+    return images(Compose(Mul(mu), Kron(Vec(x), Vec(y))))[0]
 
 
 class TestMatMul:
@@ -143,14 +151,14 @@ class TestSolve:
 class TestBilinear:
     def test_one_dimensional(self):
         mu = Tensor3(QQ, [[[1]]])
-        assert bilinear_apply(mu, [Fraction(2)], [Fraction(3)]) == [Fraction(6)]
+        assert product(mu, [Fraction(2)], [Fraction(3)]) == [Fraction(6)]
 
     def test_family_one_product_value(self):
         # mu1(e2, e2) = -a^2(b-2)/(b-1)^2 e1 + a e2 at a=3, b=2 gives 3 e2
         from bihom.algebra_core import example_family
 
         a = example_family(1, 3, 2)
-        out = bilinear_apply(a.mu, unit_vec(QQ, 2, 1), unit_vec(QQ, 2, 1))
+        out = a.multiply(unit_vec(QQ, 2, 1), unit_vec(QQ, 2, 1))
         assert out == [Fraction(0), Fraction(3)]
 
     def test_bilinearity_random(self):
@@ -165,17 +173,14 @@ class TestBilinear:
         x = [rand_fraction(rng) for _ in range(3)]
         x2 = [rand_fraction(rng) for _ in range(3)]
         y = [rand_fraction(rng) for _ in range(3)]
-        lhs = bilinear_apply(mu, [a + b for a, b in zip(x, x2)], y)
-        rhs = [
-            a + b
-            for a, b in zip(bilinear_apply(mu, x, y), bilinear_apply(mu, x2, y))
-        ]
+        lhs = product(mu, [a + b for a, b in zip(x, x2)], y)
+        rhs = [a + b for a, b in zip(product(mu, x, y), product(mu, x2, y))]
         assert vec_eq(lhs, rhs)
 
     def test_shape_mismatch(self):
         mu = Tensor3(QQ, [[[1]]])
         with pytest.raises(ShapeMismatch):
-            bilinear_apply(mu, [Fraction(1), Fraction(2)], [Fraction(1)])
+            product(mu, [Fraction(1), Fraction(2)], [Fraction(1)])
 
 
 class TestKronAndPowers:
@@ -224,28 +229,45 @@ class TestMixedFields:
             with pytest.raises(MixedFields, match="^kron across fields$"):
                 kron(a, b)
 
-    def test_dense_bilinear_apply(self):
+    def test_products_of_plain_vectors(self):
+        # a plain list carries no field, so the engine checks its entries
         mu_q, mu_f = Tensor3(QQ, [[[1, 1]]]), Tensor3(self.F7, [[[1, 1]]])
-        with pytest.raises(MixedFields, match="^bilinear map across fields$"):
-            bilinear_apply(mu_q, [self.F7.one()], [self.F7.one()])
-        with pytest.raises(MixedFields, match="^bilinear map across fields$"):
-            bilinear_apply(mu_f, [Fraction(1, 2)], [self.F7.one()])
-        assert bilinear_apply(mu_f, [self.F7.one()], [self.F7.from_int(3)]) == [
+        with pytest.raises(MixedFields, match="^map terms across fields$"):
+            product(mu_q, [self.F7.one()], [self.F7.one()])
+        with pytest.raises(MixedFields, match="^map terms across fields$"):
+            product(mu_f, [Fraction(1, 2)], [self.F7.one()])
+        assert product(mu_f, [self.F7.one()], [self.F7.from_int(3)]) == [
             self.F7.from_int(3), self.F7.from_int(3)]
+        from bihom.algebra_core import example_family
 
-    def test_dense_bilinear_apply_takes_int_coordinates_in_any_field(self):
+        with pytest.raises(MixedFields, match="^map terms across fields$"):
+            example_family(1, 3, 2).multiply([self.F7.one(), 0], [1, 0])
+
+    def test_products_take_int_coordinates_in_any_field(self):
         # an int is a scalar of every field, as each field's promote takes it
         mu_f = Tensor3(self.F7, [[[1, 1]]])
-        assert bilinear_apply(mu_f, [QQ.one()], [3]) == [
+        assert product(mu_f, [QQ.one()], [3]) == [
             self.F7.from_int(3), self.F7.from_int(3)]
         mu_q = Tensor3(QQ_Q, [[[1, 1]]])
-        assert bilinear_apply(mu_q, [1], [2]) == [QQ_Q.from_int(2)] * 2
+        assert product(mu_q, [1], [2]) == [QQ_Q.from_int(2)] * 2
         from bihom.fixtures import cyclic_group_bialgebra
 
         kc4 = cyclic_group_bialgebra(4, self.F7)
         assert kc4.multiply([1, 0, 0, 0], [0, 1, 0, 0]) == [
             self.F7.from_int(v) for v in (0, 1, 0, 0)]
 
-    def test_scalar_arith(self):
-        with pytest.raises(MixedFields):
-            scalar_arith(M([[1]]).e[0][0], Matrix(self.F7, [[1]]).e[0][0], "mul")
+    def test_computed_integral_entries_are_ints(self):
+        # Fraction arithmetic can give an integral Fraction; every container
+        # stores it as an int
+        half, two, m = M([[Fraction(1, 2)]]), M([[2]]), M([[2, 1], [0, 2]])
+        one_dim = Tensor3(QQ, [[[1]]])
+        tensors = [
+            mat_mul(half, two).e, mat_inverse(mat_inverse(m)).e, [half.apply([2])],
+            kron(half, two).e, twisted_product(one_dim, half, two).t[0],
+            coproduct_tensor(Compose(Kron(Lin(half), Lin(two)), Comul(one_dim))).t[0],
+            [product(one_dim, [Fraction(1, 2)], [2])], images(Lin(M([[Fraction(1, 2)]]))),
+            images(Compose(Lin(two), Lin(half))),
+        ]
+        entries = [x for rows in tensors for row in rows for x in row]
+        assert entries and all(type(x) is int or x.denominator != 1 for x in entries)
+        assert any(type(x) is int and x for x in entries)

@@ -8,13 +8,9 @@ import pytest
 
 import golden
 
-# Axioms no single-entry corruption can make fail, and why.
-CANNOT_FAIL = {
-    ("check_twisting_map", "sweedler_left_agrees"):
-        "compares two evaluations of one composite map, R_left_product's right side",
-    ("check_twisting_map", "sweedler_right_agrees"):
-        "compares two evaluations of one composite map, R_right_product's right side",
-}
+# Axioms no single-entry corruption can make fail, and why; an axiom that
+# cannot fail checks nothing, so this stays empty.
+CANNOT_FAIL = {}
 
 
 def _coverage():

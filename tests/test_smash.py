@@ -34,7 +34,7 @@ from bihom.smash import (
 )
 from bihom.twisting import check_twisting_map
 
-from helpers import pairs
+from helpers import bilinear, pairs
 
 
 def ident(n=4):
@@ -119,7 +119,7 @@ class TestSmashProduct:
         # (a # h)(a' # h') = a (betaH^-1 omegaH^-1(h1) . betaA^-1(a')) #
         # psiH^-1(h2) h', expanded per basis tuple without going through
         # the twisted-tensor-product construction
-        from bihom.linalg import bilinear_apply, mat_mul
+        from bihom.linalg import mat_mul
 
         H2, A2, act2 = twisted_fixture()
         d = smash_product(SmashData(H=H2, A=A2, action=act2))
@@ -134,7 +134,7 @@ class TestSmashProduct:
                     for h2 in range(4):
                         out = direct.t[a * 4 + h][a2 * 4 + h2]
                         for (u, v, c) in pairs(H2.delta.t[h]):
-                            inner = bilinear_apply(
+                            inner = bilinear(
                                 act2.action, binv_oinv.column(u), betaA_inv.column(a2)
                             )
                             first = A2.multiply(unit_vec(QQ, 4, a), inner)
@@ -173,8 +173,6 @@ class TestSmashProduct:
         powers = MatrixPowers(H2.alpha)
         aA_inv = mat_inverse(A2.alpha)
         halg = H2.algebra_part()
-        from bihom.linalg import bilinear_apply
-
         direct = Tensor3.zero(QQ, 16, 16, 16)
         for a in range(4):
             for h in range(4):
@@ -183,7 +181,7 @@ class TestSmashProduct:
                         src1, src2 = a * 4 + h, a2 * 4 + h2
                         out = direct.t[src1][src2]
                         for (u, v, c) in pairs(H2.delta.t[h]):
-                            acted = bilinear_apply(
+                            acted = bilinear(
                                 act2.action, powers(-2).column(u), aA_inv.column(a2)
                             )
                             first = A2.multiply(unit_vec(QQ, 4, a), acted)
@@ -209,8 +207,6 @@ class TestSmashProduct:
         d = smash_product(SmashData(H=H2, A=A2, action=act2))
         aA_inv = mat_inverse(A2.alpha)
         halg = H2.algebra_part()
-        from bihom.linalg import bilinear_apply
-
         direct = Tensor3.zero(QQ, 16, 16, 16)
         for a in range(4):
             for h in range(4):
@@ -219,7 +215,7 @@ class TestSmashProduct:
                         src1, src2 = a * 4 + h, a2 * 4 + h2
                         out = direct.t[src1][src2]
                         for (u, v, c) in pairs(H2.delta.t[h]):
-                            acted = bilinear_apply(
+                            acted = bilinear(
                                 act2.action, unit_vec(QQ, 4, u), aA_inv.column(a2)
                             )
                             first = A2.multiply(unit_vec(QQ, 4, a), acted)

@@ -240,7 +240,7 @@ class TestTtpPseudotwistor:
     def test_product_matches_displayed_formula(self):
         # independent oracle: (a (x) b)(a' (x) b') = a a'_R (x) b_R b',
         # expanded per basis tuple without going through the T matrix
-        from bihom.linalg import bilinear_apply, zero_vec
+        from bihom.linalg import zero_vec
 
         at, bt, u = self._small_pair()
         out = twisted_tensor_product(at, bt, u)
