@@ -86,16 +86,23 @@ def _flat(dims):
     return lambda t: sum(map(mul, t, strides))
 
 
-def _memoized(fn):
-    cache = {}
+class _Lazy(dict):
+    """A table whose value at a key is built by build(key) when first read;
+    _Lazy(fn).__getitem__ is fn memoized."""
 
-    def memo(t):
-        v = cache.get(t)
-        if v is None:
-            v = cache[t] = fn(t)
-        return v
+    def __init__(self, build):
+        self.build = build
 
-    return memo
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _pairs(col, tuples, one):
+    """The nonzero (basis tuple, coefficient) pairs of a coordinate list;
+    entries equal to 1 become the field's one object, so that products can
+    skip multiplying by it."""
+    return [(tuples[k], one if x == one else x) for k, x in enumerate(col) if x]
 
 
 def _add(a, b):
@@ -137,7 +144,8 @@ class _Columns(Term):
 
     def nonzero(self, ev):
         """The nonzero pairs of every column, in domain order."""
-        return ev.table(self, lambda: [ev.pairs(col, self.cod) for col in self._columns()])
+        tuples, one = ev.tuples(self.cod), ev.one
+        return ev.table(self, lambda: [_pairs(col, tuples, one) for col in self._columns()])
 
     def compile(self, ev, memo):
         table = self.nonzero(ev)
@@ -188,8 +196,11 @@ class Mul(_Columns):
         self.data, self.dom, self.cod = t, (t.d1, t.d2), (t.d3,)
 
     def nonzero(self, ev):
-        """[i][j] -> the nonzero pairs of t[i][j], as bilinear_apply takes it."""
-        return ev.table(self, lambda: [[ev.pairs(c, self.cod) for c in p] for p in self.data.t])
+        """[i][j] -> the nonzero pairs of t[i][j], as bilinear_apply takes it.
+        Row i is listed when first read, so that a product of two vectors
+        reads only the rows of its left factor's support."""
+        t, tuples, one = self.data.t, ev.tuples(self.cod), ev.one
+        return ev.table(self, lambda: _Lazy(lambda i: [_pairs(c, tuples, one) for c in t[i]]))
 
     def compile(self, ev, memo):
         table = self.nonzero(ev)
@@ -410,7 +421,7 @@ class _Eval:
         if fn is None:
             fn = term.compile(self, memo)
             if memo and term.cached:
-                fn = _memoized(fn)
+                fn = _Lazy(fn).__getitem__
             self._fns[key] = fn
         return fn
 
@@ -447,13 +458,6 @@ class _Eval:
                 check_scalars("map terms", self.field, leaf.data)
             hit = self._tables[key] = (leaf.data, build())
         return hit[1]
-
-    def pairs(self, col, cod):
-        """The nonzero (basis tuple, coefficient) pairs of a coordinate list;
-        entries equal to 1 become the field's one object, so that products
-        can skip multiplying by it."""
-        tuples, one = self.tuples(cod), self.one
-        return [(tuples[k], one if x == one else x) for k, x in enumerate(col) if x]
 
     def dense(self, value, cod):
         """The coordinate list of a value over the codomain."""

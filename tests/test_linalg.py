@@ -22,6 +22,8 @@ from bihom.linalg import (
     solve_unique,
     unit_vec,
     vec_eq,
+    vec_sub,
+    vec_tensor,
 )
 
 from helpers import rand_fraction
@@ -185,8 +187,6 @@ class TestBilinear:
 
 class TestKronAndPowers:
     def test_kron_applies_to_tensor_vectors(self):
-        from bihom.linalg import vec_tensor
-
         rng = random.Random(2)
         a = Matrix(QQ, [[rand_fraction(rng) for _ in range(2)] for _ in range(2)])
         b = Matrix(QQ, [[rand_fraction(rng) for _ in range(3)] for _ in range(3)])
@@ -265,8 +265,8 @@ class TestMixedFields:
             mat_mul(half, two).e, mat_inverse(mat_inverse(m)).e, [half.apply([2])],
             kron(half, two).e, twisted_product(one_dim, half, two).t[0],
             coproduct_tensor(Compose(Kron(Lin(half), Lin(two)), Comul(one_dim))).t[0],
-            [product(one_dim, [Fraction(1, 2)], [2])], images(Lin(M([[Fraction(1, 2)]]))),
-            images(Compose(Lin(two), Lin(half))),
+            [product(one_dim, [Fraction(1, 2)], [2])], images(Compose(Lin(two), Lin(half))),
+            [vec_sub([Fraction(3, 2)], [Fraction(1, 2)]), vec_tensor([Fraction(1, 2)], [2], QQ)],
         ]
         entries = [x for rows in tensors for row in rows for x in row]
         assert entries and all(type(x) is int or x.denominator != 1 for x in entries)
