@@ -324,8 +324,7 @@ def fixed_subalgebra(a: BiHomAlgebra) -> tuple:
 
     # the products of basis pairs (s, t) in order, and their coordinates
     cols = []
-    embed = Lin(basis_matrix)
-    for n, w in enumerate(images(Compose(Mul(a.mu), Kron(embed, embed)))):
+    for n, w in enumerate(images(Compose(Mul(a.mu), Kron(Lin(basis_matrix), Lin(basis_matrix))))):
         x = coords(w)
         if x is None:
             s, t = divmod(n, r)
