@@ -329,7 +329,8 @@ class Compose(_Binary):
             return lambda t: [(move(u), c) for u, c in inner(t)]
         if isinstance(f, Mul) and isinstance(g, Kron) and len(g.f.cod) == len(g.g.cod) == 1:
             table, left, right, n = f.nonzero(ev), ev.view(g.f), ev.view(g.g), len(g.f.dom)
-            return lambda t: bilinear_apply(table, left(t[:n]), right(t[n:]))
+            one = ev.one
+            return lambda t: bilinear_apply(table, left(t[:n]), right(t[n:]), one)
         inner, outer, one = ev.view(g, memo), ev.view(f), ev.one
 
         def sparse(t):  # f summed over the support of g(t)

@@ -836,15 +836,6 @@ _SCALAR_FIELDS = {
 }
 
 
-def field_of(x) -> Field:
-    if isinstance(x, PrimeFieldElement):
-        return PrimeField(x.p)
-    try:
-        return _SCALAR_FIELDS[type(x)]
-    except KeyError:
-        raise MixedFields(f"{x!r} is not a supported scalar")
-
-
 def same_field(what, *fields) -> Field:
     """The one field of the operands of an operation; MixedFields if they
     differ.

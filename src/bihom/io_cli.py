@@ -158,42 +158,54 @@ KINDS = (*LAYOUTS, "action", "map")
 # ---------------------------------------------------------------------------
 
 
-def _parse_scalar(field, text, path):
-    if not isinstance(text, str):
-        raise BadScalar(f"scalar must be a string, got {text!r}", path)
-    try:
-        return field.parse(text)
-    except BiHomError as exc:
-        raise BadScalar(str(exc), path)
+def _parse_scalars(field, data, path, memo):
+    """The scalars of one innermost list.  memo maps each literal already
+    read in this file to its value; a failure is never stored, and the path
+    of an entry is formatted only for its error."""
+    out = []
+    for i, text in enumerate(data):
+        if not isinstance(text, str):
+            raise BadScalar(f"scalar must be a string, got {text!r}", f"{path}[{i}]")
+        value = memo.get(text)
+        if value is None:
+            try:
+                value = memo[text] = field.parse(text)
+            except BiHomError as exc:
+                raise BadScalar(str(exc), f"{path}[{i}]")
+        out.append(value)
+    return out
 
 
 _NOUNS = (None, "entries", "rows", "planes")
 
 
-def _parse_array(field, data, shape, path):
+def _parse_array(field, data, shape, path, memo):
     """Nested lists of scalars with the given extents, checked level by level."""
     n = shape[0]
     if not isinstance(data, list) or len(data) != n:
         raise DimensionMismatch(f"expected {n} {_NOUNS[len(shape)]}", path)
     if len(shape) == 1:
-        return [_parse_scalar(field, x, f"{path}[{i}]") for i, x in enumerate(data)]
+        return _parse_scalars(field, data, path, memo)
     return [
-        _parse_array(field, x, shape[1:], f"{path}[{i}]") for i, x in enumerate(data)
+        _parse_array(field, x, shape[1:], f"{path}[{i}]", memo) for i, x in enumerate(data)
     ]
 
 
-def _parse_entry(field, data, shape, path):
+def _parse_entry(field, data, shape, path, memo):
     """A tensor, matrix or optional vector, by the length of its shape."""
     if len(shape) == 1:
-        return None if data is None else _parse_array(field, data, shape, path)
-    entries = _parse_array(field, data, shape, path)
+        return None if data is None else _parse_array(field, data, shape, path, memo)
+    entries = _parse_array(field, data, shape, path, memo)
     cls = Matrix if len(shape) == 2 else Tensor3
     # an empty matrix or tensor keeps the extents its entries cannot show
     return cls.zero(field, *shape) if 0 in shape else cls(field, entries)
 
 
 def parse_structure(text: str):
-    """Parse a structure file.  Returns (kind, value)."""
+    """Parse a structure file.  Returns (kind, value).
+
+    Each distinct scalar literal of the file is parsed once; its entries
+    share the value, as scalars are never changed in place."""
     if len(text) > MAX_FILE_BYTES:
         raise ParseError(f"text longer than {MAX_FILE_BYTES} characters")
     try:
@@ -211,12 +223,13 @@ def parse_structure(text: str):
         field = field_from_tag(obj.get("field", ""))
     except BiHomError as exc:
         raise BadScalar(str(exc), "field")
+    memo = {}
     if kind == "map":
         shape = (_get_dim(obj, "rows", MAX_DIM**3), _get_dim(obj, "cols", MAX_DIM**3))
-        return kind, _parse_entry(field, obj.get("entries"), shape, "entries")
+        return kind, _parse_entry(field, obj.get("entries"), shape, "entries", memo)
     if kind == "action":
-        return kind, _parse_action(field, obj)
-    return kind, _parse_body(LAYOUTS[kind], field, obj)
+        return kind, _parse_action(field, obj, memo)
+    return kind, _parse_body(LAYOUTS[kind], field, obj, memo)
 
 
 def _get_dim(obj, key="dim", limit=MAX_DIM):
@@ -237,13 +250,13 @@ def _labels(obj, d):
     return [str(x) for x in labels]
 
 
-def _parse_body(layout, field, obj):
+def _parse_body(layout, field, obj, memo):
     dims = {"dim": _get_dim(obj)}
     labels = _labels(obj, dims["dim"])
     for key in layout.dims:
         dims[key] = _get_dim(obj, key)
     kw = {
-        key: _parse_entry(field, obj.get(key), [dims[n] for n in names], key)
+        key: _parse_entry(field, obj.get(key), [dims[n] for n in names], key, memo)
         for key, names in layout.body
     }
     if layout.labeled:
@@ -251,7 +264,7 @@ def _parse_body(layout, field, obj):
     return layout.cls(dim=dims["dim"], **kw)
 
 
-def _parse_action(field, obj):
+def _parse_action(field, obj, memo):
     """An action file: a module algebra embedded under "algebra", plus the
     h_dim x dim x dim action tensor of the bialgebra on it."""
     _labels(obj, _get_dim(obj))
@@ -259,8 +272,8 @@ def _parse_action(field, obj):
     if not isinstance(alg, dict):
         raise ParseError("action files embed the module algebra", "algebra")
     h_dim = _get_dim(obj, "h_dim")
-    a = _parse_body(LAYOUTS["algebra"], field, alg)
-    action = _parse_entry(field, obj.get("action"), (h_dim, a.dim, a.dim), "action")
+    a = _parse_body(LAYOUTS["algebra"], field, alg, memo)
+    action = _parse_entry(field, obj.get("action"), (h_dim, a.dim, a.dim), "action", memo)
     return a, ModuleAlgebraAction(action=action)
 
 

@@ -418,18 +418,22 @@ class Tensor3:
         return f"Tensor3[{self.d1}x{self.d2}x{self.d3}]"
 
 
-def bilinear_apply(mu, x, y):
+def bilinear_apply(mu, x, y, one):
     """The bilinear map with structure constants mu on (x, y), as the axiom
     engine evaluates a product: x and y are the lists of their nonzero
     ((i,), x_i) pairs, mu[i][j] the nonzero ((k,), z) pairs of column (i, j),
     and the result is the list of nonzero ((k,), out_k) pairs.  Only products
-    of nonzero entries are formed."""
+    of nonzero entries are formed, and none by one: when a factor of x_i y_j
+    or of (x_i y_j) z is the field's one object, the other factor is taken
+    as the product."""
     out = {}
     for (i,), a in x:
         row = mu[i]
         for (j,), b in y:
-            c = a * b
+            c = b if a is one else a if b is one else a * b
             for k, z in row[j]:
+                if c is not one:
+                    z = c if z is one else c * z
                 v = out.get(k)
-                out[k] = c * z if v is None else v + c * z
+                out[k] = z if v is None else v + z
     return [(k, v) for k, v in out.items() if v]

@@ -1,6 +1,6 @@
 """The axiom engine on sparse values: cancellation, scalar and labelled
 witnesses, the sparse form of bilinear_apply, and Kronecker factors, over
-Q and F_7 (and Q(q) for the factors)."""
+Q and F_7 (and Q(q) for bilinear_apply and the factors)."""
 
 import random
 
@@ -26,11 +26,12 @@ from bihom.axioms import (
     images,
     witness,
 )
-from bihom.exactnum import QQ, QQ_Q, PrimeField
+from bihom.exactnum import QQ, QQ_Q, PrimeField, RationalFunction
 from bihom.linalg import Matrix, Tensor3, bilinear_apply, kron, mat_mul
 
 F7 = PrimeField(7)
 FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+ALL_FIELDS = pytest.mark.parametrize("field", [QQ, F7, QQ_Q], ids=["Q", "F7", "Qq"])
 
 
 def group_c2(field):
@@ -141,18 +142,37 @@ def test_counit_invariant_witness_lists_every_basis_vector(field):
 # ---------------------------------------------------------------------------
 
 
-def pairs(vec):
-    return [((i,), x) for i, x in enumerate(vec) if x]
+def pairs(vec, one):
+    """The nonzero pairs of vec, entries equal to 1 as the one object, as the
+    engine lists them."""
+    return [((i,), one if x == one else x) for i, x in enumerate(vec) if x]
+
+
+def scalars(field):
+    """The entries random_case draws: zeros and ones weigh most, as in the
+    tables of group algebras and their twists."""
+    out = [field.from_int(n) for n in (0, 0, 0, 1, 1, 1, -1, 2, 3)]
+    if field == QQ_Q:
+        q = RationalFunction.q_power(1)
+        out += [q, (q + 1) / (QQ_Q.one() - q)]
+    return out
 
 
 def random_case(rng, field):
     d1, d2, d3 = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+    choices = scalars(field)
 
     def entry():
-        return field.from_int(rng.choice([0, 0, 0, 1, -1, 2, 3]))
+        return rng.choice(choices)
+
+    def unit(k):
+        return [field.one() if m == k else field.zero() for m in range(d3)]
 
     mu = Tensor3.from_function(field, d1, d2, d3, lambda i, j: [entry() for _ in range(d3)])
-    mu.t[rng.randrange(d1)] = [[field.zero()] * d3 for _ in range(d2)]  # a zero row
+    rows = rng.sample(range(d1), min(d1, 2))
+    mu.t[rows[0]] = [unit(j % d3) for j in range(d2)]  # an identity-like row
+    if d1 > 1:
+        mu.t[rows[1]] = [[field.zero()] * d3 for _ in range(d2)]  # a zero row
     j = rng.randrange(d2)
     for plane in mu.t:  # a zero column
         plane[j] = [field.zero()] * d3
@@ -160,26 +180,39 @@ def random_case(rng, field):
     return mu, x, y
 
 
-@FIELDS
+@ALL_FIELDS
 def test_bilinear_apply_list_and_sparse_forms_agree(field):
-    rng = random.Random(6)
+    rng, one = random.Random(6), field.one()
     for _ in range(300):
         mu, x, y = random_case(rng, field)
         dense = images(Compose(Mul(mu), Kron(Vec(x), Vec(y))))[0]
-        table = [[pairs(col) for col in plane] for plane in mu.t]
-        sparse = bilinear_apply(table, pairs(x), pairs(y))
+        table = [[pairs(col, one) for col in plane] for plane in mu.t]
+        sparse = bilinear_apply(table, pairs(x, one), pairs(y, one), one)
         assert all(c for _, c in sparse)
-        assert dict(sparse) == dict(pairs(dense))
         expect = [sum((x[i] * y[j] * mu.t[i][j][k] for i in range(mu.d1) for j in range(mu.d2)),
                       field.zero()) for k in range(mu.d3)]
         assert dense == expect
+        assert dict(sparse) == {(k,): c for k, c in enumerate(expect) if c}
+
+
+def test_bilinear_apply_forms_no_product_by_one():
+    class One:
+        def __mul__(self, other):
+            raise AssertionError("multiplied by one")
+
+        __rmul__ = __mul__
+
+    one = One()
+    table = [[[((0,), one), ((1,), 5)]]]
+    for x, y in (([((0,), one)], [((0,), 3)]), ([((0,), 3)], [((0,), one)])):
+        assert bilinear_apply(table, x, y, one) == [((0,), 3), ((1,), 15)]
+    assert bilinear_apply(table, [((0,), one)], [((0,), one)], one) == [((0,), one), ((1,), 5)]
 
 
 # ---------------------------------------------------------------------------
 # Kronecker factors: Kron terms against their matrices, and fusing aligned composites
 # ---------------------------------------------------------------------------
 
-ALL_FIELDS = pytest.mark.parametrize("field", [QQ, F7, QQ_Q], ids=["Q", "F7", "Qq"])
 SQUARE, CUBE = (2, 2), (2, 2, 2)
 
 

@@ -22,7 +22,6 @@ from bihom.exactnum import (
     check_scalars,
     divide,
     field_from_tag,
-    field_of,
     field_tag,
     format_qq_scalar,
     parse_qq_scalar,
@@ -92,11 +91,6 @@ class TestIntegralRationals:
     def test_float_is_rejected(self):
         with pytest.raises(MixedFields, match=r"cannot interpret 6\.0 in Q"):
             QQ.promote(6.0)
-
-    def test_field_of_int_is_q(self):
-        assert field_of(3) == QQ and field_of(Fraction(1, 2)) == QQ
-        with pytest.raises(MixedFields):
-            field_of(True)
 
     @given(st.integers(-30, 30), st.integers(-30, 30).filter(bool))
     def test_divide_is_exact(self, a, b):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,10 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bihom import io_cli
-from bihom.algebra_core import example_family
+from bihom.algebra_core import check_bihom_algebra, example_family, tensor_product
 from bihom.bialgebra import ModuleAlgebraAction
 from bihom.errors import BadScalar, DimensionMismatch, ParseError
-from bihom.exactnum import QQ, QQ_Q, PrimeField, RationalFunction as RF
+from bihom.exactnum import (
+    QQ,
+    QQ_Q,
+    FunctionField,
+    PrimeField,
+    RationalField,
+    RationalFunction as RF,
+)
 from bihom.fixtures import (
     cyclic_group_bialgebra,
     cyclic_power_map,
@@ -150,6 +158,97 @@ class TestParseSerialize:
         assert (m.rows, m.cols) == (0, 2)
         assert json.loads(serialize_structure(m, kind)) == obj
         assert json.loads(serialize_structure(Matrix.zero(QQ, 0, 2), "map")) == obj
+
+
+def _literals(obj):
+    """Every scalar literal in the JSON of a structure file, in file order:
+    the strings in its arrays, other than the labels."""
+    if isinstance(obj, dict):
+        obj = [value for key, value in obj.items()
+               if key != "labels" and isinstance(value, (dict, list))]
+    return [x for value in obj for x in ([value] if isinstance(value, str) else _literals(value))]
+
+
+class TestParseMemo:
+    """parse_structure reads each distinct literal of a file once, and still
+    reports the first bad entry of the file at its own path."""
+
+    @pytest.mark.parametrize("name", SAMPLE_NAMES)
+    def test_each_distinct_literal_is_parsed_once(self, name, monkeypatch):
+        text = serialize_structure(*reversed(_sample_values()[name]))
+        seen = []
+        for cls in (RationalField, PrimeField, FunctionField):
+            def parse(self, literal, parse=cls.parse):
+                seen.append(literal)
+                return parse(self, literal)
+
+            monkeypatch.setattr(cls, "parse", parse)
+        parse_structure(text)
+        assert sorted(seen) == sorted(set(_literals(json.loads(text))))
+
+    def _check(self, tmp_path, capsys, edit):
+        obj = _fixture_json("kc4_bialg.json")
+        edit(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        rc = main(["check", str(bad)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return rc, captured.err
+
+    def test_bad_literal_after_good_repeats(self, tmp_path, capsys):
+        def edit(obj):
+            obj["mu"][3][3][3] = "1/0"
+
+        assert self._check(tmp_path, capsys, edit) == (
+            2, "error: mu[3][3][3]: bad rational literal '1/0': Fraction(1, 0)\n")
+
+    def test_first_bad_literal_is_reported_and_failures_are_not_kept(self, tmp_path, capsys):
+        def edit(obj):
+            obj["mu"][2][1][3] = obj["mu"][3][3][3] = obj["delta"][0][0][0] = "x"
+            obj["alpha"][0][0] = "1/0"
+
+        assert self._check(tmp_path, capsys, edit) == (
+            2, "error: mu[2][1][3]: bad rational literal 'x'\n")
+
+    def test_int_after_its_literal_is_not_a_scalar(self, tmp_path, capsys):
+        def edit(obj):
+            assert "0" in obj["mu"][0][0]
+            obj["mu"][3][3][0] = 0
+
+        assert self._check(tmp_path, capsys, edit) == (
+            2, "error: mu[3][3][0]: scalar must be a string, got 0\n")
+
+    @pytest.mark.parametrize("entry", [["1"], {"1": "0"}])
+    def test_unhashable_scalar_exits_2(self, entry, tmp_path, capsys):
+        def edit(obj):
+            obj["mu"][3][3][0] = entry
+
+        assert self._check(tmp_path, capsys, edit) == (
+            2, f"error: mu[3][3][0]: scalar must be a string, got {entry!r}\n")
+
+    def test_qq_file_checks_as_its_value_in_memory(self, tmp_path, capsys):
+        """A Q(q) algebra whose file repeats literals such as (1+q)/(1-q)
+        gives the report of the value it was written from, and so does a
+        copy with one entry bumped."""
+        q = RF.q_power(1)
+        a = example_family(1, (1 + q) / (1 - q), q, field=QQ_Q)
+        good = tensor_product(a, a)
+        bumped = dataclasses.replace(
+            good, mu=Tensor3(QQ_Q, [[list(v) for v in plane] for plane in good.mu.t]))
+        bumped.mu.t[3][3][3] += 1
+        codes = []
+        for value in (good, bumped):
+            path = tmp_path / "qq.json"
+            path.write_text(serialize_structure(value, "algebra") + "\n")
+            literals = _literals(json.loads(path.read_text())["mu"])
+            assert max(literals.count(x) for x in literals if "q" in x) > 1
+            report = check_bihom_algebra(value)
+            codes.append(main(["check", str(path)]))
+            assert capsys.readouterr().out == (
+                f"== BiHom-associative algebra axioms\n{report.format()}\n")
+            assert codes[-1] == (0 if report.ok else 1)
+        assert codes == [0, 1]
 
 
 class TestCli:
