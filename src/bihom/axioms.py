@@ -145,7 +145,8 @@ class _Columns(Term):
     def nonzero(self, ev):
         """The nonzero pairs of every column, in domain order."""
         tuples, one = ev.tuples(self.cod), ev.one
-        return ev.table(self, lambda: [_pairs(col, tuples, one) for col in self._columns()])
+        return ev.table(self, lambda data: [_pairs(col, tuples, one)
+                                            for col in self._columns(data)])
 
     def compile(self, ev, memo):
         table = self.nonzero(ev)
@@ -165,8 +166,9 @@ class Lin(_Columns):
         if _size(self.dom) != m.cols or _size(self.cod) != m.rows:
             raise ShapeMismatch(f"{m.rows}x{m.cols} matrix as a map {self.dom} -> {self.cod}")
 
-    def _columns(self):
-        return list(zip(*self.data.e)) or [()] * self.data.cols
+    @staticmethod
+    def _columns(m):
+        return list(zip(*m.e)) or [()] * m.cols
 
 
 class Vec(_Columns):
@@ -175,8 +177,9 @@ class Vec(_Columns):
     def __init__(self, v):
         self.data, self.dom, self.cod = v, (), (len(v),)
 
-    def _columns(self):
-        return [self.data]
+    @staticmethod
+    def _columns(v):
+        return [v]
 
 
 class Covec(_Columns):
@@ -185,8 +188,9 @@ class Covec(_Columns):
     def __init__(self, c):
         self.data, self.dom, self.cod = c, (len(c),), ()
 
-    def _columns(self):
-        return [[x] for x in self.data]
+    @staticmethod
+    def _columns(c):
+        return [[x] for x in c]
 
 
 class Mul(_Columns):
@@ -199,8 +203,8 @@ class Mul(_Columns):
         """[i][j] -> the nonzero pairs of t[i][j], as bilinear_apply takes it.
         Row i is listed when first read, so that a product of two vectors
         reads only the rows of its left factor's support."""
-        t, tuples, one = self.data.t, ev.tuples(self.cod), ev.one
-        return ev.table(self, lambda: _Lazy(lambda i: [_pairs(c, tuples, one) for c in t[i]]))
+        tuples, one = ev.tuples(self.cod), ev.one
+        return ev.table(self, lambda t: _Lazy(lambda i: [_pairs(c, tuples, one) for c in t.t[i]]))
 
     def compile(self, ev, memo):
         table = self.nonzero(ev)
@@ -213,8 +217,9 @@ class Comul(_Columns):
     def __init__(self, t):
         self.data, self.dom, self.cod = t, (t.d1,), (t.d2, t.d3)
 
-    def _columns(self):
-        return [[x for row in plane for x in row] for plane in self.data.t]
+    @staticmethod
+    def _columns(t):
+        return [[x for row in plane for x in row] for plane in t.t]
 
 
 class Perm(Term):
@@ -446,18 +451,23 @@ class _Eval:
         return self._tuples[dims]
 
     def table(self, leaf, build):
-        """build(), once for every leaf of one kind, data and codomain.  Every
-        leaf passes here, so a matrix or tensor over another field than the
-        check's, or a plain vector or covector with an entry of another
-        field, raises MixedFields before it is read."""
+        """build(data), once for every leaf of one kind, data and codomain.
+        Every leaf passes here, so a matrix or tensor over another field than
+        the check's, or a plain vector or covector with an entry of another
+        field, raises MixedFields before it is read.  A plain list's entries
+        are promoted into the field first: an int coordinate over F_p or Q(q)
+        becomes a field element, so a product that skips a factor equal to
+        one still gives a reduced value of the field."""
         key = (id(leaf.data), type(leaf), leaf.cod)
         hit = self._tables.get(key)
         if hit is None:  # holding the data keeps its id from being reused
+            data = leaf.data
             if leaf.field is not None:
                 same_field("map terms", self.field, leaf.field)
             else:  # a plain list carries no field: its entries tell theirs
-                check_scalars("map terms", self.field, leaf.data)
-            hit = self._tables[key] = (leaf.data, build())
+                check_scalars("map terms", self.field, data)
+                data = [self.field.promote(x) for x in data]
+            hit = self._tables[key] = (leaf.data, build(data))
         return hit[1]
 
     def dense(self, value, cod):
