@@ -53,7 +53,6 @@ from .linalg import (
     mat_mul,
     solve_affine,
     unit_vec,
-    vec_eq,
     vec_tensor,
 )
 from .report import CheckReport
@@ -63,8 +62,67 @@ def _default_labels(prefix, n):
     return [f"{prefix}{i}" for i in range(n)]
 
 
+def _extents(x):
+    if isinstance(x, Tensor3):
+        return (x.d1, x.d2, x.d3)
+    if isinstance(x, Matrix):
+        return (x.rows, x.cols)
+    return (len(x),)
+
+
+# the extents of a vector, a map and a tensor on the space itself
+VECTOR, MAP, TENSOR = ("dim",), ("dim", "dim"), ("dim", "dim", "dim")
+
+
+class Shaped:
+    """A space of dimension dim with its structure tensors and maps.
+
+    A subclass declares its containers once, in SHAPE: the field names in
+    file order, each with the names of its extents, three for a Tensor3,
+    two for a Matrix and one for a vector, which may be None.  The extent
+    "dim" is the space's own dimension; any other name is free, as the
+    dimension of an acting algebra is, but the same in every container.
+    LABELS is the prefix of the default basis labels, or None for a class
+    that keeps no field and no labels.
+    """
+
+    SHAPE = ()
+    LABELS = None
+
+    def __post_init__(self):
+        if self.LABELS is not None:
+            if not self.labels:
+                self.labels = _default_labels(self.LABELS, self.dim)
+            if len(self.labels) != self.dim:
+                raise ShapeMismatch(f"{len(self.labels)} labels for dimension {self.dim}")
+        self.extents()
+
+    def extents(self) -> dict:
+        """Each named extent, "dim" first; raises ShapeMismatch where a
+        container disagrees with dim or with another container."""
+        named = {"dim": self.dim}
+        for key, names in self.SHAPE:
+            x = getattr(self, key)
+            if x is None and len(names) == 1:
+                continue
+            found = _extents(x)
+            if len(found) != len(names) or any(
+                named.setdefault(n, e) != e for n, e in zip(names, found)
+            ):
+                raise ShapeMismatch(f"{key} has extents {found}, not {names} = "
+                                    f"{tuple(named.get(n) for n in names)}")
+        return named
+
+    def same_tensors(self, other) -> bool:
+        """Exact equality of the dimension and every container; the labels
+        may differ."""
+        return self.dim == other.dim and all(
+            getattr(self, key) == getattr(other, key) for key, _ in self.SHAPE
+        )
+
+
 @dataclass
-class BiHomAlgebra:
+class BiHomAlgebra(Shaped):
     field: Field
     dim: int
     mu: Tensor3
@@ -73,39 +131,15 @@ class BiHomAlgebra:
     unit: Optional[list] = None
     labels: list = dc_field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.labels:
-            self.labels = _default_labels("e", self.dim)
-        d = self.dim
-        if (self.mu.d1, self.mu.d2, self.mu.d3) != (d, d, d):
-            raise ShapeMismatch("multiplication tensor shape")
-        for m in (self.alpha, self.beta):
-            if (m.rows, m.cols) != (d, d):
-                raise ShapeMismatch("structure map shape")
-        if self.unit is not None and len(self.unit) != d:
-            raise ShapeMismatch("unit vector length")
-        if len(self.labels) != d:
-            raise ShapeMismatch("label count")
+    SHAPE = (("mu", TENSOR), ("alpha", MAP), ("beta", MAP), ("unit", VECTOR))
+    LABELS = "e"
 
     def multiply(self, x, y):
         return images(Compose(Mul(self.mu), Kron(Vec(x), Vec(y))))[0]
 
-    def same_tensors(self, other: "BiHomAlgebra") -> bool:
-        """Exact structure-constant and structure-map equality."""
-        units_equal = (self.unit is None) == (other.unit is None) and (
-            self.unit is None or vec_eq(self.unit, other.unit)
-        )
-        return (
-            self.dim == other.dim
-            and self.mu == other.mu
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-            and units_equal
-        )
-
 
 @dataclass
-class LeftModule:
+class LeftModule(Shaped):
     """A left module (M, alpha_M, beta_M) over a BiHom-associative algebra.
 
     action[i][j] is the coordinate vector of e_i . m_j.
@@ -116,12 +150,7 @@ class LeftModule:
     alphaM: Matrix
     betaM: Matrix
 
-    def __post_init__(self):
-        if (self.action.d2, self.action.d3) != (self.dim, self.dim):
-            raise ShapeMismatch("module action tensor shape")
-        for m in (self.alphaM, self.betaM):
-            if (m.rows, m.cols) != (self.dim, self.dim):
-                raise ShapeMismatch("module map shape")
+    SHAPE = (("action", ("algebra_dim", "dim", "dim")), ("alphaM", MAP), ("betaM", MAP))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@ from itertools import product
 from typing import Optional
 
 from .algebra_core import (
+    MAP,
+    TENSOR,
+    VECTOR,
     BiHomAlgebra,
     LeftModule,
-    _default_labels,
+    Shaped,
     _require_pairwise_commuting,
     check_bihom_algebra,
     check_left_module,
@@ -75,7 +78,7 @@ from .report import CheckReport
 
 
 @dataclass
-class BiHomBialgebra:
+class BiHomBialgebra(Shaped):
     field: Field
     dim: int
     mu: Tensor3
@@ -88,42 +91,22 @@ class BiHomBialgebra:
     counit: Optional[list] = None
     labels: list = dc_field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.labels:
-            self.labels = _default_labels("h", self.dim)
-        self.algebra_part()  # shape validation via the component constructors
-        self.coalgebra_part()
+    SHAPE = (("mu", TENSOR), ("delta", TENSOR), ("alpha", MAP), ("beta", MAP),
+             ("psi", MAP), ("omega", MAP), ("unit", VECTOR), ("counit", VECTOR))
+    LABELS = "h"
+
+    def _part(self, cls):
+        """The algebra or coalgebra on the same space and labels."""
+        kw = {key: getattr(self, key) for key, _ in cls.SHAPE}
+        return cls(field=self.field, dim=self.dim, labels=list(self.labels), **kw)
 
     def algebra_part(self) -> BiHomAlgebra:
-        return BiHomAlgebra(
-            field=self.field,
-            dim=self.dim,
-            mu=self.mu,
-            alpha=self.alpha,
-            beta=self.beta,
-            unit=self.unit,
-            labels=list(self.labels),
-        )
+        return self._part(BiHomAlgebra)
 
     def coalgebra_part(self) -> BiHomCoalgebra:
-        return BiHomCoalgebra(
-            field=self.field,
-            dim=self.dim,
-            delta=self.delta,
-            psi=self.psi,
-            omega=self.omega,
-            counit=self.counit,
-            labels=list(self.labels),
-        )
+        return self._part(BiHomCoalgebra)
 
-    def multiply(self, x, y):
-        return images(Compose(Mul(self.mu), Kron(Vec(x), Vec(y))))[0]
-
-    def same_tensors(self, other: "BiHomBialgebra") -> bool:
-        return (
-            self.algebra_part().same_tensors(other.algebra_part())
-            and self.coalgebra_part().same_tensors(other.coalgebra_part())
-        )
+    multiply = BiHomAlgebra.multiply
 
 
 @dataclass
@@ -227,19 +210,8 @@ def yau_twist_bialgebra(
 
     alg = yau_twist(H.algebra_part(), alpha2, beta2)
     coalg = yau_twist_coalgebra(H.coalgebra_part(), psi2, omega2)
-    return BiHomBialgebra(
-        field=H.field,
-        dim=H.dim,
-        mu=alg.mu,
-        delta=coalg.delta,
-        alpha=alg.alpha,
-        beta=alg.beta,
-        psi=coalg.psi,
-        omega=coalg.omega,
-        unit=alg.unit,
-        counit=coalg.counit,
-        labels=list(H.labels),
-    )
+    kw = {key: getattr(part, key) for part in (alg, coalg) for key, _ in part.SHAPE}
+    return BiHomBialgebra(field=H.field, dim=H.dim, labels=list(H.labels), **kw)
 
 
 # ---------------------------------------------------------------------------

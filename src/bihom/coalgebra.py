@@ -12,8 +12,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .algebra_core import (
+    MAP,
+    TENSOR,
+    VECTOR,
     BiHomAlgebra,
-    _default_labels,
+    Shaped,
     _require_pairwise_commuting,
     fixed_subalgebra,
 )
@@ -49,14 +52,13 @@ from .linalg import (
     Tensor3,
     kron,
     mat_mul,
-    vec_eq,
     vec_tensor,
 )
 from .report import CheckReport
 
 
 @dataclass
-class BiHomCoalgebra:
+class BiHomCoalgebra(Shaped):
     field: Field
     dim: int
     delta: Tensor3
@@ -65,33 +67,12 @@ class BiHomCoalgebra:
     counit: Optional[list] = None
     labels: list = dc_field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.labels:
-            self.labels = _default_labels("c", self.dim)
-        d = self.dim
-        if (self.delta.d1, self.delta.d2, self.delta.d3) != (d, d, d):
-            raise ShapeMismatch("comultiplication tensor shape")
-        for m in (self.psi, self.omega):
-            if (m.rows, m.cols) != (d, d):
-                raise ShapeMismatch("structure map shape")
-        if self.counit is not None and len(self.counit) != d:
-            raise ShapeMismatch("counit covector length")
-
-    def same_tensors(self, other: "BiHomCoalgebra") -> bool:
-        counits_equal = (self.counit is None) == (other.counit is None) and (
-            self.counit is None or vec_eq(self.counit, other.counit)
-        )
-        return (
-            self.dim == other.dim
-            and self.delta == other.delta
-            and self.psi == other.psi
-            and self.omega == other.omega
-            and counits_equal
-        )
+    SHAPE = (("delta", TENSOR), ("psi", MAP), ("omega", MAP), ("counit", VECTOR))
+    LABELS = "c"
 
 
 @dataclass
-class Comodule:
+class Comodule(Shaped):
     """A right C-comodule: coaction rho(m_i) = sum rho[i][j][k] m_j (x) c_k."""
 
     dim: int
@@ -99,12 +80,7 @@ class Comodule:
     psiM: Matrix
     omegaM: Matrix
 
-    def __post_init__(self):
-        if self.rho.d1 != self.dim or self.rho.d2 != self.dim:
-            raise ShapeMismatch("coaction tensor shape")
-        for m in (self.psiM, self.omegaM):
-            if (m.rows, m.cols) != (self.dim, self.dim):
-                raise ShapeMismatch("comodule map shape")
+    SHAPE = (("rho", ("dim", "dim", "coalgebra_dim")), ("psiM", MAP), ("omegaM", MAP))
 
 
 # ---------------------------------------------------------------------------

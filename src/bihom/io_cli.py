@@ -7,9 +7,12 @@ shared literal grammar; tensors are nested arrays indexed [i][j][k] with
 mu[i][j][k] the coefficient of e_k in e_i e_j and delta[i][j][k] the
 coefficient of e_j (x) e_k in Delta(e_i).
 
-``LAYOUTS`` is the one place each structure kind's keys are defined:
-parsing, serialization, ``check`` and the output re-check of every
-construction read it.  Only ``action`` and ``map`` files are laid out by hand.
+Each structure class declares its keys once, in its ``SHAPE`` and
+``LABELS`` (``algebra_core.Shaped``); ``LAYOUTS`` maps each kind to its class
+and check, and parsing, serialization, ``check`` and the output re-check of
+every construction read them.  Only ``action`` and ``map`` files are laid out
+by hand; an action file embeds an algebra object, whose paths in errors
+carry the prefix ``algebra.``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebra_core import (
     BiHomAlgebra,
@@ -85,69 +87,19 @@ MAX_DIM = 64
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """How one structure dataclass is laid out in a file.
-
-    After "dim" (and "labels" for the classes that carry them) come the
-    extra dimension keys, then the body keys in file order.  Each body key
-    names the dimension keys it spans: three for a tensor, two for a
-    matrix, one for an optional vector (null in the file when absent).
-    """
-
-    cls: type
-    dims: tuple
-    body: tuple
-    # (report title, check); the check names its function at call time, so
-    # that a profiler or tracer that rebinds the module global sees the call
-    check: tuple = None
-
-    @property
-    def labeled(self):
-        """Whether the class stores its own field and basis labels."""
-        return "labels" in self.cls.__dataclass_fields__
-
-
-_V = ("dim",)
-_VV = ("dim", "dim")
-_VVV = ("dim", "dim", "dim")
-
+# kind -> (class, check): the class declares the file keys (``Shaped``);
+# the check, (report title, function) or None, names its function at call
+# time, so that a profiler or tracer that rebinds the module global sees it
 LAYOUTS = {
-    "algebra": _Layout(
-        BiHomAlgebra,
-        (),
-        (("mu", _VVV), ("alpha", _VV), ("beta", _VV), ("unit", _V)),
-        ("BiHom-associative algebra axioms", lambda s: check_bihom_algebra(s)),
-    ),
-    "coalgebra": _Layout(
-        BiHomCoalgebra,
-        (),
-        (("delta", _VVV), ("psi", _VV), ("omega", _VV), ("counit", _V)),
-        ("BiHom-coassociative coalgebra axioms", lambda s: check_bihom_coalgebra(s)),
-    ),
-    "bialgebra": _Layout(
-        BiHomBialgebra,
-        (),
-        (("mu", _VVV), ("delta", _VVV), ("alpha", _VV), ("beta", _VV),
-         ("psi", _VV), ("omega", _VV), ("unit", _V), ("counit", _V)),
-        ("BiHom-bialgebra axioms", lambda s: check_bihom_bialgebra(s)),
-    ),
-    "lie": _Layout(
-        BiHomLieAlgebra,
-        (),
-        (("bracket", _VVV), ("alpha", _VV), ("beta", _VV)),
-        ("BiHom-Lie algebra axioms", lambda s: check_bihom_lie(s)),
-    ),
-    "module": _Layout(
-        LeftModule,
-        ("algebra_dim",),
-        (("action", ("algebra_dim", "dim", "dim")), ("alphaM", _VV), ("betaM", _VV)),
-    ),
-    "comodule": _Layout(
-        Comodule,
-        ("coalgebra_dim",),
-        (("rho", ("dim", "dim", "coalgebra_dim")), ("psiM", _VV), ("omegaM", _VV)),
-    ),
+    "algebra": (BiHomAlgebra, (
+        "BiHom-associative algebra axioms", lambda s: check_bihom_algebra(s))),
+    "coalgebra": (BiHomCoalgebra, (
+        "BiHom-coassociative coalgebra axioms", lambda s: check_bihom_coalgebra(s))),
+    "bialgebra": (BiHomBialgebra, (
+        "BiHom-bialgebra axioms", lambda s: check_bihom_bialgebra(s))),
+    "lie": (BiHomLieAlgebra, ("BiHom-Lie algebra axioms", lambda s: check_bihom_lie(s))),
+    "module": (LeftModule, None),
+    "comodule": (Comodule, None),
 }
 
 KINDS = (*LAYOUTS, "action", "map")
@@ -229,11 +181,11 @@ def parse_structure(text: str):
         return kind, _parse_entry(field, obj.get("entries"), shape, "entries", memo)
     if kind == "action":
         return kind, _parse_action(field, obj, memo)
-    return kind, _parse_body(LAYOUTS[kind], field, obj, memo)
+    return kind, _parse_body(LAYOUTS[kind][0], field, obj, memo)
 
 
-def _get_dim(obj, key="dim", limit=MAX_DIM):
-    d = obj.get(key)
+def _get_dim(obj, key="dim", limit=MAX_DIM, at=""):
+    d, key = obj.get(key), at + key
     if type(d) is not int or d < 0:  # JSON true parses as a bool, an int subclass
         raise ParseError(f"{key} must be a nonnegative integer", key)
     if d > limit:
@@ -241,39 +193,49 @@ def _get_dim(obj, key="dim", limit=MAX_DIM):
     return d
 
 
-def _labels(obj, d):
+def _labels(obj, d, at=""):
     labels = obj.get("labels")
     if labels is None:
         return []
     if not isinstance(labels, list) or len(labels) != d:
-        raise DimensionMismatch(f"expected {d} labels", "labels")
+        raise DimensionMismatch(f"expected {d} labels", at + "labels")
     return [str(x) for x in labels]
 
 
-def _parse_body(layout, field, obj, memo):
-    dims = {"dim": _get_dim(obj)}
-    labels = _labels(obj, dims["dim"])
-    for key in layout.dims:
-        dims[key] = _get_dim(obj, key)
+def _parse_body(cls, field, obj, memo, at=""):
+    """A structure of a Shaped class: "dim", "labels", the other extents,
+    then the containers in the order of cls.SHAPE; at prefixes each path."""
+    dims = {"dim": _get_dim(obj, at=at)}
+    labels = _labels(obj, dims["dim"], at)
+    for key in dict.fromkeys(n for _, names in cls.SHAPE for n in names if n != "dim"):
+        dims[key] = _get_dim(obj, key, at=at)
     kw = {
-        key: _parse_entry(field, obj.get(key), [dims[n] for n in names], key, memo)
-        for key, names in layout.body
+        key: _parse_entry(field, obj.get(key), [dims[n] for n in names], at + key, memo)
+        for key, names in cls.SHAPE
     }
-    if layout.labeled:
+    if cls.LABELS is not None:  # the classes that keep labels keep their field
         kw.update(field=field, labels=labels)
-    return layout.cls(dim=dims["dim"], **kw)
+    return cls(dim=dims["dim"], **kw)
 
 
 def _parse_action(field, obj, memo):
-    """An action file: a module algebra embedded under "algebra", plus the
-    h_dim x dim x dim action tensor of the bialgebra on it."""
-    _labels(obj, _get_dim(obj))
+    """An action file: a module algebra over the file's field and of its
+    dim, embedded under "algebra", plus the h_dim x dim x dim action tensor
+    of the bialgebra on it."""
+    d = _get_dim(obj)
+    _labels(obj, d)
     alg = obj.get("algebra")
     if not isinstance(alg, dict):
         raise ParseError("action files embed the module algebra", "algebra")
     h_dim = _get_dim(obj, "h_dim")
-    a = _parse_body(LAYOUTS["algebra"], field, alg, memo)
-    action = _parse_entry(field, obj.get("action"), (h_dim, a.dim, a.dim), "action", memo)
+    if alg.get("field") != obj["field"]:
+        raise ParseError(f"{alg.get('field')!r} differs from the file's field "
+                         f"{obj['field']!r}", "algebra.field")
+    a_dim = _get_dim(alg, at="algebra.")
+    if a_dim != d:
+        raise DimensionMismatch(f"{d} differs from algebra.dim {a_dim}", "dim")
+    a = _parse_body(BiHomAlgebra, field, alg, memo, "algebra.")
+    action = _parse_entry(field, obj.get("action"), (h_dim, d, d), "action", memo)
     return a, ModuleAlgebraAction(action=action)
 
 
@@ -291,15 +253,12 @@ def _fmt(field, x):
     return None if x is None else [field.format(c) for c in x]
 
 
-def _body_of(layout, field, value):
+def _body_of(cls, field, value):
     obj = {"dim": value.dim}
-    if layout.labeled:
+    if cls.LABELS is not None:
         obj["labels"] = list(value.labels)
-    for key in layout.dims:  # read off the extent of the tensor that spans it
-        name, names = next(entry for entry in layout.body if key in entry[1])
-        t = getattr(value, name)
-        obj[key] = (t.d1, t.d2, t.d3)[names.index(key)]
-    for key, _ in layout.body:
+    obj.update(value.extents())  # "dim" keeps its place before "labels"
+    for key, _ in cls.SHAPE:
         obj[key] = _fmt(field, getattr(value, key))
     return obj
 
@@ -315,13 +274,13 @@ def serialize_structure(value, kind=None) -> str:
         obj.update(
             dim=a.dim,
             h_dim=act.action.d1,
-            algebra={"field": obj["field"], **_body_of(LAYOUTS["algebra"], field, a)},
+            algebra={"field": obj["field"], **_body_of(BiHomAlgebra, field, a)},
             action=_fmt(field, act.action),
         )
     elif kind == "map":
         obj.update(rows=value.rows, cols=value.cols, entries=_fmt(field, value))
     elif kind in LAYOUTS:
-        obj.update(_body_of(LAYOUTS[kind], field, value))
+        obj.update(_body_of(LAYOUTS[kind][0], field, value))
     else:
         raise ValueError(f"cannot serialize kind {kind!r}")
     return json.dumps(obj, indent=1)
@@ -338,8 +297,8 @@ def _field_of_structure(value):
 
 
 def _kind_of(value):
-    for kind, layout in LAYOUTS.items():
-        if isinstance(value, layout.cls):
+    for kind, (cls, _) in LAYOUTS.items():
+        if isinstance(value, cls):
             return kind
     if isinstance(value, Matrix):
         return "map"
@@ -408,8 +367,8 @@ def _print_report(name, report: CheckReport, args) -> bool:
 
 
 def _run_check(kind, value, over, args) -> bool:
-    if kind in LAYOUTS and LAYOUTS[kind].check:
-        title, check = LAYOUTS[kind].check
+    if kind in LAYOUTS and LAYOUTS[kind][1]:
+        title, check = LAYOUTS[kind][1]
         return _print_report(title, check(value), args)
     if kind == "module":
         if over is None or over[0] != "algebra":
@@ -430,7 +389,7 @@ def _run_check(kind, value, over, args) -> bool:
 
 def _emit(out, kind, args, label):
     """Re-check a constructed structure; write it only when every axiom holds."""
-    _, check = LAYOUTS[kind].check
+    _, check = LAYOUTS[kind][1]
     if not _print_report("output re-check", check(out), args):
         return 1
     _write_out(out, kind, args.out, label)

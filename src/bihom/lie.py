@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra_core import (
+    MAP,
+    TENSOR,
     BiHomAlgebra,
     LeftModule,
+    Shaped,
     check_left_module,
-    _default_labels,
     _require_multiplicative,
     _require_pairwise_commuting,
 )
@@ -45,7 +47,7 @@ from .report import CheckReport
 
 
 @dataclass
-class BiHomLieAlgebra:
+class BiHomLieAlgebra(Shaped):
     field: Field
     dim: int
     bracket: Tensor3
@@ -53,38 +55,18 @@ class BiHomLieAlgebra:
     beta: Matrix
     labels: list = dc_field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.labels:
-            self.labels = _default_labels("x", self.dim)
-        d = self.dim
-        if (self.bracket.d1, self.bracket.d2, self.bracket.d3) != (d, d, d):
-            raise ShapeMismatch("bracket tensor shape")
-        for m in (self.alpha, self.beta):
-            if (m.rows, m.cols) != (d, d):
-                raise ShapeMismatch("structure map shape")
-
-    def same_tensors(self, other: "BiHomLieAlgebra") -> bool:
-        return (
-            self.dim == other.dim
-            and self.bracket == other.bracket
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-        )
+    SHAPE = (("bracket", TENSOR), ("alpha", MAP), ("beta", MAP))
+    LABELS = "x"
 
 
 @dataclass
-class LieRepresentation:
+class LieRepresentation(Shaped):
     dim: int  # dimension of the target space M
     rho: Tensor3  # rho[x][j] = coordinates of rho(e_x)(m_j)
     alphaM: Matrix
     betaM: Matrix
 
-    def __post_init__(self):
-        if (self.rho.d2, self.rho.d3) != (self.dim, self.dim):
-            raise ShapeMismatch("representation tensor shape")
-        for m in (self.alphaM, self.betaM):
-            if (m.rows, m.cols) != (self.dim, self.dim):
-                raise ShapeMismatch("representation map shape")
+    SHAPE = (("rho", ("lie_dim", "dim", "dim")), ("alphaM", MAP), ("betaM", MAP))
 
 
 # ---------------------------------------------------------------------------

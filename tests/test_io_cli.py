@@ -653,6 +653,35 @@ class TestCli:
             == 0
         )
 
+    @pytest.mark.parametrize("edit,error", [
+        (lambda o: o.update(dim=3, labels=["a", "b", "c"]),
+         "dim: 3 differs from algebra.dim 4"),
+        (lambda o: o["algebra"].update(field="Fp:7"),
+         "algebra.field: 'Fp:7' differs from the file's field 'Q'"),
+        (lambda o: o["algebra"].update(field="nonsense"),
+         "algebra.field: 'nonsense' differs from the file's field 'Q'"),
+        (lambda o: o["algebra"].pop("field"),
+         "algebra.field: None differs from the file's field 'Q'"),
+        (lambda o: o["algebra"]["mu"][1][1].__setitem__(1, "x"),
+         "algebra.mu[1][1][1]: bad rational literal 'x'"),
+        (lambda o: o["algebra"].update(dim=True),
+         "algebra.dim: algebra.dim must be a nonnegative integer"),
+        (lambda o: o["algebra"].update(labels=["a"]), "algebra.labels: expected 4 labels"),
+        (lambda o: o["algebra"]["alpha"].pop(), "algebra.alpha: expected 4 rows"),
+        (lambda o: o["algebra"].update(unit=["1"]), "algebra.unit: expected 4 entries"),
+    ], ids=["dim", "field", "bad_field", "no_field", "literal", "algebra_dim", "labels",
+            "alpha", "unit"])
+    def test_action_file_errors_name_their_path(self, tmp_path, capsys, edit, error):
+        """The outer dim and field must be the embedded algebra's, and an
+        error inside the embedded algebra names its path under algebra."""
+        obj = _fixture_json("kc4_selfmod.json")
+        edit(obj)
+        bad = tmp_path / "selfmod.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["check", str(bad), "--over", fixture_path("kc4_bialg.json")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
     def test_field_flag_mismatch(self, capsys):
         rc = main(["--field", "Q(q)", "check", fixture_path("family1.json")])
         assert rc == 2
@@ -828,21 +857,21 @@ def structures(draw):
             cells = st.lists(cells, min_size=n, max_size=n)
         return cls(field, draw(cells))
 
-    def body(layout):
-        dims = {key: draw(dim) for key in ("dim",) + layout.dims}
-        kw = {key: entry([dims[n] for n in names]) for key, names in layout.body}
-        if layout.labeled:
+    def body(cls):
+        dims = {key: draw(dim) for key in dict.fromkeys(n for _, ns in cls.SHAPE for n in ns)}
+        kw = {key: entry([dims[n] for n in names]) for key, names in cls.SHAPE}
+        if cls.LABELS is not None:
             labels = st.text("abxy_01", min_size=1, max_size=3)
             kw.update(field=field, labels=draw(st.lists(labels, min_size=dims["dim"],
                                                         max_size=dims["dim"])))
-        return layout.cls(dim=dims["dim"], **kw)
+        return cls(dim=dims["dim"], **kw)
 
     if kind == "map":
         return kind, entry((draw(dim), draw(dim)))
     if kind == "action":
-        a = body(LAYOUTS["algebra"])
+        a = body(LAYOUTS["algebra"][0])
         return kind, (a, ModuleAlgebraAction(action=entry((draw(dim), a.dim, a.dim))))
-    return kind, body(LAYOUTS[kind])
+    return kind, body(LAYOUTS[kind][0])
 
 
 @given(structures())
