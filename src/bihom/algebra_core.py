@@ -62,7 +62,7 @@ def _default_labels(prefix, n):
     return [f"{prefix}{i}" for i in range(n)]
 
 
-def _extents(x):
+def _extents_of(x):
     if isinstance(x, Tensor3):
         return (x.d1, x.d2, x.d3)
     if isinstance(x, Matrix):
@@ -105,7 +105,7 @@ class Shaped:
             x = getattr(self, key)
             if x is None and len(names) == 1:
                 continue
-            found = _extents(x)
+            found = _extents_of(x)
             if len(found) != len(names) or any(
                 named.setdefault(n, e) != e for n, e in zip(names, found)
             ):

@@ -47,7 +47,6 @@ from .axioms import (
     first_failure,
     fixes,
     holds,
-    images,
     multiplicative,
     solve,
     twisted_product,
