@@ -31,14 +31,13 @@ from .axioms import (
     Perm,
     Vec,
     check,
-    commutation,
     equivariant,
-    first_failure,
     fixes,
     holds,
     images,
     multiplicative,
     product_tensor,
+    require,
     solve,
     twisted_product,
     unit_law,
@@ -219,9 +218,8 @@ def _require_multiplicative(mu, m, name, broken="is not multiplicative at basis 
 
 def _require_pairwise_commuting(named_maps):
     pairs = combinations(named_maps, 2)
-    failure = first_failure(Commute(f"{n1} and {n2}", m1, m2) for (n1, m1), (n2, m2) in pairs)
-    if failure is not None:
-        raise MapsDoNotCommute(f"{failure[0].name} do not commute", witness=failure[1])
+    require(MapsDoNotCommute, *(Commute(f"{n1} and {n2} do not commute", m1, m2)
+                                for (n1, m1), (n2, m2) in pairs))
 
 
 def _carried_unit(unit, *maps):
@@ -301,9 +299,7 @@ def endomorphism_algebra(u: Matrix, v: Matrix) -> BiHomAlgebra:
     """
     if u.rows != u.cols or v.rows != v.cols or u.rows != v.rows:
         raise ShapeMismatch("u and v must be square of equal size")
-    w = commutation(u, v)
-    if w is not None:
-        raise MapsDoNotCommute("u and v do not commute", witness=w)
+    require(MapsDoNotCommute, Commute("u and v do not commute", u, v))
     field = u.field
     n = u.rows
     uinv = mat_inverse(u)

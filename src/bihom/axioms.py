@@ -45,6 +45,10 @@ domain is k).
 ``Commute(name, a, b)`` compares a b with b a as d x d matrices; its
 witness is the first differing entry ``((i, j), (ab)_ij, (ba)_ij)``.
 
+A construction states each hypothesis as an entry of a table whose name is
+the message it fails with, and ``require(error, *table)`` raises
+``error(name, witness=w)`` at the first failing entry.
+
 ``solve(table_of, field, shape)`` solves the same tables for an unknown
 vector or matrix x: every equation the package solves for (units,
 antipodes, primitive elements, fixed vectors) is affine in x, so lhs - rhs
@@ -524,12 +528,6 @@ class Axiom:
         return (self.label, sides[0], sides[1])
 
 
-def commutation(a, b):
-    """None when a b = b a, else ((i, j), (ab)_ij, (ba)_ij) at the first
-    differing entry."""
-    return mat_eq_witness(mat_mul(a, b), mat_mul(b, a))
-
-
 class Commute:
     __slots__ = ("name", "a", "b")
 
@@ -542,7 +540,7 @@ class Commute:
                              for j, (x, y) in enumerate(zip(r, s)) if x != y}
 
     def witness(self, ev):
-        return commutation(self.a, self.b)
+        return mat_eq_witness(mat_mul(self.a, self.b), mat_mul(self.b, self.a))
 
 
 def _evaluate(table):
@@ -574,6 +572,15 @@ def witness(*table):
 
 def holds(*table) -> bool:
     return first_failure(table) is None
+
+
+def require(error, *table):
+    """Raise error(name, witness=w) at the first failing entry of the table;
+    a construction states each hypothesis as an entry named by its failure
+    message."""
+    failure = first_failure(table)
+    if failure is not None:
+        raise error(failure[0].name, witness=failure[1])
 
 
 def solve(table_of, field, shape):

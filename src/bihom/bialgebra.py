@@ -34,45 +34,37 @@ from .axioms import (
     Kron,
     Lin,
     Mul,
+    Neg,
     Perm,
     Sum,
     Swap,
     Vec,
     check,
-    commutation,
     comultiplicative,
     comultiplicative_product,
     counit_invariant,
     equivariant,
-    first_failure,
     fixes,
     holds,
+    images,
     multiplicative,
+    require,
     solve,
     twisted_product,
-    witness,
 )
 from .coalgebra import BiHomCoalgebra, check_bihom_coalgebra
 from .errors import (
     HypothesisFailure,
     MissingUnit,
     NonUnique,
+    NotAutomorphism,
     NotBialgebraMap,
     NotPrimitive,
     ShapeMismatch,
     Singular,
 )
 from .exactnum import Field
-from .linalg import (
-    Matrix,
-    MatrixPowers,
-    Tensor3,
-    mat_eq_witness,
-    mat_inverse,
-    mat_mul,
-    vec_eq,
-    vec_sub,
-)
+from .linalg import Matrix, Tensor3, mat_eq_witness, mat_inverse, mat_mul
 from .report import CheckReport
 
 
@@ -170,10 +162,14 @@ def check_bihom_bialgebra(H: BiHomBialgebra) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_bialgebra_map(H: BiHomBialgebra, m: Matrix, name):
-    w = witness(multiplicative(name, H.mu, m), comultiplicative(name, H.delta, m))
-    if w is not None:
-        raise NotBialgebraMap(f"{name} is not a bialgebra map", witness=w)
+def _bialgebra_map(name, H: BiHomBialgebra, m: Matrix):
+    """m is multiplicative and comultiplicative; both entries are named name."""
+    return multiplicative(name, H.mu, m), comultiplicative(name, H.delta, m)
+
+
+def _require_bialgebra_maps(H: BiHomBialgebra, named_maps):
+    require(NotBialgebraMap, *(ax for name, m in named_maps
+                               for ax in _bialgebra_map(f"{name} is not a bialgebra map", H, m)))
 
 
 def yau_twist_bialgebra(
@@ -185,13 +181,9 @@ def yau_twist_bialgebra(
     maps in sight must pairwise commute; verified, not trusted.  Unit and
     counit are carried whenever the twisting maps preserve them.
     """
-    for name, m in (
-        ("alpha2", alpha2),
-        ("beta2", beta2),
-        ("psi2", psi2),
-        ("omega2", omega2),
-    ):
-        _require_bialgebra_map(H, m, name)
+    _require_bialgebra_maps(
+        H, [("alpha2", alpha2), ("beta2", beta2), ("psi2", psi2), ("omega2", omega2)]
+    )
     _require_pairwise_commuting(
         [
             ("alpha", H.alpha),
@@ -218,21 +210,22 @@ def yau_twist_bialgebra(
 # ---------------------------------------------------------------------------
 
 
-def primitive(H: BiHomBialgebra, x):
-    """Delta(x) = 1 (x) x + x (x) 1, compared whole under the label ("1",)."""
+def primitive(H: BiHomBialgebra, v):
+    """Delta(v) = 1 (x) v + v (x) 1 for an element term v: k -> H,
+    compared whole under the label ("1",)."""
     if H.unit is None:
         raise MissingUnit("primitive elements need a unit")
-    one, v = Vec(H.unit), Vec(x)
+    one = Vec(H.unit)
     return Axiom("primitive", Compose(Comul(H.delta), v), Sum(Kron(one, v), Kron(v, one)), ("1",))
 
 
 def find_primitives(H: BiHomBialgebra):
     """A basis of the primitive elements."""
-    return solve(lambda x: [primitive(H, x)], H.field, (H.dim,))[1]
+    return solve(lambda x: [primitive(H, Vec(x))], H.field, (H.dim,))[1]
 
 
 def is_primitive(H: BiHomBialgebra, x) -> bool:
-    return holds(primitive(H, x))
+    return holds(primitive(H, Vec(x)))
 
 
 def primitive_bracket(H: BiHomBialgebra, x, y):
@@ -250,25 +243,22 @@ def primitive_bracket(H: BiHomBialgebra, x, y):
         binv = mat_inverse(H.beta)
     except Singular:
         raise Singular("primitive bracket needs bijective alpha and beta")
-    p = mat_mul(ainv, H.beta)
-    q = mat_mul(H.alpha, binv)
-    bracket = vec_sub(
-        H.multiply(x, y), H.multiply(p.apply(y), q.apply(x))
-    )
+    ident = Id(H.dim)
+    alpha = {-1: Lin(ainv), 0: ident, 1: Lin(H.alpha)}  # alpha^p and beta^q
+    beta = {-1: Lin(binv), 0: ident, 1: Lin(H.beta)}
+    vx, vy, mu = Vec(x), Vec(y), Mul(H.mu)
+    swapped = Kron(Compose(alpha[-1], beta[1], vy), Compose(alpha[1], beta[-1], vx))
+    bracket = images(Sum(Compose(mu, Kron(vx, vy)), Neg(Compose(mu, swapped))))[0]
     if not is_primitive(H, bracket):
         raise AssertionError("bracket of primitives failed to be primitive")
-    powers_a = MatrixPowers(H.alpha)
-    powers_b = MatrixPowers(H.beta)
-    for v in (x, y):
-        if not vec_eq(H.psi.apply(v), H.omega.apply(v)):
+    for v in (vx, vy):
+        if not holds(Axiom("psi = omega", Compose(Lin(H.psi), v), Compose(Lin(H.omega), v))):
             raise AssertionError("psi and omega disagree on a primitive element")
-        for pe in (-1, 0, 1):
-            for qe in (-1, 0, 1):
-                w = powers_a(pe).apply(powers_b(qe).apply(v))
-                if not is_primitive(H, w):
-                    raise AssertionError(
-                        f"alpha^{pe} beta^{qe} did not preserve primitivity"
-                    )
+        for pe, qe in product((-1, 0, 1), repeat=2):
+            if not holds(primitive(H, Compose(alpha[pe], beta[qe], v))):
+                raise AssertionError(
+                    f"alpha^{pe} beta^{qe} did not preserve primitivity"
+                )
     return bracket
 
 
@@ -340,16 +330,13 @@ def twist_left_module(
             "input is not a classical left module",
             witness=base.failures()[0].witness,
         )
-    w = commutation(mod.alphaM, mod.betaM)
-    if w is not None:
-        raise HypothesisFailure("alphaM and betaM do not commute", witness=w)
     act = mod.action
-    failure = first_failure([
-        equivariant("alphaM", act, alpha2, mod.alphaM),
-        equivariant("betaM", act, beta2, mod.betaM),
-    ])
-    if failure is not None:
-        raise HypothesisFailure(f"{failure[0].name} equivariance fails", witness=failure[1])
+    require(
+        HypothesisFailure,
+        Commute("alphaM and betaM do not commute", mod.alphaM, mod.betaM),
+        equivariant("alphaM equivariance fails", act, alpha2, mod.alphaM),
+        equivariant("betaM equivariance fails", act, beta2, mod.betaM),
+    )
     from .algebra_core import yau_twist
 
     a2 = yau_twist(a_classical, alpha2, beta2)
@@ -378,13 +365,9 @@ def twist_module_algebra(
     Returns (twisted H, twisted A, twisted action).
     """
     _verify_classical_module_algebra(H, A, act)
-    for name, m in (
-        ("alphaH", alphaH),
-        ("betaH", betaH),
-        ("psiH", psiH),
-        ("omegaH", omegaH),
-    ):
-        _require_bialgebra_map(H, m, name)
+    _require_bialgebra_maps(
+        H, [("alphaH", alphaH), ("betaH", betaH), ("psiH", psiH), ("omegaH", omegaH)]
+    )
     _require_pairwise_commuting(
         [("alphaH", alphaH), ("betaH", betaH), ("psiH", psiH), ("omegaH", omegaH)]
     )
@@ -394,12 +377,11 @@ def twist_module_algebra(
     _require_multiplicative(A.mu, betaA, "betaA")
     _require_pairwise_commuting([("alphaA", alphaA), ("betaA", betaA)])
     action = act.action
-    failure = first_failure([
-        equivariant("alpha", action, alphaH, alphaA),
-        equivariant("beta", action, betaH, betaA),
-    ])
-    if failure is not None:
-        raise HypothesisFailure(f"{failure[0].name} equivariance fails", witness=failure[1])
+    require(
+        HypothesisFailure,
+        equivariant("alpha equivariance fails", action, alphaH, alphaA),
+        equivariant("beta equivariance fails", action, betaH, betaA),
+    )
     from .algebra_core import yau_twist
 
     H2 = yau_twist_bialgebra(H, alphaH, betaH, psiH, omegaH)
@@ -417,9 +399,8 @@ def _verify_classical_module_algebra(H, A, act):
             "not a classical left module", witness=base.failures()[0].witness
         )
     ident = Id(H.dim)
-    w = witness(_module_algebra_compat("", H, A, act.action, ident, ident))
-    if w is not None:
-        raise HypothesisFailure("not a classical module algebra", witness=w)
+    require(HypothesisFailure, _module_algebra_compat(
+        "not a classical module algebra", H, A, act.action, ident, ident))
 
 
 # ---------------------------------------------------------------------------
@@ -510,29 +491,21 @@ def hopf_to_monoidal(
     if H.unit is None or H.counit is None:
         raise MissingUnit("hopf_to_monoidal needs a unital counital bialgebra")
     for name, m in (("alpha", alpha), ("beta", beta)):
+        failure = f"{name} is not a Hopf-algebra automorphism"
         try:
             mat_inverse(m)
         except Singular:
-            raise _not_automorphism(name, "is singular")
-        try:
-            _require_bialgebra_map(H, m, name)
-        except NotBialgebraMap as exc:
-            raise _not_automorphism(name, exc.witness)
+            raise NotAutomorphism(failure, "is singular")
+        require(NotAutomorphism, *_bialgebra_map(failure, H, m))
         if not holds(fixes(name, m, H.unit)):
-            raise _not_automorphism(name, "does not fix the unit")
+            raise NotAutomorphism(failure, "does not fix the unit")
         if not holds(counit_invariant(name, H.counit, m)):
-            raise _not_automorphism(name, "does not preserve the counit")
+            raise NotAutomorphism(failure, "does not preserve the counit")
     _require_pairwise_commuting([("alpha", alpha), ("beta", beta)])
     ainv = mat_inverse(alpha)
     binv = mat_inverse(beta)
     twisted = yau_twist_bialgebra(H, alpha, beta, binv, ainv)
     return twisted, S
-
-
-def _not_automorphism(name, witness=None):
-    from .errors import NotAutomorphism
-
-    return NotAutomorphism(f"{name} is not a Hopf-algebra automorphism", witness)
 
 
 def check_antipode_properties(H: BiHomBialgebra, S: Matrix) -> CheckReport:

@@ -36,15 +36,13 @@ from .axioms import (
     Perm,
     check,
     coequivariant,
-    commutation,
     comultiplicative,
     counit_invariant,
     counit_law,
     coproduct_tensor,
     holds,
-    images,
     product_tensor,
-    witness,
+    require,
 )
 from .exactnum import Field, same_field
 from .linalg import (
@@ -144,10 +142,8 @@ def yau_twist_coalgebra(
     The counit is carried over whenever it is invariant under both twisting
     maps (always the case for counital coalgebra endomorphisms).
     """
-    for name, m in (("psi2", psi2), ("omega2", omega2)):
-        w = witness(comultiplicative(name, C.delta, m))
-        if w is not None:
-            raise NotComultiplicative(f"{name} is not comultiplicative", witness=w)
+    require(NotComultiplicative, *(comultiplicative(f"{name} is not comultiplicative", C.delta, m)
+                                   for name, m in (("psi2", psi2), ("omega2", omega2))))
     _require_pairwise_commuting(
         [("psi", C.psi), ("omega", C.omega), ("psi2", psi2), ("omega2", omega2)]
     )
@@ -168,18 +164,14 @@ def yau_twist_coalgebra(
     )
 
 
-def _transposed(term, dom, cod):
-    """The map dom -> cod whose matrix is the transpose of term's."""
-    return Lin(Matrix.from_columns(term.field, images(term)).transpose(), dom, cod)
-
-
 def dual_algebra(C: BiHomCoalgebra) -> BiHomAlgebra:
     """(C*, Delta^T, omega^T, psi^T); unital with unit eps when C is counital."""
-    d = C.dim
+    d, delta = C.dim, C.delta.t
     return BiHomAlgebra(
         field=C.field,
         dim=d,
-        mu=product_tensor(_transposed(Comul(C.delta), (d, d), (d,))),
+        mu=Tensor3(C.field, [[[delta[i][j][k] for i in range(d)] for k in range(d)]
+                             for j in range(d)]),
         alpha=C.omega.transpose(),
         beta=C.psi.transpose(),
         unit=list(C.counit) if C.counit is not None else None,
@@ -193,11 +185,12 @@ def dual_coalgebra(A: BiHomAlgebra) -> BiHomCoalgebra:
     In finite dimension the finite dual is all of A*, so the transpose of
     the multiplication is a genuine comultiplication.
     """
-    d = A.dim
+    d, mu = A.dim, A.mu.t
     return BiHomCoalgebra(
         field=A.field,
         dim=d,
-        delta=coproduct_tensor(_transposed(Mul(A.mu), (d,), (d, d))),
+        delta=Tensor3(A.field, [[[mu[j][k][i] for k in range(d)] for j in range(d)]
+                                for i in range(d)]),
         psi=A.beta.transpose(),
         omega=A.alpha.transpose(),
         counit=list(A.unit) if A.unit is not None else None,
@@ -241,15 +234,10 @@ def twist_comodule(
     rho o omegaM.  Returns (C twisted, comodule over it) with new coaction
     m -> omegaM(m_(0)) (x) psi2(m_(1)).
     """
-    w = commutation(M.psiM, M.omegaM)
-    if w is not None:
-        raise ConditionFailure("psiM and omegaM do not commute", witness=w)
-    for name, mm, mc in (("psi", M.psiM, psi2), ("omega", M.omegaM, omega2)):
-        w = witness(coequivariant(name, M.rho, mm, mc))
-        if w is not None:
-            raise ConditionFailure(
-                f"({name}_M (x) {name}_C) o rho != rho o {name}_M", witness=w
-            )
+    require(ConditionFailure, Commute("psiM and omegaM do not commute", M.psiM, M.omegaM), *(
+        coequivariant(f"({name}_M (x) {name}_C) o rho != rho o {name}_M", M.rho, mm, mc)
+        for name, mm, mc in (("psi", M.psiM, psi2), ("omega", M.omegaM, omega2))
+    ))
     C2 = yau_twist_coalgebra(C, psi2, omega2)
     rho2 = coproduct_tensor(Compose(Kron(Lin(M.omegaM), Lin(psi2)), Comul(M.rho)))
     return C2, Comodule(dim=M.dim, rho=rho2, psiM=M.psiM.copy(), omegaM=M.omegaM.copy())

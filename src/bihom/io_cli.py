@@ -343,6 +343,13 @@ def _same_field(path, value, other_path, other):
         )
 
 
+def _same_carrier(path, key, extent, other_path, other):
+    """Exit 2 naming path when the dimension it declares under key, that of
+    the structure acting on it, is not the dimension of other_path's."""
+    if extent != other.dim:
+        raise ParseError(f"{path}: {key} {extent} differs from dim {other.dim} of {other_path}")
+
+
 def _load_map(path, other_path, other):
     """The matrix in a map file, over the field of other_path's structure."""
     m = _load(path, want=("map",))[1]
@@ -366,22 +373,25 @@ def _print_report(name, report: CheckReport, args) -> bool:
     return report.ok
 
 
-def _run_check(kind, value, over, args) -> bool:
+def _run_check(path, kind, value, over, args) -> bool:
     if kind in LAYOUTS and LAYOUTS[kind][1]:
         title, check = LAYOUTS[kind][1]
         return _print_report(title, check(value), args)
     if kind == "module":
         if over is None or over[0] != "algebra":
             raise ParseError("checking a module needs --over ALGEBRA_FILE")
+        _same_carrier(path, "algebra_dim", value.action.d1, args.over, over[1])
         return _print_report("left module axioms", check_left_module(over[1], value), args)
     if kind == "comodule":
         if over is None or over[0] not in ("coalgebra", "bialgebra"):
             raise ParseError("checking a comodule needs --over COALGEBRA_FILE")
+        _same_carrier(path, "coalgebra_dim", value.rho.d3, args.over, over[1])
         C = over[1] if over[0] == "coalgebra" else over[1].coalgebra_part()
         return _print_report("right comodule axioms", check_comodule(C, value), args)
     if kind == "action":
         if over is None or over[0] != "bialgebra":
             raise ParseError("checking an action needs --over BIALGEBRA_FILE")
+        _same_carrier(path, "h_dim", value[1].action.d1, args.over, over[1])
         report = check_module_bihom_algebra(over[1], *value)
         return _print_report("module BiHom-algebra axioms", report, args)
     raise ParseError(f"cannot check kind {kind!r}")
@@ -408,7 +418,7 @@ def _cmd_check(args):
         kind, value = _load(path, field_tag_expect=args.field)
         if over is not None and kind in ("module", "comodule", "action"):
             _same_field(args.over, over[1], path, value)
-        ok = _run_check(kind, value, over, args)
+        ok = _run_check(path, kind, value, over, args)
         all_ok = all_ok and ok
     return 0 if all_ok else 1
 
@@ -535,6 +545,7 @@ def _cmd_smash(args):
     _, H = _load(args.files[0], want=("bialgebra",), field_tag_expect=args.field)
     _, (A, act) = _load(args.files[1], want=("action",), field_tag_expect=args.field)
     _same_field(args.files[1], (A, act), args.files[0], H)
+    _same_carrier(args.files[1], "h_dim", act.action.d1, args.files[0], H)
     out = smash_product(SmashData(H=H, A=A, action=act))
     return _emit(out, "algebra", args, "smash product")
 

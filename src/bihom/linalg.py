@@ -3,7 +3,10 @@
 Matrices act on column vectors: column j of a matrix is the image of the
 j-th basis vector.  Vectors are plain lists of scalars.  Row reduction is
 exact Gauss-Jordan with first-nonzero pivoting; there are no magnitude
-heuristics because the arithmetic is exact.
+heuristics because the arithmetic is exact.  mat_power gives integer powers,
+inverting first for negative ones.  Constructions apply maps to vectors as
+axiom-engine terms (axioms.py); Matrix.apply and vec_eq are the dense forms
+that tests compare against.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ def unit_vec(field, n, i):
     v = zero_vec(field, n)
     v[i] = field.one()
     return v
-
-
-def vec_sub(u, v):
-    return [canonical(a - b) for a, b in zip(u, v)]
 
 
 def vec_eq(u, v):
@@ -318,29 +317,15 @@ def mat_inverse(a: Matrix) -> Matrix:
     return inv
 
 
-class MatrixPowers:
-    """Integer powers of a fixed square matrix with memoization.
-
-    Negative powers invert once and reuse; M**0 is the identity.
-    """
-
-    def __init__(self, m: Matrix):
-        self.m = m
-        self._cache = {0: Matrix.identity(m.field, m.rows), 1: m}
-        self._inv = None
-
-    def __call__(self, k: int) -> Matrix:
-        if k in self._cache:
-            return self._cache[k]
-        if k > 0:
-            self._cache[k] = mat_mul(self(k - 1), self.m)
-        else:
-            if self._inv is None:
-                self._inv = mat_inverse(self.m)
-                self._cache[-1] = self._inv
-            if k not in self._cache:
-                self._cache[k] = mat_mul(self(k + 1), self._inv)
-        return self._cache[k]
+def mat_power(m: Matrix, k: int) -> Matrix:
+    """m^k for any integer k: the identity for k = 0, and powers of the
+    inverse for k < 0 (Singular when m is singular)."""
+    if k == 0:
+        return Matrix.identity(m.field, m.rows)
+    base = power = m if k > 0 else mat_inverse(m)
+    for _ in range(abs(k) - 1):
+        power = mat_mul(power, base)
+    return power
 
 
 # ---------------------------------------------------------------------------

@@ -28,20 +28,20 @@ from .axioms import (
     coproduct_tensor,
     counit_invariant,
     equivariant,
-    first_failure,
     holds,
     images,
     multiplicative,
+    require,
 )
 from .coalgebra import Comodule, check_comodule
 from .errors import HypothesisFailure, ModuleAxiomFailure, Singular
 from .linalg import (
     Matrix,
-    MatrixPowers,
     Tensor3,
     kron,
     mat_inverse,
     mat_mul,
+    mat_power,
 )
 from .report import CheckReport
 from .twisting import TwistingMap, twisted_tensor_product
@@ -93,7 +93,7 @@ def smash_twisting_map(S: SmashData) -> TwistingMap:
     H, A = S.H, S.A
     dh, da = H.dim, A.dim
     front = mat_mul(
-        MatrixPowers(H.alpha)(S.m), mat_mul(MatrixPowers(H.beta)(S.n), MatrixPowers(H.omega)(S.p))
+        mat_power(H.alpha, S.m), mat_mul(mat_power(H.beta, S.n), mat_power(H.omega, S.p))
     )
     # e_h (x) e_a -> h1 (x) a (x) h2 -> front(h1) . betaA^-1(a) (x) psi^-1(h2)
     acting = Compose(Mul(S.action.action), Kron(Lin(front), Lin(mat_inverse(A.beta))))
@@ -135,12 +135,11 @@ def smash_comodule_structure(
     _require_pairwise_commuting(
         [("alphaA", A.alpha), ("betaA", A.beta), ("psiA", psiA), ("omegaA", omegaA)]
     )
-    failure = first_failure([
+    require(
+        HypothesisFailure,
         multiplicative("omegaA is not multiplicative", A.mu, omegaA),
         equivariant("omegaA(h.a) != omegaH(h).omegaA(a)", S.action.action, H.omega, omegaA),
-    ])
-    if failure is not None:
-        raise HypothesisFailure(failure[0].name, witness=failure[1])
+    )
 
     D = smash_product(S)
     # rho(a # h) = (omegaA(a) # h1) (x) h2

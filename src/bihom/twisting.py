@@ -6,9 +6,10 @@ map terms on D (x) D (x) D; a matrix given for one of them is read as a Lin
 on those factors.  check_pseudotwistor states every clause of the main
 theorem as an identity of map terms over them.  The canonical pseudotwistor
 keeps its Kronecker factors, T = alpha2 (x) beta2, so the axiom engine
-composes it factor by factor.  The twisted tensor product's T and companions
-are built as terms from R and read off as matrices.  Twisting maps
-R: B (x) A -> A (x) B are (dA*dB) x (dB*dA) matrices.
+composes it factor by factor.  The twisted tensor product's product is one
+term built from R, read off as structure constants; ttp_pseudotwistor builds
+its T and companions as terms from R and reads them off as matrices.
+Twisting maps R: B (x) A -> A (x) B are (dA*dB) x (dB*dA) matrices.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .axioms import (
     Swap,
     Term,
     check,
-    first_failure,
     holds,
     images,
     multiplicative,
     product_tensor,
+    require,
     witness,
 )
 from .errors import (
@@ -296,10 +297,10 @@ def ttp_pseudotwistor(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> Pseu
 def twisted_tensor_product(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> BiHomAlgebra:
     """A (x)_R B: product (a (x) b)(a' (x) b') = a a'_R (x) b_R b'.
 
-    Built through the induced pseudotwistor T on (A (x) B)^(x)2, so the
-    product is mu_{A (x) B} o T; ttp_pseudotwistor supplies the companions
-    when the full pseudotwistor equations are wanted.  The twisting map is
-    checked first.
+    The product is one map term, (mu_A (x) mu_B) o (id (x) R (x) id), which
+    is mu_{A (x) B} o T for the induced pseudotwistor T; ttp_pseudotwistor
+    supplies T and its companions when the full pseudotwistor equations are
+    wanted.  The twisting map is checked first.
     """
     report = check_twisting_map(A, B, tw)
     if not report.ok:
@@ -307,12 +308,13 @@ def twisted_tensor_product(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) ->
             f"twisting map fails {report.failures()[0].axiom}", report=report
         )
     plain = tensor_product(A, B)
-    field, d = A.field, A.dim * B.dim
-    T = Lin(Matrix.from_columns(field, images(_ttp_square(tw))), (d, d), (d, d))
+    da, db, d = A.dim, B.dim, A.dim * B.dim
+    # (a (x) b) (x) (a' (x) b') -> a (x) a'_R (x) b_R (x) b' -> a a'_R (x) b_R b'
+    product = Compose(Kron(Mul(A.mu), Mul(B.mu)), Kron(Id(da), _twisting(tw), Id(db)))
     out = BiHomAlgebra(
-        field=field,
+        field=A.field,
         dim=d,
-        mu=product_tensor(Compose(Mul(plain.mu), T)),
+        mu=product_tensor(product, d, d),
         alpha=plain.alpha,
         beta=plain.beta,
         unit=None,
@@ -356,7 +358,8 @@ def lift_twisting_map(
     _require_pairwise_commuting([("alphaB", alphaB), ("betaB", betaB)])
 
     R, idA, idB, muA, muB = _twisting(P), Id(da), Id(db), Mul(A.mu), Mul(B.mu)
-    failure = first_failure([
+    require(
+        HypothesisFailure,
         Axiom(
             "P fails the classical left twisting equation",
             Compose(R, Kron(idB, muA)),
@@ -369,9 +372,7 @@ def lift_twisting_map(
         ),
         _intertwines("P does not intertwine the alphas", R, alphaA, alphaB),
         _intertwines("P does not intertwine the betas", R, betaA, betaB),
-    ])
-    if failure is not None:
-        raise HypothesisFailure(failure[0].name, failure[1])
+    )
 
     U = Compose(
         Kron(Lin(mat_inverse(betaA)), Lin(mat_inverse(alphaB))), R, Kron(Lin(alphaB), Lin(betaA))

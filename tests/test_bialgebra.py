@@ -155,7 +155,7 @@ class TestPrimitives:
     def test_primitive_space_invariant_under_map_powers(self):
         # alpha^p beta^q of a primitive stays in the primitive span for
         # p, q in {-1, 0, 1}
-        from bihom.linalg import MatrixPowers
+        from bihom.linalg import mat_power
 
         H = f3_truncated_line()
         f3 = H.field
@@ -171,12 +171,10 @@ class TestPrimitives:
         for j, v in enumerate(prims):
             for i in range(Ht.dim):
                 span.e[i][j] = v[i]
-        pow_a = MatrixPowers(Ht.alpha)
-        pow_b = MatrixPowers(Ht.beta)
         for x in prims:
             for p in (-1, 0, 1):
                 for q in (-1, 0, 1):
-                    w = pow_a(p).apply(pow_b(q).apply(x))
+                    w = mat_power(Ht.alpha, p).apply(mat_power(Ht.beta, q).apply(x))
                     assert solve_affine(span, w) is not None
 
     def test_primitive_basis_linearly_independent(self):

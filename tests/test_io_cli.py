@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bihom import io_cli
-from bihom.algebra_core import check_bihom_algebra, example_family, tensor_product
+from bihom.algebra_core import LeftModule, check_bihom_algebra, example_family, tensor_product
 from bihom.bialgebra import ModuleAlgebraAction
+from bihom.coalgebra import dual_coalgebra, regular_comodule
 from bihom.errors import BadScalar, DimensionMismatch, ParseError
 from bihom.exactnum import (
     QQ,
@@ -712,6 +713,43 @@ class TestCli:
         assert captured.out == "" and not out.exists()
         assert captured.err == (
             f"error: {selfmod_f7}: declares field Fp:7, {kc4} declares field Q\n")
+
+    @staticmethod
+    def _carrier_case(tmp_path, case):
+        """(argv, file declaring the wrong extent, carrier file, message tail)
+        for a module, comodule or action whose acting structure has another
+        dimension than the carrier given with it."""
+        def write(name, value, kind):
+            path = tmp_path / name
+            path.write_text(serialize_structure(value, kind))
+            return str(path)
+
+        fam1, kc4 = example_family(1, 3, 2), fixture_path("kc4_bialg.json")
+        if case == "module":
+            mod = LeftModule(dim=2, action=fam1.mu, alphaM=fam1.alpha, betaM=fam1.beta)
+            path = write("mod2.json", mod, "module")
+            over = write("tensor.json", tensor_product(fam1, fam1), "algebra")
+            return ["check", path, "--over", over], path, over, "algebra_dim 2 differs from dim 4"
+        if case == "comodule":
+            comod = regular_comodule(cyclic_group_bialgebra(4).coalgebra_part())
+            path = write("comod4.json", comod, "comodule")
+            over = write("dual.json", dual_coalgebra(fam1), "coalgebra")
+            return ["check", path, "--over", over], path, over, "coalgebra_dim 4 differs from dim 2"
+        obj = _fixture_json("kc4_selfmod.json")
+        obj["h_dim"], obj["action"] = 2, obj["action"][:2]
+        path = tmp_path / "selfmod_h2.json"
+        path.write_text(json.dumps(obj))
+        argv = (["check", str(path), "--over", kc4] if case == "action_check"
+                else ["smash", kc4, str(path), "--out", str(tmp_path / "smash.json")])
+        return argv, str(path), kc4, "h_dim 2 differs from dim 4"
+
+    @pytest.mark.parametrize("case", ["module", "comodule", "action_check", "action_smash"])
+    def test_carrier_of_another_dimension_exits_2(self, tmp_path, capsys, case):
+        argv, path, over, error = self._carrier_case(tmp_path, case)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "smash.json").exists()
+        assert captured.err == f"error: {path}: {error} of {over}\n"
 
     @pytest.mark.parametrize("argv,f7,other", [
         (["tensor", "family1.json", "F7", "--out", "OUT"], "family1.json", "family1.json"),

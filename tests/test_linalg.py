@@ -5,24 +5,23 @@ import pytest
 
 from bihom.errors import Inconsistent, MixedFields, ShapeMismatch, Singular
 from bihom.axioms import (
-    Compose, Comul, Kron, Lin, Mul, Vec, coproduct_tensor, images, twisted_product,
+    Compose, Comul, Kron, Lin, Mul, Neg, Sum, Vec, coproduct_tensor, images, twisted_product,
 )
 from bihom.exactnum import QQ, QQ_Q, PrimeField
 from bihom.linalg import (
     Matrix,
-    MatrixPowers,
     Tensor3,
     kernel,
     kron,
     mat_inverse,
     mat_mul,
+    mat_power,
     rank,
     solve_affine,
     solve_linear,
     solve_unique,
     unit_vec,
     vec_eq,
-    vec_sub,
     vec_tensor,
 )
 
@@ -197,12 +196,17 @@ class TestKronAndPowers:
             vec_tensor(a.apply(u), b.apply(v), QQ),
         )
 
-    def test_matrix_powers_memoized(self):
-        m = M([[1, 1], [0, 1]])
-        powers = MatrixPowers(m)
-        assert powers(3) == M([[1, 3], [0, 1]])
-        assert powers(-2) == M([[1, -2], [0, 1]])
-        assert powers(0) == Matrix.identity(QQ, 2)
+    def test_matrix_powers(self):
+        # [[1, 1], [0, 1]]^k = [[1, k], [0, 1]] for every integer k
+        for k in range(-3, 4):
+            assert mat_power(M([[1, 1], [0, 1]]), k) == M([[1, k], [0, 1]])
+        nilpotent = M([[0, 1], [0, 0]])
+        assert mat_power(nilpotent, 0) == Matrix.identity(QQ, 2)
+        assert mat_power(nilpotent, 1) == nilpotent
+        assert mat_power(nilpotent, 2) == M([[0, 0], [0, 0]])
+        for k in (-1, -2, -3):
+            with pytest.raises(Singular):
+                mat_power(nilpotent, k)
 
     def test_prime_field_matrices(self):
         f3 = PrimeField(3)
@@ -276,7 +280,8 @@ class TestMixedFields:
             kron(half, two).e, twisted_product(one_dim, half, two).t[0],
             coproduct_tensor(Compose(Kron(Lin(half), Lin(two)), Comul(one_dim))).t[0],
             [product(one_dim, [Fraction(1, 2)], [2])], images(Compose(Lin(two), Lin(half))),
-            [vec_sub([Fraction(3, 2)], [Fraction(1, 2)]), vec_tensor([Fraction(1, 2)], [2], QQ)],
+            images(Sum(Lin(M([[Fraction(3, 2)]])), Neg(Lin(M([[Fraction(1, 2)]]))))),
+            [vec_tensor([Fraction(1, 2)], [2], QQ)],
         ]
         entries = [x for rows in tensors for row in rows for x in row]
         assert entries and all(type(x) is int or x.denominator != 1 for x in entries)

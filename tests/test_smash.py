@@ -18,11 +18,11 @@ from bihom.fixtures import (
 )
 from bihom.linalg import (
     Matrix,
-    MatrixPowers,
     Tensor3,
     kron,
     mat_eq_witness,
     mat_inverse,
+    mat_power,
     unit_vec,
 )
 from bihom.smash import (
@@ -170,7 +170,6 @@ class TestSmashProduct:
         H2, A2, act2 = twist_module_algebra(H, A, act, g3, g3, g3, g3, g3, g3)
         d = smash_product(SmashData(H=H2, A=A2, action=act2))
         assert check_bihom_algebra(d).ok
-        powers = MatrixPowers(H2.alpha)
         aA_inv = mat_inverse(A2.alpha)
         halg = H2.algebra_part()
         direct = Tensor3.zero(QQ, 16, 16, 16)
@@ -182,11 +181,11 @@ class TestSmashProduct:
                         out = direct.t[src1][src2]
                         for (u, v, c) in pairs(H2.delta.t[h]):
                             acted = bilinear(
-                                act2.action, powers(-2).column(u), aA_inv.column(a2)
+                                act2.action, mat_power(H2.alpha, -2).column(u), aA_inv.column(a2)
                             )
                             first = A2.multiply(unit_vec(QQ, 4, a), acted)
                             second = halg.multiply(
-                                powers(-1).column(v), unit_vec(QQ, 4, h2)
+                                mat_power(H2.alpha, -1).column(v), unit_vec(QQ, 4, h2)
                             )
                             for i in range(4):
                                 if first[i]:
