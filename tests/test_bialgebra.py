@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from bihom.algebra_core import truncated_polynomial_algebra
@@ -192,6 +194,25 @@ class TestPrimitives:
         H = f2_restricted_line()
         with pytest.raises(NotPrimitive):
             primitive_bracket(H, H.unit, H.unit)
+
+    @pytest.mark.parametrize("maps,error", [
+        # alpha(X) = 1 + X: [X, X] = X^2 - (X - 1)(X + 1) = 1
+        ({"alpha": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]},
+         "bracket of primitives failed to be primitive"),
+        ({"psi": [[1, 0, 0], [0, 2, 0], [0, 0, 1]]},
+         "psi and omega disagree on a primitive element"),
+        # alpha(X) = X + X^2: [X, X] = 0, but alpha^-1(X) = X - X^2
+        ({"alpha": [[1, 0, 0], [0, 1, 0], [0, 1, 1]]},
+         "alpha^-1 beta^-1 did not preserve primitivity"),
+    ], ids=["bracket", "psi_omega", "powers"])
+    def test_bracket_checks_fail_in_order(self, maps, error):
+        H = f3_truncated_line()
+        f3 = H.field
+        H = dataclasses.replace(H, **{k: Matrix(f3, m) for k, m in maps.items()})
+        x = [f3.zero(), f3.one(), f3.zero()]
+        with pytest.raises(AssertionError) as info:
+            primitive_bracket(H, x, x)
+        assert str(info.value) == error
 
 
 class TestModuleBiHomAlgebra:
