@@ -3,9 +3,10 @@
 Every result the package verifies says that two composite linear maps
 agree, e.g. mu o (alpha (x) mu) = mu o (mu (x) beta).  This module states
 such an identity once, as ``Axiom(name, lhs, rhs)`` over the map terms
-below, and evaluates both sides on one basis tuple of the domain at a time,
-in lexicographic order.  The first tuple where they differ gives the
-witness ``(index tuple, lhs value, rhs value)``.
+below, and evaluates both sides a row at a time, in lexicographic order: a
+row holds the images of the basis tuples that differ only in the last
+factor.  The first tuple where they differ gives the witness
+``(index tuple, lhs value, rhs value)``.
 
 Map terms; ``dom`` and ``cod`` list the dimensions of the tensor factors:
 
@@ -23,8 +24,13 @@ coordinates; a coefficient that cancels is dropped, so equal values hold the
 same pairs.  Each leaf lists the nonzero pairs of its columns once per check
 call, a Kron multiplies the supports of its factors, a Compose applies its
 outer map only to the support of the inner value, and the images of
-composites are memoized for one check call.  A product of a pure tensor,
-Mul o (f (x) g), is one bilinear_apply on the product's nonzero table.
+composites, and their rows, are memoized for one check call.  A leaf's row
+is a slice of its table, a Kron keeps its first factor's value along a row,
+and a Compose maps each image of its inner row; other terms give the image
+of each tuple.  A product Mul o (f (x) g) with the last factor in g folds
+the factor that is fixed along its rows into the product's table with
+bilinear_apply: g, as mu(e_k, g(e_c)), when it has one factor, else f's
+value at the row's prefix.
 
 Kronecker structure is evaluated factor by factor, as the terms state it:
 a term's factors are those of a Kron, one Id per factor of an identity Perm,
@@ -109,6 +115,23 @@ def _pairs(col, tuples, one):
     return [(tuples[k], one if x == one else x) for k, x in enumerate(col) if x]
 
 
+def _combine(value, image, one):
+    """The map with images image(u) applied to a value: the nonzero pairs of
+    the sum of c * image(u) over its pairs (u, c), with no product by one."""
+    if len(value) == 1:
+        (u, c), = value
+        z = image(u)
+        return z if c is one else [(w, c if x is one else c * x) for w, x in z]
+    out = {}
+    for u, c in value:
+        for w, x in image(u):
+            if c is not one:
+                x = c if x is one else c * x
+            v = out.get(w)
+            out[w] = x if v is None else v + x
+    return [(w, x) for w, x in out.items() if x]
+
+
 def _add(a, b):
     """a + b as {key: coefficient}, for two (key, coefficient) lists, over both supports."""
     out = dict(a)
@@ -125,7 +148,9 @@ def _add(a, b):
 
 class Term:
     """A linear map between tensor powers.  ``compile`` gives the function
-    from a domain basis tuple to the nonzero pairs of its image."""
+    from a domain basis tuple to the nonzero pairs of its image, and ``row``
+    from a row number r to the images of the domain tuples r*d to r*d+d-1,
+    with d the last factor's dimension (1 on k)."""
 
     __slots__ = ("dom", "cod")
     field = None
@@ -134,6 +159,11 @@ class Term:
     def factors(self, ev):
         """Terms whose Kron is this term."""
         return [self]
+
+    def row(self, ev, memo):
+        view, tuples, d = ev.view(self, memo), ev.tuples(self.dom), (self.dom or (1,))[-1]
+        rows = [tuples[r * d:(r + 1) * d] for r in range(_size(self.dom[:-1]))]
+        return lambda r: [view(t) for t in rows[r]]
 
 
 class _Columns(Term):
@@ -158,6 +188,10 @@ class _Columns(Term):
             return lambda t: table[t[0]]
         flat = _flat(self.dom)
         return lambda t: table[flat(t)]
+
+    def row(self, ev, memo):
+        table, d = self.nonzero(ev), (self.dom or (1,))[-1]
+        return lambda r: table[r * d:(r + 1) * d]
 
 
 class Lin(_Columns):
@@ -213,6 +247,9 @@ class Mul(_Columns):
     def compile(self, ev, memo):
         table = self.nonzero(ev)
         return lambda t: table[t[0]][t[1]]
+
+    def row(self, ev, memo):
+        return self.nonzero(ev).__getitem__
 
 
 class Comul(_Columns):
@@ -309,6 +346,16 @@ class Kron(_Binary):
             for a, x in f(t[:n]) for b, y in g(t[n:])
         ]
 
+    def row(self, ev, memo):
+        if not self.g.dom:
+            return Term.row(self, ev, memo)
+        left, prefixes, one = ev.view(self.f), ev.tuples(self.f.dom), ev.one
+        n, right = _size(self.g.dom[:-1]), ev.view(self.g, rows=True)
+        # row r is row r % n of g after the (r // n)-th tuple of f's domain
+        return lambda r: [[(a + b, y if c is one else c if y is one else c * y)
+                           for a, c in x for b, y in v]
+                          for x in [left(prefixes[r // n])] for v in right(r % n)]
+
 
 class Compose(_Binary):
     """f o g.  Compose(f, g, h) is f o (g o h): each map is applied in turn
@@ -336,23 +383,36 @@ class Compose(_Binary):
         if isinstance(f, Perm):
             inner, move = ev.view(g, memo), f.move()
             return lambda t: [(move(u), c) for u, c in inner(t)]
-        if isinstance(f, Mul) and isinstance(g, Kron) and len(g.f.cod) == len(g.g.cod) == 1:
-            table, left, right, n = f.nonzero(ev), ev.view(g.f), ev.view(g.g), len(g.f.dom)
-            one = ev.one
-            return lambda t: bilinear_apply(table, left(t[:n]), right(t[n:]), one)
+        if self.folds():  # read off the memoized row
+            row, prefix = ev.view(self, True, rows=True), _flat(self.dom[:-1])
+            return lambda t: row(prefix(t))[t[-1]]
         inner, outer, one = ev.view(g, memo), ev.view(f), ev.one
+        return lambda t: _combine(inner(t), outer, one)
 
-        def sparse(t):  # f summed over the support of g(t)
-            out = {}
-            for u, c in inner(t):
-                for w, x in outer(u):
-                    if c is not one:
-                        x = c if x is one else c * x
-                    v = out.get(w)
-                    out[w] = x if v is None else v + x
-            return [(w, x) for w, x in out.items() if x]
+    def folds(self):  # Mul o (f (x) g), f and g with one codomain factor, the last in g
+        f, g = self.f, self.g
+        return isinstance(f, Mul) and isinstance(g, Kron) and len(g.f.cod) == 1 and bool(g.g.dom)
 
-        return sparse
+    def row(self, ev, memo):
+        if isinstance(self.f, Perm) or isinstance(self.g, Perm):
+            return Term.row(self, ev, memo)
+        one = ev.one
+        if not self.folds():  # f applied to each image of g's row
+            inner, outer = ev.view(self.g, memo, rows=True), ev.view(self.f)
+            return lambda r: [_combine(v, outer, one) for v in inner(r)]
+        table, f, g = self.f.nonzero(ev), self.g.f, self.g.g
+        left, prefixes = ev.view(f), ev.tuples(f.dom)
+
+        def fold(x, y):  # u -> mu(x, e_u), or mu(e_u, y) when x is None
+            return _Lazy(lambda u: bilinear_apply(table, [(u, one)] if x is None else x,
+                                                  y if x is None else [(u, one)], one)).__getitem__
+
+        if len(g.dom) == 1:  # g folded once: column c is u -> mu(e_u, g(e_c))
+            columns = [fold(None, y) for y in ev.view(g, rows=True)(0)]
+            return lambda r: [_combine(x, m, one) for x in [left(prefixes[r])] for m in columns]
+        n, right = _size(g.dom[:-1]), ev.view(g, rows=True)
+        folded = _Lazy(lambda i: fold(left(prefixes[i]), None))  # by f's prefix
+        return lambda r: [_combine(v, m, one) for m in [folded[r // n]] for v in right(r % n)]
 
 
 class Sum(_Binary):
@@ -420,16 +480,17 @@ class _Eval:
         self.field, self.zero, self.one = field, field.zero(), field.one()
         self._fns, self._tuples, self._tables, self._factors, self._fused = {}, {}, {}, {}, {}
 
-    def view(self, term, memo=True):
+    def view(self, term, memo=True, rows=False):
         """memo=True: the term is evaluated on basis tuples that recur
         (inside a Kron, or after a Compose); False: once per axiom tuple.
+        rows=True: term.row, by row number, instead of term.compile.
         A Compose that fuses is viewed as its fused term, sharing its memo."""
         if isinstance(term, Compose):
             term = self.fused(term.f, term.g) or term
-        key = (term, memo)
+        key = (term, memo, rows)
         fn = self._fns.get(key)
         if fn is None:
-            fn = term.compile(self, memo)
+            fn = term.row(self, memo) if rows else term.compile(self, memo)
             if memo and term.cached:
                 fn = _Lazy(fn).__getitem__
             self._fns[key] = fn
@@ -506,24 +567,27 @@ class Axiom:
                                     for n, t in enumerate(tuples) for w, x in diff(t)}
 
     def witness(self, ev):
-        lhs, rhs, cod = ev.view(self.lhs, False), ev.view(self.rhs, False), self.lhs.cod
-        tuples = product(*map(range, self.lhs.dom))
+        cod, dom = self.lhs.cod, self.lhs.dom
 
         def dense(v):
             return ev.dense(v, cod) if cod else ev.dense(v, cod)[0]
 
+        lhs, rhs = ev.view(self.lhs, False, True), ev.view(self.rhs, False, True)
+        prefixes = ev.tuples(dom[:-1])
         # values are equal when they hold the same pairs, in any order
         if self.label is None:
-            for t in tuples:
-                a, b = lhs(t), rhs(t)
-                if a != b and dict(a) != dict(b):
-                    return (t, dense(a), dense(b))
+            for r, p in enumerate(prefixes):
+                a, b = lhs(r), rhs(r)
+                if a != b:
+                    for c, (x, y) in enumerate(zip(a, b)):
+                        if x != y and dict(x) != dict(y):
+                            return (p + (c,) if dom else (), dense(x), dense(y))
             return None
-        pairs = [(lhs(t), rhs(t)) for t in tuples]
+        pairs = [xy for r in range(len(prefixes)) for xy in zip(lhs(r), rhs(r))]
         if all(a == b or dict(a) == dict(b) for a, b in pairs):
             return None
         sides = [[dense(v) for v in side] for side in zip(*pairs)]
-        if not self.lhs.dom:
+        if not dom:
             sides = [side[0] for side in sides]
         return (self.label, sides[0], sides[1])
 
