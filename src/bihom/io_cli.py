@@ -147,10 +147,17 @@ def _parse_entry(field, data, shape, path, memo):
     """A tensor, matrix or optional vector, by the length of its shape."""
     if len(shape) == 1:
         return None if data is None else _parse_array(field, data, shape, path, memo)
+    # parsed scalars of checked extents need no second promote, and the
+    # shape keeps the extents an empty axis cannot show
     entries = _parse_array(field, data, shape, path, memo)
-    cls = Matrix if len(shape) == 2 else Tensor3
-    # an empty matrix or tensor keeps the extents its entries cannot show
-    return cls.zero(field, *shape) if 0 in shape else cls(field, entries)
+    if len(shape) == 2:
+        out = Matrix.__new__(Matrix)
+        (out.rows, out.cols), out.e = shape, entries
+    else:
+        out = Tensor3.__new__(Tensor3)
+        (out.d1, out.d2, out.d3), out.t = shape, entries
+    out.field = field
+    return out
 
 
 def parse_structure(text: str):

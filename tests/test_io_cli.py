@@ -170,6 +170,41 @@ def _literals(obj):
     return [x for value in obj for x in ([value] if isinstance(value, str) else _literals(value))]
 
 
+def _containers(value):
+    """The matrices and tensors of a parsed structure, an action's algebra
+    included."""
+    if isinstance(value, (Matrix, Tensor3)):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _containers(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _containers(getattr(value, f.name))
+
+
+def _typed(x):
+    """Nested lists of (type, value) pairs."""
+    return [_typed(y) for y in x] if isinstance(x, list) else (type(x), x)
+
+
+def _extents(c):
+    return (c.rows, c.cols) if isinstance(c, Matrix) else (c.d1, c.d2, c.d3)
+
+
+def _entries(c):
+    return c.e if isinstance(c, Matrix) else c.t
+
+
+def _promoted(c):
+    """c as Matrix(...) or Tensor3(...) builds it from its entries, which
+    promotes each entry again; an empty one as zero(...) builds it."""
+    cls = type(c)
+    if 0 in _extents(c):
+        return cls.zero(c.field, *_extents(c))
+    return cls(c.field, _entries(c))
+
+
 class TestParseMemo:
     """parse_structure reads each distinct literal of a file once, and still
     reports the first bad entry of the file at its own path."""
@@ -227,6 +262,33 @@ class TestParseMemo:
 
         assert self._check(tmp_path, capsys, edit) == (
             2, f"error: mu[3][3][0]: scalar must be a string, got {entry!r}\n")
+
+    def test_containers_hold_the_parsed_scalars_as_promote_gives_them(self, tmp_path):
+        """Matrices and tensors take the parsed scalars without promoting
+        them again: for every fixture and every input file of a cli_files
+        benchmark pass (seed 11), each entry has the value and the type (int
+        or Fraction over Q) that Matrix(...) or Tensor3(...) gives it, and
+        each container the same extents."""
+        bench = os.path.join(os.path.dirname(__file__), "..", "bench")
+        sys.path.insert(0, bench)
+        try:
+            import inputs
+            import workloads
+        finally:
+            sys.path.remove(bench)
+        workloads.cli_files(11, str(tmp_path), inputs.Digest(11), os.path.dirname(bench))
+        paths = sorted(tmp_path.glob("*.json")) + [
+            fixture_path(n) for n in sorted(os.listdir(FIXDIR))]
+        assert len(paths) > 90
+        containers = 0
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                for c in _containers(parse_structure(fh.read())[1]):
+                    containers += 1
+                    old = _promoted(c)
+                    assert _extents(c) == _extents(old)
+                    assert _typed(_entries(c)) == _typed(_entries(old)), path
+        assert containers > 2 * len(paths)
 
     def test_qq_file_checks_as_its_value_in_memory(self, tmp_path, capsys):
         """A Q(q) algebra whose file repeats literals such as (1+q)/(1-q)
