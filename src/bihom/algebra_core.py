@@ -268,26 +268,23 @@ def untwist(a: BiHomAlgebra) -> BiHomAlgebra:
 
 def tensor_product(a: BiHomAlgebra, b: BiHomAlgebra) -> BiHomAlgebra:
     """(a (x) b)(a' (x) b') = aa' (x) bb' with maps alpha_A (x) alpha_B etc."""
-    same_field("tensor product", a.field, b.field)
     da, db = a.dim, b.dim
-    d = da * db
+    return tensor_algebra(
+        a, b, Compose(Kron(Mul(a.mu), Mul(b.mu)), Perm((da, db, da, db), (0, 2, 1, 3)))
+    )
 
-    # (a (x) b)(a' (x) b') = a a' (x) b b'
-    pair = Compose(Kron(Mul(a.mu), Mul(b.mu)), Perm((da, db, da, db), (0, 2, 1, 3)))
-    mu = product_tensor(pair, d, d)
+
+def tensor_algebra(a: BiHomAlgebra, b: BiHomAlgebra, product) -> BiHomAlgebra:
+    """The algebra on a (x) b with the given product term, maps
+    alpha_A (x) alpha_B etc., unit 1 (x) 1 when both have one, labels la.lb."""
+    same_field("tensor product", a.field, b.field)
+    d = a.dim * b.dim
     unit = None
     if a.unit is not None and b.unit is not None:
         unit = vec_tensor(a.unit, b.unit, a.field)
-    labels = [f"{la}.{lb}" for la in a.labels for lb in b.labels]
-    return BiHomAlgebra(
-        field=a.field,
-        dim=d,
-        mu=mu,
-        alpha=kron(a.alpha, b.alpha),
-        beta=kron(a.beta, b.beta),
-        unit=unit,
-        labels=labels,
-    )
+    return BiHomAlgebra(field=a.field, dim=d, mu=product_tensor(product, d, d),
+                        alpha=kron(a.alpha, b.alpha), beta=kron(a.beta, b.beta), unit=unit,
+                        labels=[f"{la}.{lb}" for la in a.labels for lb in b.labels])
 
 
 def endomorphism_algebra(u: Matrix, v: Matrix) -> BiHomAlgebra:

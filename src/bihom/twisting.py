@@ -21,7 +21,7 @@ from .algebra_core import (
     BiHomAlgebra,
     _require_multiplicative,
     _require_pairwise_commuting,
-    tensor_product,
+    tensor_algebra,
     unit_axioms,
 )
 from .axioms import (
@@ -307,21 +307,11 @@ def twisted_tensor_product(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) ->
         raise TwistingMapInvalid(
             f"twisting map fails {report.failures()[0].axiom}", report=report
         )
-    plain = tensor_product(A, B)
-    da, db, d = A.dim, B.dim, A.dim * B.dim
+    da, db = A.dim, B.dim
     # (a (x) b) (x) (a' (x) b') -> a (x) a'_R (x) b_R (x) b' -> a a'_R (x) b_R b'
     product = Compose(Kron(Mul(A.mu), Mul(B.mu)), Kron(Id(da), _twisting(tw), Id(db)))
-    out = BiHomAlgebra(
-        field=A.field,
-        dim=d,
-        mu=product_tensor(product, d, d),
-        alpha=plain.alpha,
-        beta=plain.beta,
-        unit=None,
-        labels=list(plain.labels),
-    )
-    if plain.unit is not None:
-        out.unit = _validated_unit(out, plain.unit)
+    out = tensor_algebra(A, B, product)
+    out.unit = _validated_unit(out, out.unit)
     return out
 
 
