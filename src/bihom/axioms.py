@@ -389,7 +389,7 @@ class Compose(_Binary):
         inner, outer, one = ev.view(g, memo), ev.view(f), ev.one
         return lambda t: _combine(inner(t), outer, one)
 
-    def folds(self):  # Mul o (f (x) g), f and g with one codomain factor, the last in g
+    def folds(self):  # Mul o (f (x) g), one codomain factor each, the last domain one in g
         f, g = self.f, self.g
         return isinstance(f, Mul) and isinstance(g, Kron) and len(g.f.cod) == 1 and bool(g.g.dom)
 
