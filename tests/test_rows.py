@@ -37,11 +37,7 @@ def scalars(field):
     return oracle.Scalars("Q" if field == QQ else "Fp:7")
 
 
-def col(m, i):
-    return oracle.column(m, i)
-
-
-def first_difference(sc, dims, sides):
+def first_difference(dims, sides):
     """(tuple, lhs, rhs) at the first basis tuple, in lexicographic order,
     where the two sides differ, or None."""
     for t in product(*map(range, dims)):
@@ -65,10 +61,6 @@ def assert_same_witness(sc, ax, expected):
 # ---------------------------------------------------------------------------
 
 
-def e(sc, d, i):
-    return oracle.basis(sc, d, i)
-
-
 def associativity_case(field, act, mu, alpha, beta):
     """act(alpha(a), act(b, c)) = act(mu(a, b), beta(c)) over A (x) A (x) M."""
     sc = scalars(field)
@@ -77,13 +69,12 @@ def associativity_case(field, act, mu, alpha, beta):
 
     def sides(t):
         i, j, k = t
-        return (oracle.bilinear(sc, pa, col(pal, i), oracle.bilinear(sc, pa, e(sc, da, j),
-                                                                     e(sc, dm, k))),
-                oracle.bilinear(sc, pa, oracle.bilinear(sc, pm, e(sc, da, i), e(sc, da, j)),
-                                col(pbe, k)))
+        a, b, c = oracle.basis(sc, da, i), oracle.basis(sc, da, j), oracle.basis(sc, dm, k)
+        return (oracle.bilinear(sc, pa, oracle.column(pal, i), oracle.bilinear(sc, pa, b, c)),
+                oracle.bilinear(sc, pa, oracle.bilinear(sc, pm, a, b), oracle.column(pbe, k)))
 
     ax = associativity("assoc", act, mu, alpha, beta)
-    return sc, ax, first_difference(sc, (da, da, dm), sides)
+    return sc, ax, first_difference((da, da, dm), sides)
 
 
 def multiplicative_case(field, mu, m):
@@ -93,10 +84,11 @@ def multiplicative_case(field, mu, m):
 
     def sides(t):
         i, j = t
-        return (oracle.apply(sc, pmap, oracle.bilinear(sc, pm, e(sc, d, i), e(sc, d, j))),
-                oracle.bilinear(sc, pm, col(pmap, i), col(pmap, j)))
+        a, b = oracle.basis(sc, d, i), oracle.basis(sc, d, j)
+        return (oracle.apply(sc, pmap, oracle.bilinear(sc, pm, a, b)),
+                oracle.bilinear(sc, pm, oracle.column(pmap, i), oracle.column(pmap, j)))
 
-    return sc, multiplicative("mult", mu, m), first_difference(sc, (d, d), sides)
+    return sc, multiplicative("mult", mu, m), first_difference((d, d), sides)
 
 
 def unit_case(field, mu, unit, m, side):
@@ -106,10 +98,10 @@ def unit_case(field, mu, unit, m, side):
 
     def sides(t):
         (i,) = t
-        x = (e(sc, d, i), pu) if side == "right" else (pu, e(sc, d, i))
-        return oracle.bilinear(sc, pm, *x), col(pmap, i)
+        x = (oracle.basis(sc, d, i), pu) if side == "right" else (pu, oracle.basis(sc, d, i))
+        return oracle.bilinear(sc, pm, *x), oracle.column(pmap, i)
 
-    return sc, unit_law("unit", mu, unit, m, side), first_difference(sc, (d,), sides)
+    return sc, unit_law("unit", mu, unit, m, side), first_difference((d,), sides)
 
 
 # ---------------------------------------------------------------------------
