@@ -16,7 +16,6 @@ from bihom.axioms import (
     Axiom,
     Compose,
     Lin,
-    Mul,
     Vec,
     _Eval,
     counit_invariant,
@@ -249,28 +248,21 @@ def test_labelled_axioms_and_a_domain_of_k(field):
     eps = rand_vector(rng, field, 3, density=0.9)
     pm, pv, peps = plain(sc, m), plain(sc, v), plain(sc, eps)
     moved = oracle.apply(sc, pm, pv)
+    lhs = [sc.norm(sum((peps[r] * pm[r][i] for r in range(3)), 0)) for i in range(3)]
+    assert moved != pv and lhs != peps  # so each axiom below fails
     # domain k, labelled: the two vectors themselves
-    got = witness(fixes("fixes", m, v))
-    assert (None if got is None else (got[0], plain(sc, got[1]), plain(sc, got[2]))) == (
-        None if moved == pv else (("1",), moved, pv))
+    assert_same_witness(sc, fixes("fixes", m, v), (("1",), moved, pv))
     # domain k, unlabelled: the empty tuple
-    got = witness(Axiom("fixes", Compose(Lin(m), Vec(v)), Vec(v)))
-    assert (None if got is None else (got[0], plain(sc, got[1]), plain(sc, got[2]))) == (
-        None if moved == pv else ((), moved, pv))
+    assert_same_witness(sc, Axiom("fixes", Compose(Lin(m), Vec(v)), Vec(v)), ((), moved, pv))
     # labelled over (3,) with codomain k: every image, as scalars
-    lhs = [sum((peps[r] * pm[r][i] for r in range(3)), 0) for i in range(3)]
-    lhs = [sc.norm(x) for x in lhs]
-    got = witness(counit_invariant("eps", eps, m))
-    assert (None if got is None else (got[0], plain(sc, got[1]), plain(sc, got[2]))) == (
-        None if lhs == peps else (("eps",), lhs, peps))
-    assert moved != pv and lhs != peps
+    assert_same_witness(sc, counit_invariant("eps", eps, m), (("eps",), lhs, peps))
 
 
 @FIELDS
 def test_unit_laws_on_either_side(field):
-    """mu(1, x): Mul o (Vec (x) Id) folds Id into the table and has a single
-    row, as its left factor's domain is k; mu(x, 1) has its last factor in
-    Vec's left neighbour and is evaluated a tuple at a time."""
+    """mu(1, x) = Mul o (Vec (x) Id) folds Id into the table and has one
+    row, as Vec's domain is k; mu(x, 1) = Mul o (Id (x) Vec) has its last
+    domain factor in Id, so it does not fold and gives each tuple's image."""
     rng = random.Random(6)
     mu = rand_tensor(rng, field, 3, 3, 3, density=0.6)
     unit = rand_vector(rng, field, 3, density=0.7)
