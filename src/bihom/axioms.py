@@ -63,11 +63,13 @@ at x = 0 and at each unit vector gives the linear system.
 
 from __future__ import annotations
 
-from itertools import product
+from fractions import Fraction
+from itertools import chain, compress, product
+from math import gcd, lcm
 from operator import mul
 
 from .errors import ShapeMismatch
-from .exactnum import canonical, check_scalars, same_field
+from .exactnum import PrimeField, PrimeFieldElement, canonical, check_scalars, same_field
 from .linalg import (
     Matrix,
     Tensor3,
@@ -108,36 +110,73 @@ class _Lazy(dict):
         return value
 
 
-def _pairs(col, tuples, one):
-    """The nonzero (basis tuple, coefficient) pairs of a coordinate list;
-    entries equal to 1 become the field's one object, so that products can
-    skip multiplying by it."""
-    return [(tuples[k], one if x == one else x) for k, x in enumerate(col) if x]
+def _nonzero(items, mod):
+    """The (key, coefficient) items whose coefficient is nonzero, each
+    reduced first over F_p (mod = p; 0 over Q and Q(q))."""
+    if mod:
+        return [(w, r) for w, x in items if (r := x % mod)]
+    return [(w, x) for w, x in items if x]
 
 
-def _combine(value, image, one):
+def _scaled(value, c):
+    """A value times the int c; c = 1 costs nothing."""
+    return value if c == 1 else [(w, c * x) for w, x in value]
+
+
+def _combine(value, image, mod):
     """The map with images image(u) applied to a value: the nonzero pairs of
-    the sum of c * image(u) over its pairs (u, c), with no product by one."""
-    if len(value) == 1:
+    the sum of c * image(u) over its pairs (u, c)."""
+    if len(value) == 1:  # products of nonzero coefficients: nothing cancels
         (u, c), = value
-        z = image(u)
-        return z if c is one else [(w, c if x is one else c * x) for w, x in z]
+        if c == 1:  # the image itself, not a copy
+            return image(u)
+        if mod:
+            return [(w, c * x % mod) for w, x in image(u)]
+        return [(w, c * x) for w, x in image(u)]
     out = {}
+    get = out.get
     for u, c in value:
         for w, x in image(u):
-            if c is not one:
-                x = c if x is one else c * x
-            v = out.get(w)
-            out[w] = x if v is None else v + x
-    return [(w, x) for w, x in out.items() if x]
+            out[w] = get(w, 0) + c * x
+    return _nonzero(out.items(), mod)
+
+
+def _raw(columns, tuples, mod, scale=None):
+    """(the nonzero pairs of each coordinate list, their scale), with raw
+    coefficients: residues over F_p, the elements over Q(q) (scale 1), and
+    over Q numerators over the scale, which is the lcm of the denominators
+    met while listing unless it is given."""
+    if mod:
+        return [[(tuples[k], v) for k, x in enumerate(col) if (v := x.value)]
+                for col in columns], 1
+    fractions = []
+    note = fractions.append  # returns None: a Fraction is noted and kept
+    table = [[(tuples[k], x) for k in compress(range(len(col)), col)
+              if type(x := col[k]) is not Fraction or not note(x)] for col in columns]
+    if scale is None:
+        scale = lcm(*{x.denominator for x in fractions}) if fractions else 1
+    if scale != 1:
+        table = [[(w, x.numerator * (scale // x.denominator)) for w, x in col]
+                 for col in table]
+    return table, scale
+
+
+def _denominator(planes):
+    """The lcm of the denominators of a tensor's entries; an integral tensor
+    costs one scan of their types."""
+    def entries():
+        return chain.from_iterable(chain.from_iterable(planes))
+    if Fraction not in set(map(type, entries())):
+        return 1
+    return lcm(*{x.denominator for x in entries() if type(x) is Fraction})
 
 
 def _add(a, b):
     """a + b as {key: coefficient}, for two (key, coefficient) lists, over both supports."""
     out = dict(a)
+    get = out.get
     for w, x in b:
-        v = out.get(w)
-        out[w] = x if v is None else v + x
+        out[w] = get(w, 0) + x
     return out
 
 
@@ -160,6 +199,10 @@ class Term:
         """Terms whose Kron is this term."""
         return [self]
 
+    def scale(self, ev):
+        """The int that the term's raw coefficients are over."""
+        return 1
+
     def row(self, ev, memo):
         view, tuples, d = ev.view(self, memo), ev.tuples(self.dom), (self.dom or (1,))[-1]
         rows = [tuples[r * d:(r + 1) * d] for r in range(_size(self.dom[:-1]))]
@@ -176,11 +219,15 @@ class _Columns(Term):
     def field(self):
         return getattr(self.data, "field", None)
 
+    def listed(self, ev):
+        """(the nonzero pairs of every column, in domain order, their scale)."""
+        return ev.table(self, lambda data: _raw(self._columns(data), ev.tuples(self.cod), ev.mod))
+
     def nonzero(self, ev):
-        """The nonzero pairs of every column, in domain order."""
-        tuples, one = ev.tuples(self.cod), ev.one
-        return ev.table(self, lambda data: [_pairs(col, tuples, one)
-                                            for col in self._columns(data)])
+        return self.listed(ev)[0]
+
+    def scale(self, ev):
+        return self.listed(ev)[1]
 
     def compile(self, ev, memo):
         table = self.nonzero(ev)
@@ -237,12 +284,16 @@ class Mul(_Columns):
     def __init__(self, t):
         self.data, self.dom, self.cod = t, (t.d1, t.d2), (t.d3,)
 
-    def nonzero(self, ev):
-        """[i][j] -> the nonzero pairs of t[i][j], as bilinear_apply takes it.
-        Row i is listed when first read, so that a product of two vectors
-        reads only the rows of its left factor's support."""
-        tuples, one = ev.tuples(self.cod), ev.one
-        return ev.table(self, lambda t: _Lazy(lambda i: [_pairs(c, tuples, one) for c in t.t[i]]))
+    def listed(self, ev):
+        """([i][j] -> the nonzero pairs of t[i][j], as bilinear_apply takes
+        it, their scale).  Row i is listed when first read, so that a product
+        of two vectors reads only the rows of its left factor's support; the
+        scale of the whole tensor is known before."""
+        def build(t):
+            scale, tuples, mod = _denominator(t.t), ev.tuples(self.cod), ev.mod
+            return _Lazy(lambda i: _raw(t.t[i], tuples, mod, scale)[0]), scale
+
+        return ev.table(self, build)
 
     def compile(self, ev, memo):
         table = self.nonzero(ev)
@@ -287,8 +338,8 @@ class Perm(Term):
         return [Id(d) for d in self.dom] if len(self.dom) > 1 and self.identity() else [self]
 
     def compile(self, ev, memo):
-        move, one = self.move(), ev.one
-        return lambda t: [(move(t), one)]
+        move = self.move()
+        return lambda t: [(move(t), 1)]
 
 
 def Id(d):
@@ -318,6 +369,9 @@ class _Binary(Term):
     def field(self):
         return self.f.field or self.g.field
 
+    def scale(self, ev):
+        return ev.scale(self.f) * ev.scale(self.g)
+
 
 class Kron(_Binary):
     __slots__ = ()
@@ -333,7 +387,7 @@ class Kron(_Binary):
 
     def compile(self, ev, memo):
         # a product of nonzero coefficients is nonzero: nothing cancels here
-        f, g, n, one = ev.view(self.f), ev.view(self.g), len(self.f.dom), ev.one
+        f, g, n, mod = ev.view(self.f), ev.view(self.g), len(self.f.dom), ev.mod
         # a factor that permutes basis tuples contributes no coefficient
         if isinstance(self.f, Perm):
             move = self.f.move()
@@ -341,19 +395,20 @@ class Kron(_Binary):
         if isinstance(self.g, Perm):
             move = self.g.move()
             return lambda t: [(a + move(t[n:]), x) for a, x in f(t[:n])]
-        return lambda t: [
-            (a + b, y if x is one else x if y is one else x * y)
-            for a, x in f(t[:n]) for b, y in g(t[n:])
-        ]
+        if mod:
+            return lambda t: [(a + b, x * y % mod) for a, x in f(t[:n]) for b, y in g(t[n:])]
+        return lambda t: [(a + b, x * y) for a, x in f(t[:n]) for b, y in g(t[n:])]
 
     def row(self, ev, memo):
         if not self.g.dom:
             return Term.row(self, ev, memo)
-        left, prefixes, one = ev.view(self.f), ev.tuples(self.f.dom), ev.one
+        left, prefixes, mod = ev.view(self.f), ev.tuples(self.f.dom), ev.mod
         n, right = _size(self.g.dom[:-1]), ev.view(self.g, rows=True)
         # row r is row r % n of g after the (r // n)-th tuple of f's domain
-        return lambda r: [[(a + b, y if c is one else c if y is one else c * y)
-                           for a, c in x for b, y in v]
+        if mod:
+            return lambda r: [[(a + b, c * y % mod) for a, c in x for b, y in v]
+                              for x in [left(prefixes[r // n])] for v in right(r % n)]
+        return lambda r: [[(a + b, c * y) for a, c in x for b, y in v]
                           for x in [left(prefixes[r // n])] for v in right(r % n)]
 
 
@@ -386,8 +441,8 @@ class Compose(_Binary):
         if self.folds():  # read off the memoized row
             row, prefix = ev.view(self, True, rows=True), _flat(self.dom[:-1])
             return lambda t: row(prefix(t))[t[-1]]
-        inner, outer, one = ev.view(g, memo), ev.view(f), ev.one
-        return lambda t: _combine(inner(t), outer, one)
+        inner, outer, mod = ev.view(g, memo), ev.view(f), ev.mod
+        return lambda t: _combine(inner(t), outer, mod)
 
     def folds(self):  # Mul o (f (x) g), one codomain factor each, the last domain one in g
         f, g = self.f, self.g
@@ -396,23 +451,24 @@ class Compose(_Binary):
     def row(self, ev, memo):
         if isinstance(self.f, Perm) or isinstance(self.g, Perm):
             return Term.row(self, ev, memo)
-        one = ev.one
+        mod = ev.mod
         if not self.folds():  # f applied to each image of g's row
             inner, outer = ev.view(self.g, memo, rows=True), ev.view(self.f)
-            return lambda r: [_combine(v, outer, one) for v in inner(r)]
+            return lambda r: [_combine(v, outer, mod) for v in inner(r)]
         table, f, g = self.f.nonzero(ev), self.g.f, self.g.g
         left, prefixes = ev.view(f), ev.tuples(f.dom)
 
         def fold(x, y):  # u -> mu(x, e_u), or mu(e_u, y) when x is None
-            return _Lazy(lambda u: bilinear_apply(table, [(u, one)] if x is None else x,
-                                                  y if x is None else [(u, one)], one)).__getitem__
+            return _Lazy(lambda u: _nonzero(bilinear_apply(
+                table, [(u, 1)] if x is None else x, y if x is None else [(u, 1)]).items(),
+                mod)).__getitem__
 
         if len(g.dom) == 1:  # g folded once: column c is u -> mu(e_u, g(e_c))
             columns = [fold(None, y) for y in ev.view(g, rows=True)(0)]
-            return lambda r: [_combine(x, m, one) for x in [left(prefixes[r])] for m in columns]
+            return lambda r: [_combine(x, m, mod) for x in [left(prefixes[r])] for m in columns]
         n, right = _size(g.dom[:-1]), ev.view(g, rows=True)
         folded = _Lazy(lambda i: fold(left(prefixes[i]), None))  # by f's prefix
-        return lambda r: [_combine(v, m, one) for m in [folded[r // n]] for v in right(r % n)]
+        return lambda r: [_combine(v, m, mod) for m in [folded[r // n]] for v in right(r % n)]
 
 
 class Sum(_Binary):
@@ -423,9 +479,13 @@ class Sum(_Binary):
             raise ShapeMismatch(f"adding maps {f.dom} -> {f.cod} and {g.dom} -> {g.cod}")
         self.f, self.g, self.dom, self.cod = f, g, f.dom, f.cod
 
+    def scale(self, ev):
+        return lcm(ev.scale(self.f), ev.scale(self.g))
+
     def compile(self, ev, memo):
-        f, g = ev.view(self.f, memo), ev.view(self.g, memo)
-        return lambda t: [(w, x) for w, x in _add(f(t), g(t)).items() if x]
+        f, g, mod = ev.view(self.f, memo), ev.view(self.g, memo), ev.mod
+        a, b = ev.cofactors(self.f, self.g)
+        return lambda t: _nonzero(_add(_scaled(f(t), a), _scaled(g(t), b)).items(), mod)
 
 
 class Neg(Term):
@@ -438,9 +498,12 @@ class Neg(Term):
     def field(self):
         return self.f.field
 
+    def scale(self, ev):
+        return ev.scale(self.f)
+
     def compile(self, ev, memo):
-        f = ev.view(self.f, memo)
-        return lambda t: [(w, -x) for w, x in f(t)]
+        f, mod = ev.view(self.f, memo), ev.mod
+        return lambda t: _nonzero(_scaled(f(t), -1), mod)
 
 
 def _fuse(fs, gs):
@@ -477,8 +540,10 @@ class _Eval:
     tables of their leaves."""
 
     def __init__(self, field):
-        self.field, self.zero, self.one = field, field.zero(), field.one()
-        self._fns, self._tuples, self._tables, self._factors, self._fused = {}, {}, {}, {}, {}
+        self.field, self.zero = field, field.zero()
+        self.mod = field.p if isinstance(field, PrimeField) else 0
+        self._fns, self._tuples, self._tables, self._factors = {}, {}, {}, {}
+        self._fused, self._scales, self.fractional = {}, {}, False
 
     def view(self, term, memo=True, rows=False):
         """memo=True: the term is evaluated on basis tuples that recur
@@ -510,6 +575,23 @@ class _Eval:
             self._fused[key] = None if len(fs) < 2 else _fuse(fs, self.factors(g))
         return self._fused[key]
 
+    def scale(self, term):
+        """term.scale, memoized for the check call; 1 while every leaf listed
+        so far is integral.  A term's leaves are listed when its view is
+        compiled, so its scale is asked for after its view."""
+        if not self.fractional:
+            return 1
+        if term not in self._scales:
+            self._scales[term] = term.scale(self)
+        return self._scales[term]
+
+    def cofactors(self, f, g):
+        """(a, b): f's raw coefficients times a and g's times b are over one
+        scale, the lcm of theirs."""
+        sf, sg = self.scale(f), self.scale(g)
+        d = gcd(sf, sg)
+        return sg // d, sf // d
+
     def tuples(self, dims):
         if dims not in self._tuples:
             self._tuples[dims] = list(product(*map(range, dims)))
@@ -520,9 +602,8 @@ class _Eval:
         Every leaf passes here, so a matrix or tensor over another field than
         the check's, or a plain vector or covector with an entry of another
         field, raises MixedFields before it is read.  A plain list's entries
-        are promoted into the field first: an int coordinate over F_p or Q(q)
-        becomes a field element, so a product that skips a factor equal to
-        one still gives a reduced value of the field."""
+        are promoted into the field first, so that every entry is a field
+        element when ``raw`` reads it."""
         key = (id(leaf.data), type(leaf), leaf.cod)
         hit = self._tables.get(key)
         if hit is None:  # holding the data keeps its id from being reused
@@ -533,13 +614,20 @@ class _Eval:
                 check_scalars("map terms", self.field, data)
                 data = [self.field.promote(x) for x in data]
             hit = self._tables[key] = (leaf.data, build(data))
+            self.fractional = self.fractional or hit[1][1] != 1
         return hit[1]
 
-    def dense(self, value, cod):
+    def scalar(self, x, scale):
+        """The field element of a raw coefficient over its scale."""
+        if self.mod:
+            return PrimeFieldElement(x, self.mod)
+        return self.field.promote(x) if scale == 1 else canonical(Fraction(x, scale))
+
+    def dense(self, value, cod, scale):
         """The coordinate list of a value over the codomain."""
-        out, flat = [self.zero] * _size(cod), _flat(cod)
+        out, flat, scalar = [self.zero] * _size(cod), _flat(cod), self.scalar
         for w, x in value:
-            out[flat(w)] = canonical(x)
+            out[flat(w)] = scalar(x, scale)
         return out
 
 
@@ -561,32 +649,39 @@ class Axiom:
     def defect(self, ev):
         """(number of coordinates, {position: nonzero lhs - rhs}) over every
         basis tuple of the domain, concatenated."""
-        diff, cod = ev.view(Sum(self.lhs, Neg(self.rhs)), False), self.lhs.cod
+        diff, cod = Sum(self.lhs, Neg(self.rhs)), self.lhs.cod
+        view, scale, scalar = ev.view(diff, False), ev.scale(diff), ev.scalar
         tuples, size, flat = ev.tuples(self.lhs.dom), _size(cod), _flat(cod)
-        return len(tuples) * size, {n * size + flat(w): x
-                                    for n, t in enumerate(tuples) for w, x in diff(t)}
+        return len(tuples) * size, {n * size + flat(w): scalar(x, scale)
+                                    for n, t in enumerate(tuples) for w, x in view(t)}
 
     def witness(self, ev):
         cod, dom = self.lhs.cod, self.lhs.dom
-
-        def dense(v):
-            return ev.dense(v, cod) if cod else ev.dense(v, cod)[0]
-
         lhs, rhs = ev.view(self.lhs, False, True), ev.view(self.rhs, False, True)
+        scales = ev.scale(self.lhs), ev.scale(self.rhs)
+        a, b = ev.cofactors(self.lhs, self.rhs)  # 1 and 1 when the scales agree
+
+        def dense(v, side):
+            out = ev.dense(v, cod, scales[side])
+            return out if cod else out[0]
+
+        def differ(x, y):  # values are equal when they hold the same pairs, in any order
+            x, y = _scaled(x, a), _scaled(y, b)
+            return x != y and dict(x) != dict(y)
+
         prefixes = ev.tuples(dom[:-1])
-        # values are equal when they hold the same pairs, in any order
         if self.label is None:
             for r, p in enumerate(prefixes):
-                a, b = lhs(r), rhs(r)
-                if a != b:
-                    for c, (x, y) in enumerate(zip(a, b)):
-                        if x != y and dict(x) != dict(y):
-                            return (p + (c,) if dom else (), dense(x), dense(y))
+                xs, ys = lhs(r), rhs(r)
+                if xs != ys or a != b:
+                    for c, (x, y) in enumerate(zip(xs, ys)):
+                        if differ(x, y):
+                            return (p + (c,) if dom else (), dense(x, 0), dense(y, 1))
             return None
         pairs = [xy for r in range(len(prefixes)) for xy in zip(lhs(r), rhs(r))]
-        if all(a == b or dict(a) == dict(b) for a, b in pairs):
+        if not any(differ(x, y) for x, y in pairs):
             return None
-        sides = [[dense(v) for v in side] for side in zip(*pairs)]
+        sides = [[dense(v, side) for v in values] for side, values in enumerate(zip(*pairs))]
         if not dom:
             sides = [side[0] for side in sides]
         return (self.label, sides[0], sides[1])
@@ -691,8 +786,8 @@ def solve(table_of, field, shape):
 def images(term):
     """The image of every basis tuple of the domain, in lexicographic order."""
     ev = _Eval(term.field)
-    view = ev.view(term, False)
-    return [ev.dense(view(t), term.cod) for t in product(*map(range, term.dom))]
+    view, scale = ev.view(term, False), ev.scale(term)
+    return [ev.dense(view(t), term.cod, scale) for t in product(*map(range, term.dom))]
 
 
 def product_tensor(term, d1=None, d2=None) -> Tensor3:

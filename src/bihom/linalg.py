@@ -403,22 +403,18 @@ class Tensor3:
         return f"Tensor3[{self.d1}x{self.d2}x{self.d3}]"
 
 
-def bilinear_apply(mu, x, y, one):
+def bilinear_apply(mu, x, y):
     """The bilinear map with structure constants mu on (x, y), as the axiom
     engine evaluates a product: x and y are the lists of their nonzero
     ((i,), x_i) pairs, mu[i][j] the nonzero ((k,), z) pairs of column (i, j),
-    and the result is the list of nonzero ((k,), out_k) pairs.  Only products
-    of nonzero entries are formed, and none by one: when a factor of x_i y_j
-    or of (x_i y_j) z is the field's one object, the other factor is taken
-    as the product."""
+    and the result is {(k,): out_k}, summed as it comes, zeros included.
+    Only products of nonzero entries are formed."""
     out = {}
+    get = out.get
     for (i,), a in x:
         row = mu[i]
         for (j,), b in y:
-            c = b if a is one else a if b is one else a * b
+            c = a * b
             for k, z in row[j]:
-                if c is not one:
-                    z = c if z is one else c * z
-                v = out.get(k)
-                out[k] = z if v is None else v + z
-    return [(k, v) for k, v in out.items() if v]
+                out[k] = get(k, 0) + c * z
+    return out

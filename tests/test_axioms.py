@@ -1,8 +1,10 @@
 """The axiom engine on sparse values: cancellation, scalar and labelled
-witnesses, the sparse form of bilinear_apply, and Kronecker factors, over
-Q and F_7 (and Q(q) for bilinear_apply and the factors)."""
+witnesses, the sparse form of bilinear_apply, raw coefficients over
+different scales, and Kronecker factors, over Q and F_7 (and Q(q) for
+bilinear_apply, witness scalars and the factors)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +28,7 @@ from bihom.axioms import (
     images,
     witness,
 )
-from bihom.exactnum import QQ, QQ_Q, PrimeField, RationalFunction
+from bihom.exactnum import QQ, QQ_Q, PrimeField, PrimeFieldElement, RationalFunction
 from bihom.linalg import Matrix, Tensor3, bilinear_apply, kron, mat_mul
 
 F7 = PrimeField(7)
@@ -142,10 +144,9 @@ def test_counit_invariant_witness_lists_every_basis_vector(field):
 # ---------------------------------------------------------------------------
 
 
-def pairs(vec, one):
-    """The nonzero pairs of vec, entries equal to 1 as the one object, as the
-    engine lists them."""
-    return [((i,), one if x == one else x) for i, x in enumerate(vec) if x]
+def pairs(vec):
+    """The nonzero pairs of vec, as the engine lists them."""
+    return [((i,), x) for i, x in enumerate(vec) if x]
 
 
 def scalars(field):
@@ -180,33 +181,102 @@ def random_case(rng, field):
     return mu, x, y
 
 
+def naive(mu, x, y, zero):
+    """sum_ij x_i y_j mu[i][j][k] for every k."""
+    return [sum((x[i] * y[j] * mu[i][j][k] for i in range(len(x)) for j in range(len(y))), zero)
+            for k in range(len(mu[0][0]))]
+
+
 @ALL_FIELDS
 def test_bilinear_apply_list_and_sparse_forms_agree(field):
-    rng, one = random.Random(6), field.one()
+    rng = random.Random(6)
     for _ in range(300):
         mu, x, y = random_case(rng, field)
         dense = images(Compose(Mul(mu), Kron(Vec(x), Vec(y))))[0]
-        table = [[pairs(col, one) for col in plane] for plane in mu.t]
-        sparse = bilinear_apply(table, pairs(x, one), pairs(y, one), one)
-        assert all(c for _, c in sparse)
-        expect = [sum((x[i] * y[j] * mu.t[i][j][k] for i in range(mu.d1) for j in range(mu.d2)),
-                      field.zero()) for k in range(mu.d3)]
+        table = [[pairs(col) for col in plane] for plane in mu.t]
+        sparse = bilinear_apply(table, pairs(x), pairs(y))
+        expect = naive(mu.t, x, y, field.zero())
         assert dense == expect
-        assert dict(sparse) == {(k,): c for k, c in enumerate(expect) if c}
+        assert {k: c for k, c in sparse.items() if c} == {(k,): c for k, c in enumerate(expect) if c}
 
 
-def test_bilinear_apply_forms_no_product_by_one():
-    class One:
-        def __mul__(self, other):
-            raise AssertionError("multiplied by one")
+def test_bilinear_apply_on_raw_ints_is_the_triple_sum():
+    """The engine hands bilinear_apply raw ints: numerators over Q, residues
+    over F_p, summed unreduced."""
+    rng = random.Random(16)
+    for _ in range(200):
+        d1, d2, d3 = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
 
-        __rmul__ = __mul__
+        def entry():
+            return rng.choice([0, 0, 1, 1, -1, 6, 10007])
 
-    one = One()
-    table = [[[((0,), one), ((1,), 5)]]]
-    for x, y in (([((0,), one)], [((0,), 3)]), ([((0,), 3)], [((0,), one)])):
-        assert bilinear_apply(table, x, y, one) == [((0,), 3), ((1,), 15)]
-    assert bilinear_apply(table, [((0,), one)], [((0,), one)], one) == [((0,), one), ((1,), 5)]
+        mu = [[[entry() for _ in range(d3)] for _ in range(d2)] for _ in range(d1)]
+        x, y = [entry() for _ in range(d1)], [entry() for _ in range(d2)]
+        out = bilinear_apply([[pairs(col) for col in plane] for plane in mu], pairs(x), pairs(y))
+        expect = naive(mu, x, y, 0)
+        assert all(type(c) is int for c in out.values())
+        assert {k: c for k, c in out.items() if c} == {(k,): c for k, c in enumerate(expect) if c}
+        assert {k: c % 7 for k, c in out.items() if c % 7} == {
+            (k,): c % 7 for k, c in enumerate(expect) if c % 7}
+
+
+# ---------------------------------------------------------------------------
+# raw coefficients: sides over different scales, and the field elements of witnesses
+# ---------------------------------------------------------------------------
+
+
+def lin(field, rows):
+    return Lin(Matrix(field, rows))
+
+
+def test_sides_over_different_scales():
+    # both sides are the identity of Q^2, over the scales 2 and 3
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    lhs = Compose(lin(QQ, [[half, 0], [0, half]]), lin(QQ, [[2, 0], [0, 2]]))
+    rhs = Compose(lin(QQ, [[third, 0], [0, third]]), lin(QQ, [[3, 0], [0, 3]]))
+    assert holds(Axiom("same", lhs, rhs))
+    # e_0 goes to e_0 on both sides, e_1 to e_1 / 2 and e_1 / 3
+    w = witness(Axiom("differ", lin(QQ, [[1, 0], [0, half]]), lin(QQ, [[1, 0], [0, third]])))
+    assert w == ((1,), [0, half], [0, third])
+    assert [type(x) for x in w[1] + w[2]] == [int, Fraction, int, Fraction]
+    # lowest terms: 3/6 is reported as 1/2 and 6/6 as 1
+    w = witness(Axiom("lowest", Compose(lin(QQ, [[half]]), lin(QQ, [[third]]), lin(QQ, [[3]])),
+                      lin(QQ, [[third]])))
+    assert w == ((0,), [half], [third]) and type(w[1][0]) is Fraction
+    assert witness(Axiom("one", Compose(lin(QQ, [[half]]), lin(QQ, [[2]])), lin(QQ, [[2]]))) == (
+        (0,), [1], [2])
+
+
+def test_sum_across_scales_cancels_to_zero():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    one_over_2 = Compose(lin(QQ, [[half, 0], [0, 1]]), lin(QQ, [[2, 0], [0, 1]]))
+    one_over_3 = Compose(lin(QQ, [[third, 0], [0, 1]]), lin(QQ, [[3, 0], [0, 1]]))
+    side = Sum(one_over_2, Neg(one_over_3))
+    assert value(side, (0,)) == [] and value(side, (1,)) == []
+    assert holds(Axiom("cancel", side, Zero((2,), (2,))))
+    assert images(Sum(one_over_2, one_over_3)) == [[2, 0], [0, 2]]
+
+
+def test_coprime_large_denominators():
+    p, q = Fraction(1, 10007), Fraction(1, 10009)
+    total = Sum(lin(QQ, [[p]]), lin(QQ, [[q]]))
+    assert holds(Axiom("sum", total, lin(QQ, [[p + q]])))
+    assert images(total) == [[Fraction(20016, 10007 * 10009)]]
+    w = witness(Axiom("sum", total, lin(QQ, [[p]])))
+    assert w == ((0,), [p + q], [p])
+    assert w[1][0].denominator == 10007 * 10009
+
+
+@pytest.mark.parametrize("field, entry, kind", [
+    (QQ, 2, int), (QQ, Fraction(2, 3), Fraction), (F7, 2, PrimeFieldElement),
+    (QQ_Q, 2, RationalFunction)], ids=["Q_int", "Q_fraction", "F7", "Qq"])
+def test_witness_scalars_are_field_elements(field, entry, kind):
+    m = lin(field, [[field.promote(entry), 0], [0, 1]])
+    lhs, rhs = witness(Axiom("doubled", Compose(m, lin(field, [[1, 0], [0, 1]])),
+                             lin(field, [[1, 0], [0, 1]])))[1:]
+    assert lhs == [field.promote(entry), field.zero()] and rhs == [field.one(), field.zero()]
+    assert type(lhs[0]) is kind and type(rhs[0]) is type(field.one())
+    assert type(images(m)[0][0]) is kind
 
 
 # ---------------------------------------------------------------------------
