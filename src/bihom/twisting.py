@@ -45,6 +45,7 @@ from .axioms import (
 )
 from .errors import (
     HypothesisFailure,
+    MapsDoNotCommute,
     PseudotwistorInvalid,
     ShapeMismatch,
     Singular,
@@ -144,8 +145,8 @@ def canonical_pseudotwistor(D: BiHomAlgebra, alpha2: Matrix, beta2: Matrix) -> P
                 ("beta2", beta2),
             ]
         )
-    except Exception as exc:
-        raise HypothesisFailure(f"twist hypotheses fail: {exc}")
+    except MapsDoNotCommute as exc:
+        raise HypothesisFailure(f"twist hypotheses fail: {exc}", witness=exc.witness) from exc
     a2, b2, ident = Lin(alpha2), Lin(beta2), Id(D.dim)
     return Pseudotwistor(
         T=Kron(a2, b2),

@@ -12,6 +12,8 @@ from bihom.algebra_core import (
 from bihom.axioms import Kron, Lin, images
 from bihom.errors import (
     HypothesisFailure,
+    MapsDoNotCommute,
+    MixedFields,
     PseudotwistorInvalid,
     ShapeMismatch,
     TwistingMapInvalid,
@@ -144,6 +146,29 @@ class TestPseudotwistor:
             assert out.mu == tw.mu
             assert out.alpha == tw.alpha and out.beta == tw.beta
             assert check_bihom_algebra(out).ok
+
+    def test_maps_that_do_not_commute_keep_their_counterexample(self):
+        d = cyclic_group_bialgebra(4).algebra_part()
+        d = BiHomAlgebra(field=QQ, dim=4, mu=d.mu, alpha=Matrix.diagonal(QQ, [1, 2, 1, 1]),
+                         beta=d.beta)
+        g3, ident = cyclic_power_map(4, 3), Matrix.identity(QQ, 4)
+        with pytest.raises(MapsDoNotCommute) as direct:
+            yau_twist(d, g3, ident)
+        with pytest.raises(HypothesisFailure) as raised:
+            canonical_pseudotwistor(d, g3, ident)
+        assert str(raised.value) == "twist hypotheses fail: alpha and alpha2 do not commute"
+        assert raised.value.witness == direct.value.witness == ((1, 3), 2, 1)
+        assert isinstance(raised.value.__cause__, MapsDoNotCommute)
+
+    def test_other_errors_of_the_commuting_check_pass_through(self):
+        ident = Matrix.identity(QQ, 4)
+        for alpha, error in ((Matrix.identity(PrimeField(7), 4), MixedFields),
+                             (Matrix.identity(QQ, 3), ShapeMismatch)):
+            d = cyclic_group_bialgebra(4).algebra_part()
+            d.alpha = alpha  # after the structure's own shape check
+            with pytest.raises(error) as raised:
+                canonical_pseudotwistor(d, ident, ident)
+            assert raised.value.__cause__ is None
 
 
 class TestTwistingMaps:
