@@ -21,10 +21,18 @@ Map terms; ``dom`` and ``cod`` list the dimensions of the tensor factors:
 
 A value is the list of (basis tuple, coefficient) pairs of its nonzero
 coordinates; a coefficient that cancels is dropped, so equal values hold the
-same pairs.  Each leaf lists the nonzero pairs of its columns once per check
-call, a Kron multiplies the supports of its factors, a Compose applies its
-outer map only to the support of the inner value, and the images of
-composites, and their rows, are memoized for one check call.  A leaf's row
+same pairs.  Coefficients are raw: over F_p an int residue, reduced once per
+coefficient a step produces; over Q an int numerator over the term's scale,
+an int that is the lcm of a leaf's denominators, the product of the
+factors' scales for a Kron, a Compose and a fold, the lcm of both for a Sum
+(each side times its cofactor), and the input's for a Neg; over Q(q) the
+element itself, with scale 1.  While every leaf of a check call is
+integral, every scale is 1 and nothing is rescaled.
+
+Each leaf lists the nonzero pairs of its columns once per check call, a
+Kron multiplies the supports of its factors, a Compose applies its outer
+map only to the support of the inner value, and the images of composites,
+and their rows, are memoized for one check call.  A leaf's row
 is a slice of its table, a Kron keeps its first factor's value along a row,
 and a Compose maps each image of its inner row; other terms give the image
 of each tuple.  A product Mul o (f (x) g) with the last factor in g folds
@@ -41,12 +49,18 @@ them, (A (x) B) o (C (x) D) = AC (x) BD, with Id o x and x o Id dropped to x;
 it is one term per pair (f, g), so every Compose of f after g shares its
 memos.
 
-Dense coordinate lists, row-major over the codomain (e_j (x) e_k in V (x) W
-has index j * dim W + k), are built only for witnesses, for ``solve`` and
-for ``images``; a value in k itself is reported as a scalar.  An axiom with
-a ``label`` compares the two maps whole instead: its witness is
-``(label, lhs, rhs)`` with the images of all basis tuples (or of 1 when the
-domain is k).
+Field elements are built only where values leave the engine: the dense
+coordinate lists, row-major over the codomain (e_j (x) e_k in V (x) W has
+index j * dim W + k), of witnesses and of ``images``, and the defects that
+``solve`` reads.  A Q coefficient comes out as an int when it is integral
+and as a Fraction in lowest terms otherwise, an F_p one as a
+PrimeFieldElement; a value in k itself is reported as a scalar.  Two sides
+over one scale are compared pair for pair; over different scales each is
+multiplied by the other's cofactor of their gcd first.
+
+An axiom with a ``label`` compares the two maps whole instead: its witness
+is ``(label, lhs, rhs)`` with the images of all basis tuples (or of 1 when
+the domain is k).
 
 ``Commute(name, a, b)`` compares a b with b a as d x d matrices; its
 witness is the first differing entry ``((i, j), (ab)_ij, (ba)_ij)``.
