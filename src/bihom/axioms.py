@@ -244,11 +244,7 @@ class _Columns(Term):
         return self.listed(ev)[1]
 
     def compile(self, ev, memo):
-        table = self.nonzero(ev)
-        if len(self.dom) == 1:
-            return lambda t: table[t[0]]
-        flat = _flat(self.dom)
-        return lambda t: table[flat(t)]
+        return dict(zip(ev.tuples(self.dom), self.nonzero(ev))).__getitem__
 
     def row(self, ev, memo):
         table, d = self.nonzero(ev), (self.dom or (1,))[-1]
