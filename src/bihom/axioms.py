@@ -613,7 +613,7 @@ class _Eval:
         the check's, or a plain vector or covector with an entry of another
         field, raises MixedFields before it is read.  A plain list's entries
         are promoted into the field first, so that every entry is a field
-        element when ``raw`` reads it."""
+        element when ``_raw`` reads it."""
         key = (id(leaf.data), type(leaf), leaf.cod)
         hit = self._tables.get(key)
         if hit is None:  # holding the data keeps its id from being reused
