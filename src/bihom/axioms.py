@@ -469,9 +469,8 @@ class Compose(_Binary):
         left, prefixes = ev.view(f), ev.tuples(f.dom)
 
         def fold(x, y):  # u -> mu(x, e_u), or mu(e_u, y) when x is None
-            return _Lazy(lambda u: _nonzero(bilinear_apply(
-                table, [(u, 1)] if x is None else x, y if x is None else [(u, 1)]).items(),
-                mod)).__getitem__
+            return _Lazy(lambda u: bilinear_apply(
+                table, [(u, 1)] if x is None else x, y if x is None else [(u, 1)], mod)).__getitem__
 
         if len(g.dom) == 1:  # g folded once: column c is u -> mu(e_u, g(e_c))
             columns = [fold(None, y) for y in ev.view(g, rows=True)(0)]
@@ -598,6 +597,8 @@ class _Eval:
     def cofactors(self, f, g):
         """(a, b): f's raw coefficients times a and g's times b are over one
         scale, the lcm of theirs."""
+        if not self.fractional:
+            return 1, 1
         sf, sg = self.scale(f), self.scale(g)
         d = gcd(sf, sg)
         return sg // d, sf // d
@@ -668,11 +669,10 @@ class Axiom:
     def witness(self, ev):
         cod, dom = self.lhs.cod, self.lhs.dom
         lhs, rhs = ev.view(self.lhs, False, True), ev.view(self.rhs, False, True)
-        scales = ev.scale(self.lhs), ev.scale(self.rhs)
         a, b = ev.cofactors(self.lhs, self.rhs)  # 1 and 1 when the scales agree
 
         def dense(v, side):
-            out = ev.dense(v, cod, scales[side])
+            out = ev.dense(v, cod, ev.scale(side))
             return out if cod else out[0]
 
         def differ(x, y):  # values are equal when they hold the same pairs, in any order
@@ -686,12 +686,14 @@ class Axiom:
                 if xs != ys or a != b:
                     for c, (x, y) in enumerate(zip(xs, ys)):
                         if differ(x, y):
-                            return (p + (c,) if dom else (), dense(x, 0), dense(y, 1))
+                            return (p + (c,) if dom else (), dense(x, self.lhs),
+                                    dense(y, self.rhs))
             return None
         pairs = [xy for r in range(len(prefixes)) for xy in zip(lhs(r), rhs(r))]
         if not any(differ(x, y) for x, y in pairs):
             return None
-        sides = [[dense(v, side) for v in values] for side, values in enumerate(zip(*pairs))]
+        sides = [[dense(v, side) for v in values]
+                 for side, values in zip((self.lhs, self.rhs), zip(*pairs))]
         if not dom:
             sides = [side[0] for side in sides]
         return (self.label, sides[0], sides[1])

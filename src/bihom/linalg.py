@@ -403,12 +403,13 @@ class Tensor3:
         return f"Tensor3[{self.d1}x{self.d2}x{self.d3}]"
 
 
-def bilinear_apply(mu, x, y):
+def bilinear_apply(mu, x, y, mod):
     """The bilinear map with structure constants mu on (x, y), as the axiom
-    engine evaluates a product: x and y are the lists of their nonzero
-    ((i,), x_i) pairs, mu[i][j] the nonzero ((k,), z) pairs of column (i, j),
-    and the result is {(k,): out_k}, summed as it comes, zeros included.
-    Only products of nonzero entries are formed."""
+    engine evaluates a product on raw coefficients: x and y are the lists of
+    their nonzero ((i,), x_i) pairs, mu[i][j] the nonzero ((k,), z) pairs of
+    column (i, j), and the result is the list of nonzero ((k,), out_k)
+    pairs, each reduced mod p when mod = p (0 over Q and Q(q)).  Only
+    products of nonzero entries are formed."""
     out = {}
     get = out.get
     for (i,), a in x:
@@ -417,4 +418,6 @@ def bilinear_apply(mu, x, y):
             c = a * b
             for k, z in row[j]:
                 out[k] = get(k, 0) + c * z
-    return out
+    if mod:
+        return [(k, r) for k, v in out.items() if (r := v % mod)]
+    return [(k, v) for k, v in out.items() if v]

@@ -194,15 +194,16 @@ def test_bilinear_apply_list_and_sparse_forms_agree(field):
         mu, x, y = random_case(rng, field)
         dense = images(Compose(Mul(mu), Kron(Vec(x), Vec(y))))[0]
         table = [[pairs(col) for col in plane] for plane in mu.t]
-        sparse = bilinear_apply(table, pairs(x), pairs(y))
+        sparse = bilinear_apply(table, pairs(x), pairs(y), 0)
         expect = naive(mu.t, x, y, field.zero())
         assert dense == expect
-        assert {k: c for k, c in sparse.items() if c} == {(k,): c for k, c in enumerate(expect) if c}
+        assert all(c for _, c in sparse)
+        assert dict(sparse) == {(k,): c for k, c in enumerate(expect) if c}
 
 
 def test_bilinear_apply_on_raw_ints_is_the_triple_sum():
-    """The engine hands bilinear_apply raw ints: numerators over Q, residues
-    over F_p, summed unreduced."""
+    """The engine hands bilinear_apply raw ints: numerators over Q, and over
+    F_p residues whose sums it reduces."""
     rng = random.Random(16)
     for _ in range(200):
         d1, d2, d3 = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
@@ -212,12 +213,16 @@ def test_bilinear_apply_on_raw_ints_is_the_triple_sum():
 
         mu = [[[entry() for _ in range(d3)] for _ in range(d2)] for _ in range(d1)]
         x, y = [entry() for _ in range(d1)], [entry() for _ in range(d2)]
-        out = bilinear_apply([[pairs(col) for col in plane] for plane in mu], pairs(x), pairs(y))
+        table = [[pairs(col) for col in plane] for plane in mu]
         expect = naive(mu, x, y, 0)
-        assert all(type(c) is int for c in out.values())
-        assert {k: c for k, c in out.items() if c} == {(k,): c for k, c in enumerate(expect) if c}
-        assert {k: c % 7 for k, c in out.items() if c % 7} == {
-            (k,): c % 7 for k, c in enumerate(expect) if c % 7}
+        out = bilinear_apply(table, pairs(x), pairs(y), 0)
+        assert all(type(c) is int and c for _, c in out)
+        assert dict(out) == {(k,): c for k, c in enumerate(expect) if c}
+        residues = [[[c % 7 for c in col] for col in plane] for plane in mu]
+        out = bilinear_apply([[pairs(col) for col in plane] for plane in residues],
+                             pairs([c % 7 for c in x]), pairs([c % 7 for c in y]), 7)
+        assert all(0 < c < 7 for _, c in out)
+        assert dict(out) == {(k,): c % 7 for k, c in enumerate(expect) if c % 7}
 
 
 # ---------------------------------------------------------------------------
