@@ -597,8 +597,6 @@ class _Eval:
     def cofactors(self, f, g):
         """(a, b): f's raw coefficients times a and g's times b are over one
         scale, the lcm of theirs."""
-        if not self.fractional:
-            return 1, 1
         sf, sg = self.scale(f), self.scale(g)
         d = gcd(sf, sg)
         return sg // d, sf // d

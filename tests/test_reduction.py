@@ -231,8 +231,8 @@ def test_reduction_mod_p_of_every_q_check(p, traced):
         seen.add(fn.__name__)
         checked += 1
     assert seen == CHECKS
-    # the cases whose inputs or inverted maps are not integral at p
-    # p = 7 and p = 11 divide no denominator and no determinant of the corpus
+    # 7 and 11 divide no denominator and no determinant of an inverted map
+    # in the corpus, so no case is skipped at either
     assert (checked, skipped) == (907, 0)
 
 
