@@ -78,7 +78,7 @@ at x = 0 and at each unit vector gives the linear system.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress, product
+from itertools import chain, product
 from math import gcd, lcm
 from operator import mul
 
@@ -152,7 +152,9 @@ def _combine(value, image, mod):
     for u, c in value:
         for w, x in image(u):
             out[w] = get(w, 0) + c * x
-    return _nonzero(out.items(), mod)
+    if mod:  # _nonzero, inline on the engine's hottest path
+        return [(w, r) for w, x in out.items() if (r := x % mod)]
+    return [(w, x) for w, x in out.items() if x]
 
 
 def _raw(columns, tuples, mod, scale=None):
@@ -165,8 +167,8 @@ def _raw(columns, tuples, mod, scale=None):
                 for col in columns], 1
     fractions = []
     note = fractions.append  # returns None: a Fraction is noted and kept
-    table = [[(tuples[k], x) for k in compress(range(len(col)), col)
-              if type(x := col[k]) is not Fraction or not note(x)] for col in columns]
+    table = [[(tuples[k], x) for k, x in enumerate(col)
+              if x and (type(x) is not Fraction or not note(x))] for col in columns]
     if scale is None:
         scale = lcm(*{x.denominator for x in fractions}) if fractions else 1
     if scale != 1:
@@ -178,11 +180,10 @@ def _raw(columns, tuples, mod, scale=None):
 def _denominator(planes):
     """The lcm of the denominators of a tensor's entries; an integral tensor
     costs one scan of their types."""
-    def entries():
-        return chain.from_iterable(chain.from_iterable(planes))
-    if Fraction not in set(map(type, entries())):
+    if Fraction not in set(map(type, chain.from_iterable(chain.from_iterable(planes)))):
         return 1
-    return lcm(*{x.denominator for x in entries() if type(x) is Fraction})
+    return lcm(*{x.denominator for plane in planes for col in plane for x in col
+                 if type(x) is Fraction})
 
 
 def _add(a, b):
@@ -597,6 +598,8 @@ class _Eval:
     def cofactors(self, f, g):
         """(a, b): f's raw coefficients times a and g's times b are over one
         scale, the lcm of theirs."""
+        if not self.fractional:
+            return 1, 1
         sf, sg = self.scale(f), self.scale(g)
         d = gcd(sf, sg)
         return sg // d, sf // d
