@@ -78,7 +78,7 @@ at x = 0 and at each unit vector gives the linear system.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 
@@ -157,11 +157,11 @@ def _combine(value, image, mod):
     return [(w, x) for w, x in out.items() if x]
 
 
-def _raw(columns, tuples, mod, scale=None):
+def _raw(columns, tuples, mod):
     """(the nonzero pairs of each coordinate list, their scale), with raw
     coefficients: residues over F_p, the elements over Q(q) (scale 1), and
-    over Q numerators over the scale, which is the lcm of the denominators
-    met while listing unless it is given."""
+    over Q numerators over the scale, the lcm of the denominators met while
+    listing."""
     if mod:
         return [[(tuples[k], v) for k, x in enumerate(col) if (v := x.value)]
                 for col in columns], 1
@@ -169,21 +169,12 @@ def _raw(columns, tuples, mod, scale=None):
     note = fractions.append  # returns None: a Fraction is noted and kept
     table = [[(tuples[k], x) for k, x in enumerate(col)
               if x and (type(x) is not Fraction or not note(x))] for col in columns]
-    if scale is None:
-        scale = lcm(*{x.denominator for x in fractions}) if fractions else 1
-    if scale != 1:
-        table = [[(w, x.numerator * (scale // x.denominator)) for w, x in col]
-                 for col in table]
+    if not fractions:
+        return table, 1
+    scale = lcm(*{x.denominator for x in fractions})
+    for col in table:  # in place: one column at a time, not a second table
+        col[:] = [(w, x.numerator * (scale // x.denominator)) for w, x in col]
     return table, scale
-
-
-def _denominator(planes):
-    """The lcm of the denominators of a tensor's entries; an integral tensor
-    costs one scan of their types."""
-    if Fraction not in set(map(type, chain.from_iterable(chain.from_iterable(planes)))):
-        return 1
-    return lcm(*{x.denominator for plane in planes for col in plane for x in col
-                 if type(x) is Fraction})
 
 
 def _add(a, b):
@@ -234,15 +225,12 @@ class _Columns(Term):
     def field(self):
         return getattr(self.data, "field", None)
 
-    def listed(self, ev):
-        """(the nonzero pairs of every column, in domain order, their scale)."""
-        return ev.table(self, lambda data: _raw(self._columns(data), ev.tuples(self.cod), ev.mod))
-
     def nonzero(self, ev):
-        return self.listed(ev)[0]
+        """The nonzero pairs of every column, in domain order."""
+        return ev.table(self)[0]
 
     def scale(self, ev):
-        return self.listed(ev)[1]
+        return ev.table(self)[1]
 
     def compile(self, ev, memo):
         return dict(zip(ev.tuples(self.dom), self.nonzero(ev))).__getitem__
@@ -295,23 +283,9 @@ class Mul(_Columns):
     def __init__(self, t):
         self.data, self.dom, self.cod = t, (t.d1, t.d2), (t.d3,)
 
-    def listed(self, ev):
-        """([i][j] -> the nonzero pairs of t[i][j], as bilinear_apply takes
-        it, their scale).  Row i is listed when first read, so that a product
-        of two vectors reads only the rows of its left factor's support; the
-        scale of the whole tensor is known before."""
-        def build(t):
-            scale, tuples, mod = _denominator(t.t), ev.tuples(self.cod), ev.mod
-            return _Lazy(lambda i: _raw(t.t[i], tuples, mod, scale)[0]), scale
-
-        return ev.table(self, build)
-
-    def compile(self, ev, memo):
-        table = self.nonzero(ev)
-        return lambda t: table[t[0]][t[1]]
-
-    def row(self, ev, memo):
-        return self.nonzero(ev).__getitem__
+    @staticmethod
+    def _columns(t):
+        return [col for plane in t.t for col in plane]
 
 
 class Comul(_Columns):
@@ -399,13 +373,6 @@ class Kron(_Binary):
     def compile(self, ev, memo):
         # a product of nonzero coefficients is nonzero: nothing cancels here
         f, g, n, mod = ev.view(self.f), ev.view(self.g), len(self.f.dom), ev.mod
-        # a factor that permutes basis tuples contributes no coefficient
-        if isinstance(self.f, Perm):
-            move = self.f.move()
-            return lambda t: [(move(t[:n]) + b, y) for b, y in g(t[n:])]
-        if isinstance(self.g, Perm):
-            move = self.g.move()
-            return lambda t: [(a + move(t[n:]), x) for a, x in f(t[:n])]
         if mod:
             return lambda t: [(a + b, x * y % mod) for a, x in f(t[:n]) for b, y in g(t[n:])]
         return lambda t: [(a + b, x * y) for a, x in f(t[:n]) for b, y in g(t[n:])]
@@ -442,17 +409,10 @@ class Compose(_Binary):
         return [self] if fused is None else ev.factors(fused)
 
     def compile(self, ev, memo):
-        f, g = self.f, self.g
-        if isinstance(g, Perm):  # f at the image tuple
-            outer, move = ev.view(f, memo), g.move()
-            return lambda t: outer(move(t))
-        if isinstance(f, Perm):
-            inner, move = ev.view(g, memo), f.move()
-            return lambda t: [(move(u), c) for u, c in inner(t)]
         if self.folds():  # read off the memoized row
             row, prefix = ev.view(self, True, rows=True), _flat(self.dom[:-1])
             return lambda t: row(prefix(t))[t[-1]]
-        inner, outer, mod = ev.view(g, memo), ev.view(f), ev.mod
+        inner, outer, mod = ev.view(self.g, memo), ev.view(self.f), ev.mod
         return lambda t: _combine(inner(t), outer, mod)
 
     def folds(self):  # Mul o (f (x) g), one codomain factor each, the last domain one in g
@@ -460,13 +420,12 @@ class Compose(_Binary):
         return isinstance(f, Mul) and isinstance(g, Kron) and len(g.f.cod) == 1 and bool(g.g.dom)
 
     def row(self, ev, memo):
-        if isinstance(self.f, Perm) or isinstance(self.g, Perm):
-            return Term.row(self, ev, memo)
         mod = ev.mod
         if not self.folds():  # f applied to each image of g's row
             inner, outer = ev.view(self.g, memo, rows=True), ev.view(self.f)
             return lambda r: [_combine(v, outer, mod) for v in inner(r)]
-        table, f, g = self.f.nonzero(ev), self.g.f, self.g.g
+        (d1, d2), listed, f, g = self.f.dom, self.f.nonzero(ev), self.g.f, self.g.g
+        table = [listed[i * d2:(i + 1) * d2] for i in range(d1)]  # [i][j], for bilinear_apply
         left, prefixes = ev.view(f), ev.tuples(f.dom)
 
         def fold(x, y):  # u -> mu(x, e_u), or mu(e_u, y) when x is None
@@ -609,8 +568,9 @@ class _Eval:
             self._tuples[dims] = list(product(*map(range, dims)))
         return self._tuples[dims]
 
-    def table(self, leaf, build):
-        """build(data), once for every leaf of one kind, data and codomain.
+    def table(self, leaf):
+        """(the nonzero pairs of every column of a leaf, in domain order, their
+        scale), listed once for every leaf of one kind, data and codomain.
         Every leaf passes here, so a matrix or tensor over another field than
         the check's, or a plain vector or covector with an entry of another
         field, raises MixedFields before it is read.  A plain list's entries
@@ -625,7 +585,8 @@ class _Eval:
             else:  # a plain list carries no field: its entries tell theirs
                 check_scalars("map terms", self.field, data)
                 data = [self.field.promote(x) for x in data]
-            hit = self._tables[key] = (leaf.data, build(data))
+            listed = _raw(leaf._columns(data), self.tuples(leaf.cod), self.mod)
+            hit = self._tables[key] = (leaf.data, listed)
             self.fractional = self.fractional or hit[1][1] != 1
         return hit[1]
 

@@ -277,6 +277,8 @@ class RationalFunction:
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
+        if type(other) is int:
+            return RationalFunction.from_int(other)
         if isinstance(other, (int, Fraction)):
             return RationalFunction.from_fraction(other)
         return None

@@ -5,8 +5,8 @@ j-th basis vector.  Vectors are plain lists of scalars.  Row reduction is
 exact Gauss-Jordan with first-nonzero pivoting; there are no magnitude
 heuristics because the arithmetic is exact.  mat_power gives integer powers,
 inverting first for negative ones.  Constructions apply maps to vectors as
-axiom-engine terms (axioms.py); Matrix.apply and vec_eq are the dense forms
-that tests compare against.
+axiom-engine terms (axioms.py); Matrix.apply is the dense form that tests
+compare against.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ def unit_vec(field, n, i):
     v = zero_vec(field, n)
     v[i] = field.one()
     return v
-
-
-def vec_eq(u, v):
-    return len(u) == len(v) and all(a == b for a, b in zip(u, v))
 
 
 def vec_tensor(u, v, field):

@@ -68,7 +68,6 @@ from bihom.linalg import (
     mat_mul,
     solve_affine,
     unit_vec,
-    vec_eq,
 )
 from bihom.qexamples import (
     PBWElement,
@@ -199,7 +198,7 @@ def test_criterion_5_duality_and_convolution():
         assert back.mu == a.mu
         assert back.alpha == a.alpha and back.beta == a.beta
         if a.unit is not None:
-            assert vec_eq(back.unit, a.unit)
+            assert back.unit == a.unit
     C = yau_twist_coalgebra(
         cyclic_group_bialgebra(4).coalgebra_part(),
         cyclic_power_map(4, 3),
@@ -220,7 +219,7 @@ def test_criterion_5_duality_and_convolution():
     for j, coeff in enumerate(sub.unit):
         if coeff:
             embedded = [x + coeff * y for x, y in zip(embedded, basis[j])]
-    assert vec_eq(embedded, vec_tensor(C.counit, A.unit, QQ))
+    assert embedded == vec_tensor(C.counit, A.unit, QQ)
     _passed(5, "duality is an exact involution; convolution and underline Hom pass")
 
 
@@ -259,9 +258,9 @@ def test_criterion_7_counterexample_regressions():
     assert star(mono(1), mono(1)) == mono(3)
     lhs = star(theta.apply(mono(2)), star(mono(1), mono(1)))
     rhs = star(star(mono(2), mono(1)), theta.apply(mono(1)))
-    assert vec_eq(lhs, [c * c * x for x in mono(15)])
-    assert vec_eq(rhs, [c * x for x in mono(13)])
-    assert not vec_eq(lhs, rhs)
+    assert lhs == [c * c * x for x in mono(15)]
+    assert rhs == [c * x for x in mono(13)]
+    assert lhs != rhs
 
     # antipode nonexistence: alpha(S(1)) X = X^4 alpha(S(1)) forces
     # alpha(S(1)) = 0, contradicting (eta o eps)(1) = 1
@@ -410,5 +409,5 @@ def test_criterion_11_primitives():
     br = primitive_bracket(H, x, x)
     assert is_primitive(H, br)
     for v in prims:
-        assert vec_eq(H.psi.apply(v), H.omega.apply(v))
+        assert H.psi.apply(v) == H.omega.apply(v)
     _passed(11, "primitive dimensions 0 and 1 as required; brackets stay primitive; psi = omega")

@@ -29,7 +29,6 @@ from bihom.linalg import (
     Matrix,
     Tensor3,
     unit_vec,
-    vec_eq,
 )
 
 from helpers import random_associative_with_endos
@@ -99,7 +98,7 @@ class TestCheck:
         assert not entry.passed
         idx, lhs, rhs = entry.witness
         assert len(idx) == 3
-        assert not vec_eq(lhs, rhs)
+        assert lhs != rhs
 
     def test_unit_axioms_reported_separately(self):
         a = example_family(1, 3, 2)
@@ -226,8 +225,8 @@ class TestEndomorphismAlgebra:
         assert e.unit == [Fraction(3), Fraction(0), Fraction(0), Fraction(1)]
         for i in range(4):
             ei = unit_vec(QQ, 4, i)
-            assert vec_eq(e.multiply(ei, e.unit), e.alpha.column(i))
-            assert vec_eq(e.multiply(e.unit, ei), e.beta.column(i))
+            assert e.multiply(ei, e.unit) == e.alpha.column(i)
+            assert e.multiply(e.unit, ei) == e.beta.column(i)
 
     def test_non_commuting_rejected(self):
         u = Matrix(QQ, [[1, 1], [0, 1]])
@@ -338,13 +337,11 @@ class TestSquareMapTwistObstruction:
         assert star(self.mono(1), self.mono(1)) == self.mono(3)
         # theta(X) = c X^3 is the unique shape surviving the degree count
         # on theta(X)*(X*X) = (X*X)*theta(X), which indeed holds:
-        assert vec_eq(
-            star(theta.apply(self.mono(1)), star(self.mono(1), self.mono(1))),
-            star(star(self.mono(1), self.mono(1)), theta.apply(self.mono(1))),
-        )
+        assert (star(theta.apply(self.mono(1)), star(self.mono(1), self.mono(1)))
+                == star(star(self.mono(1), self.mono(1)), theta.apply(self.mono(1))))
         # but theta(X^2) * (X * X) = c^2 X^15 while (X^2 * X) * theta(X) = c X^13
         lhs = star(theta.apply(self.mono(2)), star(self.mono(1), self.mono(1)))
         rhs = star(star(self.mono(2), self.mono(1)), theta.apply(self.mono(1)))
-        assert vec_eq(lhs, [c * c * x for x in self.mono(15)])
-        assert vec_eq(rhs, [c * x for x in self.mono(13)])
-        assert not vec_eq(lhs, rhs)
+        assert lhs == [c * c * x for x in self.mono(15)]
+        assert rhs == [c * x for x in self.mono(13)]
+        assert lhs != rhs

@@ -46,7 +46,6 @@ from bihom.linalg import (
     mat_eq_witness,
     solve_affine,
     unit_vec,
-    vec_eq,
 )
 
 
@@ -152,7 +151,7 @@ class TestPrimitives:
     def test_psi_equals_omega_on_primitives(self):
         for H in (f2_restricted_line(), f3_truncated_line()):
             for x in find_primitives(H):
-                assert vec_eq(H.psi.apply(x), H.omega.apply(x))
+                assert H.psi.apply(x) == H.omega.apply(x)
 
     def test_primitive_space_invariant_under_map_powers(self):
         # alpha^p beta^q of a primitive stays in the primitive span for
@@ -439,7 +438,7 @@ class TestNoAntipodeRegression:
                         self.base.multiply(unit_vec(QQ, self.N, 2), s1),
                     )
                 ]
-                assert vec_eq(lhs1, rhs1)
+                assert lhs1 == rhs1
                 lhs2 = [
                     a + b
                     for a, b in zip(
@@ -454,7 +453,7 @@ class TestNoAntipodeRegression:
                         self.base.multiply(self.alpha.apply(s1), self.x),
                     )
                 ]
-                assert vec_eq(lhs2, rhs2)
+                assert lhs2 == rhs2
 
     def test_forced_form_and_contradiction(self):
         # form:2 forces S(X) = -X^2 S(1); substituting into form:3 gives

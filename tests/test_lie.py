@@ -17,7 +17,7 @@ from bihom.lie import (
     semidirect_product,
     yau_twist_lie,
 )
-from bihom.linalg import Matrix, Tensor3, vec_eq
+from bihom.linalg import Matrix, Tensor3
 
 from helpers import random_associative_with_endos, random_bihom_algebra
 
@@ -64,10 +64,7 @@ class TestCheckLie:
         L = twisted_sl2()
         assert check_bihom_lie(L).entry("skew_symmetry").passed
         plain_antisym = all(
-            vec_eq(
-                L.bracket.column(i, j),
-                [-x for x in L.bracket.column(j, i)],
-            )
+            L.bracket.column(i, j) == [-x for x in L.bracket.column(j, i)]
             for i in range(3)
             for j in range(3)
         )
@@ -86,7 +83,7 @@ class TestCommutatorLie:
                         e.mu.column(i, j), e.mu.column(j, i)
                     )
                 ]
-                assert vec_eq(L.bracket.column(i, j), expect)
+                assert L.bracket.column(i, j) == expect
         assert check_bihom_lie(L).ok
 
     def test_conjugation_algebra(self):
@@ -190,7 +187,7 @@ class TestSemidirect:
         for i in range(n):
             for j in range(n):
                 col = sd.bracket.column(i, j)
-                assert vec_eq(col[:n], L.bracket.column(i, j))
+                assert col[:n] == L.bracket.column(i, j)
                 assert not any(col[n:])
         for i in range(n, 2 * n):
             for j in range(n, 2 * n):

@@ -21,7 +21,6 @@ from bihom.linalg import (
     solve_linear,
     solve_unique,
     unit_vec,
-    vec_eq,
     vec_tensor,
 )
 
@@ -139,7 +138,7 @@ class TestSolve:
         res = solve_affine(a, b)
         assert res is not None
         particular, null = res
-        assert vec_eq(a.apply(particular), b)
+        assert a.apply(particular) == b
         for v in null:
             assert not any(a.apply(v))
 
@@ -176,7 +175,7 @@ class TestBilinear:
         y = [rand_fraction(rng) for _ in range(3)]
         lhs = product(mu, [a + b for a, b in zip(x, x2)], y)
         rhs = [a + b for a, b in zip(product(mu, x, y), product(mu, x2, y))]
-        assert vec_eq(lhs, rhs)
+        assert lhs == rhs
 
     def test_shape_mismatch(self):
         mu = Tensor3(QQ, [[[1]]])
@@ -191,10 +190,7 @@ class TestKronAndPowers:
         b = Matrix(QQ, [[rand_fraction(rng) for _ in range(3)] for _ in range(3)])
         u = [rand_fraction(rng) for _ in range(2)]
         v = [rand_fraction(rng) for _ in range(3)]
-        assert vec_eq(
-            kron(a, b).apply(vec_tensor(u, v, QQ)),
-            vec_tensor(a.apply(u), b.apply(v), QQ),
-        )
+        assert kron(a, b).apply(vec_tensor(u, v, QQ)) == vec_tensor(a.apply(u), b.apply(v), QQ)
 
     def test_matrix_powers(self):
         # [[1, 1], [0, 1]]^k = [[1, k], [0, 1]] for every integer k
