@@ -311,10 +311,10 @@ def twisted_so3(field):
 
 
 def lie_cases(field, bracket, alpha, beta):
-    """(sc, axiom, witness, reference) for skew symmetry and BiHom-Jacobi as
-    check_bihom_lie states them, and for BiHom-Jacobi split into
-    nested + its (1, 2, 0) cycle = -(its (2, 0, 1) cycle), whose sides tell
-    the two cycles apart."""
+    """(sc, name, engine witness, reference witness) for skew symmetry and
+    BiHom-Jacobi as check_bihom_lie states them, and for BiHom-Jacobi split
+    into nested + its (1, 2, 0) cycle = -(its (2, 0, 1) cycle), whose sides
+    tell the two cycles apart."""
     sc, d = scalars(field), bracket.d1
     pb, pal, pbe = plain(sc, bracket), plain(sc, alpha), plain(sc, beta)
 
