@@ -891,6 +891,86 @@ class TestCli:
         assert "PASS bihom_associativity" in out
 
 
+
+class TestConstructionPaths:
+    """Each kind's twist, the coalgebra tensor and dual, and their errors,
+    through main: exit codes, report lines, error lines and written files."""
+
+    RECHECK = "== output re-check\nALL PASS ({} axioms checked)\n"
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        """The tensor square of family1, its dual coalgebra and its
+        commutator Lie algebra, by kind."""
+        paths = {kind: str(tmp_path / f"{kind}.json") for kind in ("algebra", "coalgebra", "lie")}
+        family1 = fixture_path("family1.json")
+        assert main(["tensor", family1, family1, "--out", paths["algebra"]]) == 0
+        assert main(["dual", paths["algebra"], "--out", paths["coalgebra"]]) == 0
+        assert main(["lie", paths["algebra"], "--out", paths["lie"]]) == 0
+        capsys.readouterr()
+        return paths
+
+    @staticmethod
+    def _run(capsys, *argv):
+        rc = main(list(argv))
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize("kind, flags, axioms", [
+        ("coalgebra", ("--psi", "--omega"), 8),
+        ("lie", ("--alpha", "--beta"), 5),
+    ])
+    def test_twist_by_identities_gives_the_same_structure(self, files, capsys, kind, flags,
+                                                          axioms):
+        id4 = fixture_path("id4_map.json")
+        rc, out, err = self._run(capsys, "twist", files[kind], flags[0], id4, flags[1], id4)
+        assert (rc, err) == (0, "")
+        with open(files[kind], encoding="utf-8") as fh:
+            assert out == self.RECHECK.format(axioms) + fh.read()
+
+    @pytest.mark.parametrize("path, flags, error", [
+        ("coalgebra", ["--psi"], "coalgebra twists need --psi and --omega"),
+        ("lie", ["--alpha"], "lie twists need --alpha and --beta"),
+        ("kc4_bialg.json", ["--alpha"], "bialgebra twists need all four maps"),
+        ("kc4_selfmod.json", [], "cannot twist kind 'action'"),
+    ])
+    def test_twist_without_its_maps_exits_2(self, files, capsys, path, flags, error):
+        path = files.get(path) or fixture_path(path)
+        argv = [x for flag in flags for x in (flag, fixture_path("id4_map.json"))]
+        assert self._run(capsys, "twist", path, *argv) == (2, "", f"error: {error}\n")
+
+    def test_twist_by_a_non_multiplicative_map_exits_1(self, files, capsys):
+        argv = ["--alpha", fixture_path("kc4_g3_map.json"), "--beta", fixture_path("id4_map.json")]
+        assert self._run(capsys, "twist", files["algebra"], *argv) == (
+            1, "", "error: alpha2 is not multiplicative at basis pair (0, 1)\n")
+
+    def test_tensor_and_dual_of_coalgebras(self, files, capsys):
+        rc, out, err = self._run(capsys, "tensor", files["coalgebra"], files["coalgebra"])
+        assert (rc, err) == (0, "") and out.startswith(self.RECHECK.format(8))
+        assert json.loads(out[len(self.RECHECK.format(8)):])["dim"] == 16
+        rc, out, err = self._run(capsys, "dual", files["coalgebra"])
+        assert (rc, err) == (0, "") and out.startswith(self.RECHECK.format(8))
+        assert json.loads(out[len(self.RECHECK.format(8)):])["kind"] == "algebra"
+
+    def test_tensor_of_a_coalgebra_and_an_algebra_exits_2(self, files, capsys):
+        assert self._run(capsys, "tensor", files["coalgebra"], fixture_path("family1.json")) == (
+            2, "", "error: tensor products need two algebras or two coalgebras\n")
+
+    def test_failed_recheck_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        obj = _fixture_json("family1.json")
+        obj["mu"][1][1][0] = "5"
+        bad, out = tmp_path / "bad.json", tmp_path / "t.json"
+        bad.write_text(json.dumps(obj))
+        rc, stdout, err = self._run(capsys, "tensor", str(bad), str(bad), "--out", str(out))
+        assert (rc, err) == (1, "")
+        assert "FAIL beta_multiplicative @ (1, 1): lhs=(-4, 6, 0, 0) rhs=(11, 6, 0, 0)\n" in stdout
+        assert not out.exists()
+
+    def test_antipode_solve_of_a_non_monoidal_bialgebra_exits_1(self, capsys):
+        assert self._run(capsys, "antipode", "solve", fixture_path("kc4_bialg.json")) == (
+            1, "bialgebra is not monoidal (omega != alpha^-1 or psi != beta^-1)\n", "")
+
+
 class TestFixtureFilesStayValid:
     def test_all_committed_fixtures_parse_and_pass(self):
         for name in os.listdir(FIXDIR):

@@ -8,6 +8,8 @@ import qexamples_corpus
 
 from bihom.errors import TruncationOverflow, ZeroParameter
 from bihom.exactnum import QQ_Q, RationalFunction as RF
+from bihom import qexamples
+from bihom.io_cli import main
 from bihom.qexamples import (
     PBWElement,
     QPElement,
@@ -261,6 +263,36 @@ class TestSmashFormulas:
     def test_truncation_guard(self):
         with pytest.raises(TruncationOverflow):
             verify_smash_formulas(3, 3, 3, 3, ONE, TP_DISTINCT, bound=12)
+
+
+class TestSmashFormulasCanFail:
+    """A closed form for E that gains 1 # 1 fails the check and the demo,
+    at the least differing key and at every G."""
+
+    @pytest.fixture(autouse=True)
+    def broken_e_formula(self, monkeypatch):
+        rhs = qexamples.smash_formula_rhs
+
+        def broken(gen, *args, **kwargs):
+            out = rhs(gen, *args, **kwargs)
+            if gen == "E":
+                out = out + qexamples._tensor(QPElement.one(), PBWElement.one())
+            return out
+
+        monkeypatch.setattr(qexamples, "smash_formula_rhs", broken)
+
+    def test_only_the_e_formula_fails_with_its_witness(self):
+        report = verify_smash_formulas(0, 0, 0, 0, ONE, TP_DISTINCT)
+        assert [e.axiom for e in report.failures()] == ["smash_formula_E"]
+        assert report.failures()[0].witness == (
+            (0, 0, 0, 0, ((0, 0), (0, 0, 0))), QQ_Q.zero(), QQ_Q.one())
+
+    def test_demo_prints_each_failure_and_exits_1(self, capsys):
+        assert main(["demo", "uqsl2", "--grid", "1"]) == 1
+        assert capsys.readouterr().out == "".join(
+            f"FAIL smash_formula_E at (m,n,r,s,G)=(0,0,0,0,{g})\n" for g in "1EFK"
+        ) + ("verified 16 product-formula instances over the 1^4 grid with "
+             "G in {1, E, F, K}: 4 FAILED\n")
 
 
 def test_corpus_reproduces():
