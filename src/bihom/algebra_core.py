@@ -222,6 +222,16 @@ def _require_pairwise_commuting(named_maps):
                                 for (n1, m1), (n2, m2) in pairs))
 
 
+def _require_twist(mu, alpha, beta, alpha2, beta2, broken="is not multiplicative at basis pair"):
+    """The Yau-twist hypotheses: alpha2 and beta2 multiplicative for mu,
+    and alpha, beta, alpha2, beta2 pairwise commuting."""
+    _require_multiplicative(mu, alpha2, "alpha2", broken)
+    _require_multiplicative(mu, beta2, "beta2", broken)
+    _require_pairwise_commuting(
+        [("alpha", alpha), ("beta", beta), ("alpha2", alpha2), ("beta2", beta2)]
+    )
+
+
 def _carried_unit(unit, *maps):
     if unit is None or not holds(*(fixes("", m, unit) for m in maps)):
         return None
@@ -234,11 +244,7 @@ def yau_twist(a: BiHomAlgebra, alpha2: Matrix, beta2: Matrix) -> BiHomAlgebra:
     alpha2 and beta2 must be multiplicative for mu and all four maps must
     pairwise commute; both preconditions are verified, not trusted.
     """
-    _require_multiplicative(a.mu, alpha2, "alpha2")
-    _require_multiplicative(a.mu, beta2, "beta2")
-    _require_pairwise_commuting(
-        [("alpha", a.alpha), ("beta", a.beta), ("alpha2", alpha2), ("beta2", beta2)]
-    )
+    _require_twist(a.mu, a.alpha, a.beta, alpha2, beta2)
     return BiHomAlgebra(
         field=a.field,
         dim=a.dim,

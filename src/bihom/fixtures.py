@@ -12,6 +12,16 @@ from .lie import BiHomLieAlgebra
 from .linalg import Matrix, Tensor3, unit_vec
 
 
+def _classical(field, mu, delta, counit, labels) -> BiHomBialgebra:
+    """A classical bialgebra as a BiHom one: all four structure maps are
+    identities, each its own object, and the unit is e_0."""
+    n = len(labels)
+    alpha, beta, psi, omega = (Matrix.identity(field, n) for _ in range(4))
+    return BiHomBialgebra(field=field, dim=n, mu=mu, delta=delta, alpha=alpha, beta=beta,
+                          psi=psi, omega=omega, unit=unit_vec(field, n, 0), counit=counit,
+                          labels=labels)
+
+
 def cyclic_group_bialgebra(n: int, field=QQ) -> BiHomBialgebra:
     """k[C_n] with basis 1, g, ..., g^(n-1), grouplike coproduct, id maps."""
     zero = field.zero()
@@ -26,21 +36,8 @@ def cyclic_group_bialgebra(n: int, field=QQ) -> BiHomBialgebra:
     delta = Tensor3.zero(field, n, n, n)
     for i in range(n):
         delta.t[i][i][i] = one
-    ident = Matrix.identity(field, n)
     labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    return BiHomBialgebra(
-        field=field,
-        dim=n,
-        mu=mu,
-        delta=delta,
-        alpha=ident,
-        beta=ident.copy(),
-        psi=ident.copy(),
-        omega=ident.copy(),
-        unit=unit_vec(field, n, 0),
-        counit=[one] * n,
-        labels=labels,
-    )
+    return _classical(field, mu, delta, [one] * n, labels)
 
 
 def cyclic_power_map(n: int, k: int, field=QQ) -> Matrix:
@@ -124,21 +121,7 @@ def sweedler_hopf(field=QQ) -> tuple:
     # Delta(gx) = Delta(g) Delta(x) = g (x) gx + gx (x) 1
     delta.t[3][1][3] = one
     delta.t[3][3][0] = one
-    ident = Matrix.identity(field, 4)
-    counit = [one, one, zero, zero]
-    H = BiHomBialgebra(
-        field=field,
-        dim=4,
-        mu=mu,
-        delta=delta,
-        alpha=ident,
-        beta=ident.copy(),
-        psi=ident.copy(),
-        omega=ident.copy(),
-        unit=unit_vec(field, 4, 0),
-        counit=counit,
-        labels=["1", "g", "x", "gx"],
-    )
+    H = _classical(field, mu, delta, [one, one, zero, zero], ["1", "g", "x", "gx"])
     # S: 1 -> 1, g -> g, x -> -xg = -gx... careful: S(x) = -x g^-1 = -xg = gx?
     # xg = -gx, so -xg = gx; S(x) = gx and S(gx) = S(x)S(g) = (gx)g = -x.
     S = Matrix.zero(field, 4, 4)
@@ -163,20 +146,7 @@ def f2_restricted_line() -> BiHomBialgebra:
     delta.t[0][0][0] = one
     delta.t[1][0][1] = one
     delta.t[1][1][0] = one
-    ident = Matrix.identity(field, 2)
-    return BiHomBialgebra(
-        field=field,
-        dim=2,
-        mu=mu,
-        delta=delta,
-        alpha=ident,
-        beta=ident.copy(),
-        psi=ident.copy(),
-        omega=ident.copy(),
-        unit=[one, zero],
-        counit=[one, zero],
-        labels=["1", "X"],
-    )
+    return _classical(field, mu, delta, [one, zero], ["1", "X"])
 
 
 def f3_truncated_line() -> BiHomBialgebra:
@@ -196,21 +166,7 @@ def f3_truncated_line() -> BiHomBialgebra:
     for k in range(n):
         for i in range(k + 1):
             delta.t[k][i][k - i] = field.from_int(binom[k][i])
-    ident = Matrix.identity(field, n)
-    counit = [one, zero, zero]
-    return BiHomBialgebra(
-        field=field,
-        dim=n,
-        mu=mu,
-        delta=delta,
-        alpha=ident,
-        beta=ident.copy(),
-        psi=ident.copy(),
-        omega=ident.copy(),
-        unit=unit_vec(field, n, 0),
-        counit=counit,
-        labels=["1", "X", "X^2"],
-    )
+    return _classical(field, mu, delta, [one, zero, zero], ["1", "X", "X^2"])
 
 
 def idempotent_monoid_bialgebra(field=QQ) -> BiHomBialgebra:
@@ -226,20 +182,7 @@ def idempotent_monoid_bialgebra(field=QQ) -> BiHomBialgebra:
     delta = Tensor3.zero(field, 2, 2, 2)
     delta.t[0][0][0] = one
     delta.t[1][1][1] = one
-    ident = Matrix.identity(field, 2)
-    return BiHomBialgebra(
-        field=field,
-        dim=2,
-        mu=mu,
-        delta=delta,
-        alpha=ident,
-        beta=ident.copy(),
-        psi=ident.copy(),
-        omega=ident.copy(),
-        unit=unit_vec(field, 2, 0),
-        counit=[one, one],
-        labels=["1", "t"],
-    )
+    return _classical(field, mu, delta, [one, one], ["1", "t"])
 
 
 def sl2_lie(field=QQ) -> BiHomLieAlgebra:

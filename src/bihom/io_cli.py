@@ -92,14 +92,18 @@ MAX_DIM = 64
 # time, so that a profiler or tracer that rebinds the module global sees it
 LAYOUTS = {
     "algebra": (BiHomAlgebra, (
-        "BiHom-associative algebra axioms", lambda s: check_bihom_algebra(s))),
+        "BiHom-associative algebra axioms", lambda s: check_bihom_algebra(s)), (
+        ("alpha", "beta"), lambda s, *maps: yau_twist(s, *maps))),
     "coalgebra": (BiHomCoalgebra, (
-        "BiHom-coassociative coalgebra axioms", lambda s: check_bihom_coalgebra(s))),
+        "BiHom-coassociative coalgebra axioms", lambda s: check_bihom_coalgebra(s)), (
+        ("psi", "omega"), lambda s, *maps: yau_twist_coalgebra(s, *maps))),
     "bialgebra": (BiHomBialgebra, (
-        "BiHom-bialgebra axioms", lambda s: check_bihom_bialgebra(s))),
-    "lie": (BiHomLieAlgebra, ("BiHom-Lie algebra axioms", lambda s: check_bihom_lie(s))),
-    "module": (LeftModule, None),
-    "comodule": (Comodule, None),
+        "BiHom-bialgebra axioms", lambda s: check_bihom_bialgebra(s)), (
+        ("alpha", "beta", "psi", "omega"), lambda s, *maps: yau_twist_bialgebra(s, *maps))),
+    "lie": (BiHomLieAlgebra, ("BiHom-Lie algebra axioms", lambda s: check_bihom_lie(s)), (
+        ("alpha", "beta"), lambda s, *maps: yau_twist_lie(s, *maps))),
+    "module": (LeftModule, None, None),
+    "comodule": (Comodule, None, None),
 }
 
 KINDS = (*LAYOUTS, "action", "map")
@@ -304,7 +308,7 @@ def _field_of_structure(value):
 
 
 def _kind_of(value):
-    for kind, (cls, _) in LAYOUTS.items():
+    for kind, (cls, *_) in LAYOUTS.items():
         if isinstance(value, cls):
             return kind
     if isinstance(value, Matrix):
@@ -432,25 +436,15 @@ def _cmd_check(args):
 
 def _cmd_twist(args):
     kind, value = _load(args.file, field_tag_expect=args.field)
-    maps = (args.alpha, args.beta, args.psi, args.omega)
-    alpha, beta, psi, omega = [_load_map(path, args.file, value) if path else None
-                               for path in maps]
-    if kind in ("algebra", "lie") and (alpha is None or beta is None):
-        raise ParseError(f"{kind} twists need --alpha and --beta")
-    if kind == "algebra":
-        out = yau_twist(value, alpha, beta)
-    elif kind == "lie":
-        out = yau_twist_lie(value, alpha, beta)
-    elif kind == "coalgebra":
-        if psi is None or omega is None:
-            raise ParseError("coalgebra twists need --psi and --omega")
-        out = yau_twist_coalgebra(value, psi, omega)
-    elif kind == "bialgebra":
-        if alpha is None or beta is None or psi is None or omega is None:
-            raise ParseError("bialgebra twists need all four maps")
-        out = yau_twist_bialgebra(value, alpha, beta, psi, omega)
-    else:
+    maps = {flag: _load_map(getattr(args, flag), args.file, value)
+            for flag in ("alpha", "beta", "psi", "omega") if getattr(args, flag)}
+    if kind not in LAYOUTS or LAYOUTS[kind][2] is None:
         raise ParseError(f"cannot twist kind {kind!r}")
+    flags, twist = LAYOUTS[kind][2]
+    if any(flag not in maps for flag in flags):
+        need = " and ".join(f"--{flag}" for flag in flags) if len(flags) == 2 else "all four maps"
+        raise ParseError(f"{kind} twists need {need}")
+    out = twist(value, *(maps[flag] for flag in flags))
     return _emit(out, kind, args, "twisted structure")
 
 

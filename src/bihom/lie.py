@@ -17,8 +17,7 @@ from .algebra_core import (
     LeftModule,
     Shaped,
     check_left_module,
-    _require_multiplicative,
-    _require_pairwise_commuting,
+    _require_twist,
 )
 from .axioms import (
     Axiom,
@@ -146,11 +145,7 @@ def commutator_lie(a: BiHomAlgebra) -> BiHomLieAlgebra:
 def yau_twist_lie(L: BiHomLieAlgebra, alpha2: Matrix, beta2: Matrix) -> BiHomLieAlgebra:
     """Deform the bracket to [-] o (alpha2 (x) beta2), composing the maps."""
     broken = "does not preserve the bracket at"
-    _require_multiplicative(L.bracket, alpha2, "alpha2", broken)
-    _require_multiplicative(L.bracket, beta2, "beta2", broken)
-    _require_pairwise_commuting(
-        [("alpha", L.alpha), ("beta", L.beta), ("alpha2", alpha2), ("beta2", beta2)]
-    )
+    _require_twist(L.bracket, L.alpha, L.beta, alpha2, beta2, broken)
     return BiHomLieAlgebra(
         field=L.field,
         dim=L.dim,

@@ -21,6 +21,7 @@ from .algebra_core import (
     BiHomAlgebra,
     _require_multiplicative,
     _require_pairwise_commuting,
+    _require_twist,
     tensor_algebra,
     unit_axioms,
 )
@@ -134,17 +135,8 @@ def check_pseudotwistor(D: BiHomAlgebra, P: Pseudotwistor) -> CheckReport:
 def canonical_pseudotwistor(D: BiHomAlgebra, alpha2: Matrix, beta2: Matrix) -> Pseudotwistor:
     """T = alpha2 (x) beta2 with companions id (x) id (x) beta2 and
     alpha2 (x) id (x) id; realizes the Yau twist as a pseudotwistor."""
-    _require_multiplicative(D.mu, alpha2, "alpha2")
-    _require_multiplicative(D.mu, beta2, "beta2")
     try:
-        _require_pairwise_commuting(
-            [
-                ("alpha", D.alpha),
-                ("beta", D.beta),
-                ("alpha2", alpha2),
-                ("beta2", beta2),
-            ]
-        )
+        _require_twist(D.mu, D.alpha, D.beta, alpha2, beta2)
     except MapsDoNotCommute as exc:
         raise HypothesisFailure(f"twist hypotheses fail: {exc}", witness=exc.witness) from exc
     a2, b2, ident = Lin(alpha2), Lin(beta2), Id(D.dim)
