@@ -43,7 +43,7 @@ from .axioms import (
     unit_law,
     witness,
 )
-from .exactnum import Field, divide, same_field
+from .exactnum import QQ, Field, divide, same_field
 from .linalg import (
     Matrix,
     Tensor3,
@@ -381,8 +381,6 @@ def example_family(which: int, a, b, field=None) -> BiHomAlgebra:
     Family 1 requires b != 1; family 2 requires a != 0.  The unit is e1.
     """
     if field is None:
-        from .exactnum import QQ
-
         field = QQ
     a = field.promote(a)
     b = field.promote(b)

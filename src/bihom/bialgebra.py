@@ -20,9 +20,11 @@ from .algebra_core import (
     BiHomAlgebra,
     LeftModule,
     Shaped,
+    _require_multiplicative,
     _require_pairwise_commuting,
     check_bihom_algebra,
     check_left_module,
+    yau_twist,
 )
 from .axioms import (
     Axiom,
@@ -52,7 +54,7 @@ from .axioms import (
     solve,
     twisted_product,
 )
-from .coalgebra import BiHomCoalgebra, check_bihom_coalgebra
+from .coalgebra import BiHomCoalgebra, check_bihom_coalgebra, yau_twist_coalgebra
 from .errors import (
     HypothesisFailure,
     MissingUnit,
@@ -196,9 +198,6 @@ def yau_twist_bialgebra(
             ("omega2", omega2),
         ]
     )
-    from .algebra_core import yau_twist
-    from .coalgebra import yau_twist_coalgebra
-
     alg = yau_twist(H.algebra_part(), alpha2, beta2)
     coalg = yau_twist_coalgebra(H.coalgebra_part(), psi2, omega2)
     kw = {key: getattr(part, key) for part in (alg, coalg) for key, _ in part.SHAPE}
@@ -337,8 +336,6 @@ def twist_left_module(
         equivariant("alphaM equivariance fails", act, alpha2, mod.alphaM),
         equivariant("betaM equivariance fails", act, beta2, mod.betaM),
     )
-    from .algebra_core import yau_twist
-
     a2 = yau_twist(a_classical, alpha2, beta2)
     new_action = twisted_product(act, alpha2, mod.betaM)
     return a2, LeftModule(
@@ -371,8 +368,6 @@ def twist_module_algebra(
     _require_pairwise_commuting(
         [("alphaH", alphaH), ("betaH", betaH), ("psiH", psiH), ("omegaH", omegaH)]
     )
-    from .algebra_core import _require_multiplicative
-
     _require_multiplicative(A.mu, alphaA, "alphaA")
     _require_multiplicative(A.mu, betaA, "betaA")
     _require_pairwise_commuting([("alphaA", alphaA), ("betaA", betaA)])
@@ -382,8 +377,6 @@ def twist_module_algebra(
         equivariant("alpha equivariance fails", action, alphaH, alphaA),
         equivariant("beta equivariance fails", action, betaH, betaA),
     )
-    from .algebra_core import yau_twist
-
     H2 = yau_twist_bialgebra(H, alphaH, betaH, psiH, omegaH)
     A2 = yau_twist(A, alphaA, betaA)
     return H2, A2, ModuleAlgebraAction(action=twisted_product(action, alphaH, betaA))

@@ -90,7 +90,7 @@ def sweedler_hopf(field=QQ) -> tuple:
     """
     zero = field.zero()
     one = field.one()
-    # basis index: (a, b) for g^a x^b, flattened a*2 + b? use order 1, g, x, gx
+    # the basis g^a x^b in the order 1, g, x, gx, by (a, b)
     idx = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
     rev = {v: k for k, v in idx.items()}
 
@@ -122,8 +122,7 @@ def sweedler_hopf(field=QQ) -> tuple:
     delta.t[3][1][3] = one
     delta.t[3][3][0] = one
     H = _classical(field, mu, delta, [one, one, zero, zero], ["1", "g", "x", "gx"])
-    # S: 1 -> 1, g -> g, x -> -xg = -gx... careful: S(x) = -x g^-1 = -xg = gx?
-    # xg = -gx, so -xg = gx; S(x) = gx and S(gx) = S(x)S(g) = (gx)g = -x.
+    # S(1) = 1, S(g) = g, S(x) = -xg = gx and S(gx) = S(x)S(g) = gxg = -x
     S = Matrix.zero(field, 4, 4)
     S.e[0][0] = one
     S.e[1][1] = one

@@ -8,11 +8,12 @@ mu[i][j][k] the coefficient of e_k in e_i e_j and delta[i][j][k] the
 coefficient of e_j (x) e_k in Delta(e_i).
 
 Each structure class declares its keys once, in its ``SHAPE`` and
-``LABELS`` (``algebra_core.Shaped``); ``LAYOUTS`` maps each kind to its class
-and check, and parsing, serialization, ``check`` and the output re-check of
-every construction read them.  Only ``action`` and ``map`` files are laid out
-by hand; an action file embeds an algebra object, whose paths in errors
-carry the prefix ``algebra.``.
+``LABELS`` (``algebra_core.Shaped``); ``LAYOUTS`` maps each kind to its class,
+check and twist, and parsing, serialization, ``check``, ``twist`` and the
+output re-check of every construction read them.  A kind's twist names the
+map flags it takes, in the order its Yau twist takes the maps.  Only
+``action`` and ``map`` files are laid out by hand; an action file embeds an
+algebra object, whose paths in errors carry the prefix ``algebra.``.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ MAX_DIM = 64
 # ---------------------------------------------------------------------------
 
 
-# kind -> (class, check): the class declares the file keys (``Shaped``);
-# the check, (report title, function) or None, names its function at call
-# time, so that a profiler or tracer that rebinds the module global sees it
+# kind -> (class, check, twist): the class declares the file keys (``Shaped``);
+# the check, (report title, function), and the Yau twist, (map flags, function),
+# are None for a kind without one; each names its function at call time, so
+# that a profiler or tracer that rebinds the module global sees it
 LAYOUTS = {
     "algebra": (BiHomAlgebra, (
         "BiHom-associative algebra axioms", lambda s: check_bihom_algebra(s)), (

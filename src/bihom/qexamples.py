@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .errors import TruncationOverflow, ZeroParameter
 from .exactnum import QQ_Q, RationalFunction, q_integer
+from .report import CheckReport
 
 RF = RationalFunction
 _ZERO = QQ_Q.zero()
@@ -567,8 +568,6 @@ def verify_smash_formulas(
 ):
     """Compare the smash multiplication against the displayed closed forms
     for all four left generators; exact equality in Q(q)."""
-    from .report import CheckReport
-
     if m + n + r + s + 1 >= bound:
         raise TruncationOverflow(
             f"degree {m + n + r + s + 1} exceeds the bound {bound}"

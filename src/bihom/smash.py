@@ -5,7 +5,7 @@ module algebra H* with its right-translation-style action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .algebra_core import BiHomAlgebra, _require_pairwise_commuting
 from .bialgebra import (
@@ -110,9 +110,7 @@ def smash_product(S: SmashData) -> BiHomAlgebra:
 
     (a # h)(a' # h') = a (betaH^-1 omegaH^-1(h1) . betaA^-1(a')) # psiH^-1(h2) h'.
     """
-    data = SmashData(H=S.H, A=S.A, action=S.action, m=0, n=-1, p=-1,
-                     _validated=S._validated)
-    tw = smash_twisting_map(data)
+    tw = smash_twisting_map(replace(S, m=0, n=-1, p=-1))
     return twisted_tensor_product(S.A, S.H.algebra_part(), tw)
 
 
