@@ -370,6 +370,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {bad}: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, error", [
+        ("{", "not valid JSON: Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)"),
+        ("[]", "top level must be an object"),
+    ])
+    def test_file_that_is_no_json_object_exits_2(self, text, error, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     @pytest.mark.parametrize("kind, key", [
         ("algebra", "dim"), ("module", "algebra_dim"), ("comodule", "coalgebra_dim"),
         ("action", "h_dim"), ("map", "rows"), ("map", "cols"),
@@ -702,6 +713,8 @@ class TestCli:
             serialize_structure(regular_comodule(H.coalgebra_part()), "comodule")
         )
         assert main(["check", str(mf), "--over", str(cf)]) == 0
+        # missing --over is a usage error
+        assert main(["check", str(mf)]) == 2
 
     def test_check_action_with_over(self):
         assert (
@@ -891,7 +904,6 @@ class TestCli:
         assert "PASS bihom_associativity" in out
 
 
-
 class TestConstructionPaths:
     """Each kind's twist, the coalgebra tensor and dual, and their errors,
     through main: exit codes, report lines, error lines and written files."""
@@ -969,6 +981,30 @@ class TestConstructionPaths:
     def test_antipode_solve_of_a_non_monoidal_bialgebra_exits_1(self, capsys):
         assert self._run(capsys, "antipode", "solve", fixture_path("kc4_bialg.json")) == (
             1, "bialgebra is not monoidal (omega != alpha^-1 or psi != beta^-1)\n", "")
+
+    def test_ttp_along_a_failing_twisting_map_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        from bihom.twisting import flip_map
+
+        alg = cyclic_group_bialgebra(2).algebra_part()
+        flip = flip_map(alg, alg).R
+        src, rfile, out = tmp_path / "alg.json", tmp_path / "r.json", tmp_path / "ttp.json"
+        src.write_text(serialize_structure(alg, "algebra"))
+        rfile.write_text(serialize_structure(
+            Matrix(flip.field, [[2 * x for x in row] for row in flip.e]), "map"))
+        assert self._run(capsys, "ttp", str(src), str(src), "--r", str(rfile), "--out",
+                         str(out)) == (1, (
+            "== twisting map equations\n"
+            "FAIL R_left_product @ (0, 0, 0): lhs=(2, 0, 0, 0) rhs=(4, 0, 0, 0)\n"
+            "FAIL R_right_product @ (0, 0, 0): lhs=(2, 0, 0, 0) rhs=(4, 0, 0, 0)\n"
+            "2 FAILED (4 axioms checked)\n"), "")
+        assert not out.exists()
+
+    def test_file_of_the_wrong_kind_or_without_its_carrier_exits_2(self, capsys):
+        kc4 = fixture_path("kc4_bialg.json")
+        assert self._run(capsys, "untwist", kc4) == (
+            2, "", f"error: {kc4}: expected kind in ('algebra',), found 'bialgebra'\n")
+        assert self._run(capsys, "check", fixture_path("kc4_selfmod.json")) == (
+            2, "", "error: checking an action needs --over BIALGEBRA_FILE\n")
 
 
 class TestFixtureFilesStayValid:
