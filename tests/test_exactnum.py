@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bihom.errors import (
@@ -167,6 +167,75 @@ class TestQIntegers:
     def test_zero_and_one(self):
         assert not q_integer(0)
         assert q_integer(1) == QQ_Q.one()
+
+    def test_quotient_from_minus_eight_to_eight(self):
+        denominator = RF.q_power(1) - RF.q_power(-1)
+        for n in range(-8, 9):
+            quotient = (RF.q_power(n) - RF.q_power(-n)) / denominator
+            assert q_integer(n) == quotient
+            assert q_integer(-n) == -q_integer(n)
+
+    def test_stored_form_of_three(self):
+        x = q_integer(3)
+        assert (x.n, x.d, x.k) == ((1, 0, 1, 0, 1), (1,), -2)
+
+
+def _convolve(a, b):
+    """Coefficients of the product of two polynomials, by the schoolbook
+    double loop."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _reference(x, y, divide):
+    """x * y, or x / y, formed unreduced and reduced by the constructor."""
+    n2, d2, k2 = (y.d, y.n, -y.k) if divide else (y.n, y.d, y.k)
+    return RF(_convolve(x.n, n2), _convolve(x.d, d2), x.k + k2)
+
+
+_exponents = st.integers(-4, 4)
+# every shape _product tells apart: q^k, -q^k, constants c/e of either
+# sign and zero, and general quotients
+shaped = st.one_of(
+    _exponents.map(RF.q_power),
+    _exponents.map(lambda k: -RF.q_power(k)),
+    st.builds(
+        lambda c, e, k: RF((c,), (e,), k),
+        st.integers(-12, 12),
+        st.integers(1, 12),
+        _exponents,
+    ),
+    st.builds(
+        RF,
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any),
+        _exponents,
+    ),
+)
+
+
+class TestProductShapes:
+    """Every product and quotient equals the reference reduction, so the
+    q-power and constant paths keep the canonical form."""
+
+    @given(shaped, shaped)
+    @example(RF.q_power(2), -RF.q_power(-3))
+    @example(RF.q_power(-1), RF((-4,), (6,)))
+    @example(RF((3,), (5,), 1), RF((-2,), (9,)))
+    @example(RF((0, 1, 1), (2, 1)), RF.q_power(-2))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, x, y):
+        cases = [(x * y, x, y, False), (y * x, y, x, False)]
+        if y:
+            cases.append((x / y, x, y, True))
+        if x:
+            cases.append((y / x, y, x, True))
+        for z, a, b, divide in cases:
+            ref = _reference(a, b, divide)
+            assert (z.n, z.d, z.k) == (ref.n, ref.d, ref.k)
 
 
 class TestFieldAxioms:
