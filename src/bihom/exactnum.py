@@ -383,9 +383,20 @@ def _product(n1, d1, k1, n2, d2, k2):
     """(q^k1 n1/d1) * (q^k2 n2/d2) for nonzero canonical factors, except
     that d2 has a negative leading coefficient when it is a divisor's N.
 
-    Cancelling crosswise, gcd(n1, d2) and gcd(n2, d1), leaves the product
-    coprime, so only the integer content and the sign remain to fix.
+    A factor q^k (N = D = (1,)) only shifts k, unless it is the first and
+    d2 < 0, as when dividing by -q^k.  Two constants c1/e1 * c2/e2 need one
+    int gcd, signed to the denominator.  Otherwise cancelling crosswise,
+    gcd(n1, d2) and gcd(n2, d1), leaves the product coprime, so only the
+    integer content and the sign remain to fix.
     """
+    if n2 == d2 == (1,):
+        return RationalFunction(n1, d1, k1 + k2, True)
+    if n1 == d1 == (1,) and d2[-1] > 0:
+        return RationalFunction(n2, d2, k1 + k2, True)
+    if len(n1) == len(d1) == len(n2) == len(d2) == 1:
+        n, d = n1[0] * n2[0], d1[0] * d2[0]
+        c = gcd(n, d) if d > 0 else -gcd(n, d)
+        return RationalFunction((n // c,), (d // c,), k1 + k2, True)
     n1, d2 = _cancel(n1, d2)
     n2, d1 = _cancel(n2, d1)
     n, d = _unit_content(_mul(n1, n2), _mul(d1, d2))
@@ -394,14 +405,15 @@ def _product(n1, d1, k1, n2, d2, k2):
 
 _RF_ZERO = RationalFunction((), (1,), 0, True)
 _RF_ONE = RationalFunction((1,), (1,), 0, True)
-RF_Q = RationalFunction.q_power(1)
 
 
 def q_integer(n) -> RationalFunction:
-    """[n]_q = (q^n - q^-n) / (q - q^-1) as an element of Q(q)."""
-    qn = RationalFunction.q_power(n)
-    qmn = RationalFunction.q_power(-n)
-    return (qn - qmn) / (RF_Q - RationalFunction.q_power(-1))
+    """[n]_q = (q^n - q^-n) / (q - q^-1) as an element of Q(q), stored
+    from its canonical form q^(1-n) (1 + q^2 + ... + q^(2n-2)); [-n]_q = -[n]_q."""
+    if not n:
+        return _RF_ZERO
+    s, m = (1, n) if n > 0 else (-1, -n)
+    return RationalFunction((s,) + (0, s) * (m - 1), (1,), 1 - m, True)
 
 
 # ---------------------------------------------------------------------------
