@@ -1,0 +1,98 @@
+"""The bijectivity preconditions of the constructions, by their exact
+messages, and the (co)units that twists and duals carry or drop.
+
+Each case breaks one structure map of k[C_4] (acting on itself by
+g^i . g^j = g^(3^i j)) with a diagonal 0/1 matrix of known rank, over Q
+and over F_7, and pins the full ``str`` of the Singular raised.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from bihom.bialgebra import check_module_bihom_algebra
+from bihom.coalgebra import yau_twist_coalgebra
+from bihom.errors import Singular
+from bihom.exactnum import QQ, PrimeField
+from bihom.fixtures import cyclic_group_bialgebra, cyclic_power_map, cyclic_self_action
+from bihom.linalg import Matrix
+from bihom.smash import SmashData, dual_module_algebra
+from bihom.twisting import check_twisting_map, flip_map
+
+FIELDS = [QQ, PrimeField(7)]
+
+
+def kc4(field):
+    H = cyclic_group_bialgebra(4, field)
+    return H, H.algebra_part(), cyclic_self_action(4, 3, field)
+
+
+def rank(field, r):
+    """The 4 x 4 diagonal matrix with r ones, then zeros."""
+    return Matrix.diagonal(field, [field.one()] * r + [field.zero()] * (4 - r))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_module_compatibility_needs_bijective_maps(field):
+    H, A, act = kc4(field)
+    with pytest.raises(Singular) as exc:
+        check_module_bihom_algebra(replace(H, alpha=rank(field, 1)), A, act)
+    assert str(exc.value) == "module compatibility needs bijective maps: matrix has rank 1 < 4"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_dual_module_algebra_needs_bijective_maps(field):
+    H = cyclic_group_bialgebra(4, field)
+    with pytest.raises(Singular) as exc:
+        dual_module_algebra(replace(H, alpha=rank(field, 1)))
+    assert str(exc.value) == "dual module algebra needs bijective maps: matrix has rank 1 < 4"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_twisting_map_needs_bijective_structure_maps(field):
+    _, A, _ = kc4(field)
+    singular = replace(A, beta=rank(field, 2))
+    with pytest.raises(Singular) as exc:
+        check_twisting_map(singular, A, flip_map(singular, A))
+    assert str(exc.value) == "twisting maps need bijective structure maps: matrix has rank 2 < 4"
+
+
+SMASH_MAPS = [
+    ("alpha_H", "H", "alpha", 0),
+    ("beta_H", "H", "beta", 1),
+    ("psi_H", "H", "psi", 2),
+    ("omega_H", "H", "omega", 3),
+    ("alpha_A", "A", "alpha", 1),
+    ("beta_A", "A", "beta", 3),
+]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name, part, attr, r", SMASH_MAPS, ids=[m[0] for m in SMASH_MAPS])
+def test_smash_data_names_each_singular_map(field, name, part, attr, r):
+    H, A, act = kc4(field)
+    parts = {"H": H, "A": A}
+    parts[part] = replace(parts[part], **{attr: rank(field, r)})
+    with pytest.raises(Singular) as exc:
+        SmashData(H=parts["H"], A=parts["A"], action=act).validate()
+    assert str(exc.value) == f"{name} must be invertible: matrix has rank {r} < 4"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_coalgebra_twist_keeps_an_invariant_counit_and_drops_another(field):
+    C = cyclic_group_bialgebra(4, field).coalgebra_part()
+    g3, ident = cyclic_power_map(4, 3, field), Matrix.identity(field, 4)
+    assert yau_twist_coalgebra(C, g3, ident).counit == [1, 1, 1, 1]
+    # the projection onto 1 is comultiplicative, but eps o E11 = (1, 0, 0, 0)
+    assert yau_twist_coalgebra(C, ident, rank(field, 1)).counit is None
+    assert yau_twist_coalgebra(C, rank(field, 1), ident).counit is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_dual_module_algebra_keeps_an_invariant_counit_as_unit_and_drops_another(field):
+    H = cyclic_group_bialgebra(4, field)
+    dual, _ = dual_module_algebra(replace(H, alpha=cyclic_power_map(4, 3, field)))
+    assert dual.unit == [1, 1, 1, 1]
+    two = Matrix.diagonal(field, [field.from_int(2)] + [field.one()] * 3)
+    assert dual_module_algebra(replace(H, alpha=two))[0].unit is None
+    assert dual_module_algebra(replace(H, beta=two))[0].unit is None
