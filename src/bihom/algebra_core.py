@@ -31,6 +31,7 @@ from .axioms import (
     Perm,
     Vec,
     check,
+    counit_invariant,
     equivariant,
     fixes,
     holds,
@@ -236,6 +237,13 @@ def _carried_unit(unit, *maps):
     if unit is None or not holds(*(fixes("", m, unit) for m in maps)):
         return None
     return list(unit)
+
+
+def _carried_counit(counit, *maps):
+    """The counit when eps o m = eps for every map m, else None."""
+    if counit is None or not holds(*(counit_invariant("", counit, m) for m in maps)):
+        return None
+    return list(counit)
 
 
 def yau_twist(a: BiHomAlgebra, alpha2: Matrix, beta2: Matrix) -> BiHomAlgebra:

@@ -21,13 +21,13 @@ Map terms; ``dom`` and ``cod`` list the dimensions of the tensor factors:
 
 A value is the list of (basis tuple, coefficient) pairs of its nonzero
 coordinates; a coefficient that cancels is dropped, so equal values hold the
-same pairs.  Coefficients are raw: over F_p an int residue, reduced once per
-coefficient a step produces; over Q an int numerator over the term's scale,
-an int that is the lcm of a leaf's denominators, the product of the
-factors' scales for a Kron, a Compose and a fold, the lcm of both for a Sum
-(each side times its cofactor), and the input's for a Neg; over Q(q) the
-element itself, with scale 1.  While every leaf of a check call is
-integral, every scale is 1 and nothing is rescaled.
+same pairs.  Coefficients are raw, as the field descriptor's ``raw_columns``
+lists a leaf (exactnum): over F_p (``field.modulus`` = p) residues, reduced
+once per coefficient a step produces, else numbers over the term's scale:
+the leaf's, the product of the factors' for a Kron, a Compose and a fold,
+the lcm of both for a Sum (each side times its cofactor), and the input's
+for a Neg.  While every leaf of a check call is integral, every scale is 1
+and nothing is rescaled.
 
 Each leaf lists the nonzero pairs of its columns once per check call, a
 Kron multiplies the supports of its factors, a Compose applies its outer
@@ -49,14 +49,13 @@ them, (A (x) B) o (C (x) D) = AC (x) BD, with Id o x and x o Id dropped to x;
 it is one term per pair (f, g), so every Compose of f after g shares its
 memos.
 
-Field elements are built only where values leave the engine: the dense
-coordinate lists, row-major over the codomain (e_j (x) e_k in V (x) W has
-index j * dim W + k), of witnesses and of ``images``, and the defects that
-``solve`` reads.  A Q coefficient comes out as an int when it is integral
-and as a Fraction in lowest terms otherwise, an F_p one as a
-PrimeFieldElement; a value in k itself is reported as a scalar.  Two sides
-over one scale are compared pair for pair; over different scales each is
-multiplied by the other's cofactor of their gcd first.
+Field elements are built only where values leave the engine, by the
+descriptor's ``from_raw``: the dense coordinate lists, row-major over the
+codomain (e_j (x) e_k in V (x) W has index j * dim W + k), of witnesses and
+of ``images``, and the defects that ``solve`` reads; a value in k itself is
+reported as a scalar.  Two sides over one scale are compared pair for pair;
+over different scales each is multiplied by the other's cofactor of their
+gcd first.
 
 An axiom with a ``label`` compares the two maps whole instead: its witness
 is ``(label, lhs, rhs)`` with the images of all basis tuples (or of 1 when
@@ -77,13 +76,12 @@ at x = 0 and at each unit vector gives the linear system.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from operator import mul
 
 from .errors import ShapeMismatch
-from .exactnum import PrimeField, PrimeFieldElement, canonical, check_scalars, same_field
+from .exactnum import canonical, check_scalars, same_field
 from .linalg import (
     Matrix,
     Tensor3,
@@ -155,26 +153,6 @@ def _combine(value, image, mod):
     if mod:  # _nonzero, inline on the engine's hottest path
         return [(w, r) for w, x in out.items() if (r := x % mod)]
     return [(w, x) for w, x in out.items() if x]
-
-
-def _raw(columns, tuples, mod):
-    """(the nonzero pairs of each coordinate list, their scale), with raw
-    coefficients: residues over F_p, the elements over Q(q) (scale 1), and
-    over Q numerators over the scale, the lcm of the denominators met while
-    listing."""
-    if mod:
-        return [[(tuples[k], v) for k, x in enumerate(col) if (v := x.value)]
-                for col in columns], 1
-    fractions = []
-    note = fractions.append  # returns None: a Fraction is noted and kept
-    table = [[(tuples[k], x) for k, x in enumerate(col)
-              if x and (type(x) is not Fraction or not note(x))] for col in columns]
-    if not fractions:
-        return table, 1
-    scale = lcm(*{x.denominator for x in fractions})
-    for col in table:  # in place: one column at a time, not a second table
-        col[:] = [(w, x.numerator * (scale // x.denominator)) for w, x in col]
-    return table, scale
 
 
 def _add(a, b):
@@ -510,7 +488,7 @@ class _Eval:
 
     def __init__(self, field):
         self.field, self.zero = field, field.zero()
-        self.mod = field.p if isinstance(field, PrimeField) else 0
+        self.mod = field.modulus
         self._fns, self._tuples, self._tables, self._factors = {}, {}, {}, {}
         self._fused, self._scales, self.fractional = {}, {}, False
 
@@ -575,7 +553,7 @@ class _Eval:
         the check's, or a plain vector or covector with an entry of another
         field, raises MixedFields before it is read.  A plain list's entries
         are promoted into the field first, so that every entry is a field
-        element when ``_raw`` reads it."""
+        element when ``raw_columns`` reads it."""
         key = (id(leaf.data), type(leaf), leaf.cod)
         hit = self._tables.get(key)
         if hit is None:  # holding the data keeps its id from being reused
@@ -585,20 +563,14 @@ class _Eval:
             else:  # a plain list carries no field: its entries tell theirs
                 check_scalars("map terms", self.field, data)
                 data = [self.field.promote(x) for x in data]
-            listed = _raw(leaf._columns(data), self.tuples(leaf.cod), self.mod)
+            listed = self.field.raw_columns(leaf._columns(data), self.tuples(leaf.cod))
             hit = self._tables[key] = (leaf.data, listed)
             self.fractional = self.fractional or hit[1][1] != 1
         return hit[1]
 
-    def scalar(self, x, scale):
-        """The field element of a raw coefficient over its scale."""
-        if self.mod:
-            return PrimeFieldElement(x, self.mod)
-        return self.field.promote(x) if scale == 1 else canonical(Fraction(x, scale))
-
     def dense(self, value, cod, scale):
         """The coordinate list of a value over the codomain."""
-        out, flat, scalar = [self.zero] * _size(cod), _flat(cod), self.scalar
+        out, flat, scalar = [self.zero] * _size(cod), _flat(cod), self.field.from_raw
         for w, x in value:
             out[flat(w)] = scalar(x, scale)
         return out
@@ -623,7 +595,7 @@ class Axiom:
         """(number of coordinates, {position: nonzero lhs - rhs}) over every
         basis tuple of the domain, concatenated."""
         diff, cod = Sum(self.lhs, Neg(self.rhs)), self.lhs.cod
-        view, scale, scalar = ev.view(diff, False), ev.scale(diff), ev.scalar
+        view, scale, scalar = ev.view(diff, False), ev.scale(diff), ev.field.from_raw
         tuples, size, flat = ev.tuples(self.lhs.dom), _size(cod), _flat(cod)
         return len(tuples) * size, {n * size + flat(w): scalar(x, scale)
                                     for n, t in enumerate(tuples) for w, x in view(t)}

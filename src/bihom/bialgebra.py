@@ -66,7 +66,7 @@ from .errors import (
     Singular,
 )
 from .exactnum import Field
-from .linalg import Matrix, Tensor3, mat_eq_witness, mat_inverse, mat_mul
+from .linalg import Matrix, Tensor3, inverses, mat_inverse, mat_mul
 from .report import CheckReport
 
 
@@ -289,13 +289,8 @@ def check_module_bihom_algebra(
     h.(a a') = [alpha^-1(omega^-1(h1)) . a] [beta^-1(psi^-1(h2)) . a'],
     which needs all four structure maps of H bijective.
     """
-    try:
-        ainv = mat_inverse(H.alpha)
-        binv = mat_inverse(H.beta)
-        pinv = mat_inverse(H.psi)
-        oinv = mat_inverse(H.omega)
-    except Singular as exc:
-        raise Singular(f"module compatibility needs bijective maps: {exc}")
+    ainv, binv, pinv, oinv = inverses(
+        "module compatibility needs bijective maps", H.alpha, H.beta, H.psi, H.omega)
     report = CheckReport()
     report.merge(
         check_left_module(H.algebra_part(), act.as_left_module(A)), prefix="module:"
@@ -403,12 +398,7 @@ def _verify_classical_module_algebra(H, A, act):
 
 def is_monoidal(H: BiHomBialgebra) -> bool:
     """omega = alpha^-1 and psi = beta^-1, by exact matrix equality."""
-    ainv = mat_inverse(H.alpha)
-    binv = mat_inverse(H.beta)
-    return (
-        mat_eq_witness(H.omega, ainv) is None
-        and mat_eq_witness(H.psi, binv) is None
-    )
+    return [H.omega, H.psi] == [mat_inverse(H.alpha), mat_inverse(H.beta)]
 
 
 def solve_antipode_monoidal(H: BiHomBialgebra):
@@ -483,10 +473,11 @@ def hopf_to_monoidal(
     """
     if H.unit is None or H.counit is None:
         raise MissingUnit("hopf_to_monoidal needs a unital counital bialgebra")
+    inverse = {}
     for name, m in (("alpha", alpha), ("beta", beta)):
         failure = f"{name} is not a Hopf-algebra automorphism"
         try:
-            mat_inverse(m)
+            inverse[name] = mat_inverse(m)
         except Singular:
             raise NotAutomorphism(failure, "is singular")
         require(NotAutomorphism, *_bialgebra_map(failure, H, m))
@@ -495,9 +486,7 @@ def hopf_to_monoidal(
         if not holds(counit_invariant(name, H.counit, m)):
             raise NotAutomorphism(failure, "does not preserve the counit")
     _require_pairwise_commuting([("alpha", alpha), ("beta", beta)])
-    ainv = mat_inverse(alpha)
-    binv = mat_inverse(beta)
-    twisted = yau_twist_bialgebra(H, alpha, beta, binv, ainv)
+    twisted = yau_twist_bialgebra(H, alpha, beta, inverse["beta"], inverse["alpha"])
     return twisted, S
 
 

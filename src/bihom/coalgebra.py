@@ -17,6 +17,7 @@ from .algebra_core import (
     VECTOR,
     BiHomAlgebra,
     Shaped,
+    _carried_counit,
     _require_pairwise_commuting,
     fixed_subalgebra,
 )
@@ -40,7 +41,6 @@ from .axioms import (
     counit_invariant,
     counit_law,
     coproduct_tensor,
-    holds,
     product_tensor,
     require,
 )
@@ -148,18 +148,13 @@ def yau_twist_coalgebra(
         [("psi", C.psi), ("omega", C.omega), ("psi2", psi2), ("omega2", omega2)]
     )
     delta2 = coproduct_tensor(Compose(Kron(Lin(omega2), Lin(psi2)), Comul(C.delta)))
-    counit = None
-    if C.counit is not None and holds(
-        counit_invariant("", C.counit, psi2), counit_invariant("", C.counit, omega2)
-    ):
-        counit = list(C.counit)
     return BiHomCoalgebra(
         field=C.field,
         dim=C.dim,
         delta=delta2,
         psi=mat_mul(C.psi, psi2),
         omega=mat_mul(C.omega, omega2),
-        counit=counit,
+        counit=_carried_counit(C.counit, psi2, omega2),
         labels=list(C.labels),
     )
 

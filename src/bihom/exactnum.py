@@ -541,6 +541,7 @@ class Field:
     """Descriptor for one of the supported ground fields."""
 
     name = "?"
+    modulus = 0  # p over F_p
 
     def zero(self):
         raise NotImplementedError
@@ -560,6 +561,27 @@ class Field:
 
     def format(self, x) -> str:
         raise NotImplementedError
+
+    def raw_columns(self, columns, keys):
+        """(the pairs (keys[k], raw coefficient) of the nonzero entries of
+        each column, their scale): the axiom engine's form of a leaf.  Over Q
+        a raw coefficient is an int numerator over the scale, the lcm of the
+        denominators met; over Q(q) it is the element, with scale 1."""
+        fractions = []
+        note = fractions.append  # returns None: a Fraction is noted and kept
+        table = [[(keys[k], x) for k, x in enumerate(col)
+                  if x and (type(x) is not Fraction or not note(x))] for col in columns]
+        if not fractions:
+            return table, 1
+        scale = lcm(*{x.denominator for x in fractions})
+        for col in table:  # in place: one column at a time, not a second table
+            col[:] = [(w, x.numerator * (scale // x.denominator)) for w, x in col]
+        return table, scale
+
+    def from_raw(self, x, scale):
+        """The element of a raw coefficient over its scale; over Q an int
+        when it is integral, else a Fraction in lowest terms."""
+        return self.promote(x) if scale == 1 else canonical(Fraction(x, scale))
 
     def __repr__(self):
         return self.name
@@ -630,7 +652,7 @@ class PrimeField(Field):
             raise ValueError(f"modulus {p} is not below 2^64")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
-        self.p = p
+        self.p = self.modulus = p
         self.name = f"F{p}"
 
     def zero(self):
@@ -669,6 +691,14 @@ class PrimeField(Field):
 
     def format(self, x):
         return str(x.value)
+
+    def raw_columns(self, columns, keys):
+        """Raw coefficients over F_p are int residues, with scale 1."""
+        return [[(keys[k], v) for k, x in enumerate(col) if (v := x.value)]
+                for col in columns], 1
+
+    def from_raw(self, x, scale):
+        return PrimeFieldElement(x, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -313,6 +313,14 @@ def mat_inverse(a: Matrix) -> Matrix:
     return inv
 
 
+def inverses(what, *maps):
+    """The inverse of each map, or Singular naming what needs them."""
+    try:
+        return [mat_inverse(m) for m in maps]
+    except Singular as exc:
+        raise Singular(f"{what}: {exc}")
+
+
 def mat_power(m: Matrix, k: int) -> Matrix:
     """m^k for any integer k: the identity for k = 0, and powers of the
     inverse for k < 0 (Singular when m is singular)."""

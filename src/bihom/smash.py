@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 
-from .algebra_core import BiHomAlgebra, _require_pairwise_commuting
+from .algebra_core import BiHomAlgebra, _carried_counit, _require_pairwise_commuting
 from .bialgebra import (
     BiHomBialgebra,
     ModuleAlgebraAction,
@@ -26,18 +26,17 @@ from .axioms import (
     coequivariant,
     comultiplicative_product,
     coproduct_tensor,
-    counit_invariant,
     equivariant,
-    holds,
     images,
     multiplicative,
     require,
 )
 from .coalgebra import Comodule, check_comodule
-from .errors import HypothesisFailure, ModuleAxiomFailure, Singular
+from .errors import HypothesisFailure, ModuleAxiomFailure
 from .linalg import (
     Matrix,
     Tensor3,
+    inverses,
     kron,
     mat_inverse,
     mat_mul,
@@ -74,10 +73,7 @@ class SmashData:
             ("alpha_A", self.A.alpha),
             ("beta_A", self.A.beta),
         ):
-            try:
-                mat_inverse(mat)
-            except Singular as exc:
-                raise Singular(f"{name} must be invertible: {exc}")
+            inverses(f"{name} must be invertible", mat)
         report = check_module_bihom_algebra(self.H, self.A, self.action)
         if not report.ok:
             raise ModuleAxiomFailure(
@@ -171,31 +167,21 @@ def dual_module_algebra(H: BiHomBialgebra) -> tuple:
     """
     field = H.field
     d = H.dim
-    try:
-        ainv = mat_inverse(H.alpha)
-        binv = mat_inverse(H.beta)
-        pinv = mat_inverse(H.psi)
-        oinv = mat_inverse(H.omega)
-    except Singular as exc:
-        raise Singular(f"dual module algebra needs bijective maps: {exc}")
+    ainv, binv, pinv, oinv = inverses(
+        "dual module algebra needs bijective maps", H.alpha, H.beta, H.psi, H.omega)
     # mu[i][j][h] is the coefficient of e_i (x) e_j in (m1 (x) m2)(Delta(e_h))
     split = Compose(Kron(Lin(mat_mul(ainv, oinv)), Lin(mat_mul(binv, pinv))), Comul(H.delta))
     planes = coproduct_tensor(split).t
     mu = Tensor3.from_function(field, d, d, d, lambda i, j: [p[i][j] for p in planes])
     alphaA = ainv.transpose()
     betaA = binv.transpose()
-    unit = None
-    if H.counit is not None and holds(
-        counit_invariant("", H.counit, H.alpha), counit_invariant("", H.counit, H.beta)
-    ):
-        unit = list(H.counit)
     dual = BiHomAlgebra(
         field=field,
         dim=d,
         mu=mu,
         alpha=alphaA,
         beta=betaA,
-        unit=unit,
+        unit=_carried_counit(H.counit, H.alpha, H.beta),
         labels=[f"{l}*" for l in H.labels],
     )
     # action[h][i][h'] is the coefficient of e_i in (alphaH^-1 betaH^-1(e_h')) e_h

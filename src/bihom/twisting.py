@@ -52,7 +52,7 @@ from .errors import (
     Singular,
     TwistingMapInvalid,
 )
-from .linalg import Matrix, mat_inverse, mat_mul
+from .linalg import Matrix, inverses, mat_inverse, mat_mul
 from .report import CheckReport
 
 
@@ -196,13 +196,9 @@ def check_twisting_map(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> Che
     """The four identities of a BiHom-twisting map."""
     if tw.dimA != A.dim or tw.dimB != B.dim:
         raise ShapeMismatch("twisting map dimensions")
-    try:
-        aAi = mat_inverse(A.alpha)
-        mat_inverse(A.beta)
-        mat_inverse(B.alpha)
-        bBi = mat_inverse(B.beta)
-    except Singular as exc:
-        raise Singular(f"twisting maps need bijective structure maps: {exc}")
+    # all four maps must be bijective; only alpha_A^-1 and beta_B^-1 are kept
+    aAi, bBi = inverses(
+        "twisting maps need bijective structure maps", A.alpha, A.beta, B.alpha, B.beta)[::3]
     R, idA, idB = _twisting(tw), Id(A.dim), Id(B.dim)
     # R o (alpha_B (x) mu_A) =
     #   (mu_A (x) beta_B) o (id_A (x) R) o (id_A (x) alpha_B beta_B^-1 (x) id_A) o (R (x) id_A)

@@ -238,6 +238,45 @@ class TestProductShapes:
             assert (z.n, z.d, z.k) == (ref.n, ref.d, ref.k)
 
 
+_QQ_COLUMNS = [
+    [parse_qq_scalar("(q^2 + 1)/(q - 1)"), QQ_Q.zero(), parse_qq_scalar("q/2")],
+    [QQ_Q.from_int(-2), QQ_Q.promote(Fraction(3, 5)), QQ_Q.zero()],
+]
+
+
+class TestRawForm:
+    """raw_columns lists the nonzero entries of each column as (key, raw
+    coefficient) pairs over one scale, and from_raw maps each raw
+    coefficient back to its entry."""
+
+    @pytest.mark.parametrize("field, columns, scale", [
+        (QQ, [[1, 0, -3], [0, 2, 7]], 1),
+        (QQ, [[Fraction(1, 4), 0, 2], [Fraction(-5, 6), -3, Fraction(7, 3)]], 12),
+        (F7, [[F7.from_int(3), F7.zero(), F7.from_int(-1)], [F7.zero(), F7.one(), F7.zero()]], 1),
+        (QQ_Q, _QQ_COLUMNS, 1),
+    ], ids=["Q-integral", "Q-fractions", "F7", "Q(q)"])
+    def test_listing_and_mapping_back_return_the_entries(self, field, columns, scale):
+        keys = [(k, "key") for k in range(3)]
+        table, got = field.raw_columns(columns, keys)
+        assert got == scale
+        for col, pairs in zip(columns, table):
+            assert [w for w, _ in pairs] == [keys[k] for k, x in enumerate(col) if x]
+            back = [field.from_raw(x, scale) for _, x in pairs]
+            entries = [x for x in col if x]
+            assert back == entries
+            assert [type(x) for x in back] == [type(x) for x in entries]
+
+    def test_raw_coefficients_are_residues_and_numerators(self):
+        [[f7]], _ = F7.raw_columns([[F7.from_int(-1)]], [()])
+        assert f7 == ((), 6) and type(f7[1]) is int
+        [[a, b]], scale = QQ.raw_columns([[Fraction(1, 4), Fraction(-5, 6)]], [0, 1])
+        assert (a, b, scale) == ((0, 3), (1, -10), 12)
+
+    def test_modulus(self):
+        assert F7.modulus == 7
+        assert QQ.modulus == QQ_Q.modulus == 0
+
+
 class TestFieldAxioms:
     @given(rationals, rationals, rationals)
     @settings(max_examples=60, deadline=None)
