@@ -401,6 +401,37 @@ class TestNegativePowers:
         assert RF.q_power(1) ** -2 == RF.q_power(-2)
 
 
+class TestPowers:
+    """x ** k stores the same canonical (n, d, k) as |k| multiplications by
+    x (by 1/x for k < 0)."""
+
+    BASES = [
+        RF.from_int(1), RF.from_int(3), RF.from_int(-2), RF.from_fraction(Fraction(-4, 9)),
+        RF.q_power(1), RF.q_power(-3), -RF.q_power(2), RF((-6,), (5,), 4),
+        RF((1, 1)), RF((2, 0, -1), (3, 1), -2), q_integer(3),
+    ]
+
+    @staticmethod
+    def repeated(x, k):
+        base = x if k >= 0 else QQ_Q.one() / x
+        out = QQ_Q.one()
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    @pytest.mark.parametrize("x", BASES, ids=repr)
+    def test_matches_repeated_multiplication(self, x):
+        for k in range(-5, 6):
+            got, expect = x**k, self.repeated(x, k)
+            assert (got.n, got.d, got.k) == (expect.n, expect.d, expect.k), k
+
+    def test_zero(self):
+        zero = QQ_Q.zero()
+        assert zero**0 == 1 and zero**3 == 0
+        with pytest.raises(DivisionByZero):
+            zero**-2
+
+
 small_fractions = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3
 )

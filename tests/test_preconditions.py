@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from bihom.bialgebra import check_module_bihom_algebra
+from bihom.bialgebra import check_module_bihom_algebra, primitive_bracket
 from bihom.coalgebra import yau_twist_coalgebra
 from bihom.errors import Singular
 from bihom.exactnum import QQ, PrimeField
@@ -55,6 +55,15 @@ def test_twisting_map_needs_bijective_structure_maps(field):
     with pytest.raises(Singular) as exc:
         check_twisting_map(singular, A, flip_map(singular, A))
     assert str(exc.value) == "twisting maps need bijective structure maps: matrix has rank 2 < 4"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_primitive_bracket_needs_bijective_alpha_and_beta(field):
+    H = cyclic_group_bialgebra(4, field)
+    zero = [field.zero()] * 4  # over k[C_4] only 0 is primitive
+    with pytest.raises(Singular) as exc:
+        primitive_bracket(replace(H, alpha=rank(field, 1)), zero, zero)
+    assert str(exc.value) == "primitive bracket needs bijective alpha and beta"
 
 
 SMASH_MAPS = [

@@ -94,6 +94,13 @@ class TestConfluence:
             for word in itertools.product(self.GENS, repeat=length):
                 assert uq_normalize(word) == straighten_oracle(word), word
 
+    def test_every_word_to_length_6_matches_the_oracle(self):
+        for length in range(7):
+            for word in itertools.product(self.GENS, repeat=length):
+                expect = straighten_oracle(word)
+                for strategy in ("leftmost", "rightmost"):
+                    assert uq_normalize(word, strategy) == expect, (word, strategy)
+
     def test_hard_words(self):
         for word in (
             ("E", "E", "E", "F", "F", "F"),
@@ -104,6 +111,36 @@ class TestConfluence:
             right = uq_normalize(word, "rightmost")
             assert left == right
             assert left == straighten_oracle(word)
+
+
+class TestReturnedElementsAreFresh:
+    """A caller may mutate what normalization and multiplication return;
+    later results must not see it."""
+
+    WORDS = [(), ("F",), ("E", "F"), ("K", "E", "F", "Kinv"), ("E", "E", "F", "F")]
+
+    @staticmethod
+    def spoil(x):
+        x += x
+        x.add((9, 9, 9), RF.q_power(5))
+
+    def test_mutated_normal_forms_leave_later_ones_unchanged(self):
+        for strategy in ("leftmost", "rightmost"):
+            for word in self.WORDS:
+                before = dict(uq_normalize(word, strategy).terms)
+                self.spoil(uq_normalize(word, strategy))
+                assert uq_normalize(word, strategy).terms == before, (word, strategy)
+
+    def test_mutated_products_leave_later_ones_and_the_factors_unchanged(self):
+        x = uq_multiply(E, F) + K
+        y = uq_multiply(F, Kinv) + ONE
+        for a, b in [(x, y), (x, ONE), (ONE, y), (E, F)]:
+            saved = dict(a.terms), dict(b.terms)
+            before = dict(uq_multiply(a, b).terms)
+            self.spoil(uq_multiply(a, b))
+            assert uq_multiply(a, b).terms == before
+            assert (a.terms, b.terms) == saved
+            assert uq_normalize(("E", "F")) == uq_multiply(E, F)
 
 
 class TestTwistEndomorphism:
