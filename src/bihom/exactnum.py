@@ -349,6 +349,11 @@ class RationalFunction:
             return NotImplemented
         if k == 0:
             return _RF_ONE
+        if len(self.n) == len(self.d) == 1:  # c/e q^j: c^k/e^k q^(jk), sign on top
+            c, e, j = self.n[0], self.d[0], self.k * k
+            if k < 0:
+                c, e, k = (-e, -c, -k) if c < 0 else (e, c, -k)
+            return RationalFunction((c**k,), (e**k,), j, True)
         base = self if k > 0 else _RF_ONE / self
         out = _RF_ONE
         for _ in range(abs(k)):

@@ -188,12 +188,9 @@ def _word_to_monomial(word):
     return (a, b, c)
 
 
-def uq_normalize(word, strategy="leftmost") -> PBWElement:
-    """Rewrite a generator word into the F-K-E normal form.
-
-    The result is independent of the reduction strategy (confluence is a
-    tested invariant); words are lists/tuples over E, F, K, Kinv.
-    """
+def _rewrite(word, strategy) -> PBWElement:
+    """Rewrite a generator word into the F-K-E normal form by applying
+    ``_RULES`` at the leftmost (or rightmost) violation until none is left."""
     pending = [(_ONE, tuple(word))]
     out = PBWElement()
     while pending:
@@ -207,13 +204,56 @@ def uq_normalize(word, strategy="leftmost") -> PBWElement:
     return out
 
 
-def uq_multiply(x: PBWElement, y: PBWElement) -> PBWElement:
-    """Bilinear extension of normalization on concatenated words."""
+# (strategy, monomial, generator) -> the normal form of the monomial's word
+# with the generator appended (leftmost) or prepended (rightmost), as a tuple
+# of (monomial, coefficient) pairs.  Shared by every call; its values are
+# immutable, so no caller can change them.
+_STEPS = {}
+
+
+def _fold(terms, letters, strategy) -> PBWElement:
+    """The normal form of sum(coeff * monomial) times each letter in turn,
+    on the right for leftmost and on the left for rightmost, one ``_rewrite``
+    step per (monomial, letter) pair, merging equal monomials after each."""
+    right = strategy == "rightmost"
+    for g in letters:
+        out = {}
+        for mono, coeff in terms.items():
+            key = (strategy, mono, g)
+            step = _STEPS.get(key)
+            if step is None:
+                w = _monomial_word(mono)
+                step = _STEPS[key] = tuple(
+                    _rewrite((g,) + w if right else w + (g,), strategy).terms.items())
+            for m2, c2 in step:
+                c = coeff * c2
+                out[m2] = out[m2] + c if m2 in out else c
+        terms = {m: c for m, c in out.items() if c}
     out = PBWElement()
-    for m1, c1 in x.terms.items():
-        w1 = _monomial_word(m1)
-        for m2, c2 in y.terms.items():
-            out += uq_normalize(w1 + _monomial_word(m2)).scale(c1 * c2)
+    out.terms = dict(terms)
+    return out
+
+
+def uq_normalize(word, strategy="leftmost") -> PBWElement:
+    """Rewrite a generator word into the F-K-E normal form.
+
+    The result is independent of the reduction strategy (confluence is a
+    tested invariant); words are lists/tuples over E, F, K, Kinv.  Leftmost
+    reduces the word's prefixes, appending one letter at a time: every
+    violation of a reduced prefix times a letter starts at the boundary, so
+    this is the leftmost rewriting of the whole word.  Rightmost is the
+    mirror image, prepending from the last letter.
+    """
+    word = tuple(word)
+    return _fold({(0, 0, 0): _ONE}, word[::-1] if strategy == "rightmost" else word, strategy)
+
+
+def uq_multiply(x: PBWElement, y: PBWElement) -> PBWElement:
+    """Bilinear extension of normalization on concatenated words: x, already
+    in normal form, times the letters of each monomial of y."""
+    out = PBWElement()
+    for m2, c2 in y.terms.items():
+        out += _fold(x.terms, _monomial_word(m2), "leftmost").scale(c2)
     return out
 
 

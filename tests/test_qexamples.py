@@ -95,11 +95,13 @@ class TestConfluence:
                 assert uq_normalize(word) == straighten_oracle(word), word
 
     def test_every_word_to_length_6_matches_the_oracle(self):
+        # the fold over the step table against rewriting the whole word
         for length in range(7):
             for word in itertools.product(self.GENS, repeat=length):
                 expect = straighten_oracle(word)
                 for strategy in ("leftmost", "rightmost"):
                     assert uq_normalize(word, strategy) == expect, (word, strategy)
+                    assert qexamples._rewrite(word, strategy) == expect, (word, strategy)
 
     def test_hard_words(self):
         for word in (
