@@ -242,15 +242,20 @@ def helper_identity_witness(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap):
     """
     da, db = A.dim, B.dim
     R, flip = _twisting(tw), Swap(da, db)
-    ab_binv = Lin(mat_mul(B.alpha, mat_inverse(B.beta)))
-    abinv_b = Lin(mat_mul(mat_inverse(B.alpha), B.beta))
-    aA_bAinv = Lin(mat_mul(A.alpha, mat_inverse(A.beta)))
-    aAinv_bA = Lin(mat_mul(mat_inverse(A.alpha), A.beta))
+    abinv_b, ab_binv, aA_bAinv, aAinv_bA = _conjugators(A, B)
     return witness(Axiom(
         "helper_identity",
         Compose(Kron(abinv_b, Id(da)), flip, R, Kron(ab_binv, Id(da))),
         Compose(Kron(Id(db), aA_bAinv), flip, R, Kron(Id(db), aAinv_bA)),
     ))
+
+
+def _conjugators(A: BiHomAlgebra, B: BiHomAlgebra):
+    """Lin terms of aB^-1 bB, aB bB^-1, aA bA^-1 and aA^-1 bA, each
+    structure map inverted once."""
+    aAi, bAi, aBi, bBi = (mat_inverse(m) for m in (A.alpha, A.beta, B.alpha, B.beta))
+    return (Lin(mat_mul(aBi, B.beta)), Lin(mat_mul(B.alpha, bBi)),
+            Lin(mat_mul(A.alpha, bAi)), Lin(mat_mul(aAi, A.beta)))
 
 
 def _ttp_square(tw: TwistingMap):
@@ -274,10 +279,9 @@ def ttp_pseudotwistor(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> Pseu
     T, rest = _ttp_square(tw), (Id(da), Id(db), Id(da), Id(db))
     swap23 = Perm((da, db) * 3, (0, 1, 4, 5, 2, 3))
     t13 = Compose(swap23, Kron(T, Id(da), Id(db)), swap23)
-    t1 = Compose(Kron(Id(da), Lin(mat_mul(mat_inverse(B.alpha), B.beta)), *rest), t13,
-                 Kron(Id(da), Lin(mat_mul(B.alpha, mat_inverse(B.beta))), *rest))
-    t2 = Compose(Kron(*rest, Lin(mat_mul(A.alpha, mat_inverse(A.beta))), Id(db)), t13,
-                 Kron(*rest, Lin(mat_mul(mat_inverse(A.alpha), A.beta)), Id(db)))
+    abinv_b, ab_binv, aA_bAinv, aAinv_bA = _conjugators(A, B)
+    t1 = Compose(Kron(Id(da), abinv_b, *rest), t13, Kron(Id(da), ab_binv, *rest))
+    t2 = Compose(Kron(*rest, aA_bAinv, Id(db)), t13, Kron(*rest, aAinv_bA, Id(db)))
     T1, T2, T = (Matrix.from_columns(field, images(m)) for m in (t1, t2, T))
     ident = Matrix.identity(field, da * db)
     return Pseudotwistor(T=T, T1tilde=T1, T2tilde=T2, alpha2=ident, beta2=ident.copy())
@@ -322,6 +326,7 @@ def lift_twisting_map(
     automorphism hypotheses are verified.
     """
     da, db = A.dim, B.dim
+    inv = {}
     for name, m, alg in (
         ("alphaA", alphaA, A),
         ("betaA", betaA, A),
@@ -330,7 +335,7 @@ def lift_twisting_map(
     ):
         _require_multiplicative(alg.mu, m, name)
         try:
-            mat_inverse(m)
+            inv[name] = mat_inverse(m)
         except Singular:
             raise HypothesisFailure(f"{name} must be an isomorphism")
     _require_pairwise_commuting([("alphaA", alphaA), ("betaA", betaA)])
@@ -354,6 +359,6 @@ def lift_twisting_map(
     )
 
     U = Compose(
-        Kron(Lin(mat_inverse(betaA)), Lin(mat_inverse(alphaB))), R, Kron(Lin(alphaB), Lin(betaA))
+        Kron(Lin(inv["betaA"]), Lin(inv["alphaB"])), R, Kron(Lin(alphaB), Lin(betaA))
     )
     return TwistingMap(R=Matrix.from_columns(A.field, images(U)), dimA=da, dimB=db)
