@@ -698,9 +698,14 @@ class PrimeField(Field):
         return str(x.value)
 
     def raw_columns(self, columns, keys):
-        """Raw coefficients over F_p are int residues, with scale 1."""
-        return [[(keys[k], v) for k, x in enumerate(col) if (v := x.value)]
-                for col in columns], 1
+        """Raw coefficients over F_p are int residues, with scale 1.  An entry
+        assigned after its container was built goes through ``promote``: an
+        int is reduced mod p, anything else raises MixedFields."""
+        try:
+            return [[(keys[k], v) for k, x in enumerate(col) if (v := x.value)]
+                    for col in columns], 1
+        except AttributeError:
+            return self.raw_columns([[self.promote(x) for x in col] for col in columns], keys)
 
     def from_raw(self, x, scale):
         return PrimeFieldElement(x, self.p)

@@ -433,3 +433,29 @@ def test_a_fused_composite_is_memoized_once(field):
     f, g = Kron(Lin(a), Lin(b)), Kron(Lin(b), Lin(a))
     ev = _Eval(field)
     assert ev.view(Compose(f, g)) is ev.view(ev.fused(f, g))
+
+
+class TestEntriesAssignedAfterConstruction:
+    """An F_p container built with field elements and then given a plain
+    int entry is read with the int reduced mod p."""
+
+    def test_an_int_equal_mod_p_keeps_the_verdict(self):
+        from bihom.algebra_core import check_bihom_algebra
+        from bihom.fixtures import cyclic_group_bialgebra
+
+        A = cyclic_group_bialgebra(3, F7).algebra_part()
+        expect = check_bihom_algebra(A).entries
+        A.mu.t[1][1][2] = 8  # g g = g^2, and 8 = 1 mod 7
+        A.alpha.e[0][0] = -6
+        assert check_bihom_algebra(A).entries == expect
+
+    def test_an_int_that_differs_mod_p_fails_with_field_elements(self):
+        from bihom.algebra_core import check_bihom_algebra
+        from bihom.fixtures import cyclic_group_bialgebra
+
+        A = cyclic_group_bialgebra(3, F7).algebra_part()
+        A.mu.t[1][1][2] = 9
+        entry = check_bihom_algebra(A).entry("bihom_associativity")
+        assert not entry.passed
+        assert entry.witness == ((1, 1, 2), [0, 1, 0], [0, 2, 0])
+        assert {type(x) for x in entry.witness[1] + entry.witness[2]} == {PrimeFieldElement}
