@@ -272,6 +272,11 @@ class TestRawForm:
         [[a, b]], scale = QQ.raw_columns([[Fraction(1, 4), Fraction(-5, 6)]], [0, 1])
         assert (a, b, scale) == ((0, 3), (1, -10), 12)
 
+    def test_plain_int_entries_are_reduced_and_others_named(self):
+        assert F7.raw_columns([[8, F7.from_int(2), 14]], "abc") == ([[("a", 1), ("b", 2)]], 1)
+        with pytest.raises(MixedFields, match="cannot interpret Fraction"):
+            F7.raw_columns([[F7.one(), Fraction(1, 2)]], "ab")
+
     def test_modulus(self):
         assert F7.modulus == 7
         assert QQ.modulus == QQ_Q.modulus == 0
@@ -399,6 +404,14 @@ class TestNegativePowers:
     def test_power_arithmetic(self):
         assert RF.q_power(3) * RF.q_power(-3) == QQ_Q.one()
         assert RF.q_power(1) ** -2 == RF.q_power(-2)
+
+
+class TestPrimeFieldOperands:
+    def test_int_minus_element(self):
+        x = PrimeFieldElement(5, 7)
+        assert 3 - x == PrimeFieldElement(5, 7)  # -2 mod 7
+        assert 10 - x == PrimeFieldElement(5, 7)
+        assert x - 3 == PrimeFieldElement(2, 7)
 
 
 class TestPowers:

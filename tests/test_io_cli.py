@@ -661,6 +661,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "all match" in out
 
+    def test_demo_uqsl2_default_grid(self, capsys):
+        assert main(["demo", "uqsl2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == ("verified 256 product-formula instances over the 2^4 grid "
+                           "with G in {1, E, F, K}: all match")
+
     @pytest.mark.parametrize("flag", ["--lambda1", "--xi"])
     def test_demo_exponent_literal_is_usage_error(self, flag, capsys):
         assert main(["demo", "uqsl2", flag, "1e10000000"]) == 2

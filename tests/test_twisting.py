@@ -213,6 +213,12 @@ class TestTwistingMaps:
         with pytest.raises(TwistingMapInvalid):
             twisted_tensor_product(self.A2, self.B, tw)
 
+    def test_dimension_guard_names_either_wrong_dimension(self):
+        A = cyclic_group_bialgebra(2).algebra_part()
+        for tw in (flip_map(A, self.B), flip_map(self.B, A)):  # 2 x 4 and 4 x 2
+            with pytest.raises(ShapeMismatch, match="^twisting map dimensions$"):
+                check_twisting_map(A, A, tw)
+
     def test_helper_identity_for_accepted_maps(self):
         from bihom.smash import SmashData, smash_twisting_map
 
@@ -248,6 +254,24 @@ class TestTtpPseudotwistor:
         plain = tensor_product(at, bt)
         p = ttp_pseudotwistor(at, bt, u)
         assert check_pseudotwistor(plain, p).ok
+
+    def test_factors_of_different_dimensions(self):
+        from bihom.twisting import ttp_pseudotwistor
+        from bihom.twisting import apply_pseudotwistor as apply_p
+
+        rng = random.Random(78)
+        a, alphaA, betaA = random_associative_with_endos(
+            rng, dim=2, invertible=True, conjugated=False
+        )
+        b, alphaB, betaB = random_associative_with_endos(
+            rng, dim=3, invertible=True, conjugated=False
+        )
+        at, bt = yau_twist(a, alphaA, betaA), yau_twist(b, alphaB, betaB)
+        u = lift_twisting_map(a, b, flip_map(a, b), alphaA, betaA, alphaB, betaB)
+        plain = tensor_product(at, bt)
+        p = ttp_pseudotwistor(at, bt, u)
+        assert check_pseudotwistor(plain, p).ok
+        assert apply_p(plain, p).mu == twisted_tensor_product(at, bt, u).mu
 
     def test_apply_equals_twisted_tensor_product(self):
         from bihom.twisting import ttp_pseudotwistor
