@@ -237,11 +237,7 @@ def primitive_bracket(H: BiHomBialgebra, x, y):
     for name, v in (("x", x), ("y", y)):
         if not is_primitive(H, v):
             raise NotPrimitive(f"{name} is not primitive")
-    try:
-        ainv = mat_inverse(H.alpha)
-        binv = mat_inverse(H.beta)
-    except Singular:
-        raise Singular("primitive bracket needs bijective alpha and beta")
+    ainv, binv = inverses("primitive bracket needs bijective alpha and beta", H.alpha, H.beta)
     ident = Id(H.dim)
     alpha = {-1: Lin(ainv), 0: ident, 1: Lin(H.alpha)}  # alpha^p and beta^q
     beta = {-1: Lin(binv), 0: ident, 1: Lin(H.beta)}

@@ -118,10 +118,6 @@ class TwistingMapInvalid(_Reported):
     pass
 
 
-class TruncationOverflow(BiHomError):
-    """A quantum-plane product left the truncated degree range."""
-
-
 class ParseError(BiHomError):
     """Malformed structure file; carries the JSON path of the offender."""
 

@@ -81,6 +81,9 @@ MAX_FILE_BYTES = 1 << 24
 # The largest dimension a file may declare, as a check costs d^3 to d^4
 # tuples; a map's rows and cols may reach MAX_DIM ** 3, a map on the cube.
 MAX_DIM = 64
+# The largest `demo uqsl2 --grid`: the demo checks 4 * N^4 grid points, and
+# its work grows with the plane degree m + n + r + s + 1 at each point.
+MAX_GRID = 3
 
 
 # ---------------------------------------------------------------------------
@@ -556,17 +559,10 @@ def _cmd_smash(args):
 def _cmd_demo(args):
     if args.demo_cmd != "uqsl2":
         raise ParseError(f"unknown demo {args.demo_cmd!r}")
-    from .qexamples import (
-        DEFAULT_TRUNCATION,
-        PBWElement,
-        TwistParams,
-        verify_smash_formulas,
-    )
+    from .qexamples import PBWElement, TwistParams, verify_smash_formulas
 
-    # the product of degree m + n + r + s + 1 must stay below the truncation
-    largest = (DEFAULT_TRUNCATION - 2) // 4 + 1
-    if not 1 <= args.grid <= largest:
-        raise ParseError(f"--grid must be at least 1 and at most {largest}, got {args.grid}")
+    if not 1 <= args.grid <= MAX_GRID:
+        raise ParseError(f"--grid must be at least 1 and at most {MAX_GRID}, got {args.grid}")
 
     tp = TwistParams.of(
         *map(QQ.parse, (args.lambda1, args.lambda2, args.lambda3, args.lambda4, args.xi))
@@ -713,8 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="demo_cmd", required=True)
     pd = dsub.add_parser("uqsl2", help="verify the quantum-plane smash formulas")
     pd.add_argument("--grid", type=int, default=2,
-                    help="exponents m, n, r, s range over 0..GRID-1 (GRID >= 1, and "
-                    "4 (GRID - 1) + 1 below the truncation degree)")
+                    help=f"exponents m, n, r, s range over 0..GRID-1 (1 <= GRID <= {MAX_GRID})")
     pd.add_argument("--lambda1", default="2")
     pd.add_argument("--lambda2", default="3")
     pd.add_argument("--lambda3", default="5")

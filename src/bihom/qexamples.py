@@ -15,14 +15,16 @@ normal form.  An independent straightening recursion serves as the oracle.
 
 PBW elements, quantum-plane elements and smash-product totals (keyed by
 (plane monomial, PBW monomial)) are one sparse type: ``terms`` maps each
-monomial of the support to its nonzero Q(q) coefficient.
+monomial of the support to its nonzero Q(q) coefficient.  The quantum plane
+is infinite-dimensional, and its elements are finitely supported, so its
+products are exact at every degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TruncationOverflow, ZeroParameter
+from .errors import ZeroParameter
 from .exactnum import QQ_Q, RationalFunction, q_integer
 from .report import CheckReport
 
@@ -53,10 +55,6 @@ class _Combination:
             for mono, coeff in terms.items():
                 self.add(mono, coeff)
 
-    def _zero(self, other=None):
-        """The zero element of self's kind (of self + other's)."""
-        return type(self)()
-
     def add(self, mono, coeff):
         """self += coeff * mono, in place."""
         s = self.terms.get(mono, _ZERO) + coeff
@@ -71,7 +69,7 @@ class _Combination:
         return self
 
     def __add__(self, other):
-        out = self._zero(other)
+        out = type(self)()
         out.terms = dict(self.terms)
         out += other
         return out
@@ -80,7 +78,7 @@ class _Combination:
         return self + other.scale(-_ONE)
 
     def scale(self, coeff):
-        out = self._zero()
+        out = type(self)()
         if coeff:
             out.terms = {m: c * coeff for m, c in self.terms.items()}
         return out
@@ -242,8 +240,11 @@ def uq_normalize(word, strategy="leftmost") -> PBWElement:
     reduces the word's prefixes, appending one letter at a time: every
     violation of a reduced prefix times a letter starts at the boundary, so
     this is the leftmost rewriting of the whole word.  Rightmost is the
-    mirror image, prepending from the last letter.
+    mirror image, prepending from the last letter.  Any other strategy
+    raises ValueError.
     """
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     word = tuple(word)
     return _fold({(0, 0, 0): _ONE}, word[::-1] if strategy == "rightmost" else word, strategy)
 
@@ -337,70 +338,34 @@ def uq_twist_endomorphism(t) -> UqScaling:
 
 
 # ---------------------------------------------------------------------------
-# the truncated quantum plane
+# the quantum plane
 # ---------------------------------------------------------------------------
-
-DEFAULT_TRUNCATION = 12
 
 
 class QPElement(_Combination):
-    """An element of k<x, y>/(yx - q xy), truncated at total degree < bound.
+    """An element of k<x, y>/(yx - q xy), exact at every degree."""
 
-    Products whose total degree reaches the bound raise TruncationOverflow
-    rather than silently truncating, and so do sums: a sum has the smaller
-    bound of its operands, and a monomial of the other operand at or above
-    it raises.
-    """
-
-    __slots__ = ("bound",)
-
-    def __init__(self, terms=None, bound=DEFAULT_TRUNCATION):
-        self.bound = bound
-        for m, n in terms or ():
-            if m + n >= bound:
-                raise TruncationOverflow(
-                    f"monomial x^{m} y^{n} exceeds the degree bound {bound}"
-                )
-        super().__init__(terms)
-
-    def _zero(self, other=None):
-        return QPElement(bound=self.bound if other is None else min(self.bound, other.bound))
-
-    # an operand with a larger bound than the result's is checked by the
-    # constructor; sums of equal bounds, the hot case, check nothing
-    def __iadd__(self, other):
-        if other.bound > self.bound:
-            QPElement(other.terms, self.bound)
-        return super().__iadd__(other)
-
-    def __add__(self, other):
-        if self.bound > other.bound:
-            QPElement(self.terms, other.bound)
-        return super().__add__(other)
+    __slots__ = ()
 
     @staticmethod
-    def monomial(m, n, coeff=_ONE, bound=DEFAULT_TRUNCATION):
-        return QPElement({(m, n): coeff}, bound=bound)
+    def monomial(m, n, coeff=_ONE):
+        return QPElement({(m, n): coeff})
 
     @staticmethod
-    def one(bound=DEFAULT_TRUNCATION):
-        return QPElement.monomial(0, 0, bound=bound)
+    def one():
+        return QPElement.monomial(0, 0)
 
     def substitute(self, cx, cy) -> "QPElement":
         """The algebra map x -> cx * x, y -> cy * y."""
-        res = self._zero()
+        res = QPElement()
         res.terms = {(m, n): c * cx**m * cy**n for (m, n), c in self.terms.items()}
         return res
 
     def __mul__(self, other):
         """Classical quantum-plane product: y x = q x y."""
-        res = self._zero(other)
+        res = QPElement()
         for (m, n), c1 in self.terms.items():
             for (r, s), c2 in other.terms.items():
-                if m + n + r + s >= res.bound:
-                    raise TruncationOverflow(
-                        f"product degree {m + n + r + s} exceeds bound {res.bound}"
-                    )
                 res.add((m + r, n + s), c1 * c2 * RF.q_power(n * r))
         return res
 
@@ -467,7 +432,7 @@ def qp_twisted_mul(P: QPElement, Q: QPElement, tp: TwistParams) -> QPElement:
 
 
 def classical_action_gen(g, P: QPElement) -> QPElement:
-    out = QPElement(bound=P.bound)
+    out = QPElement()
     for (m, n), coeff in P.terms.items():
         if g == "E":
             out.add((m + 1, n - 1), q_integer(n) * coeff)
@@ -482,7 +447,7 @@ def classical_action_gen(g, P: QPElement) -> QPElement:
 
 def classical_action(h: PBWElement, P: QPElement) -> QPElement:
     """(F^a K^b E^c) . P applied one generator at a time, E-side first."""
-    out = QPElement(bound=P.bound)
+    out = QPElement()
     for (a, b, c), coeff in h.terms.items():
         cur = P
         for _ in range(c):
@@ -508,7 +473,7 @@ def qplane_action(gen, P: QPElement, tp: TwistParams) -> QPElement:
     F:      [m]_q xi^(m+n) lambda1^-1 lambda2^-n x^(m-1) y^(n+1)
     K^(+-1): P(q^(+-1) xi x, q^(-+1) xi lambda2^-1 y)
     """
-    out = QPElement(bound=P.bound)
+    out = QPElement()
     for (m, n), coeff in P.terms.items():
         scale = tp.xi ** (m + n) * tp.lambda2 ** (-n)
         if gen == "E":
@@ -540,9 +505,7 @@ def _twisted_coproduct(gen, tp: TwistParams):
     return out
 
 
-def smash_multiply_left_generator(
-    gen, m, n, r, s, G: PBWElement, tp: TwistParams, bound=DEFAULT_TRUNCATION
-):
+def smash_multiply_left_generator(gen, m, n, r, s, G: PBWElement, tp: TwistParams):
     """(x^m y^n # gen)(x^r y^s # G) evaluated from the smash definition:
 
     a * (beta^-1 omega^-1 (h_(1)) |> beta_A^-1(a')) # psi^-1(h_(2)) . G
@@ -554,8 +517,8 @@ def smash_multiply_left_generator(
     beta_inv = beta.inverse()
     psi_inv = psi.inverse()
     omega_inv = omega.inverse()
-    a = QPElement.monomial(m, n, bound=bound)
-    aprime = QPElement.monomial(r, s, bound=bound)
+    a = QPElement.monomial(m, n)
+    aprime = QPElement.monomial(r, s)
     total = _Combination()
     for coeff, left, right in _twisted_coproduct(gen, tp):
         h1 = PBWElement.monomial(*left)
@@ -568,9 +531,7 @@ def smash_multiply_left_generator(
     return total
 
 
-def smash_formula_rhs(
-    gen, m, n, r, s, G: PBWElement, tp: TwistParams, bound=DEFAULT_TRUNCATION
-):
+def smash_formula_rhs(gen, m, n, r, s, G: PBWElement, tp: TwistParams):
     """The displayed closed forms for the same products.
 
     The second tensor legs use the plain U_q(sl2) multiplication against
@@ -587,7 +548,7 @@ def smash_formula_rhs(
         nonlocal total
         if c:
             second = bg if g is None else uq_multiply(PBWElement.generator(g), bg)
-            total += _tensor(QPElement.monomial(i, j, c, bound), second)
+            total += _tensor(QPElement.monomial(i, j, c), second)
 
     if gen in ("K", "Kinv"):
         sign = 1 if gen == "K" else -1
@@ -603,15 +564,9 @@ def smash_formula_rhs(
     return total
 
 
-def verify_smash_formulas(
-    m, n, r, s, G: PBWElement, tp: TwistParams, bound=DEFAULT_TRUNCATION
-):
+def verify_smash_formulas(m, n, r, s, G: PBWElement, tp: TwistParams):
     """Compare the smash multiplication against the displayed closed forms
     for all four left generators; exact equality in Q(q)."""
-    if m + n + r + s + 1 >= bound:
-        raise TruncationOverflow(
-            f"degree {m + n + r + s + 1} exceeds the bound {bound}"
-        )
     report = CheckReport()
     for gen, axiom in (
         ("K", "smash_formula_K_plus"),
@@ -619,8 +574,8 @@ def verify_smash_formulas(
         ("E", "smash_formula_E"),
         ("F", "smash_formula_F"),
     ):
-        lhs = smash_multiply_left_generator(gen, m, n, r, s, G, tp, bound=bound)
-        rhs = smash_formula_rhs(gen, m, n, r, s, G, tp, bound=bound)
+        lhs = smash_multiply_left_generator(gen, m, n, r, s, G, tp)
+        rhs = smash_formula_rhs(gen, m, n, r, s, G, tp)
         if lhs == rhs:
             report.add(axiom, True)
         else:

@@ -678,8 +678,8 @@ class TestCli:
     def test_demo_empty_grid_is_usage_error(self, grid, capsys):
         assert main(["demo", "uqsl2", "--grid", grid]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: --grid must be at least 1")
-        assert "verified" not in captured.out
+        assert captured.err == f"error: --grid must be at least 1 and at most 3, got {grid}\n"
+        assert captured.out == ""
 
     def test_check_module_with_over(self, tmp_path):
         from bihom.algebra_core import LeftModule

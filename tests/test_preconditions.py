@@ -63,7 +63,8 @@ def test_primitive_bracket_needs_bijective_alpha_and_beta(field):
     zero = [field.zero()] * 4  # over k[C_4] only 0 is primitive
     with pytest.raises(Singular) as exc:
         primitive_bracket(replace(H, alpha=rank(field, 1)), zero, zero)
-    assert str(exc.value) == "primitive bracket needs bijective alpha and beta"
+    assert str(exc.value) == ("primitive bracket needs bijective alpha and beta: "
+                              "matrix has rank 1 < 4")
 
 
 SMASH_MAPS = [

@@ -6,7 +6,7 @@ import pytest
 
 import qexamples_corpus
 
-from bihom.errors import TruncationOverflow, ZeroParameter
+from bihom.errors import ZeroParameter
 from bihom.exactnum import QQ_Q, RationalFunction as RF
 from bihom import qexamples
 from bihom.io_cli import main
@@ -103,6 +103,14 @@ class TestConfluence:
                     assert uq_normalize(word, strategy) == expect, (word, strategy)
                     assert qexamples._rewrite(word, strategy) == expect, (word, strategy)
 
+    @pytest.mark.parametrize("strategy", ["right", "Rightmost"])
+    def test_unknown_strategy_raises_and_adds_no_step(self, strategy):
+        before = set(qexamples._STEPS)
+        with pytest.raises(ValueError, match=f"unknown strategy '{strategy}'"):
+            uq_normalize(("E", "F"), strategy)
+        assert set(qexamples._STEPS) == before
+        assert all(key[0] in ("leftmost", "rightmost") for key in qexamples._STEPS)
+
     def test_hard_words(self):
         for word in (
             ("E", "E", "E", "F", "F", "F"),
@@ -174,27 +182,32 @@ class TestQuantumPlane:
         assert y * x == QPElement.monomial(1, 1, RF.q_power(1))
         assert x * y == QPElement.monomial(1, 1)
 
-    def test_truncation_overflow(self):
-        big = QPElement.monomial(6, 5)
-        with pytest.raises(TruncationOverflow):
-            big * QPElement.monomial(1, 0)
-        with pytest.raises(TruncationOverflow):
-            QPElement.monomial(12, 0)
+    def test_products_are_exact_at_every_degree(self):
+        # y^6 x^6 = q^36 x^6 y^6: 36 swaps of a y past an x
+        assert QPElement.monomial(0, 6) * QPElement.monomial(6, 0) == QPElement.monomial(
+            6, 6, RF.q_power(36))
+        # (x + y)^13 = sum_k [13 choose k]_q x^k y^(13 - k), the q-binomial
+        # theorem, with the Gaussian binomial as a product of q-integers
+        x, y = QPElement.monomial(1, 0), QPElement.monomial(0, 1)
+        power = QPElement.one()
+        for _ in range(13):
+            power = power * (x + y)
+        one = QQ_Q.one()
+        for k in range(14):
+            binomial = one
+            for i in range(1, k + 1):
+                binomial = binomial * (one - RF.q_power(14 - i)) / (one - RF.q_power(i))
+            assert power.terms[(k, 13 - k)] == binomial, k
+        assert len(power.terms) == 14
 
-    def test_sum_overflowing_the_smaller_bound_raises(self):
-        big, small = QPElement.monomial(5, 5), QPElement.one(bound=3)
-        message = r"monomial x\^5 y\^5 exceeds the degree bound 3"
-        for op in (lambda: big + small, lambda: small + big, lambda: big - small,
-                   lambda: small - big):
-            with pytest.raises(TruncationOverflow, match=message):
-                op()
-        acc = QPElement.one(bound=3)
-        with pytest.raises(TruncationOverflow, match=message):
-            acc += big
-        assert acc == small
-        mixed = QPElement.monomial(1, 1) + small
-        assert mixed.bound == 3 and mixed == QPElement({(1, 1): 1, (0, 0): 1}, bound=3)
-        assert (big + big).bound == 12
+    def test_sums_of_monomials_of_degree_12_and_above(self):
+        terms = {(12, 0): QQ_Q.one(), (6, 7): RF.q_power(2), (0, 20): QQ_Q.parse("3/2")}
+        total = QPElement()
+        for (m, n), c in terms.items():
+            total += QPElement.monomial(m, n, c)
+        assert total == QPElement(terms) and total.terms == terms
+        assert not total - QPElement(terms)
+        assert (total + total).terms == {k: c + c for k, c in terms.items()}
 
     def test_twist_maps_as_substitutions(self):
         # alpha(x) = xi x, alpha(y) = xi lambda1^-1 y; beta with lambda2
@@ -295,13 +308,10 @@ class TestSmashFormulas:
         assert a == b
 
     def test_bound_reaches_the_closed_forms(self):
-        # the closed forms build their plane monomials under the same bound
-        for G in (ONE, E, F, K):
-            assert verify_smash_formulas(3, 3, 3, 3, G, TP_DISTINCT, bound=20).ok
-
-    def test_truncation_guard(self):
-        with pytest.raises(TruncationOverflow):
-            verify_smash_formulas(3, 3, 3, 3, ONE, TP_DISTINCT, bound=12)
+        # no degree bound: the products reach degree 13 and 21
+        for exponent in (3, 5):
+            for G in (ONE, E, F, K):
+                assert verify_smash_formulas(*[exponent] * 4, G, TP_DISTINCT).ok
 
 
 class TestSmashFormulasCanFail:
