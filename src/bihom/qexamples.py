@@ -13,6 +13,10 @@ normalized by a confluent rewriting engine, whose rules are the table
 ``_RULES``: an adjacent pair with a rule is exactly a violation of the
 normal form.  An independent straightening recursion serves as the oracle.
 
+The four twisting maps alpha, beta, psi, omega of the smash example are the
+scalings E -> lambda E, F -> lambda^-1 F, K -> K, applied by ``uq_scale``
+with lambda (or 1/lambda for an inverse) read off ``TwistParams``.
+
 PBW elements, quantum-plane elements and smash-product totals (keyed by
 (plane monomial, PBW monomial)) are one sparse type: ``terms`` maps each
 monomial of the support to its nonzero Q(q) coefficient.  The quantum plane
@@ -23,6 +27,7 @@ products are exact at every degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ZeroParameter
 from .exactnum import QQ_Q, RationalFunction, q_integer
@@ -179,6 +184,15 @@ def _find_violation(word, strategy):
     return next((i for i in rng if word[i:i + 2] in _RULES), None)
 
 
+def _letters(word):
+    """The word as a tuple, after checking that each letter is a generator."""
+    word = tuple(word)
+    for g in word:
+        if g not in GENERATORS:
+            raise ValueError(f"unknown generator {g!r}")
+    return word
+
+
 def _word_to_monomial(word):
     a = sum(1 for g in word if g == "F")
     b = sum(1 for g in word if g == "K") - sum(1 for g in word if g == "Kinv")
@@ -240,12 +254,12 @@ def uq_normalize(word, strategy="leftmost") -> PBWElement:
     reduces the word's prefixes, appending one letter at a time: every
     violation of a reduced prefix times a letter starts at the boundary, so
     this is the leftmost rewriting of the whole word.  Rightmost is the
-    mirror image, prepending from the last letter.  Any other strategy
-    raises ValueError.
+    mirror image, prepending from the last letter.  Any other strategy, and
+    any letter that is not a generator, raises ValueError.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    word = tuple(word)
+    word = _letters(word)
     return _fold({(0, 0, 0): _ONE}, word[::-1] if strategy == "rightmost" else word, strategy)
 
 
@@ -285,7 +299,7 @@ def _mul_gen_left(g, elem: PBWElement) -> PBWElement:
 def straighten_oracle(word) -> PBWElement:
     """Oracle normal form: fold generator left-multiplications."""
     out = PBWElement.one()
-    for g in reversed(list(word)):
+    for g in reversed(_letters(word)):
         out = _mul_gen_left(g, out)
     return out
 
@@ -302,39 +316,24 @@ _COPRODUCT = {
 }
 
 
-class UqScaling:
-    """The algebra endomorphism E -> t E, F -> t^-1 F, K -> K.
-
-    Diagonal on PBW monomials: F^a K^b E^c scales by t^(c - a).  The
-    construction verifies nonzeroness of t and preservation of the three
-    defining relations.
-    """
-
-    def __init__(self, t, check=True):
-        t = QQ_Q.promote(t)
-        if not t:
-            raise ZeroParameter("twisting scalar must be nonzero")
-        self.t = t
-        if check:
-            for x, y in (("K", "Kinv"), ("K", "E"), ("K", "F"), ("E", "F")):
-                lhs = self(uq_multiply(PBWElement.generator(x), PBWElement.generator(y)))
-                rhs = uq_multiply(
-                    self(PBWElement.generator(x)), self(PBWElement.generator(y))
-                )
-                if lhs != rhs:
-                    raise AssertionError(f"scaling breaks the ({x}, {y}) relation")
-
-    def __call__(self, elem: PBWElement) -> PBWElement:
-        return PBWElement(
-            {(a, b, c): coeff * self.t ** (c - a) for (a, b, c), coeff in elem.terms.items()}
-        )
-
-    def inverse(self) -> "UqScaling":
-        return UqScaling(_ONE / self.t, check=False)
+def uq_scale(t, h: PBWElement) -> PBWElement:
+    """The algebra endomorphism E -> t E, F -> t^-1 F, K -> K at h, for t a
+    nonzero element of Q(q): F^a K^b E^c scales by t^(c - a)."""
+    return PBWElement({(a, b, c): coeff * t ** (c - a) for (a, b, c), coeff in h.terms.items()})
 
 
-def uq_twist_endomorphism(t) -> UqScaling:
-    return UqScaling(t)
+def uq_twist_endomorphism(t):
+    """The scaling by t as the map h -> uq_scale(t, h), after checking that
+    t is nonzero and that the scaling keeps the defining relations."""
+    t = QQ_Q.promote(t)
+    if not t:
+        raise ZeroParameter("twisting scalar must be nonzero")
+    scaling = partial(uq_scale, t)
+    for x, y in (("K", "Kinv"), ("K", "E"), ("K", "F"), ("E", "F")):
+        gx, gy = PBWElement.generator(x), PBWElement.generator(y)
+        if scaling(uq_multiply(gx, gy)) != uq_multiply(scaling(gx), scaling(gy)):
+            raise AssertionError(f"scaling breaks the ({x}, {y}) relation")
+    return scaling
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +356,7 @@ class QPElement(_Combination):
 
     def substitute(self, cx, cy) -> "QPElement":
         """The algebra map x -> cx * x, y -> cy * y."""
-        res = QPElement()
-        res.terms = {(m, n): c * cx**m * cy**n for (m, n), c in self.terms.items()}
-        return res
+        return QPElement({(m, n): c * cx**m * cy**n for (m, n), c in self.terms.items()})
 
     def __mul__(self, other):
         """Classical quantum-plane product: y x = q x y."""
@@ -400,15 +397,6 @@ class TwistParams:
             raise ZeroParameter("all twisting scalars must be nonzero")
         return TwistParams(*vals)
 
-    def uq_maps(self):
-        """(alpha, beta, psi, omega) as generator scalings."""
-        return (
-            UqScaling(self.lambda1, check=False),
-            UqScaling(self.lambda2, check=False),
-            UqScaling(self.lambda3, check=False),
-            UqScaling(self.lambda4, check=False),
-        )
-
 
 def qp_alpha(P: QPElement, tp: TwistParams) -> QPElement:
     """alpha on the quantum plane: x -> xi x, y -> xi lambda1^-1 y."""
@@ -431,39 +419,26 @@ def qp_twisted_mul(P: QPElement, Q: QPElement, tp: TwistParams) -> QPElement:
 # classical U_q(sl2)-action on the quantum plane
 
 
-def classical_action_gen(g, P: QPElement) -> QPElement:
-    out = QPElement()
-    for (m, n), coeff in P.terms.items():
-        if g == "E":
-            out.add((m + 1, n - 1), q_integer(n) * coeff)
-        elif g == "F":
-            out.add((m - 1, n + 1), q_integer(m) * coeff)
-        elif g == "K":
-            out.add((m, n), coeff * RF.q_power(m - n))
-        else:  # Kinv
-            out.add((m, n), coeff * RF.q_power(n - m))
-    return out
-
-
 def classical_action(h: PBWElement, P: QPElement) -> QPElement:
-    """(F^a K^b E^c) . P applied one generator at a time, E-side first."""
+    """(F^a K^b E^c) . x^m y^n one generator at a time, E first: each E
+    gives [n]_q x^(m+1) y^(n-1), K^b gives q^(b(m-n)) and each F gives
+    [m]_q x^(m-1) y^(n+1)."""
     out = QPElement()
-    for (a, b, c), coeff in h.terms.items():
-        cur = P
-        for _ in range(c):
-            cur = classical_action_gen("E", cur)
-        for _ in range(abs(b)):
-            cur = classical_action_gen("K" if b > 0 else "Kinv", cur)
-        for _ in range(a):
-            cur = classical_action_gen("F", cur)
-        out += cur.scale(coeff)
+    for (a, b, c), hc in h.terms.items():
+        for (m, n), coeff in P.terms.items():
+            coeff = coeff * hc
+            for _ in range(c):
+                coeff, m, n = coeff * q_integer(n), m + 1, n - 1
+            coeff = coeff * RF.q_power(b * (m - n))
+            for _ in range(a):
+                coeff, m, n = coeff * q_integer(m), m - 1, n + 1
+            out.add((m, n), coeff)
     return out
 
 
 def twisted_action(h: PBWElement, P: QPElement, tp: TwistParams) -> QPElement:
     """h |> a = alpha(h) . beta_A(a), the module structure of the twist."""
-    alpha, _, _, _ = tp.uq_maps()
-    return classical_action(alpha(h), qp_beta(P, tp))
+    return classical_action(uq_scale(tp.lambda1, h), qp_beta(P, tp))
 
 
 def qplane_action(gen, P: QPElement, tp: TwistParams) -> QPElement:
@@ -511,22 +486,20 @@ def smash_multiply_left_generator(gen, m, n, r, s, G: PBWElement, tp: TwistParam
     a * (beta^-1 omega^-1 (h_(1)) |> beta_A^-1(a')) # psi^-1(h_(2)) . G
 
     with h_(1) (x) h_(2) the twisted coproduct, |> the twisted action, *
-    the twisted plane product and . the twisted U_q product.
+    the twisted plane product and . the twisted U_q product: each twisting
+    map is a scaling, so beta^-1 omega^-1 scales by 1/(lambda2 lambda4),
+    alpha psi^-1 by lambda1/lambda3 and beta by lambda2.
     """
-    alpha, beta, psi, omega = tp.uq_maps()
-    beta_inv = beta.inverse()
-    psi_inv = psi.inverse()
-    omega_inv = omega.inverse()
+    if gen not in _COPRODUCT:
+        raise ValueError(f"unknown generator {gen!r}")
     a = QPElement.monomial(m, n)
-    aprime = QPElement.monomial(r, s)
+    aprime = qp_beta_inv(QPElement.monomial(r, s), tp)
+    bg = uq_scale(tp.lambda2, G)
     total = _Combination()
     for coeff, left, right in _twisted_coproduct(gen, tp):
-        h1 = PBWElement.monomial(*left)
-        h2 = PBWElement.monomial(*right)
-        u = beta_inv(omega_inv(h1))
-        v = twisted_action(u, qp_beta_inv(aprime, tp), tp)
-        first = qp_twisted_mul(a, v, tp)
-        second = uq_multiply(alpha(psi_inv(h2)), beta(G))
+        u = uq_scale(_ONE / (tp.lambda2 * tp.lambda4), PBWElement.monomial(*left))
+        first = qp_twisted_mul(a, twisted_action(u, aprime, tp), tp)
+        second = uq_multiply(uq_scale(tp.lambda1 / tp.lambda3, PBWElement.monomial(*right)), bg)
         total += _tensor(first.scale(coeff), second)
     return total
 
@@ -537,8 +510,7 @@ def smash_formula_rhs(gen, m, n, r, s, G: PBWElement, tp: TwistParams):
     The second tensor legs use the plain U_q(sl2) multiplication against
     beta(G), exactly as displayed.
     """
-    _, beta, _, _ = tp.uq_maps()
-    bg = beta(G)
+    bg = uq_scale(tp.lambda2, G)
     lam1, lam2, xi = tp.lambda1, tp.lambda2, tp.xi
     common = xi ** (m + n + r + s) * lam1 ** (-n) * lam2 ** (-s)
     total = _Combination()

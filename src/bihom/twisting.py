@@ -93,11 +93,6 @@ class TwistingMap:
         ):
             raise ShapeMismatch("twisting map must send B (x) A to A (x) B")
 
-    def pairs(self, b_idx, a_idx):
-        """Nonzero ((a', b'), coeff) entries of R(e_b (x) e_a)."""
-        col = self.R.column(b_idx * self.dimA + a_idx)
-        return [(divmod(flat, self.dimB), c) for flat, c in enumerate(col) if c]
-
 
 # ---------------------------------------------------------------------------
 # pseudotwistors

@@ -110,6 +110,17 @@ class TestConfluence:
             uq_normalize(("E", "F"), strategy)
         assert set(qexamples._STEPS) == before
 
+    @pytest.mark.parametrize("letter", ["X", "k"])
+    def test_unknown_letter_raises_and_adds_no_step(self, letter):
+        before = set(qexamples._STEPS)
+        for word in ((letter,), ("E", letter), ("F", letter, "Y")):
+            for strategy in ("leftmost", "rightmost"):
+                with pytest.raises(ValueError, match=f"^unknown generator '{letter}'$"):
+                    uq_normalize(word, strategy)
+            with pytest.raises(ValueError, match=f"^unknown generator '{letter}'$"):
+                straighten_oracle(word)
+        assert set(qexamples._STEPS) == before
+
     def test_hard_words(self):
         for word in (
             ("E", "E", "E", "F", "F", "F"),
@@ -219,6 +230,10 @@ class TestQuantumPlane:
         assert qp_beta(y, tp) == y.scale(tp.xi / tp.lambda2)
         assert qp_beta_inv(qp_beta(y, tp), tp) == y
 
+    def test_substitute_drops_zero_coefficients(self):
+        image = QPElement.monomial(1, 0).substitute(0, 1)
+        assert image == QPElement() and not image
+
 
 class TestActions:
     def test_classical_action_relations(self):
@@ -306,6 +321,13 @@ class TestSmashFormulas:
         tp2 = TwistParams.of(2, 3, 11, 13, Fraction(1, 2))
         b = smash_multiply_left_generator("E", 1, 1, 1, 1, K, tp2)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "name", ["qplane_action", "smash_formula_rhs", "smash_multiply_left_generator"])
+    def test_unknown_generator_raises(self, name):
+        args = (QPElement.monomial(1, 1),) if name == "qplane_action" else (1, 1, 0, 1, ONE)
+        with pytest.raises(ValueError, match="^unknown generator 'X'$"):
+            getattr(qexamples, name)("X", *args, TP_DISTINCT)
 
     def test_bound_reaches_the_closed_forms(self):
         # no degree bound: the products reach degree 13 and 21

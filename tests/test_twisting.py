@@ -299,7 +299,8 @@ class TestTtpPseudotwistor:
                 for k in range(da):
                     for l in range(db):
                         expect = zero_vec(QQ, da * db)
-                        for ((kr, jr), c) in u.pairs(j, k):
+                        col = u.R.column(j * da + k)  # R(e_j (x) e_k) in A (x) B
+                        for (kr, jr), c in ((divmod(f, db), c) for f, c in enumerate(col) if c):
                             first = at.mu.column(i, kr)
                             second = bt.mu.column(jr, l)
                             for p_ in range(da):
