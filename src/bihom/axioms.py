@@ -8,6 +8,11 @@ row holds the images of the basis tuples that differ only in the last
 factor.  The first tuple where they differ gives the witness
 ``(index tuple, lhs value, rhs value)``.
 
+Inside the engine a basis tuple of a domain or codomain is identified by its
+row-major index: e_j (x) e_k in V (x) W has index j * dim W + k, and the
+tuples of a row are consecutive indices.  Only a witness turns the failing
+index back into its basis tuple.
+
 Map terms; ``dom`` and ``cod`` list the dimensions of the tensor factors:
 
     Mul(t)        V (x) W -> U, e_i (x) e_j -> t[i][j] (products, actions)
@@ -19,7 +24,7 @@ Map terms; ``dom`` and ``cod`` list the dimensions of the tensor factors:
     Kron(f, g)    f (x) g;  Compose(f, g) = f o g
     Sum(f, g), Neg(f), Zero(dom, cod)
 
-A value is the list of (basis tuple, coefficient) pairs of its nonzero
+A value is the list of (row-major index, coefficient) pairs of its nonzero
 coordinates; a coefficient that cancels is dropped, so equal values hold the
 same pairs.  Coefficients are raw, as the field descriptor's ``raw_columns``
 lists a leaf (exactnum): over F_p (``field.modulus`` = p) residues, reduced
@@ -29,16 +34,19 @@ the lcm of both for a Sum (each side times its cofactor), and the input's
 for a Neg.  While every leaf of a check call is integral, every scale is 1
 and nothing is rescaled.
 
-Each leaf lists the nonzero pairs of its columns once per check call, a
-Kron multiplies the supports of its factors, a Compose applies its outer
-map only to the support of the inner value, and the images of composites,
-and their rows, are memoized for one check call.  A leaf's row
-is a slice of its table, a Kron keeps its first factor's value along a row,
-and a Compose maps each image of its inner row; other terms give the image
-of each tuple.  A product Mul o (f (x) g) with the last factor in g folds
-the factor that is fixed along its rows into the product's table with
-bilinear_apply: g, as mu(e_k, g(e_c)), when it has one factor, else f's
-value at the row's prefix.
+Each leaf lists the nonzero pairs of its columns once per check call, so a
+leaf's image at index t is entry t of its table.  A Kron f (x) g reads f at
+t // n and g at t % n and keys a (x) b by a * m + b, with n and m the sizes
+of g's domain and codomain; an identity on either side is passed through
+unevaluated.  A permutation of factors moves each index by strides, listed
+once per check call.  A Compose applies its outer map only to the support
+of the inner value, and the images of composites, and their rows, are
+memoized for one check call.  A leaf's row is a slice of its table, a Kron
+keeps its first factor's value along a row, and a Compose maps each image of
+its inner row; other terms give the image of each index.  A product
+Mul o (f (x) g) with the last factor in g folds the factor that is fixed
+along its rows into the product's table with bilinear_apply: g, as
+mu(e_k, g(e_c)), when it has one factor, else f's value at the row's prefix.
 
 Kronecker structure is evaluated factor by factor, as the terms state it:
 a term's factors are those of a Kron, one Id per factor of an identity Perm,
@@ -50,12 +58,11 @@ it is one term per pair (f, g), so every Compose of f after g shares its
 memos.
 
 Field elements are built only where values leave the engine, by the
-descriptor's ``from_raw``: the dense coordinate lists, row-major over the
-codomain (e_j (x) e_k in V (x) W has index j * dim W + k), of witnesses and
-of ``images``, and the defects that ``solve`` reads; a value in k itself is
-reported as a scalar.  Two sides over one scale are compared pair for pair;
-over different scales each is multiplied by the other's cofactor of their
-gcd first.
+descriptor's ``from_raw``: the dense coordinate lists, indexed as the values
+are, of witnesses and of ``images``, and the defects that ``solve`` reads; a
+value in k itself is reported as a scalar.  Two sides over one scale are
+compared pair for pair; over different scales each is multiplied by the
+other's cofactor of their gcd first.
 
 An axiom with a ``label`` compares the two maps whole instead: its witness
 is ``(label, lhs, rhs)`` with the images of all basis tuples (or of 1 when
@@ -76,9 +83,7 @@ at x = 0 and at each unit vector gives the linear system.
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd, lcm
-from operator import mul
 
 from .errors import ShapeMismatch
 from .exactnum import canonical, check_scalars, same_field
@@ -102,12 +107,13 @@ def _size(dims):
     return n
 
 
-def _flat(dims):
-    """The row-major position of a basis tuple of the given factor dims."""
-    if len(dims) == 1:
-        return lambda t: t[0]
-    strides = [_size(dims[i + 1:]) for i in range(len(dims))]
-    return lambda t: sum(map(mul, t, strides))
+def _basis_tuple(n, dims):
+    """The basis tuple at row-major position n of the given factor dims."""
+    t = []
+    for d in reversed(dims):
+        n, i = divmod(n, d)
+        t.append(i)
+    return tuple(reversed(t))
 
 
 class _Lazy(dict):
@@ -171,9 +177,9 @@ def _add(a, b):
 
 class Term:
     """A linear map between tensor powers.  ``compile`` gives the function
-    from a domain basis tuple to the nonzero pairs of its image, and ``row``
-    from a row number r to the images of the domain tuples r*d to r*d+d-1,
-    with d the last factor's dimension (1 on k)."""
+    from the index of a domain basis tuple to the nonzero pairs of its image,
+    and ``row`` from a row number r to the images of the domain indices r*d
+    to r*d+d-1, with d the last factor's dimension (1 on k)."""
 
     __slots__ = ("dom", "cod")
     field = None
@@ -188,9 +194,8 @@ class Term:
         return 1
 
     def row(self, ev, memo):
-        view, tuples, d = ev.view(self, memo), ev.tuples(self.dom), (self.dom or (1,))[-1]
-        rows = [tuples[r * d:(r + 1) * d] for r in range(_size(self.dom[:-1]))]
-        return lambda r: [view(t) for t in rows[r]]
+        view, d = ev.view(self, memo), (self.dom or (1,))[-1]
+        return lambda r: [view(t) for t in range(r * d, r * d + d)]
 
 
 class _Columns(Term):
@@ -211,7 +216,7 @@ class _Columns(Term):
         return ev.table(self)[1]
 
     def compile(self, ev, memo):
-        return dict(zip(ev.tuples(self.dom), self.nonzero(ev))).__getitem__
+        return self.nonzero(ev).__getitem__
 
     def row(self, ev, memo):
         table, d = self.nonzero(ev), (self.dom or (1,))[-1]
@@ -278,7 +283,7 @@ class Comul(_Columns):
 
 
 class Perm(Term):
-    __slots__ = ("order",)
+    __slots__ = ("order", "identity")
     cached = False
 
     def __init__(self, dims, order):
@@ -286,27 +291,28 @@ class Perm(Term):
         if sorted(self.order) != list(range(len(self.dom))):
             raise ShapeMismatch(f"{order} is not a permutation of {len(self.dom)} factors")
         self.cod = tuple(self.dom[o] for o in self.order)
-
-    def identity(self):
-        return self.order == tuple(range(len(self.order)))
-
-    def move(self):
-        """The basis tuple a basis tuple is sent to."""
-        order = self.order
-        if self.identity():
-            return lambda t: t
-        return lambda t: tuple([t[o] for o in order])
+        self.identity = self.order == tuple(range(len(self.order)))
 
     def factors(self, ev):
-        return [Id(d) for d in self.dom] if len(self.dom) > 1 and self.identity() else [self]
+        return [Id(d) for d in self.dom] if len(self.dom) > 1 and self.identity else [self]
 
     def compile(self, ev, memo):
-        move = self.move()
-        return lambda t: [(move(t), 1)]
+        if self.identity:
+            return lambda t: [(t, 1)]
+        # factor j moves to place order.index(j): its index steps by that place's stride
+        images = [0]
+        for j, d in enumerate(self.dom):
+            stride = _size(self.cod[self.order.index(j) + 1:])
+            images = [m + k * stride for m in images for k in range(d)]
+        return [[(m, 1)] for m in images].__getitem__
 
 
 def Id(d):
     return Perm((d,), (0,))
+
+
+def _is_identity(term):
+    return isinstance(term, Perm) and term.identity
 
 
 def Swap(d1, d2):
@@ -349,23 +355,37 @@ class Kron(_Binary):
         return ev.factors(self.f) + ev.factors(self.g)
 
     def compile(self, ev, memo):
+        # index t of f (x) g is f's index t // n then g's t % n; the image
+        # a (x) b has index a * m + b.  An identity side is passed through.
+        n, m, mod = _size(self.g.dom), _size(self.g.cod), ev.mod
+        f, g = ev.view(self.f), ev.view(self.g)
+        if _is_identity(self.f):
+            return lambda t: [(a + b, y) for a in [t // n * m] for b, y in g(t % n)]
+        if _is_identity(self.g):
+            return lambda t: [(a * m + b, x) for b in [t % n] for a, x in f(t // n)]
         # a product of nonzero coefficients is nonzero: nothing cancels here
-        f, g, n, mod = ev.view(self.f), ev.view(self.g), len(self.f.dom), ev.mod
         if mod:
-            return lambda t: [(a + b, x * y % mod) for a, x in f(t[:n]) for b, y in g(t[n:])]
-        return lambda t: [(a + b, x * y) for a, x in f(t[:n]) for b, y in g(t[n:])]
+            return lambda t: [(a * m + b, x * y % mod) for a, x in f(t // n) for b, y in g(t % n)]
+        return lambda t: [(a * m + b, x * y) for a, x in f(t // n) for b, y in g(t % n)]
 
     def row(self, ev, memo):
         if not self.g.dom:
             return Term.row(self, ev, memo)
-        left, prefixes, mod = ev.view(self.f), ev.tuples(self.f.dom), ev.mod
+        left, mod, m = ev.view(self.f), ev.mod, _size(self.g.cod)
         n, right = _size(self.g.dom[:-1]), ev.view(self.g, rows=True)
-        # row r is row r % n of g after the (r // n)-th tuple of f's domain
+        # row r is row r % n of g after index r // n of f's domain
+        if _is_identity(self.f):
+            return lambda r: [[(a + b, y) for b, y in v]
+                              for a in [r // n * m] for v in right(r % n)]
+        if _is_identity(self.g):  # g's row r % n holds the indices (r % n) * d + c
+            d = self.g.dom[-1]
+            return lambda r: [[(a * m + b, c) for a, c in x] for x in [left(r // n)]
+                              for b in range(r % n * d, r % n * d + d)]
         if mod:
-            return lambda r: [[(a + b, c * y % mod) for a, c in x for b, y in v]
-                              for x in [left(prefixes[r // n])] for v in right(r % n)]
-        return lambda r: [[(a + b, c * y) for a, c in x for b, y in v]
-                          for x in [left(prefixes[r // n])] for v in right(r % n)]
+            return lambda r: [[(a * m + b, c * y % mod) for a, c in x for b, y in v]
+                              for x in [left(r // n)] for v in right(r % n)]
+        return lambda r: [[(a * m + b, c * y) for a, c in x for b, y in v]
+                          for x in [left(r // n)] for v in right(r % n)]
 
 
 class Compose(_Binary):
@@ -388,8 +408,8 @@ class Compose(_Binary):
 
     def compile(self, ev, memo):
         if self.folds():  # read off the memoized row
-            row, prefix = ev.view(self, True, rows=True), _flat(self.dom[:-1])
-            return lambda t: row(prefix(t))[t[-1]]
+            row, d = ev.view(self, True, rows=True), self.dom[-1]
+            return lambda t: row(t // d)[t % d]
         inner, outer, mod = ev.view(self.g, memo), ev.view(self.f), ev.mod
         return lambda t: _combine(inner(t), outer, mod)
 
@@ -404,7 +424,7 @@ class Compose(_Binary):
             return lambda r: [_combine(v, outer, mod) for v in inner(r)]
         (d1, d2), listed, f, g = self.f.dom, self.f.nonzero(ev), self.g.f, self.g.g
         table = [listed[i * d2:(i + 1) * d2] for i in range(d1)]  # [i][j], for bilinear_apply
-        left, prefixes = ev.view(f), ev.tuples(f.dom)
+        left = ev.view(f)
 
         def fold(x, y):  # u -> mu(x, e_u), or mu(e_u, y) when x is None
             return _Lazy(lambda u: bilinear_apply(
@@ -412,9 +432,9 @@ class Compose(_Binary):
 
         if len(g.dom) == 1:  # g folded once: column c is u -> mu(e_u, g(e_c))
             columns = [fold(None, y) for y in ev.view(g, rows=True)(0)]
-            return lambda r: [_combine(x, m, mod) for x in [left(prefixes[r])] for m in columns]
+            return lambda r: [_combine(x, m, mod) for x in [left(r)] for m in columns]
         n, right = _size(g.dom[:-1]), ev.view(g, rows=True)
-        folded = _Lazy(lambda i: fold(left(prefixes[i]), None))  # by f's prefix
+        folded = _Lazy(lambda i: fold(left(i), None))  # by f's index
         return lambda r: [_combine(v, m, mod) for m in [folded[r // n]] for v in right(r % n)]
 
 
@@ -476,7 +496,7 @@ def _fuse(fs, gs):
         return hs[0] if len(hs) == 1 else Kron(*hs)
 
     def identity(hs):
-        return all(isinstance(h, Perm) and h.identity() for h in hs)
+        return all(map(_is_identity, hs))
 
     return Kron(*[kron(gb) if identity(fb) else kron(fb) if identity(gb)
                   else Compose(kron(fb), kron(gb)) for fb, gb in blocks])
@@ -489,7 +509,7 @@ class _Eval:
     def __init__(self, field):
         self.field, self.zero = field, field.zero()
         self.mod = field.modulus
-        self._fns, self._tuples, self._tables, self._factors = {}, {}, {}, {}
+        self._fns, self._tables, self._factors = {}, {}, {}
         self._fused, self._scales, self.fractional = {}, {}, False
 
     def view(self, term, memo=True, rows=False):
@@ -541,20 +561,15 @@ class _Eval:
         d = gcd(sf, sg)
         return sg // d, sf // d
 
-    def tuples(self, dims):
-        if dims not in self._tuples:
-            self._tuples[dims] = list(product(*map(range, dims)))
-        return self._tuples[dims]
-
     def table(self, leaf):
         """(the nonzero pairs of every column of a leaf, in domain order, their
-        scale), listed once for every leaf of one kind, data and codomain.
+        scale), listed once for every leaf of one kind and data.
         Every leaf passes here, so a matrix or tensor over another field than
         the check's, or a plain vector or covector with an entry of another
         field, raises MixedFields before it is read.  A plain list's entries
         are promoted into the field first, so that every entry is a field
         element when ``raw_columns`` reads it."""
-        key = (id(leaf.data), type(leaf), leaf.cod)
+        key = (id(leaf.data), type(leaf))
         hit = self._tables.get(key)
         if hit is None:  # holding the data keeps its id from being reused
             data = leaf.data
@@ -563,16 +578,16 @@ class _Eval:
             else:  # a plain list carries no field: its entries tell theirs
                 check_scalars("map terms", self.field, data)
                 data = [self.field.promote(x) for x in data]
-            listed = self.field.raw_columns(leaf._columns(data), self.tuples(leaf.cod))
+            listed = self.field.raw_columns(leaf._columns(data))
             hit = self._tables[key] = (leaf.data, listed)
             self.fractional = self.fractional or hit[1][1] != 1
         return hit[1]
 
     def dense(self, value, cod, scale):
         """The coordinate list of a value over the codomain."""
-        out, flat, scalar = [self.zero] * _size(cod), _flat(cod), self.field.from_raw
+        out, scalar = [self.zero] * _size(cod), self.field.from_raw
         for w, x in value:
-            out[flat(w)] = scalar(x, scale)
+            out[w] = scalar(x, scale)
         return out
 
 
@@ -596,9 +611,8 @@ class Axiom:
         basis tuple of the domain, concatenated."""
         diff, cod = Sum(self.lhs, Neg(self.rhs)), self.lhs.cod
         view, scale, scalar = ev.view(diff, False), ev.scale(diff), ev.field.from_raw
-        tuples, size, flat = ev.tuples(self.lhs.dom), _size(cod), _flat(cod)
-        return len(tuples) * size, {n * size + flat(w): scalar(x, scale)
-                                    for n, t in enumerate(tuples) for w, x in view(t)}
+        n, size = _size(self.lhs.dom), _size(cod)
+        return n * size, {t * size + w: scalar(x, scale) for t in range(n) for w, x in view(t)}
 
     def witness(self, ev):
         cod, dom = self.lhs.cod, self.lhs.dom
@@ -613,17 +627,17 @@ class Axiom:
             x, y = _scaled(x, a), _scaled(y, b)
             return x != y and dict(x) != dict(y)
 
-        prefixes = ev.tuples(dom[:-1])
+        rows, d = _size(dom[:-1]), (dom or (1,))[-1]
         if self.label is None:
-            for r, p in enumerate(prefixes):
+            for r in range(rows):
                 xs, ys = lhs(r), rhs(r)
                 if xs != ys or a != b:
                     for c, (x, y) in enumerate(zip(xs, ys)):
                         if differ(x, y):
-                            return (p + (c,) if dom else (), dense(x, self.lhs),
+                            return (_basis_tuple(r * d + c, dom), dense(x, self.lhs),
                                     dense(y, self.rhs))
             return None
-        pairs = [xy for r in range(len(prefixes)) for xy in zip(lhs(r), rhs(r))]
+        pairs = [xy for r in range(rows) for xy in zip(lhs(r), rhs(r))]
         if not any(differ(x, y) for x, y in pairs):
             return None
         sides = [[dense(v, side) for v in values]
@@ -733,7 +747,7 @@ def images(term):
     """The image of every basis tuple of the domain, in lexicographic order."""
     ev = _Eval(term.field)
     view, scale = ev.view(term, False), ev.scale(term)
-    return [ev.dense(view(t), term.cod, scale) for t in product(*map(range, term.dom))]
+    return [ev.dense(view(t), term.cod, scale) for t in range(_size(term.dom))]
 
 
 def product_tensor(term, d1=None, d2=None) -> Tensor3:

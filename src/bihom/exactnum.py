@@ -567,14 +567,15 @@ class Field:
     def format(self, x) -> str:
         raise NotImplementedError
 
-    def raw_columns(self, columns, keys):
-        """(the pairs (keys[k], raw coefficient) of the nonzero entries of
-        each column, their scale): the axiom engine's form of a leaf.  Over Q
-        a raw coefficient is an int numerator over the scale, the lcm of the
-        denominators met; over Q(q) it is the element, with scale 1."""
+    def raw_columns(self, columns):
+        """(the pairs (row-major index k, raw coefficient) of the nonzero
+        entries x = col[k] of each column, their scale): the axiom engine's
+        form of a leaf.  Over Q a raw coefficient is an int numerator over
+        the scale, the lcm of the denominators met; over Q(q) it is the
+        element, with scale 1."""
         fractions = []
         note = fractions.append  # returns None: a Fraction is noted and kept
-        table = [[(keys[k], x) for k, x in enumerate(col)
+        table = [[(k, x) for k, x in enumerate(col)
                   if x and (type(x) is not Fraction or not note(x))] for col in columns]
         if not fractions:
             return table, 1
@@ -697,15 +698,15 @@ class PrimeField(Field):
     def format(self, x):
         return str(x.value)
 
-    def raw_columns(self, columns, keys):
+    def raw_columns(self, columns):
         """Raw coefficients over F_p are int residues, with scale 1.  An entry
         assigned after its container was built goes through ``promote``: an
         int is reduced mod p, anything else raises MixedFields."""
         try:
-            return [[(keys[k], v) for k, x in enumerate(col) if (v := x.value)]
+            return [[(k, v) for k, x in enumerate(col) if (v := x.value)]
                     for col in columns], 1
         except AttributeError:
-            return self.raw_columns([[self.promote(x) for x in col] for col in columns], keys)
+            return self.raw_columns([[self.promote(x) for x in col] for col in columns])
 
     def from_raw(self, x, scale):
         return PrimeFieldElement(x, self.p)

@@ -410,15 +410,15 @@ class Tensor3:
 def bilinear_apply(mu, x, y, mod):
     """The bilinear map with structure constants mu on (x, y), as the axiom
     engine evaluates a product on raw coefficients: x and y are the lists of
-    their nonzero ((i,), x_i) pairs, mu[i][j] the nonzero ((k,), z) pairs of
-    column (i, j), and the result is the list of nonzero ((k,), out_k)
-    pairs, each reduced mod p when mod = p (0 over Q and Q(q)).  Only
-    products of nonzero entries are formed."""
+    their nonzero (i, x_i) pairs, mu[i][j] the nonzero (k, z) pairs of
+    column (i, j), and the result is the list of nonzero (k, out_k) pairs,
+    each reduced mod p when mod = p (0 over Q and Q(q)); every key is a
+    basis index.  Only products of nonzero entries are formed."""
     out = {}
     get = out.get
-    for (i,), a in x:
+    for i, a in x:
         row = mu[i]
-        for (j,), b in y:
+        for j, b in y:
             c = a * b
             for k, z in row[j]:
                 out[k] = get(k, 0) + c * z

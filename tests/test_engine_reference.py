@@ -156,7 +156,7 @@ def vector(rng, field, d, density=0.7):
 def pinned(term, field):
     """A Lin with term's matrix, over term's domain and codomain factors."""
     cols = reference(term, field)
-    rows = [list(r) for r in zip(*cols)] if cols and cols[0] else [[] for _ in range(size(term.cod))]
+    rows = [list(r) for r in zip(*cols)]
     return Lin(Matrix(field, rows), term.dom, term.cod)
 
 
@@ -199,7 +199,8 @@ def terms(rng, field):
         "perm_120": Compose(Kron(Lin(a), Id(3), Lin(a)), Perm(cube, (1, 2, 0))),
         "fold_one_factor": Compose(Mul(act), Kron(Mul(mu2), Lin(b))),
         "fold_two_factors": Compose(Mul(act), Kron(Lin(a), Mul(act))),
-        "fold_of_composite": Compose(Mul(mu3), Kron(Lin(b), Compose(Mul(mu3), Kron(Lin(b), Lin(b))))),
+        "fold_of_composite": Compose(Mul(mu3), Kron(Lin(b), Compose(Mul(mu3),
+                                                                    Kron(Lin(b), Lin(b))))),
         "sum_and_neg": Sum(Kron(Lin(a), Id(2), Lin(b)), Neg(Kron(Id(2), Lin(a), Id(3)))),
     }
 

@@ -245,7 +245,7 @@ _QQ_COLUMNS = [
 
 
 class TestRawForm:
-    """raw_columns lists the nonzero entries of each column as (key, raw
+    """raw_columns lists the nonzero entries of each column as (index, raw
     coefficient) pairs over one scale, and from_raw maps each raw
     coefficient back to its entry."""
 
@@ -256,26 +256,25 @@ class TestRawForm:
         (QQ_Q, _QQ_COLUMNS, 1),
     ], ids=["Q-integral", "Q-fractions", "F7", "Q(q)"])
     def test_listing_and_mapping_back_return_the_entries(self, field, columns, scale):
-        keys = [(k, "key") for k in range(3)]
-        table, got = field.raw_columns(columns, keys)
+        table, got = field.raw_columns(columns)
         assert got == scale
         for col, pairs in zip(columns, table):
-            assert [w for w, _ in pairs] == [keys[k] for k, x in enumerate(col) if x]
+            assert [w for w, _ in pairs] == [k for k, x in enumerate(col) if x]
             back = [field.from_raw(x, scale) for _, x in pairs]
             entries = [x for x in col if x]
             assert back == entries
             assert [type(x) for x in back] == [type(x) for x in entries]
 
     def test_raw_coefficients_are_residues_and_numerators(self):
-        [[f7]], _ = F7.raw_columns([[F7.from_int(-1)]], [()])
-        assert f7 == ((), 6) and type(f7[1]) is int
-        [[a, b]], scale = QQ.raw_columns([[Fraction(1, 4), Fraction(-5, 6)]], [0, 1])
+        [[f7]], _ = F7.raw_columns([[F7.from_int(-1)]])
+        assert f7 == (0, 6) and type(f7[1]) is int
+        [[a, b]], scale = QQ.raw_columns([[Fraction(1, 4), Fraction(-5, 6)]])
         assert (a, b, scale) == ((0, 3), (1, -10), 12)
 
     def test_plain_int_entries_are_reduced_and_others_named(self):
-        assert F7.raw_columns([[8, F7.from_int(2), 14]], "abc") == ([[("a", 1), ("b", 2)]], 1)
+        assert F7.raw_columns([[8, F7.from_int(2), 14]]) == ([[(0, 1), (1, 2)]], 1)
         with pytest.raises(MixedFields, match="cannot interpret Fraction"):
-            F7.raw_columns([[F7.one(), Fraction(1, 2)]], "ab")
+            F7.raw_columns([[F7.one(), Fraction(1, 2)]])
 
     def test_modulus(self):
         assert F7.modulus == 7
