@@ -696,7 +696,7 @@ class PrimeField(Field):
         return PrimeFieldElement(value, self.p)
 
     def format(self, x):
-        return str(x.value)
+        return str(self.promote(x).value)
 
     def raw_columns(self, columns):
         """Raw coefficients over F_p are int residues, with scale 1.  An entry

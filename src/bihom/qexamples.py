@@ -448,6 +448,8 @@ def qplane_action(gen, P: QPElement, tp: TwistParams) -> QPElement:
     F:      [m]_q xi^(m+n) lambda1^-1 lambda2^-n x^(m-1) y^(n+1)
     K^(+-1): P(q^(+-1) xi x, q^(-+1) xi lambda2^-1 y)
     """
+    if gen not in GENERATORS:
+        raise ValueError(f"unknown generator {gen!r}")
     out = QPElement()
     for (m, n), coeff in P.terms.items():
         scale = tp.xi ** (m + n) * tp.lambda2 ** (-n)
@@ -457,10 +459,8 @@ def qplane_action(gen, P: QPElement, tp: TwistParams) -> QPElement:
             out.add((m - 1, n + 1), q_integer(m) * scale / tp.lambda1 * coeff)
         elif gen == "K":
             out.add((m, n), coeff * (_Q * tp.xi) ** m * (_QINV * tp.xi / tp.lambda2) ** n)
-        elif gen == "Kinv":
+        else:  # Kinv
             out.add((m, n), coeff * (_QINV * tp.xi) ** m * (_Q * tp.xi / tp.lambda2) ** n)
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
     return out
 
 

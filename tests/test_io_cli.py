@@ -118,6 +118,15 @@ class TestParseSerialize:
         with pytest.raises(BadScalar):
             parse_structure(json.dumps(obj))
 
+    def test_plain_int_entry_over_fp_is_written_reduced(self):
+        """An F_7 entry set to the int 8 after construction is written as 1,
+        the text of the unmodified structure."""
+        a, b = (cyclic_group_bialgebra(3, PrimeField(7)).algebra_part() for _ in range(2))
+        a.mu.t[1][1][2] = 8
+        text = serialize_structure(a, "algebra")
+        assert json.loads(text)["mu"][1][1][2] == "1"
+        assert text == serialize_structure(b, "algebra")
+
     def test_unknown_kind(self):
         with pytest.raises(ParseError):
             parse_structure('{"format": 1, "kind": "frobenius", "field": "Q"}')

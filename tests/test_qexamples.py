@@ -328,6 +328,9 @@ class TestSmashFormulas:
         args = (QPElement.monomial(1, 1),) if name == "qplane_action" else (1, 1, 0, 1, ONE)
         with pytest.raises(ValueError, match="^unknown generator 'X'$"):
             getattr(qexamples, name)("X", *args, TP_DISTINCT)
+        if name == "qplane_action":  # also on the zero element, with no term to act on
+            with pytest.raises(ValueError, match="^unknown generator 'X'$"):
+                qexamples.qplane_action("X", QPElement(), TP_DISTINCT)
 
     def test_bound_reaches_the_closed_forms(self):
         # no degree bound: the products reach degree 13 and 21
