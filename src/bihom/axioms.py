@@ -38,14 +38,14 @@ Each leaf lists the nonzero pairs of its columns once per check call, so a
 leaf's image at index t is entry t of its table.  A Kron f (x) g reads f at
 t // n and g at t % n and keys a (x) b by a * m + b, with n and m the sizes
 of g's domain and codomain; an identity on either side is passed through
-unevaluated.  A permutation of factors moves each index by strides, listed
-once per check call.  A Compose applies its outer map only to the support
-of the inner value, and the images of composites, and their rows, are
-memoized for one check call.  A leaf's row is a slice of its table, a Kron
-keeps its first factor's value along a row, and a Compose maps each image of
-its inner row; other terms give the image of each index.  A product
-Mul o (f (x) g) with the last factor in g folds the factor that is fixed
-along its rows into the product's table with bilinear_apply: g, as
+unevaluated.  A permutation of factors moves each index it meets by
+strides.  A Compose applies its outer map only to the support of the inner
+value.  The images of composites and permutations, and the rows of
+composites, are memoized for one check call.  A leaf's row is a slice of its
+table, a Kron keeps its first factor's value along a row, and a Compose maps
+each image of its inner row; other terms give the image of each index.  A
+product Mul o (f (x) g) with the last factor in g folds the factor that is
+fixed along its rows into the product's table with bilinear_apply: g, as
 mu(e_k, g(e_c)), when it has one factor, else f's value at the row's prefix.
 
 Kronecker structure is evaluated factor by factor, as the terms state it:
@@ -299,12 +299,18 @@ class Perm(Term):
     def compile(self, ev, memo):
         if self.identity:
             return lambda t: [(t, 1)]
-        # factor j moves to place order.index(j): its index steps by that place's stride
-        images = [0]
-        for j, d in enumerate(self.dom):
-            stride = _size(self.cod[self.order.index(j) + 1:])
-            images = [m + k * stride for m in images for k in range(d)]
-        return [[(m, 1)] for m in images].__getitem__
+        # the index of factor j, the last first, steps by the stride of its place in cod
+        steps = [(d, _size(self.cod[self.order.index(j) + 1:]))
+                 for j, d in enumerate(self.dom)][::-1]
+
+        def move(t):
+            m = 0
+            for d, stride in steps:
+                t, k = divmod(t, d)
+                m += k * stride
+            return [(m, 1)]
+
+        return _Lazy(move).__getitem__
 
 
 def Id(d):
