@@ -37,15 +37,14 @@ and nothing is rescaled.
 Each leaf lists the nonzero pairs of its columns once per check call, so a
 leaf's image at index t is entry t of its table.  A Kron f (x) g reads f at
 t // n and g at t % n and keys a (x) b by a * m + b, with n and m the sizes
-of g's domain and codomain; an identity on either side is passed through
-unevaluated.  A permutation of factors moves each index it meets by
-strides.  A Compose applies its outer map only to the support of the inner
-value.  The images of composites and permutations, and the rows of
-composites, are memoized for one check call.  A leaf's row is a slice of its
-table, a Kron keeps its first factor's value along a row, and a Compose maps
-each image of its inner row; other terms give the image of each index.  A
-product Mul o (f (x) g) with the last factor in g folds the factor that is
-fixed along its rows into the product's table with bilinear_apply: g, as
+of g's domain and codomain.  A permutation of factors moves each index it
+meets by strides.  A Compose applies its outer map only to the support of
+the inner value.  The images and the rows of composites are memoized for
+one check call.  A leaf's row is a slice of its table, a Kron keeps its
+first factor's value along a row, and a Compose maps each image of its
+inner row; other terms give the image of each index.  A product
+Mul o (f (x) g) with the last factor in g folds the factor that is fixed
+along its rows into the product's table with bilinear_apply: g, as
 mu(e_k, g(e_c)), when it has one factor, else f's value at the row's prefix.
 
 Kronecker structure is evaluated factor by factor, as the terms state it:
@@ -310,7 +309,7 @@ class Perm(Term):
                 m += k * stride
             return [(m, 1)]
 
-        return _Lazy(move).__getitem__
+        return move
 
 
 def Id(d):
@@ -362,13 +361,9 @@ class Kron(_Binary):
 
     def compile(self, ev, memo):
         # index t of f (x) g is f's index t // n then g's t % n; the image
-        # a (x) b has index a * m + b.  An identity side is passed through.
+        # a (x) b has index a * m + b
         n, m, mod = _size(self.g.dom), _size(self.g.cod), ev.mod
         f, g = ev.view(self.f), ev.view(self.g)
-        if _is_identity(self.f):
-            return lambda t: [(a + b, y) for a in [t // n * m] for b, y in g(t % n)]
-        if _is_identity(self.g):
-            return lambda t: [(a * m + b, x) for b in [t % n] for a, x in f(t // n)]
         # a product of nonzero coefficients is nonzero: nothing cancels here
         if mod:
             return lambda t: [(a * m + b, x * y % mod) for a, x in f(t // n) for b, y in g(t % n)]
@@ -380,13 +375,6 @@ class Kron(_Binary):
         left, mod, m = ev.view(self.f), ev.mod, _size(self.g.cod)
         n, right = _size(self.g.dom[:-1]), ev.view(self.g, rows=True)
         # row r is row r % n of g after index r // n of f's domain
-        if _is_identity(self.f):
-            return lambda r: [[(a + b, y) for b, y in v]
-                              for a in [r // n * m] for v in right(r % n)]
-        if _is_identity(self.g):  # g's row r % n holds the indices (r % n) * d + c
-            d = self.g.dom[-1]
-            return lambda r: [[(a * m + b, c) for a, c in x] for x in [left(r // n)]
-                              for b in range(r % n * d, r % n * d + d)]
         if mod:
             return lambda r: [[(a * m + b, c * y % mod) for a, c in x for b, y in v]
                               for x in [left(r // n)] for v in right(r % n)]
@@ -519,7 +507,7 @@ class _Eval:
         self._fused, self._scales, self.fractional = {}, {}, False
 
     def view(self, term, memo=True, rows=False):
-        """memo=True: the term is evaluated on basis tuples that recur
+        """memo=True: the term is evaluated on indices that recur
         (inside a Kron, or after a Compose); False: once per axiom tuple.
         rows=True: term.row, by row number, instead of term.compile.
         A Compose that fuses is viewed as its fused term, sharing its memo."""
