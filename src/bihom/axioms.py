@@ -316,10 +316,6 @@ def Id(d):
     return Perm((d,), (0,))
 
 
-def _is_identity(term):
-    return isinstance(term, Perm) and term.identity
-
-
 def Swap(d1, d2):
     """V (x) W -> W (x) V."""
     return Perm((d1, d2), (1, 0))
@@ -490,7 +486,7 @@ def _fuse(fs, gs):
         return hs[0] if len(hs) == 1 else Kron(*hs)
 
     def identity(hs):
-        return all(map(_is_identity, hs))
+        return all(isinstance(h, Perm) and h.identity for h in hs)
 
     return Kron(*[kron(gb) if identity(fb) else kron(fb) if identity(gb)
                   else Compose(kron(fb), kron(gb)) for fb, gb in blocks])
