@@ -6,12 +6,13 @@ time in lexicographic order, with the naive loops of bench/oracle.py over
 plain Fractions and ints mod 7."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, product
 
 import pytest
 
-from bihom.algebra_core import associativity
+from bihom.algebra_core import BiHomAlgebra, associativity, yau_twist
 from bihom.axioms import (
     Axiom,
     Compose,
@@ -31,9 +32,12 @@ from bihom.axioms import (
     unit_law,
     witness,
 )
+from bihom import fixtures
+from bihom.bialgebra import BiHomBialgebra, ModuleAlgebraAction, check_bihom_bialgebra
 from bihom.exactnum import QQ, PrimeField
 from bihom.lie import BiHomLieAlgebra, check_bihom_lie
-from bihom.linalg import Matrix, Tensor3
+from bihom.linalg import Matrix, Tensor3, mat_inverse, mat_mul
+from bihom.smash import SmashData, smash_comodule_structure
 from helpers import oracle, plain
 
 F7 = PrimeField(7)
@@ -455,3 +459,326 @@ def test_a_product_of_vectors_reads_rows_of_a_fractional_tensor(field):
         got = images(Compose(Mul(mu), Kron(Vec(x), Vec(y))))
         assert len(got) == 1
         assert plain(sc, got[0]) == oracle.bilinear(sc, plain(sc, mu), plain(sc, x), plain(sc, y))
+
+
+# ---------------------------------------------------------------------------
+# the rows of a product that folds one factor: mu o (f (x) g), g on one factor
+# ---------------------------------------------------------------------------
+
+
+def fold_row(field, ax, r):
+    """Row r of the right side of an axiom whose right side folds one factor."""
+    assert ax.rhs.folds() and len(ax.rhs.g.g.dom) == 1
+    return _Eval(field).view(ax.rhs, False, rows=True)(r)
+
+
+def power_map(field, c, k):
+    """g -> g^k of k[C_n] on the basis e_i = c_i g_i: e_i -> c_i / c_{ki} e_{ki}."""
+    n = len(c)
+    return Matrix(field, [[element(field, c[i] / c[k * i % n] if j == k * i % n else 0)
+                           for i in range(n)] for j in range(n)])
+
+
+def twisted_rescaled_group_algebra(field, c, k, l):
+    """k[C_n] on the basis e_i = c_i g_i, Yau-twisted by g -> g^k and g -> g^l:
+    every product and every column of alpha and beta is one basis vector
+    times a fraction."""
+    mu, _ = rescaled_group_bialgebra(field, c)
+    ident = Matrix.identity(field, len(c))
+    a = yau_twist(BiHomAlgebra(field=field, dim=len(c), mu=mu, alpha=ident, beta=ident.copy()),
+                  power_map(field, c, k), power_map(field, c, l))
+    return a.mu, a.alpha, a.beta
+
+
+def one_term_coefficients(sc, t):
+    """The coefficients of the columns of a tensor with one nonzero entry."""
+    nonzero = [[x for x in col if x] for plane in plain(sc, t) for col in plane]
+    return {xs[0] for xs in nonzero if len(xs) == 1}
+
+
+@FIELDS
+def test_a_fold_of_one_term_values_with_coefficient_one(field):
+    """k[C_5] twisted by two power maps: every left value of the folded side
+    is one basis vector with coefficient 1, so each row is a memoized row
+    itself; the axioms hold, and each corruption of one constant fails where
+    the reference does."""
+    mu, _ = group_algebra(field, 5)
+    a = yau_twist(BiHomAlgebra(field=field, dim=5, mu=mu, alpha=Matrix.identity(field, 5),
+                               beta=Matrix.identity(field, 5)),
+                  power_map(field, [1] * 5, 2), power_map(field, [1] * 5, 3))
+    sc = scalars(field)
+    assert one_term_coefficients(sc, a.mu) == {1}
+    cases = [associativity_case(field, a.mu, a.mu, a.alpha, a.beta),
+             multiplicative_case(field, a.mu, a.alpha), multiplicative_case(field, a.mu, a.beta)]
+    for sc, ax, expected in cases:
+        assert expected is None
+        assert_same_witness(sc, ax, expected)
+    seen = set()
+    for bad in corruptions(random.Random(13), field, a.mu):
+        for sc, ax, expected in (associativity_case(field, bad, bad, a.alpha, a.beta),
+                                 multiplicative_case(field, bad, a.alpha)):
+            assert_same_witness(sc, ax, expected)
+            if expected is not None:
+                seen.add(expected[0][-1])
+    assert_mid_row(seen, 5)
+
+
+@FIELDS
+def test_a_fold_of_one_term_values_scaled_by_a_fraction(field):
+    """k[C_4] on the basis e_i = c_i g_i, twisted by g -> g^3 and g -> g^2:
+    over Q each left value is one basis vector times a fraction, over F_7
+    times a residue other than 1, and alpha, beta and mu are over different
+    scales.  The axioms hold, so a row scaled wrongly or left unreduced
+    fails them; each corruption fails where the reference does."""
+    c = [Fraction(1, 2), Fraction(2), Fraction(1, 3), Fraction(3)]
+    mu, alpha, beta = twisted_rescaled_group_algebra(field, c, 3, 2)
+    sc = scalars(field)
+    assert len(one_term_coefficients(sc, mu) - {1}) > 2
+    if field == QQ:
+        ev = _Eval(field)
+        ev.view(Lin(alpha)), ev.view(Lin(beta)), ev.view(Mul(mu))
+        assert len({ev.scale(Lin(alpha)), ev.scale(Lin(beta)), ev.scale(Mul(mu))}) == 3
+    cases = [associativity_case(field, mu, mu, alpha, beta),
+             multiplicative_case(field, mu, alpha), multiplicative_case(field, mu, beta)]
+    for sc, ax, expected in cases:
+        assert expected is None
+        assert_same_witness(sc, ax, expected)
+    seen = set()
+    for bad in corruptions(random.Random(14), field, mu):
+        for sc, ax, expected in (associativity_case(field, bad, bad, alpha, beta),
+                                 multiplicative_case(field, bad, beta)):
+            assert_same_witness(sc, ax, expected)
+            if expected is not None:
+                seen.add(expected[0][-1])
+    assert_mid_row(seen, 4)
+
+
+def augmented_left_algebra(field, alpha0):
+    """xy = eps(x) y on k^3 with eps = (1, 1, 0), an associative algebra, and
+    alpha = id but for alpha(e_0) = alpha0 and alpha(e_2) = e_0 - e_1; alpha
+    is multiplicative exactly when eps(alpha0) = 1."""
+    eps = [1, 1, 0]
+    mu = Tensor3(field, [[[eps[i] * int(k == j) for k in range(3)] for j in range(3)]
+                         for i in range(3)])
+    columns = [alpha0, [0, 1, 0], [1, -1, 0]]
+    alpha = Matrix(field, [[columns[i][j] for i in range(3)] for j in range(3)])
+    return mu, alpha
+
+
+@FIELDS
+def test_a_fold_of_several_terms_that_cancel(field):
+    """alpha(e_2) = e_0 - e_1 and mu(e_0, y) = mu(e_1, y) for every y: row 2
+    of mu o (alpha (x) alpha) sums two equal rows with opposite signs, which
+    cancel to zero in every column.  Over F_7 the coefficients are 1 and 6,
+    whose sum cancels only mod 7.  alpha is multiplicative and
+    alpha(a)(bc) = (ab)c holds; alpha is multiplicative too with
+    alpha(e_0) = 8 e_0 - 7 e_1 + 5 e_2, a left value of three terms."""
+    mu, alpha = augmented_left_algebra(field, [2, -1, 0])
+    ident = Matrix.identity(field, 3)
+    sc, ax, expected = multiplicative_case(field, mu, alpha)
+    assert expected is None
+    assert plain(sc, alpha.e)[1][2] == sc.norm(-1)
+    assert fold_row(field, ax, 2) == [[], [], []]
+    assert fold_row(field, ax, 0) == [[(0, 2), (1, sc.norm(-1))], [(1, 1)], [(0, 1), (1, sc.norm(-1))]]
+    assert_same_witness(sc, ax, expected)
+    sc, ax, expected = associativity_case(field, mu, mu, alpha, ident)
+    assert expected is None
+    assert_same_witness(sc, ax, expected)
+    # eps(alpha(e_0)) = 3: alpha fails to be multiplicative in row 0 only
+    mu, alpha = augmented_left_algebra(field, [2, 1, 0])
+    sc, ax, expected = multiplicative_case(field, mu, alpha)
+    assert expected is not None and expected[0] == (0, 0)
+    assert_same_witness(sc, ax, expected)
+    mu, alpha = augmented_left_algebra(field, [8, -7, 5])
+    sc, ax, expected = multiplicative_case(field, mu, alpha)
+    assert expected is None
+    assert_same_witness(sc, ax, expected)
+
+
+@FIELDS
+def test_a_fold_of_a_zero_left_value(field):
+    """alpha(e_0) = 0 on the algebra xy = eps(x) y: row 0 of
+    mu o (alpha (x) alpha) folds the zero value and holds one zero image per
+    column, while alpha(e_0 e_1) = e_1 is not zero, so the first failure is
+    at (0, 1); mu(e_2, y) = 0 gives BiHom-associativity zero left
+    values in rows 6 to 8, and it holds."""
+    mu, alpha = augmented_left_algebra(field, [0, 0, 0])
+    sc, ax, expected = multiplicative_case(field, mu, alpha)
+    assert fold_row(field, ax, 0) == [[], [], []]
+    assert expected is not None and expected[0] == (0, 1)
+    assert_same_witness(sc, ax, expected)
+    mu, alpha = augmented_left_algebra(field, [1, 0, 0])
+    ident = Matrix.identity(field, 3)
+    sc, ax, expected = associativity_case(field, mu, mu, alpha, ident)
+    assert all(fold_row(field, ax, r) == [[], [], []] for r in range(6, 9))
+    assert expected is None
+    assert_same_witness(sc, ax, expected)
+
+
+@FIELDS
+@pytest.mark.parametrize("seed", range(6))
+def test_module_associativity_folds_the_action(field, seed):
+    """act(alpha(a), act(b, m)) = act(mu(a, b), beta_M(m)) with A of
+    dimension 3 and M of dimension 2: the folded rows are the action's, one
+    image per basis vector of M, and the left values mu(a, b) have several
+    terms with coefficients other than 1."""
+    rng = random.Random(40 + seed)
+    mu = rand_tensor(rng, field, 3, 3, 3, density=0.7)
+    act = rand_tensor(rng, field, 3, 2, 2, density=0.7)
+    alpha, beta_m = rand_matrix(rng, field, 3, 3, density=0.7), rand_matrix(rng, field, 2, 2)
+    sc, ax, expected = associativity_case(field, act, mu, alpha, beta_m)
+    assert len(fold_row(field, ax, 0)) == 2
+    assert_same_witness(sc, ax, expected)
+    bad = Tensor3(field, act.t)
+    bad.t[2][1][0] = bad.t[2][1][0] + field.one()
+    assert_same_witness(*associativity_case(field, bad, mu, alpha, beta_m))
+
+
+# ---------------------------------------------------------------------------
+# dense bialgebras, and a coaction that is not multiplicative
+# ---------------------------------------------------------------------------
+
+
+def staged_comultiplicative_case(field, name, coact, mu, mu_left, mu_right, report=None):
+    """coact(mu(a, b)) = (mu_left (x) mu_right)(a_1 (x) b_1 (x) a_2 (x) b_2),
+    the reference of comultiplicative_case summed in stages so that a dense
+    structure of dimension 8 stays cheap: per a, S[q][c][p] = sum over t of
+    coact(a)[t][q] mu_left[t][c][p]; per b, T[q][e][p] = sum over c of
+    coact(b)[c][e] S[q][c][p]; the coordinate (p, r) is the sum over q and e
+    of T[q][e][p] mu_right[q][e][r].  Returns (sc, engine witness, reference
+    witness); the engine's is the report entry's when a report is given."""
+    sc = scalars(field)
+
+    def fast(x):  # an integral Fraction as an int, for speed
+        return [fast(y) for y in x] if isinstance(x, list) else int(x) if x == int(x) else x
+
+    pc, pm, pl, pr = (fast(plain(sc, t)) for t in (coact, mu, mu_left, mu_right))
+    n, dw, du = coact.d1, coact.d2, coact.d3
+
+    def stage(i):
+        s = [[[0] * dw for _ in range(dw)] for _ in range(du)]
+        for t in range(dw):
+            for q in range(du):
+                x = pc[i][t][q]
+                if x:
+                    for c in range(dw):
+                        row, col = s[q][c], pl[t][c]
+                        for p in range(dw):
+                            row[p] += x * col[p]
+        return s
+
+    stages = {}
+
+    def sides(t):
+        i, j = t
+        v = oracle.bilinear(sc, pm, oracle.basis(sc, n, i), oracle.basis(sc, n, j))
+        lhs = [sc.norm(sum(v[k] * pc[k][p][r] for k in range(n)))
+               for p in range(dw) for r in range(du)]
+        s = stages[i] if i in stages else stages.setdefault(i, stage(i))
+        rhs = [[0] * du for _ in range(dw)]
+        for q in range(du):
+            for e in range(du):
+                acc = [sum(pc[j][c][e] * s[q][c][p] for c in range(dw) if pc[j][c][e])
+                       for p in range(dw)]
+                for p, x in enumerate(acc):
+                    if x:
+                        for r, y in enumerate(pr[q][e]):
+                            rhs[p][r] += x * y
+        return lhs, [sc.norm(x) for row in rhs for x in row]
+
+    ax = comultiplicative_product(name, coact, mu, mu_left, mu_right)
+    got = witness(ax) if report is None else report.entry(name).witness
+    return sc, got, first_difference((n, n), sides)
+
+
+def dense_group_bialgebra(field, n, seed, fractional, lower):
+    """k[C_n] on the basis e_i = sum_a g[a][i] g_a for g = lower * upper
+    unitriangular (upper alone unless lower) with random off-diagonal
+    entries, fractions among them when fractional: mu and Delta are dense,
+    alpha = beta = psi = omega = id."""
+    rng = random.Random(seed)
+    steps = [0, 1, -1, 2] + ([Fraction(1, 2), Fraction(-1, 3)] if fractional else [])
+    lower = Matrix(QQ, [[1 if i == j else rng.choice(steps) if i > j and lower else 0
+                         for j in range(n)] for i in range(n)])
+    upper = Matrix(QQ, [[1 if i == j else rng.choice(steps) if i < j else 0
+                         for j in range(n)] for i in range(n)])
+    g = mat_mul(lower, upper)
+    gi = mat_inverse(g)
+    g, gi = g.e, gi.e
+    mu = [[[sum(g[a][i] * g[b][j] * gi[k][(a + b) % n] for a in range(n) for b in range(n))
+            for k in range(n)] for j in range(n)] for i in range(n)]
+    delta = [[[sum(g[a][i] * gi[j][a] * gi[k][a] for a in range(n)) for k in range(n)]
+              for j in range(n)] for i in range(n)]
+
+    def tensor(t):
+        return Tensor3(field, [[[element(field, x) for x in col] for col in plane]
+                               for plane in t])
+
+    ident = [Matrix.identity(field, n) for _ in range(4)]
+    return BiHomBialgebra(field=field, dim=n, mu=tensor(mu), delta=tensor(delta),
+                          alpha=ident[0], beta=ident[1], psi=ident[2], omega=ident[3],
+                          counit=[element(field, sum(g[a][i] for a in range(n)))
+                                  for i in range(n)])
+
+
+DENSE = pytest.mark.parametrize("field, n, fractional, lower", [
+    (QQ, 4, True, True), (QQ, 6, False, True), (QQ, 8, False, False), (F7, 4, True, True),
+    (F7, 6, True, True), (F7, 8, True, False)],
+    ids=["Q-4", "Q-6", "Q-8", "F7-4", "F7-6", "F7-8"])
+
+
+@DENSE
+def test_dense_bialgebras_pass_every_axiom(field, n, fractional, lower):
+    """A dense bialgebra of dimension 4 to 8 passes every axiom of
+    check_bihom_bialgebra, and the per-tuple reference of
+    Delta(ab) = Delta(a)Delta(b) agrees."""
+    H = dense_group_bialgebra(field, n, n, fractional, lower)
+    assert sum(1 for plane in H.mu.t for col in plane for x in col if x) > n ** 3 // 2
+    assert sum(1 for plane in H.delta.t for col in plane for x in col if x) > n ** 2
+    report = check_bihom_bialgebra(H)
+    assert report.ok, report.failures()
+    assert staged_comultiplicative_case(field, "delta_multiplicative", H.delta, H.mu, H.mu,
+                                        H.mu, report)[1:] == (None, None)
+
+
+@DENSE
+def test_dense_bialgebras_fail_where_the_reference_does(field, n, fractional, lower):
+    """One constant of mu, then one of Delta, changed: the witnesses of
+    delta_multiplicative and of BiHom-associativity in check_bihom_bialgebra's
+    report are the references' first differences."""
+    H = dense_group_bialgebra(field, n, n, fractional, lower)
+    rng = random.Random(n)
+    for which in ("mu", "delta"):
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        bad = Tensor3(field, getattr(H, which).t)
+        bad.t[i][j][k] = bad.t[i][j][k] + field.one()
+        B = replace(H, **{which: bad})
+        report = check_bihom_bialgebra(B)
+        sc, got, expected = staged_comultiplicative_case(
+            field, "delta_multiplicative", B.delta, B.mu, B.mu, B.mu, report)
+        assert expected is not None
+        assert_same(sc, "delta_multiplicative", got, expected)
+        sc, ax, expected = associativity_case(field, B.mu, B.mu, B.alpha, B.beta)
+        assert (expected is None) == (which == "delta")
+        assert_same(sc, "bihom_associativity",
+                    report.entry("algebra:bihom_associativity").witness, expected)
+
+
+@FIELDS
+def test_a_smash_comodule_whose_coaction_is_not_multiplicative(field):
+    """H = k[C_3] with Delta(g) = g (x) g + (1 - g^2) (x) (g - g^2), counital
+    but not multiplicative, acting on A = k[C_2] by h.a = eps(h) a: the
+    module-algebra axioms hold, and rho(a # h) = (a # h_1) (x) h_2 on A # H
+    fails rho_multiplicative where the per-tuple reference does."""
+    H = fixtures.cyclic_group_bialgebra(3, field)
+    for (j, k), x in {(1, 1): 1, (0, 1): 1, (0, 2): -1, (2, 1): -1, (2, 2): 1}.items():
+        H.delta.t[1][j][k] = H.delta.t[1][j][k] + x - int((j, k) == (1, 1))
+    A = fixtures.cyclic_group_bialgebra(2, field).algebra_part()
+    act = ModuleAlgebraAction(Tensor3(field, [[[H.counit[h] * int(a == b) for b in range(2)]
+                                               for a in range(2)] for h in range(3)]))
+    ident = Matrix.identity(field, 2)
+    D, comod, report = smash_comodule_structure(SmashData(H=H, A=A, action=act), ident, ident)
+    assert not report.entry("rho_multiplicative").passed
+    sc, got, expected = staged_comultiplicative_case(field, "rho_multiplicative", comod.rho,
+                                                     D.mu, D.mu, H.mu, report)
+    assert_same(sc, "rho_multiplicative", got, expected)
