@@ -160,6 +160,33 @@ def _combine(value, image, mod):
     return [(w, x) for w, x in out.items() if x]
 
 
+def _map_row(row, image, mod):
+    """_combine(v, image, mod) for each value v of a row."""
+    return [image(v[0][0]) if len(v) == 1 and v[0][1] == 1 else _combine(v, image, mod)
+            for v in row]
+
+
+def _fold_row(value, rows, d, mod):
+    """The sum of c * rows[u] over the pairs (u, c) of a value, entry by
+    entry, for rows of d values: rows[u] itself when the value is e_u."""
+    if len(value) == 1:  # products of nonzero coefficients: nothing cancels
+        (u, c), = value
+        if c == 1:
+            return rows[u]
+        if mod:
+            return [[(w, c * x % mod) for w, x in v] for v in rows[u]]
+        return [[(w, c * x) for w, x in v] for v in rows[u]]
+    outs = [{} for _ in range(d)]
+    for u, c in value:
+        for out, v in zip(outs, rows[u]):
+            get = out.get
+            for w, x in v:
+                out[w] = get(w, 0) + c * x
+    if mod:
+        return [[(w, r) for w, x in out.items() if (r := x % mod)] for out in outs]
+    return [[(w, x) for w, x in out.items() if x] for out in outs]
+
+
 def _add(a, b):
     """a + b as {key: coefficient}, for two (key, coefficient) lists, over both supports."""
     out = dict(a)
@@ -411,21 +438,18 @@ class Compose(_Binary):
         mod = ev.mod
         if not self.folds():  # f applied to each image of g's row
             inner, outer = ev.view(self.g, memo, rows=True), ev.view(self.f)
-            return lambda r: [_combine(v, outer, mod) for v in inner(r)]
+            return lambda r: _map_row(inner(r), outer, mod)
         (d1, d2), listed, f, g = self.f.dom, self.f.nonzero(ev), self.g.f, self.g.g
         table = [listed[i * d2:(i + 1) * d2] for i in range(d1)]  # [i][j], for bilinear_apply
         left = ev.view(f)
-
-        def fold(x, y):  # u -> mu(x, e_u), or mu(e_u, y) when x is None
-            return _Lazy(lambda u: bilinear_apply(
-                table, [(u, 1)] if x is None else x, y if x is None else [(u, 1)], mod)).__getitem__
-
-        if len(g.dom) == 1:  # g folded once: column c is u -> mu(e_u, g(e_c))
-            columns = [fold(None, y) for y in ev.view(g, rows=True)(0)]
-            return lambda r: [_combine(x, m, mod) for x in [left(r)] for m in columns]
+        if len(g.dom) == 1:  # g folded once: row u is [mu(e_u, g(e_c)) for c]
+            ys = ev.view(g, rows=True)(0)
+            rows = _Lazy(lambda u: [bilinear_apply(table, [(u, 1)], y, mod) for y in ys])
+            return lambda r: _fold_row(left(r), rows, len(ys), mod)
         n, right = _size(g.dom[:-1]), ev.view(g, rows=True)
-        folded = _Lazy(lambda i: fold(left(i), None))  # by f's index
-        return lambda r: [_combine(v, m, mod) for m in [folded[r // n]] for v in right(r % n)]
+        folded = _Lazy(lambda i: _Lazy(lambda u: bilinear_apply(  # by f's index: u -> mu(x, e_u)
+            table, left(i), [(u, 1)], mod)).__getitem__)
+        return lambda r: _map_row(right(r % n), folded[r // n], mod)
 
 
 class Sum(_Binary):
