@@ -140,30 +140,24 @@ def _scaled(value, c):
     return value if c == 1 else [(w, c * x) for w, x in value]
 
 
-def _combine(value, image, mod):
-    """The map with images image(u) applied to a value: the nonzero pairs of
-    the sum of c * image(u) over its pairs (u, c)."""
-    if len(value) == 1:  # products of nonzero coefficients: nothing cancels
-        (u, c), = value
-        if c == 1:  # the image itself, not a copy
-            return image(u)
-        if mod:
-            return [(w, c * x % mod) for w, x in image(u)]
-        return [(w, c * x) for w, x in image(u)]
-    out = {}
-    get = out.get
-    for u, c in value:
-        for w, x in image(u):
-            out[w] = get(w, 0) + c * x
-    if mod:  # _nonzero, inline on the engine's hottest path
-        return [(w, r) for w, x in out.items() if (r := x % mod)]
-    return [(w, x) for w, x in out.items() if x]
-
-
 def _map_row(row, image, mod):
-    """_combine(v, image, mod) for each value v of a row."""
-    return [image(v[0][0]) if len(v) == 1 and v[0][1] == 1 else _combine(v, image, mod)
-            for v in row]
+    """The map with images image(u) applied to each value of a row: the
+    nonzero pairs of the sum of c * image(u) over the value's pairs (u, c)."""
+    out = []
+    for value in row:
+        if len(value) == 1:  # products of nonzero coefficients: nothing cancels
+            (u, c), = value
+            out.append(image(u) if c == 1 else [(w, c * x % mod) for w, x in image(u)] if mod
+                       else [(w, c * x) for w, x in image(u)])
+            continue
+        acc = {}
+        get = acc.get
+        for u, c in value:
+            for w, x in image(u):
+                acc[w] = get(w, 0) + c * x
+        out.append([(w, r) for w, x in acc.items() if (r := x % mod)] if mod
+                   else [(w, x) for w, x in acc.items() if x])
+    return out
 
 
 def _fold_row(value, rows, d, mod):
@@ -428,7 +422,7 @@ class Compose(_Binary):
             row, d = ev.view(self, True, rows=True), self.dom[-1]
             return lambda t: row(t // d)[t % d]
         inner, outer, mod = ev.view(self.g, memo), ev.view(self.f), ev.mod
-        return lambda t: _combine(inner(t), outer, mod)
+        return lambda t: _map_row([inner(t)], outer, mod)[0]
 
     def folds(self):  # Mul o (f (x) g), one codomain factor each, the last domain one in g
         f, g = self.f, self.g
