@@ -40,12 +40,14 @@ t // n and g at t % n and keys a (x) b by a * m + b, with n and m the sizes
 of g's domain and codomain.  A permutation of factors moves each index it
 meets by strides.  A Compose applies its outer map only to the support of
 the inner value.  The images and the rows of composites are memoized for
-one check call.  A leaf's row is a slice of its table, a Kron keeps its
-first factor's value along a row, and a Compose maps each image of its
-inner row; other terms give the image of each index.  A product
-Mul o (f (x) g) with the last factor in g folds the factor that is fixed
-along its rows into the product's table with bilinear_apply: g, as
-mu(e_k, g(e_c)), when it has one factor, else f's value at the row's prefix.
+one check call.  Every row is built with one call: a leaf's row is a slice
+of its table, a Kron keeps its first factor's value along a row, and a
+Compose maps its whole inner row; other terms give the image of each index.
+A product Mul o (f (x) g) with the last factor in g folds the factor that is
+fixed along its rows into the product's table with bilinear_apply: f's value
+at the row's prefix when g has several factors; when g has one, whole rows
+mu(e_u, g(e_c)) over c, memoized by the inner index u, which row r sums
+with the coefficients of f's value at r (row u itself when that is e_u).
 
 Kronecker structure is evaluated factor by factor, as the terms state it:
 a term's factors are those of a Kron, one Id per factor of an identity Perm,
@@ -155,7 +157,7 @@ def _map_row(row, image, mod):
         for u, c in value:
             for w, x in image(u):
                 acc[w] = get(w, 0) + c * x
-        out.append([(w, r) for w, x in acc.items() if (r := x % mod)] if mod
+        out.append([(w, r) for w, x in acc.items() if (r := x % mod)] if mod  # _nonzero, inline
                    else [(w, x) for w, x in acc.items() if x])
     return out
 
@@ -441,8 +443,8 @@ class Compose(_Binary):
             rows = _Lazy(lambda u: [bilinear_apply(table, [(u, 1)], y, mod) for y in ys])
             return lambda r: _fold_row(left(r), rows, len(ys), mod)
         n, right = _size(g.dom[:-1]), ev.view(g, rows=True)
-        folded = _Lazy(lambda i: _Lazy(lambda u: bilinear_apply(  # by f's index: u -> mu(x, e_u)
-            table, left(i), [(u, 1)], mod)).__getitem__)
+        folded = _Lazy(lambda i: _Lazy(  # by f's index i: u -> mu(f(e_i), e_u)
+            lambda u: bilinear_apply(table, left(i), [(u, 1)], mod)).__getitem__)
         return lambda r: _map_row(right(r % n), folded[r // n], mod)
 
 
