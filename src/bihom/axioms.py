@@ -40,14 +40,15 @@ t // n and g at t % n and keys a (x) b by a * m + b, with n and m the sizes
 of g's domain and codomain.  A permutation of factors moves each index it
 meets by strides.  A Compose applies its outer map only to the support of
 the inner value.  The images and the rows of composites are memoized for
-one check call.  Every row is built with one call: a leaf's row is a slice
-of its table, a Kron keeps its first factor's value along a row, and a
-Compose maps its whole inner row; other terms give the image of each index.
-A product Mul o (f (x) g) with the last factor in g folds the factor that is
-fixed along its rows into the product's table with bilinear_apply: f's value
-at the row's prefix when g has several factors; when g has one, whole rows
-mu(e_u, g(e_c)) over c, memoized by the inner index u, which row r sums
-with the coefficients of f's value at r (row u itself when that is e_u).
+one check call.  A leaf's row is a slice of its table, a Kron keeps its
+first factor's value along a row, and a Compose maps each image of its
+inner row; other terms give the image of each index.  A product
+Mul o (f (x) g) with the last factor in g folds the factor that is fixed
+along its rows into the product's table with bilinear_apply: f's value at
+the row's prefix when g has several factors; when g has one, whole rows
+mu(e_u, g(e_c)) over c, memoized by the inner index u, and each row r is
+built with one call, as the sum of those rows with the coefficients of f's
+value at r (row u itself when that value is e_u).
 
 Kronecker structure is evaluated factor by factor, as the terms state it:
 a term's factors are those of a Kron, one Id per factor of an identity Perm,
@@ -142,24 +143,24 @@ def _scaled(value, c):
     return value if c == 1 else [(w, c * x) for w, x in value]
 
 
-def _map_row(row, image, mod):
-    """The map with images image(u) applied to each value of a row: the
-    nonzero pairs of the sum of c * image(u) over the value's pairs (u, c)."""
-    out = []
-    for value in row:
-        if len(value) == 1:  # products of nonzero coefficients: nothing cancels
-            (u, c), = value
-            out.append(image(u) if c == 1 else [(w, c * x % mod) for w, x in image(u)] if mod
-                       else [(w, c * x) for w, x in image(u)])
-            continue
-        acc = {}
-        get = acc.get
-        for u, c in value:
-            for w, x in image(u):
-                acc[w] = get(w, 0) + c * x
-        out.append([(w, r) for w, x in acc.items() if (r := x % mod)] if mod  # _nonzero, inline
-                   else [(w, x) for w, x in acc.items() if x])
-    return out
+def _combine(value, image, mod):
+    """The map with images image(u) applied to a value: the nonzero pairs of
+    the sum of c * image(u) over its pairs (u, c)."""
+    if len(value) == 1:  # products of nonzero coefficients: nothing cancels
+        (u, c), = value
+        if c == 1:  # the image itself, not a copy
+            return image(u)
+        if mod:
+            return [(w, c * x % mod) for w, x in image(u)]
+        return [(w, c * x) for w, x in image(u)]
+    out = {}
+    get = out.get
+    for u, c in value:
+        for w, x in image(u):
+            out[w] = get(w, 0) + c * x
+    if mod:  # _nonzero, inline on the engine's hottest path
+        return [(w, r) for w, x in out.items() if (r := x % mod)]
+    return [(w, x) for w, x in out.items() if x]
 
 
 def _fold_row(value, rows, d, mod):
@@ -424,7 +425,7 @@ class Compose(_Binary):
             row, d = ev.view(self, True, rows=True), self.dom[-1]
             return lambda t: row(t // d)[t % d]
         inner, outer, mod = ev.view(self.g, memo), ev.view(self.f), ev.mod
-        return lambda t: _map_row([inner(t)], outer, mod)[0]
+        return lambda t: _combine(inner(t), outer, mod)
 
     def folds(self):  # Mul o (f (x) g), one codomain factor each, the last domain one in g
         f, g = self.f, self.g
@@ -434,7 +435,7 @@ class Compose(_Binary):
         mod = ev.mod
         if not self.folds():  # f applied to each image of g's row
             inner, outer = ev.view(self.g, memo, rows=True), ev.view(self.f)
-            return lambda r: _map_row(inner(r), outer, mod)
+            return lambda r: [_combine(v, outer, mod) for v in inner(r)]
         (d1, d2), listed, f, g = self.f.dom, self.f.nonzero(ev), self.g.f, self.g.g
         table = [listed[i * d2:(i + 1) * d2] for i in range(d1)]  # [i][j], for bilinear_apply
         left = ev.view(f)
@@ -445,7 +446,7 @@ class Compose(_Binary):
         n, right = _size(g.dom[:-1]), ev.view(g, rows=True)
         folded = _Lazy(lambda i: _Lazy(  # by f's index i: u -> mu(f(e_i), e_u)
             lambda u: bilinear_apply(table, left(i), [(u, 1)], mod)).__getitem__)
-        return lambda r: _map_row(right(r % n), folded[r // n], mod)
+        return lambda r: [_combine(v, m, mod) for m in [folded[r // n]] for v in right(r % n)]
 
 
 class Sum(_Binary):
