@@ -166,22 +166,14 @@ def _combine(value, image, mod):
 def _fold_row(value, rows, d, mod):
     """The sum of c * rows[u] over the pairs (u, c) of a value, entry by
     entry, for rows of d values: rows[u] itself when the value is e_u."""
-    if len(value) == 1:  # products of nonzero coefficients: nothing cancels
-        (u, c), = value
-        if c == 1:
-            return rows[u]
-        if mod:
-            return [[(w, c * x % mod) for w, x in v] for v in rows[u]]
-        return [[(w, c * x) for w, x in v] for v in rows[u]]
-    outs = [{} for _ in range(d)]
-    for u, c in value:
-        for out, v in zip(outs, rows[u]):
-            get = out.get
-            for w, x in v:
-                out[w] = get(w, 0) + c * x
+    if len(value) != 1:  # several terms, or none: entry k as _combine sums it
+        return [_combine(value, lambda u: rows[u][k], mod) for k in range(d)]
+    (u, c), = value  # products of nonzero coefficients: nothing cancels
+    if c == 1:
+        return rows[u]
     if mod:
-        return [[(w, r) for w, x in out.items() if (r := x % mod)] for out in outs]
-    return [[(w, x) for w, x in out.items() if x] for out in outs]
+        return [[(w, c * x % mod) for w, x in v] for v in rows[u]]
+    return [[(w, c * x) for w, x in v] for v in rows[u]]
 
 
 def _add(a, b):
