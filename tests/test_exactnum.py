@@ -217,15 +217,31 @@ shaped = st.one_of(
 )
 
 
+_ONE_RF = RF.from_int(1)
+
+
+def _stored(z):
+    assert type(z) is RF
+    return z.n, z.d, z.k
+
+
 class TestProductShapes:
     """Every product and quotient equals the reference reduction, so the
-    q-power and constant paths keep the canonical form."""
+    q-power, constant and one paths keep the canonical form."""
 
     @given(shaped, shaped)
     @example(RF.q_power(2), -RF.q_power(-3))
     @example(RF.q_power(-1), RF((-4,), (6,)))
     @example(RF((3,), (5,), 1), RF((-2,), (9,)))
     @example(RF((0, 1, 1), (2, 1)), RF.q_power(-2))
+    @example(_ONE_RF, RF((0, 1, 1), (2, 1), -1))
+    @example(RF((2, 0, -1), (3, 1), 2), _ONE_RF)
+    @example(_ONE_RF, -RF.q_power(3))
+    @example(-_ONE_RF, _ONE_RF)
+    @example(_ONE_RF, _ONE_RF)
+    @example(_ONE_RF, RF.q_power(1))
+    @example(RF((5,), (5,), 1), RF((-7,), (7,)))
+    @example(_ONE_RF, QQ_Q.zero())
     @settings(max_examples=400, deadline=None)
     def test_matches_reference(self, x, y):
         cases = [(x * y, x, y, False), (y * x, y, x, False)]
@@ -234,8 +250,74 @@ class TestProductShapes:
         if x:
             cases.append((y / x, y, x, True))
         for z, a, b, divide in cases:
-            ref = _reference(a, b, divide)
-            assert (z.n, z.d, z.k) == (ref.n, ref.d, ref.k)
+            assert _stored(z) == _stored(_reference(a, b, divide))
+
+    @given(shaped)
+    @example(_ONE_RF)
+    @example(-_ONE_RF)
+    @example(RF.q_power(-2))
+    @settings(max_examples=200, deadline=None)
+    def test_int_and_fraction_operands(self, x):
+        minus_one = RF.from_int(-1)
+        cases = [
+            (x * 1, x, _ONE_RF, False),
+            (1 * x, _ONE_RF, x, False),
+            (Fraction(1) * x, _ONE_RF, x, False),
+            (x * Fraction(1), x, _ONE_RF, False),
+            (x * -1, x, minus_one, False),
+            (-1 * x, minus_one, x, False),
+            (x / 1, x, _ONE_RF, True),
+            (x / Fraction(1), x, _ONE_RF, True),
+        ]
+        if x:
+            cases += [
+                (1 / x, _ONE_RF, x, True),
+                (3 / x, RF.from_int(3), x, True),
+                (Fraction(1, 2) / x, RF.from_fraction(Fraction(1, 2)), x, True),
+            ]
+        for z, a, b, divide in cases:
+            assert _stored(z) == _stored(_reference(a, b, divide))
+
+    def test_zero_divisor_in_a_reflected_division(self):
+        with pytest.raises(DivisionByZero, match=r"^division by zero in Q\(q\)$"):
+            3 / QQ_Q.zero()
+        with pytest.raises(DivisionByZero, match=r"^division by zero in Q\(q\)$"):
+            Fraction(1, 2) / QQ_Q.zero()
+
+
+def _sum_reference(x, y, sign=1):
+    """x + sign * y, cross-multiplied over _convolve(x.d, y.d) and reduced
+    by the constructor."""
+    m = min(x.k, y.k)
+    a = [0] * (x.k - m) + _convolve(x.n, y.d)
+    b = [0] * (y.k - m) + _convolve(y.n, x.d)
+    a += [0] * (len(b) - len(a))
+    b += [0] * (len(a) - len(b))
+    return RF([s + sign * t for s, t in zip(a, b)], _convolve(x.d, y.d), m)
+
+
+class TestSumShapes:
+    """Every sum and difference equals the cross-multiplied reference."""
+
+    @given(shaped, shaped)
+    @example(_ONE_RF, _ONE_RF)
+    @example(_ONE_RF, -_ONE_RF)
+    @example(RF((1, 1), (1, -1)), RF((1, 1), (1, -1), 2))
+    @example(RF((0, 1, 1), (2, 1)), QQ_Q.zero())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, x, y):
+        zero, half = QQ_Q.zero(), RF.from_fraction(Fraction(1, 2))
+        cases = [
+            (x + y, _sum_reference(x, y)),
+            (y + x, _sum_reference(y, x)),
+            (x - y, _sum_reference(x, y, -1)),
+            (x + 0, _sum_reference(x, zero)),
+            (0 - x, _sum_reference(zero, x, -1)),
+            (x + Fraction(1, 2), _sum_reference(x, half)),
+            (Fraction(1, 2) + x, _sum_reference(half, x)),
+        ]
+        for z, ref in cases:
+            assert _stored(z) == _stored(ref)
 
 
 _QQ_COLUMNS = [
@@ -412,6 +494,14 @@ class TestPrimeFieldOperands:
         assert 10 - x == PrimeFieldElement(5, 7)
         assert x - 3 == PrimeFieldElement(2, 7)
 
+    def test_int_over_element(self):
+        z = 3 / PrimeFieldElement(2, 7)
+        assert type(z) is PrimeFieldElement and (z.value, z.p) == (5, 7)  # 2 * 5 = 3 mod 7
+        assert 3 / PrimeFieldElement(9, 7) == PrimeFieldElement(5, 7)
+        for zero in (PrimeFieldElement(0, 7), PrimeFieldElement(14, 7)):
+            with pytest.raises(DivisionByZero, match=r"^division by zero in F_7$"):
+                3 / zero
+
 
 class TestPowers:
     """x ** k stores the same canonical (n, d, k) as |k| multiplications by
@@ -463,6 +553,18 @@ class TestEqHashContract:
     def test_equal_values_hash_alike(self, a, b):
         if a == b:
             assert hash(a) == hash(b)
+
+    @given(small_fractions)
+    @example(Fraction(1))
+    @example(Fraction(0))
+    @settings(max_examples=100, deadline=None)
+    def test_products_by_one_equal_and_hash_like_the_value(self, f):
+        x, one = RF.from_fraction(f), QQ_Q.one()
+        equal = [f, int(f)] if f.denominator == 1 else [f]
+        for z in (x * 1, 1 * x, x * one, one * x, Fraction(1) * x, x / 1, x / one):
+            for v in equal:
+                assert z == v and v == z
+                assert hash(z) == hash(v)
 
     def test_constant_rational_function_as_dict_key(self):
         assert {Fraction(1, 2): "v"}.get(rf((1,), (2,))) == "v"

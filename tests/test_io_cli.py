@@ -676,6 +676,14 @@ class TestCli:
         assert out[-1] == ("verified 256 product-formula instances over the 2^4 grid "
                            "with G in {1, E, F, K}: all match")
 
+    def test_demo_uqsl2_verbose(self, capsys):
+        assert main(["--verbose", "demo", "uqsl2", "--grid", "1"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"PASS (m,n,r,s,G)=(0,0,0,0,{g}): K+/K-/E/F products match the closed forms\n"
+            for g in "1EFK"
+        ) + ("verified 16 product-formula instances over the 1^4 grid with "
+             "G in {1, E, F, K}: all match\n")
+
     @pytest.mark.parametrize("flag", ["--lambda1", "--xi"])
     def test_demo_exponent_literal_is_usage_error(self, flag, capsys):
         assert main(["demo", "uqsl2", flag, "1e10000000"]) == 2
