@@ -10,7 +10,12 @@ Elements are plain immutable values:
 
 All three support ``+ - * /`` via operator overloading, are falsy exactly
 when zero, and are hashable; a value equal to an int or a Fraction hashes
-like it.  The package divides through ``divide``, because ``/`` on two
+like it.  Values never change once built, so an operator may return one of
+its operands itself: over Q(q), a sum with zero and a product by one do.
+The Q(q) fast paths by operand shape all live in ``RationalFunction``'s
+operators and ``_product`` (see the class docstring).
+
+The package divides through ``divide``, because ``/`` on two
 ints gives a float.  A field descriptor (``QQ``, ``PrimeField(p)``, ``QQ_Q``) supplies
 zero/one, promotion from int, parsing and formatting; containers (matrices,
 tensors) carry the descriptor, elements do not need to be wrapped.
@@ -222,6 +227,13 @@ class RationalFunction:
     ``__init__`` accepts int or Fraction coefficient sequences and reduces
     them; ``_normalized=True`` stores (num, den, k) that already obey the
     invariants, as the arithmetic below builds them.
+
+    The operators test for a ``RationalFunction`` operand before coercing
+    an int or a Fraction, and take these short-cuts by shape, each of
+    which may return an operand itself: ``+`` with zero and ``*`` by one
+    (k = 0, N = D = (1,)) return the other operand; ``_product`` shifts k
+    for a factor q^k and needs one int gcd for two constants; ``**`` of a
+    constant times q^j is computed in closed form.
     """
 
     __slots__ = ("n", "d", "k")
@@ -284,7 +296,7 @@ class RationalFunction:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RationalFunction else self._coerce(other)
         if o is None:
             return NotImplemented
         if not o.n:
@@ -319,9 +331,13 @@ class RationalFunction:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RationalFunction else self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.k and o.n == o.d:  # o is one: n == d only for (1,)
+            return self
+        if not self.k and self.n == self.d:
+            return o
         if not self.n or not o.n:
             return _RF_ZERO
         return _product(self.n, self.d, self.k, o.n, o.d, o.k)
@@ -329,7 +345,7 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RationalFunction else self._coerce(other)
         if o is None:
             return NotImplemented
         if not o.n:
@@ -363,7 +379,7 @@ class RationalFunction:
     # -- comparisons / misc -------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RationalFunction else self._coerce(other)
         if o is None:
             return NotImplemented
         return self.k == o.k and self.n == o.n and self.d == o.d
@@ -543,29 +559,16 @@ def _is_prime(p):
 
 
 class Field:
-    """Descriptor for one of the supported ground fields."""
+    """Descriptor for one of the supported ground fields.
+
+    Each field (``RationalField``, ``PrimeField``, ``FunctionField``)
+    defines ``zero()``, ``one()``, ``from_int(n)``, ``promote(x)`` (accepts
+    ints, Fractions and the field's own elements), ``parse(text)`` and
+    ``format(x)``; this base class holds what they share.
+    """
 
     name = "?"
     modulus = 0  # p over F_p
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def promote(self, x):
-        """Accept ints, Fractions, and the field's own elements."""
-        raise NotImplementedError
-
-    def parse(self, text):
-        raise NotImplementedError
-
-    def format(self, x) -> str:
-        raise NotImplementedError
 
     def raw_columns(self, columns):
         """(the pairs (row-major index k, raw coefficient) of the nonzero
