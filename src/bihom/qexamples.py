@@ -218,9 +218,8 @@ def _rewrite(word, strategy) -> PBWElement:
 
 # (strategy, monomial, generator) -> the normal form of the monomial's word
 # with the generator appended (leftmost) or prepended (rightmost), as a tuple
-# of (monomial, coefficient) pairs.  A coefficient equal to one is stored as
-# None, so that ``_fold`` skips its product on every use.  Shared by every
-# call; its values are immutable, so no caller can change them.
+# of (monomial, coefficient) pairs.  Shared by every call; its values are
+# immutable, so no caller can change them.
 _STEPS = {}
 
 
@@ -236,11 +235,10 @@ def _fold(terms, letters, strategy) -> PBWElement:
             step = _STEPS.get(key)
             if step is None:
                 w = _monomial_word(mono)
-                nf = _rewrite((g,) + w if right else w + (g,), strategy)
                 step = _STEPS[key] = tuple(
-                    (m2, None if c2 == 1 else c2) for m2, c2 in nf.terms.items())
+                    _rewrite((g,) + w if right else w + (g,), strategy).terms.items())
             for m2, c2 in step:
-                c = coeff if c2 is None else coeff * c2
+                c = coeff * c2
                 out[m2] = out[m2] + c if m2 in out else c
         terms = {m: c for m, c in out.items() if c}
     out = PBWElement()
