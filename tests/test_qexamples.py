@@ -151,6 +151,16 @@ class TestReturnedElementsAreFresh:
                 self.spoil(uq_normalize(word, strategy))
                 assert uq_normalize(word, strategy).terms == before, (word, strategy)
 
+    def test_mutated_normal_forms_leave_longer_words_unchanged(self):
+        for p in self.WORDS:
+            for strategy in ("leftmost", "rightmost"):
+                self.spoil(uq_normalize(p, strategy))
+            for g in qexamples.GENERATORS:
+                for word in (p + (g,), (g,) + p):
+                    for strategy in ("leftmost", "rightmost"):
+                        assert uq_normalize(word, strategy) == straighten_oracle(word), (
+                            word, strategy)
+
     def test_mutated_products_leave_later_ones_and_the_factors_unchanged(self):
         x = uq_multiply(E, F) + K
         y = uq_multiply(F, Kinv) + ONE
