@@ -219,8 +219,15 @@ def _rewrite(word, strategy) -> PBWElement:
 # (strategy, monomial, generator) -> the normal form of the monomial's word
 # with the generator appended (leftmost) or prepended (rightmost), as a tuple
 # of (monomial, coefficient) pairs.  Shared by every call; its values are
-# immutable, so no caller can change them.
+# immutable, so no caller can change them.  ``uq_normalize`` folds a word
+# through it one letter at a time, from the stored normal form in ``_WORDS``
+# of the word one letter shorter.
 _STEPS = {}
+
+# strategy -> {word: its normal form as a tuple of (monomial, coefficient)
+# pairs}, one table per strategy, so that each strategy's normal forms are
+# computed by its own rewriting only.
+_WORDS = {"leftmost": {}, "rightmost": {}}
 
 
 def _fold(terms, letters, strategy) -> PBWElement:
@@ -256,11 +263,27 @@ def uq_normalize(word, strategy="leftmost") -> PBWElement:
     this is the leftmost rewriting of the whole word.  Rightmost is the
     mirror image, prepending from the last letter.  Any other strategy, and
     any letter that is not a generator, raises ValueError.
+
+    Every result is stored in the strategy's table for the life of the
+    process, one entry per distinct word normalized (about 330 bytes each).
+    When the word less its last letter (rightmost: its first letter) is
+    stored, only that letter is folded onto its normal form, which is the
+    intermediate value the whole fold would reach; otherwise the fold
+    starts from 1.  Each strategy reads only its own table.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     word = _letters(word)
-    return _fold({(0, 0, 0): _ONE}, word[::-1] if strategy == "rightmost" else word, strategy)
+    right = strategy == "rightmost"
+    table = _WORDS[strategy]
+    known = table.get(word[1:] if right else word[:-1])
+    if known is None:
+        known, letters = (((0, 0, 0), _ONE),), word[::-1] if right else word
+    else:
+        letters = word[:1] if right else word[-1:]
+    out = _fold(dict(known), letters, strategy)
+    table[word] = tuple(out.terms.items())
+    return out
 
 
 def uq_multiply(x: PBWElement, y: PBWElement) -> PBWElement:

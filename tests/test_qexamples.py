@@ -38,6 +38,19 @@ TP_DISTINCT = TwistParams.of(2, 3, 5, 7, Fraction(1, 2))
 TP_TRIVIAL = TwistParams.of(1, 1, 1, 1, 1)
 
 
+@pytest.fixture
+def empty_word_tables():
+    """uq_normalize's word tables emptied for one test, then refilled with
+    what they held before it."""
+    saved = {s: dict(t) for s, t in qexamples._WORDS.items()}
+    for table in qexamples._WORDS.values():
+        table.clear()
+    yield qexamples._WORDS
+    for s, table in qexamples._WORDS.items():
+        table.clear()
+        table.update(saved[s])
+
+
 class TestNormalization:
     def test_k_kinv_cancel(self):
         assert uq_normalize(["K", "Kinv"]) == ONE
@@ -105,21 +118,42 @@ class TestConfluence:
 
     @pytest.mark.parametrize("strategy", ["right", "Rightmost"])
     def test_unknown_strategy_raises_and_adds_no_step(self, strategy):
-        before = set(qexamples._STEPS)
+        before = set(qexamples._STEPS), {s: dict(t) for s, t in qexamples._WORDS.items()}
         with pytest.raises(ValueError, match=f"unknown strategy '{strategy}'"):
             uq_normalize(("E", "F"), strategy)
-        assert set(qexamples._STEPS) == before
+        assert (set(qexamples._STEPS), qexamples._WORDS) == before
 
     @pytest.mark.parametrize("letter", ["X", "k"])
     def test_unknown_letter_raises_and_adds_no_step(self, letter):
-        before = set(qexamples._STEPS)
+        before = set(qexamples._STEPS), {s: dict(t) for s, t in qexamples._WORDS.items()}
         for word in ((letter,), ("E", letter), ("F", letter, "Y")):
             for strategy in ("leftmost", "rightmost"):
                 with pytest.raises(ValueError, match=f"^unknown generator '{letter}'$"):
                     uq_normalize(word, strategy)
             with pytest.raises(ValueError, match=f"^unknown generator '{letter}'$"):
                 straighten_oracle(word)
-        assert set(qexamples._STEPS) == before
+        assert (set(qexamples._STEPS), qexamples._WORDS) == before
+
+    def test_a_planted_leftmost_entry_is_read_by_leftmost_only(self, empty_word_tables):
+        p, wrong = ("E", "F"), F.scale(RF.q_power(7))
+        empty_word_tables["leftmost"][p] = tuple(wrong.terms.items())
+        for g in self.GENS:
+            assert uq_normalize(p + (g,)) == uq_multiply(wrong, PBWElement.generator(g)), g
+            for word in (p + (g,), (g,) + p):
+                assert uq_normalize(word, "rightmost") == straighten_oracle(word), word
+
+    def test_words_before_their_prefixes_and_after_them_agree(self, empty_word_tables):
+        words = list(itertools.product(self.GENS, repeat=6))
+        strategies = ("leftmost", "rightmost")
+        first = {(w, s): uq_normalize(w, s) for w in words for s in strategies}
+        assert all(len(t) == len(words) for t in empty_word_tables.values())
+        for table in empty_word_tables.values():
+            table.clear()
+        for length in range(6):
+            for w in itertools.product(self.GENS, repeat=length):
+                for s in strategies:
+                    uq_normalize(w, s)
+        assert {(w, s): uq_normalize(w, s) for w in words for s in strategies} == first
 
     def test_hard_words(self):
         for word in (
