@@ -11,6 +11,7 @@ from .algebra_core import BiHomAlgebra, _carried_counit, _require_pairwise_commu
 from .bialgebra import (
     BiHomBialgebra,
     ModuleAlgebraAction,
+    check_bihom_bialgebra,
     check_module_bihom_algebra,
 )
 from .axioms import (
@@ -50,8 +51,10 @@ from .twisting import TwistingMap, twisted_tensor_product
 class SmashData:
     """A module BiHom-algebra (H, A, action) plus the exponents (m, n, p).
 
-    Invariants (verified by validate): all six structure maps invertible
-    and the action passes check_module_bihom_algebra.
+    Invariants (verified by validate, in this order): all six structure
+    maps invertible, H passes check_bihom_bialgebra, and the action passes
+    check_module_bihom_algebra.  A singular map of H also breaks H's
+    bialgebra axioms, so the maps are checked first, to name the map.
     """
 
     H: BiHomBialgebra
@@ -74,6 +77,11 @@ class SmashData:
             ("beta_A", self.A.beta),
         ):
             inverses(f"{name} must be invertible", mat)
+        report = check_bihom_bialgebra(self.H)
+        if not report.ok:
+            first = report.failures()[0]
+            raise HypothesisFailure(f"H is not a BiHom-bialgebra: {first.axiom} fails",
+                                    witness=first.witness)
         report = check_module_bihom_algebra(self.H, self.A, self.action)
         if not report.ok:
             raise ModuleAxiomFailure(

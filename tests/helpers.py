@@ -12,7 +12,9 @@ from bihom.algebra_core import (
     BiHomAlgebra,
     truncated_polynomial_algebra,
 )
+from bihom.bialgebra import ModuleAlgebraAction
 from bihom.exactnum import QQ, PrimeFieldElement
+from bihom.fixtures import cyclic_group_bialgebra
 from bihom.linalg import Matrix, Tensor3, mat_inverse, mat_mul
 
 
@@ -260,3 +262,17 @@ def bilinear(t, x, y):
             if a and b:
                 out = [o + a * b * z for o, z in zip(out, t.t[i][j])]
     return out
+
+
+def non_bialgebra_action(field):
+    """(H, A, action): H = k[C_3] with Delta(g) = g (x) g + (1 - g^2) (x)
+    (g - g^2), counital but neither coassociative nor multiplicative,
+    acting on A = k[C_2] by h.a = eps(h) a, which passes the module-algebra
+    axioms."""
+    H = cyclic_group_bialgebra(3, field)
+    for (j, k), x in {(1, 1): 1, (0, 1): 1, (0, 2): -1, (2, 1): -1, (2, 2): 1}.items():
+        H.delta.t[1][j][k] = H.delta.t[1][j][k] + x - int((j, k) == (1, 1))
+    A = cyclic_group_bialgebra(2, field).algebra_part()
+    act = ModuleAlgebraAction(Tensor3(field, [[[H.counit[h] * int(a == b) for b in range(2)]
+                                               for a in range(2)] for h in range(3)]))
+    return H, A, act

@@ -1,5 +1,6 @@
 """The bijectivity preconditions of the constructions, by their exact
-messages, and the (co)units that twists and duals carry or drop.
+messages, the smash product's hypothesis that H is a BiHom-bialgebra, and
+the (co)units that twists and duals carry or drop.
 
 Each case breaks one structure map of k[C_4] (acting on itself by
 g^i . g^j = g^(3^i j)) with a diagonal 0/1 matrix of known rank, over Q
@@ -10,14 +11,16 @@ from dataclasses import replace
 
 import pytest
 
-from bihom.bialgebra import check_module_bihom_algebra, primitive_bracket
+from bihom.bialgebra import check_bihom_bialgebra, check_module_bihom_algebra, primitive_bracket
 from bihom.coalgebra import yau_twist_coalgebra
-from bihom.errors import Singular
+from bihom.errors import HypothesisFailure, Singular
 from bihom.exactnum import QQ, PrimeField
 from bihom.fixtures import cyclic_group_bialgebra, cyclic_power_map, cyclic_self_action
+from bihom.io_cli import main, serialize_structure
 from bihom.linalg import Matrix
-from bihom.smash import SmashData, dual_module_algebra
+from bihom.smash import SmashData, dual_module_algebra, smash_comodule_structure, smash_product
 from bihom.twisting import check_twisting_map, flip_map
+from helpers import non_bialgebra_action
 
 FIELDS = [QQ, PrimeField(7)]
 
@@ -86,6 +89,36 @@ def test_smash_data_names_each_singular_map(field, name, part, attr, r):
     with pytest.raises(Singular) as exc:
         SmashData(H=parts["H"], A=parts["A"], action=act).validate()
     assert str(exc.value) == f"{name} must be invertible: matrix has rank {r} < 4"
+
+
+NOT_A_BIALGEBRA = "H is not a BiHom-bialgebra: coalgebra:bihom_coassociativity fails"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_smash_data_needs_h_to_be_a_bialgebra(field):
+    """The first failing axiom of check_bihom_bialgebra, with its witness,
+    is raised before the module-algebra axioms, which this action passes."""
+    H, A, act = non_bialgebra_action(field)
+    assert check_module_bihom_algebra(H, A, act).ok
+    first = check_bihom_bialgebra(H).failures()[0]
+    S, ident = SmashData(H=H, A=A, action=act), Matrix.identity(field, 2)
+    for build in (S.validate, lambda: smash_product(S),
+                  lambda: smash_comodule_structure(S, ident, ident)):
+        with pytest.raises(HypothesisFailure) as exc:
+            build()
+        assert str(exc.value) == NOT_A_BIALGEBRA
+        assert exc.value.witness == first.witness
+
+
+def test_smash_of_a_non_bialgebra_exits_1_and_writes_nothing(tmp_path, capsys):
+    H, A, act = non_bialgebra_action(QQ)
+    h, a, out = (tmp_path / name for name in ("H.json", "act.json", "AH.json"))
+    h.write_text(serialize_structure(H, "bialgebra"))
+    a.write_text(serialize_structure((A, act), "action"))
+    assert main(["smash", str(h), str(a), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {NOT_A_BIALGEBRA}\n"
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

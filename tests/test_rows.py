@@ -13,7 +13,6 @@ from itertools import chain, product
 
 import pytest
 
-from bihom import fixtures
 from bihom.algebra_core import BiHomAlgebra, associativity, yau_twist
 from bihom.axioms import (
     Axiom,
@@ -38,7 +37,6 @@ from bihom.axioms import (
 )
 from bihom.bialgebra import (
     BiHomBialgebra,
-    ModuleAlgebraAction,
     check_bihom_bialgebra,
     check_module_bihom_algebra,
 )
@@ -46,7 +44,7 @@ from bihom.exactnum import QQ, PrimeField
 from bihom.lie import BiHomLieAlgebra, check_bihom_lie
 from bihom.linalg import Matrix, Tensor3, mat_inverse, mat_mul
 from bihom.smash import SmashData, smash_product
-from helpers import oracle, plain
+from helpers import non_bialgebra_action, oracle, plain
 
 F7 = PrimeField(7)
 FIELDS = pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
@@ -783,12 +781,7 @@ def test_a_smash_comodule_whose_coaction_is_not_multiplicative(field):
     fails rho_multiplicative where the per-tuple reference does.  A # H and
     rho are built past SmashData.validate, which checks the module-algebra
     axioms only once H passes as a bialgebra."""
-    H = fixtures.cyclic_group_bialgebra(3, field)
-    for (j, k), x in {(1, 1): 1, (0, 1): 1, (0, 2): -1, (2, 1): -1, (2, 2): 1}.items():
-        H.delta.t[1][j][k] = H.delta.t[1][j][k] + x - int((j, k) == (1, 1))
-    A = fixtures.cyclic_group_bialgebra(2, field).algebra_part()
-    act = ModuleAlgebraAction(Tensor3(field, [[[H.counit[h] * int(a == b) for b in range(2)]
-                                               for a in range(2)] for h in range(3)]))
+    H, A, act = non_bialgebra_action(field)
     assert check_module_bihom_algebra(H, A, act).ok
     D = smash_product(SmashData(H=H, A=A, action=act, _validated=True))
     rho = coproduct_tensor(Kron(Lin(Matrix.identity(field, 2)), Comul(H.delta)), D.dim, H.dim)
