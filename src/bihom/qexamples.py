@@ -225,8 +225,8 @@ def _rewrite(word, strategy) -> PBWElement:
 _STEPS = {}
 
 # strategy -> {word: its normal form as a tuple of (monomial, coefficient)
-# pairs}, one table per strategy, so that each strategy's normal forms are
-# computed by its own rewriting only.
+# pairs}.  One table per strategy: normal forms are unique, so a shared table
+# would let the confluence check compare one computation with itself.
 _WORDS = {"leftmost": {}, "rightmost": {}}
 
 
@@ -265,7 +265,8 @@ def uq_normalize(word, strategy="leftmost") -> PBWElement:
     any letter that is not a generator, raises ValueError.
 
     Every result is stored in the strategy's table for the life of the
-    process, one entry per distinct word normalized (about 330 bytes each).
+    process, one entry per distinct word normalized, about 370 bytes each:
+    all 21,845 words of length at most 7, under both strategies, hold 16 MB.
     When the word less its last letter (rightmost: its first letter) is
     stored, only that letter is folded onto its normal form, which is the
     intermediate value the whole fold would reach; otherwise the fold
