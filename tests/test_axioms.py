@@ -28,6 +28,7 @@ from bihom.axioms import (
     images,
     witness,
 )
+from bihom.errors import ShapeMismatch
 from bihom.exactnum import QQ, QQ_Q, PrimeField, PrimeFieldElement, RationalFunction
 from bihom.linalg import Matrix, Tensor3, bilinear_apply, kron, mat_mul
 
@@ -463,3 +464,53 @@ class TestEntriesAssignedAfterConstruction:
         assert not entry.passed
         assert entry.witness == ((1, 1, 2), [0, 1, 0], [0, 2, 0])
         assert {type(x) for x in entry.witness[1] + entry.witness[2]} == {PrimeFieldElement}
+
+
+# ---------------------------------------------------------------------------
+# the shape guards of the terms, Neg.field, and a Compose that cannot fuse
+# ---------------------------------------------------------------------------
+
+
+def square(field, n):
+    return Matrix.identity(field, n)
+
+
+SHAPE_GUARDS = [
+    (lambda f: Lin(Matrix.zero(f, 2, 3), dom=(2,)), "2x3 matrix as a map (2,) -> (2,)"),
+    (lambda f: Perm((2, 3), (0, 0)), "(0, 0) is not a permutation of 2 factors"),
+    (lambda f: Compose(Lin(square(f, 2)), Lin(square(f, 3))),
+     "composing a map on (2,) after a map into (3,)"),
+    (lambda f: Sum(Lin(square(f, 2)), Lin(square(f, 3))),
+     "adding maps (2,) -> (2,) and (3,) -> (3,)"),
+    (lambda f: Axiom("unit_law", Lin(square(f, 2)), Lin(square(f, 3))),
+     "unit_law: sides map (2,) -> (2,) and (3,) -> (3,)"),
+]
+
+
+@FIELDS
+@pytest.mark.parametrize("build, message", SHAPE_GUARDS,
+                         ids=["Lin", "Perm", "Compose", "Sum", "Axiom"])
+def test_a_term_of_the_wrong_shape_names_both_shapes(field, build, message):
+    with pytest.raises(ShapeMismatch) as exc:
+        build(field)
+    assert str(exc.value) == message
+
+
+@ALL_FIELDS
+def test_a_negated_leaf_carries_its_field(field):
+    m = Matrix(field, [[1, 2], [0, 3]])
+    neg = Neg(Lin(m))
+    assert neg.field is field
+    assert images(neg) == [[-x for x in col] for col in zip(*m.e)]
+
+
+@FIELDS
+def test_a_compose_through_k_does_not_fuse_and_matches_the_dense_product(field):
+    """(v (x) 1) o (c (x) 1): the factors Vec and Covec have no domain or
+    no codomain, so no inner boundary is shared."""
+    v, c, one = [1, 2, 0], [3, 0, 1], Lin(square(field, 2))
+    f, g = Kron(Vec(v), one), Kron(Covec(c), one)
+    assert _Eval(field).fused(f, g) is None
+    column, row = Matrix(field, [[x] for x in v]), Matrix(field, [c])
+    dense = mat_mul(kron(column, one.data), kron(row, one.data))
+    assert images(Compose(f, g)) == [list(col) for col in zip(*dense.e)]
