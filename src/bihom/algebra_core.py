@@ -176,8 +176,7 @@ def unit_axioms(a: BiHomAlgebra, unit):
     ]
 
 
-def check_bihom_algebra(a: BiHomAlgebra) -> CheckReport:
-    """Verify every BiHom-associative-algebra axiom over all basis tuples."""
+def bihom_algebra_axioms(a: BiHomAlgebra):
     table = [
         Commute("alpha_beta_commute", a.alpha, a.beta),
         multiplicative("alpha_multiplicative", a.mu, a.alpha),
@@ -186,11 +185,15 @@ def check_bihom_algebra(a: BiHomAlgebra) -> CheckReport:
     ]
     if a.unit is not None:
         table += unit_axioms(a, a.unit)
-    return check(table)
+    return table
 
 
-def check_left_module(a: BiHomAlgebra, mod: LeftModule) -> CheckReport:
-    """The left-module axioms over all basis pairs/triples."""
+def check_bihom_algebra(a: BiHomAlgebra) -> CheckReport:
+    """Verify every BiHom-associative-algebra axiom over all basis tuples."""
+    return check(bihom_algebra_axioms(a))
+
+
+def left_module_axioms(a: BiHomAlgebra, mod: LeftModule):
     if mod.action.d1 != a.dim:
         raise ShapeMismatch("module action first index != algebra dimension")
     act = mod.action
@@ -202,7 +205,12 @@ def check_left_module(a: BiHomAlgebra, mod: LeftModule) -> CheckReport:
     ]
     if a.unit is not None:
         table.append(unit_law("unital_module", act, a.unit, mod.betaM, "left"))
-    return check(table)
+    return table
+
+
+def check_left_module(a: BiHomAlgebra, mod: LeftModule) -> CheckReport:
+    """The left-module axioms over all basis pairs/triples."""
+    return check(left_module_axioms(a, mod))
 
 
 # ---------------------------------------------------------------------------

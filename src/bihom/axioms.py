@@ -73,7 +73,10 @@ the domain is k).
 ``Commute(name, a, b)`` compares a b with b a as d x d matrices; its
 witness is the first differing entry ``((i, j), (ab)_ij, (ba)_ij)``.
 
-A construction states each hypothesis as an entry of a table whose name is
+A structure's axioms are one table, built by a function such as
+``unit_axioms``; a composite check concatenates the tables of its parts,
+each renamed by ``named``, and evaluates them in one ``check`` call.  A
+construction states each hypothesis as an entry of a table whose name is
 the message it fails with, and ``require(error, *table)`` raises
 ``error(name, witness=w)`` at the first failing entry.
 
@@ -674,9 +677,9 @@ def _evaluate(table):
         yield ax, ax.witness(ev)
 
 
-def check(table, report=None) -> CheckReport:
+def check(table) -> CheckReport:
     """One report entry per axiom of the table, in order."""
-    report = CheckReport() if report is None else report
+    report = CheckReport()
     for ax, w in _evaluate(table):
         report.add(ax.name, w is None, w)
     return report
@@ -694,6 +697,15 @@ def witness(*table):
 
 def holds(*table) -> bool:
     return first_failure(table) is None
+
+
+def named(template, table):
+    """The table just built, each entry renamed template.format(its name) in
+    place: "algebra:{}" prefixes the names, and a template without {} gives
+    every entry one failure message."""
+    for ax in table:
+        ax.name = template.format(ax.name)
+    return table
 
 
 def require(error, *table):

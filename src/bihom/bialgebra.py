@@ -22,8 +22,8 @@ from .algebra_core import (
     Shaped,
     _require_multiplicative,
     _require_pairwise_commuting,
-    check_bihom_algebra,
-    check_left_module,
+    bihom_algebra_axioms,
+    left_module_axioms,
     yau_twist,
 )
 from .axioms import (
@@ -50,11 +50,12 @@ from .axioms import (
     holds,
     images,
     multiplicative,
+    named,
     require,
     solve,
     twisted_product,
 )
-from .coalgebra import BiHomCoalgebra, check_bihom_coalgebra, yau_twist_coalgebra
+from .coalgebra import BiHomCoalgebra, bihom_coalgebra_axioms, yau_twist_coalgebra
 from .errors import (
     HypothesisFailure,
     MissingUnit,
@@ -119,14 +120,13 @@ class ModuleAlgebraAction:
 # ---------------------------------------------------------------------------
 
 
-def check_bihom_bialgebra(H: BiHomBialgebra) -> CheckReport:
+def bihom_bialgebra_axioms(H: BiHomBialgebra):
     """Both substructures, the compatibility clause, and the eight
-    map-commutation identities, each as a separate report entry."""
-    report = CheckReport()
-    report.merge(check_bihom_algebra(H.algebra_part()), prefix="algebra:")
-    report.merge(check_bihom_coalgebra(H.coalgebra_part()), prefix="coalgebra:")
+    map-commutation identities, each as a separate entry."""
+    table = (named("algebra:{}", bihom_algebra_axioms(H.algebra_part()))
+             + named("coalgebra:{}", bihom_coalgebra_axioms(H.coalgebra_part())))
     # Delta(h h') = h1 h'1 (x) h2 h'2
-    table = [comultiplicative_product("delta_multiplicative", H.delta, H.mu, H.mu, H.mu)]
+    table.append(comultiplicative_product("delta_multiplicative", H.delta, H.mu, H.mu, H.mu))
     for (n1, m1), (n2, m2) in product(
         (("alpha", H.alpha), ("beta", H.beta)), (("psi", H.psi), ("omega", H.omega))
     ):
@@ -156,7 +156,11 @@ def check_bihom_bialgebra(H: BiHomBialgebra) -> CheckReport:
             counit_invariant("counit_beta", H.counit, H.beta),
             Axiom("counit_multiplicative", Compose(eps, Mul(H.mu)), Kron(eps, eps)),
         ]
-    return check(table, report)
+    return table
+
+
+def check_bihom_bialgebra(H: BiHomBialgebra) -> CheckReport:
+    return check(bihom_bialgebra_axioms(H))
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +291,12 @@ def check_module_bihom_algebra(
     """
     ainv, binv, pinv, oinv = inverses(
         "module compatibility needs bijective maps", H.alpha, H.beta, H.psi, H.omega)
-    report = CheckReport()
-    report.merge(
-        check_left_module(H.algebra_part(), act.as_left_module(A)), prefix="module:"
-    )
-    compat = _module_algebra_compat(
+    table = named("module:{}", left_module_axioms(H.algebra_part(), act.as_left_module(A)))
+    table.append(_module_algebra_compat(
         "module_algebra_compat", H, A, act.action,
         Lin(mat_mul(ainv, oinv)), Lin(mat_mul(binv, pinv)),
-    )
-    return check([compat], report)
+    ))
+    return check(table)
 
 
 def twist_left_module(
@@ -314,15 +315,10 @@ def twist_left_module(
     """
     ident = Matrix.identity(a_classical.field, mod.dim)
     plain = LeftModule(dim=mod.dim, action=mod.action, alphaM=ident, betaM=ident)
-    base = check_left_module(a_classical, plain)
-    if not base.ok:
-        raise HypothesisFailure(
-            "input is not a classical left module",
-            witness=base.failures()[0].witness,
-        )
     act = mod.action
     require(
         HypothesisFailure,
+        *named("input is not a classical left module", left_module_axioms(a_classical, plain)),
         Commute("alphaM and betaM do not commute", mod.alphaM, mod.betaM),
         equivariant("alphaM equivariance fails", act, alpha2, mod.alphaM),
         equivariant("betaM equivariance fails", act, beta2, mod.betaM),
@@ -376,15 +372,13 @@ def twist_module_algebra(
 def _verify_classical_module_algebra(H, A, act):
     """Classical hypotheses: unital module, associativity of the action,
     and h.(a a') = (h1.a)(h2.a')."""
-    mod = act.as_left_module(A)
-    base = check_left_module(H.algebra_part(), mod)
-    if not base.ok:
-        raise HypothesisFailure(
-            "not a classical left module", witness=base.failures()[0].witness
-        )
     ident = Id(H.dim)
-    require(HypothesisFailure, _module_algebra_compat(
-        "not a classical module algebra", H, A, act.action, ident, ident))
+    require(
+        HypothesisFailure,
+        *named("not a classical left module",
+               left_module_axioms(H.algebra_part(), act.as_left_module(A))),
+        _module_algebra_compat("not a classical module algebra", H, A, act.action, ident, ident),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +487,9 @@ def check_antipode_properties(H: BiHomBialgebra, S: Matrix) -> CheckReport:
     (ii)  S(beta(a) alpha(b)) = S(beta(b)) S(alpha(a)) over basis pairs;
     (iii) alpha(S(h)_1) (x) beta(S(h)_2) = beta(S(h_2)) (x) alpha(S(h_1)).
     """
-    report = CheckReport()
-    report.merge(check(_monoidal_antipode_table(H, S)), prefix="axiom:")
     d = H.dim
     s, alpha, beta, mu = Lin(S), Lin(H.alpha), Lin(H.beta), Mul(H.mu)
-    return check([
+    return check(named("axiom:{}", _monoidal_antipode_table(H, S)) + [
         fixes("S_fixes_unit", S, H.unit),
         counit_invariant("eps_after_S", H.counit, S),
         Axiom(
@@ -510,7 +502,7 @@ def check_antipode_properties(H: BiHomBialgebra, S: Matrix) -> CheckReport:
             Compose(Kron(alpha, beta), Comul(H.delta), s),
             Compose(Kron(Compose(beta, s), Compose(alpha, s)), Swap(d, d), Comul(H.delta)),
         ),
-    ], report)
+    ])
 
 
 def _monoidal_antipode_table(H: BiHomBialgebra, S: Matrix):

@@ -86,7 +86,7 @@ class Comodule(Shaped):
 # ---------------------------------------------------------------------------
 
 
-def check_bihom_coalgebra(C: BiHomCoalgebra) -> CheckReport:
+def bihom_coalgebra_axioms(C: BiHomCoalgebra):
     delta, psi, omega = Comul(C.delta), Lin(C.psi), Lin(C.omega)
     table = [
         Commute("psi_omega_commute", C.psi, C.omega),
@@ -106,10 +106,14 @@ def check_bihom_coalgebra(C: BiHomCoalgebra) -> CheckReport:
             counit_law("counit_right", C.delta, C.counit, C.omega, "right"),
             counit_law("counit_left", C.delta, C.counit, C.psi, "left"),
         ]
-    return check(table)
+    return table
 
 
-def check_comodule(C: BiHomCoalgebra, M: Comodule) -> CheckReport:
+def check_bihom_coalgebra(C: BiHomCoalgebra) -> CheckReport:
+    return check(bihom_coalgebra_axioms(C))
+
+
+def comodule_axioms(C: BiHomCoalgebra, M: Comodule):
     if M.rho.d3 != C.dim:
         raise ShapeMismatch("coaction target coalgebra dimension")
     rho = Comul(M.rho)
@@ -126,7 +130,11 @@ def check_comodule(C: BiHomCoalgebra, M: Comodule) -> CheckReport:
     ]
     if C.counit is not None:
         table.append(counit_law("comodule_counital", M.rho, C.counit, M.omegaM, "right"))
-    return check(table)
+    return table
+
+
+def check_comodule(C: BiHomCoalgebra, M: Comodule) -> CheckReport:
+    return check(comodule_axioms(C, M))
 
 
 # ---------------------------------------------------------------------------

@@ -204,13 +204,7 @@ def module_to_lie_rep(a: BiHomAlgebra, mod: LeftModule) -> LieRepresentation:
     """A left A-module as a representation of L(A) via rho(x)(m) = x.m."""
     mat_inverse(a.alpha)
     mat_inverse(a.beta)
-    rep_check = check_left_module(a, mod)
-    if not rep_check.ok:
-        raise ModuleAxiomFailure(
-            "module axioms fail; first failure "
-            f"{rep_check.failures()[0].axiom}",
-            report=rep_check,
-        )
+    check_left_module(a, mod).require(ModuleAxiomFailure, "module axioms fail; first failure {}")
     return LieRepresentation(
         dim=mod.dim, rho=mod.action, alphaM=mod.alphaM.copy(), betaM=mod.betaM.copy()
     )

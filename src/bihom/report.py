@@ -26,12 +26,11 @@ class CheckReport:
         self.entries.append(CheckEntry(axiom, bool(passed), witness))
         return self
 
-    def merge(self, other: "CheckReport", prefix: str = ""):
-        for e in other.entries:
-            self.entries.append(
-                CheckEntry(prefix + e.axiom if prefix else e.axiom, e.passed, e.witness)
-            )
-        return self
+    def require(self, error, message: str):
+        """Unless the report passes, raise error(message.format(the first
+        failing axiom), report=self)."""
+        if not self.ok:
+            raise error(message.format(self.failures()[0].axiom), report=self)
 
     @property
     def ok(self) -> bool:

@@ -11,7 +11,7 @@ from .algebra_core import BiHomAlgebra, _carried_counit, _require_pairwise_commu
 from .bialgebra import (
     BiHomBialgebra,
     ModuleAlgebraAction,
-    check_bihom_bialgebra,
+    bihom_bialgebra_axioms,
     check_module_bihom_algebra,
 )
 from .axioms import (
@@ -30,9 +30,10 @@ from .axioms import (
     equivariant,
     images,
     multiplicative,
+    named,
     require,
 )
-from .coalgebra import Comodule, check_comodule
+from .coalgebra import Comodule, comodule_axioms
 from .errors import HypothesisFailure, ModuleAxiomFailure
 from .linalg import (
     Matrix,
@@ -43,7 +44,6 @@ from .linalg import (
     mat_mul,
     mat_power,
 )
-from .report import CheckReport
 from .twisting import TwistingMap, twisted_tensor_product
 
 
@@ -52,8 +52,8 @@ class SmashData:
     """A module BiHom-algebra (H, A, action) plus the exponents (m, n, p).
 
     Invariants (verified by validate, in this order): all six structure
-    maps invertible, H passes check_bihom_bialgebra, and the action passes
-    check_module_bihom_algebra.  A singular map of H also breaks H's
+    maps invertible, H satisfies bihom_bialgebra_axioms, and the action
+    passes check_module_bihom_algebra.  A singular map of H also breaks H's
     bialgebra axioms, so the maps are checked first, to name the map.
     """
 
@@ -77,17 +77,10 @@ class SmashData:
             ("beta_A", self.A.beta),
         ):
             inverses(f"{name} must be invertible", mat)
-        report = check_bihom_bialgebra(self.H)
-        if not report.ok:
-            first = report.failures()[0]
-            raise HypothesisFailure(f"H is not a BiHom-bialgebra: {first.axiom} fails",
-                                    witness=first.witness)
-        report = check_module_bihom_algebra(self.H, self.A, self.action)
-        if not report.ok:
-            raise ModuleAxiomFailure(
-                f"module algebra axioms fail: {report.failures()[0].axiom}",
-                report=report,
-            )
+        require(HypothesisFailure,
+                *named("H is not a BiHom-bialgebra: {} fails", bihom_bialgebra_axioms(self.H)))
+        check_module_bihom_algebra(self.H, self.A, self.action).require(
+            ModuleAxiomFailure, "module algebra axioms fail: {}")
         self._validated = True
 
 
@@ -147,19 +140,17 @@ def smash_comodule_structure(
     # rho(a # h) = (omegaA(a) # h1) (x) h2
     rho = coproduct_tensor(Kron(Lin(omegaA), Comul(H.delta)), D.dim, H.dim)
     comod = Comodule(dim=D.dim, rho=rho, psiM=kron(psiA, H.psi), omegaM=kron(omegaA, H.omega))
-    report = CheckReport()
-    report.merge(check_comodule(H.coalgebra_part(), comod), prefix="comodule:")
 
     # rho is a morphism of BiHom-associative algebras D -> D (x) H
     def morphism(name, mD, mH):
         ax = coequivariant(name, rho, mD, mH)
         return Axiom(name, ax.rhs, ax.lhs)
 
-    check([
+    report = check(named("comodule:{}", comodule_axioms(H.coalgebra_part(), comod)) + [
         morphism("rho_alpha_morphism", D.alpha, H.alpha),
         morphism("rho_beta_morphism", D.beta, H.beta),
         comultiplicative_product("rho_multiplicative", rho, D.mu, D.mu, H.mu),
-    ], report)
+    ])
     return D, comod, report
 
 

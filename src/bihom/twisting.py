@@ -146,11 +146,7 @@ def canonical_pseudotwistor(D: BiHomAlgebra, alpha2: Matrix, beta2: Matrix) -> P
 
 def apply_pseudotwistor(D: BiHomAlgebra, P: Pseudotwistor) -> BiHomAlgebra:
     """(D, mu o T, alpha~ o alpha2, beta~ o beta2); checks P first."""
-    report = check_pseudotwistor(D, P)
-    if not report.ok:
-        raise PseudotwistorInvalid(
-            f"pseudotwistor fails {report.failures()[0].axiom}", report=report
-        )
+    check_pseudotwistor(D, P).require(PseudotwistorInvalid, "pseudotwistor fails {}")
     out = BiHomAlgebra(
         field=D.field,
         dim=D.dim,
@@ -290,11 +286,7 @@ def twisted_tensor_product(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) ->
     supplies T and its companions when the full pseudotwistor equations are
     wanted.  The twisting map is checked first.
     """
-    report = check_twisting_map(A, B, tw)
-    if not report.ok:
-        raise TwistingMapInvalid(
-            f"twisting map fails {report.failures()[0].axiom}", report=report
-        )
+    check_twisting_map(A, B, tw).require(TwistingMapInvalid, "twisting map fails {}")
     da, db = A.dim, B.dim
     # (a (x) b) (x) (a' (x) b') -> a (x) a'_R (x) b_R (x) b' -> a a'_R (x) b_R b'
     product = Compose(Kron(Mul(A.mu), Mul(B.mu)), Kron(Id(da), _twisting(tw), Id(db)))
