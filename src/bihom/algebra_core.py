@@ -48,6 +48,7 @@ from .exactnum import QQ, Field, divide, same_field
 from .linalg import (
     Matrix,
     Tensor3,
+    inverses,
     kron,
     mat_inverse,
     mat_mul,
@@ -274,8 +275,7 @@ def yau_twist(a: BiHomAlgebra, alpha2: Matrix, beta2: Matrix) -> BiHomAlgebra:
 
 def untwist(a: BiHomAlgebra) -> BiHomAlgebra:
     """Recover the underlying associative product mu o (alpha^-1 (x) beta^-1)."""
-    ainv = mat_inverse(a.alpha)
-    binv = mat_inverse(a.beta)
+    ainv, binv = inverses("untwisting needs bijective alpha and beta", a.alpha, a.beta)
     ident = Matrix.identity(a.field, a.dim)
     return BiHomAlgebra(
         field=a.field,

@@ -41,7 +41,7 @@ from .axioms import (
 )
 from .errors import ModuleAxiomFailure, ShapeMismatch
 from .exactnum import Field
-from .linalg import Matrix, Tensor3, mat_inverse, mat_mul
+from .linalg import Matrix, Tensor3, inverses, mat_inverse, mat_mul
 from .report import CheckReport
 
 
@@ -125,8 +125,7 @@ def check_representation(L: BiHomLieAlgebra, rep: LieRepresentation) -> CheckRep
 
 def commutator_lie(a: BiHomAlgebra) -> BiHomLieAlgebra:
     """L(A): [x, y] = xy - (alpha^-1 beta)(y) (alpha beta^-1)(x)."""
-    ainv = mat_inverse(a.alpha)
-    binv = mat_inverse(a.beta)
+    ainv, binv = inverses("commutator bracket needs bijective alpha and beta", a.alpha, a.beta)
     p = mat_mul(ainv, a.beta)  # alpha^-1 beta
     q = mat_mul(a.alpha, binv)  # alpha beta^-1
 

@@ -11,12 +11,14 @@ from dataclasses import replace
 
 import pytest
 
+from bihom.algebra_core import untwist
 from bihom.bialgebra import check_bihom_bialgebra, check_module_bihom_algebra, primitive_bracket
 from bihom.coalgebra import yau_twist_coalgebra
 from bihom.errors import HypothesisFailure, Singular
 from bihom.exactnum import QQ, PrimeField
 from bihom.fixtures import cyclic_group_bialgebra, cyclic_power_map, cyclic_self_action
 from bihom.io_cli import main, serialize_structure
+from bihom.lie import commutator_lie
 from bihom.linalg import Matrix
 from bihom.smash import SmashData, dual_module_algebra, smash_comodule_structure, smash_product
 from bihom.twisting import check_twisting_map, flip_map
@@ -68,6 +70,18 @@ def test_primitive_bracket_needs_bijective_alpha_and_beta(field):
         primitive_bracket(replace(H, alpha=rank(field, 1)), zero, zero)
     assert str(exc.value) == ("primitive bracket needs bijective alpha and beta: "
                               "matrix has rank 1 < 4")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("attr", ["alpha", "beta"])
+@pytest.mark.parametrize("build, what", [(untwist, "untwisting"),
+                                         (commutator_lie, "commutator bracket")],
+                         ids=["untwist", "commutator_lie"])
+def test_untwist_and_commutator_lie_need_bijective_alpha_and_beta(field, attr, build, what):
+    _, A, _ = kc4(field)
+    with pytest.raises(Singular) as exc:
+        build(replace(A, **{attr: rank(field, 2)}))
+    assert str(exc.value) == f"{what} needs bijective alpha and beta: matrix has rank 2 < 4"
 
 
 SMASH_MAPS = [
