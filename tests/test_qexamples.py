@@ -278,6 +278,25 @@ class TestQuantumPlane:
         image = QPElement.monomial(1, 0).substitute(0, 1)
         assert image == QPElement() and not image
 
+    def test_int_coefficients_become_q_scalars_and_zeros_are_dropped(self):
+        one = PBWElement({(0, 0, 0): 1})
+        coeff = one.terms[(0, 0, 0)]
+        assert type(coeff) is RF and coeff == QQ_Q.one() and one == ONE
+        half = QPElement({(1, 0): Fraction(1, 2), (0, 1): 0, (2, 0): QQ_Q.zero()})
+        assert half.terms == {(1, 0): QQ_Q.parse("1/2")}
+        assert type(half.terms[(1, 0)]) is RF
+        assert not PBWElement({(1, 0, 0): 0}) and PBWElement({(1, 0, 0): 0}).terms == {}
+
+    @pytest.mark.parametrize("name", sorted(qexamples_corpus.TWISTS))
+    def test_twist_maps_on_monomials_read_the_right_quotients(self, name):
+        tp = qexamples_corpus.TWISTS[name]
+        one = QQ_Q.one()
+        for m, n in itertools.product(range(3), repeat=2):
+            P = QPElement.monomial(m, n)
+            assert qp_alpha(P, tp) == P.scale(tp.xi**m * (tp.xi / tp.lambda1) ** n)
+            assert qp_beta(P, tp) == P.scale(tp.xi**m * (tp.xi / tp.lambda2) ** n)
+            assert qp_beta_inv(P, tp) == P.scale((one / tp.xi) ** m * (tp.lambda2 / tp.xi) ** n)
+
 
 class TestActions:
     def test_classical_action_relations(self):
