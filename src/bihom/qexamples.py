@@ -15,7 +15,10 @@ normal form.  An independent straightening recursion serves as the oracle.
 
 The four twisting maps alpha, beta, psi, omega of the smash example are the
 scalings E -> lambda E, F -> lambda^-1 F, K -> K, applied by ``uq_scale``
-with lambda (or 1/lambda for an inverse) read off ``TwistParams``.
+with lambda (or 1/lambda for an inverse) read off ``TwistParams``.  The
+four product formulas of one grid point share their operands: alpha_A(a),
+beta_A(beta_A^-1(a')), beta(G) and the quotients of the twist parameters
+are computed once per ``verify_smash_formulas`` call.
 
 PBW elements, quantum-plane elements and smash-product totals (keyed by
 (plane monomial, PBW monomial)) are one sparse type: ``terms`` maps each
@@ -55,10 +58,13 @@ class _Combination:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
+        # the keys of a dict are distinct, so no two terms merge; ``_ZERO + c``
+        # turns an int or Fraction coefficient into Q(q)
+        self.terms = out = {}
         if terms:
-            for mono, coeff in terms.items():
-                self.add(mono, coeff)
+            for m, c in terms.items():
+                if c:
+                    out[m] = _ZERO + c
 
     def add(self, mono, coeff):
         """self += coeff * mono, in place."""
@@ -516,16 +522,31 @@ def smash_multiply_left_generator(gen, m, n, r, s, G: PBWElement, tp: TwistParam
     """
     if gen not in _COPRODUCT:
         raise ValueError(f"unknown generator {gen!r}")
-    a = QPElement.monomial(m, n)
-    aprime = qp_beta_inv(QPElement.monomial(r, s), tp)
+    return next(_smash_products((gen,), m, n, r, s, G, tp))
+
+
+def _smash_products(gens, m, n, r, s, G: PBWElement, tp: TwistParams):
+    """``smash_multiply_left_generator`` for each generator of gens in turn.
+
+    What the generators share is computed once: alpha_A(a) with a = x^m y^n,
+    beta_A(a') with a' = beta_A^-1(x^r y^s), so that h |> a' is the classical
+    action of alpha(h) on it, beta(G), and the quotients of the twist
+    parameters that the scalings and beta_A read.  No step mutates them.
+    """
+    xi, xi_l2 = tp.xi, tp.xi / tp.lambda2  # beta_A: x -> xi x, y -> xi/lambda2 y
+    inv_l24, l13 = _ONE / (tp.lambda2 * tp.lambda4), tp.lambda1 / tp.lambda3
+    alpha_a = qp_alpha(QPElement.monomial(m, n), tp)
+    beta_aprime = qp_beta_inv(QPElement.monomial(r, s), tp).substitute(xi, xi_l2)
     bg = uq_scale(tp.lambda2, G)
-    total = _Combination()
-    for coeff, left, right in _twisted_coproduct(gen, tp):
-        u = uq_scale(_ONE / (tp.lambda2 * tp.lambda4), PBWElement.monomial(*left))
-        first = qp_twisted_mul(a, twisted_action(u, aprime, tp), tp)
-        second = uq_multiply(uq_scale(tp.lambda1 / tp.lambda3, PBWElement.monomial(*right)), bg)
-        total += _tensor(first.scale(coeff), second)
-    return total
+    for gen in gens:
+        total = _Combination()
+        for coeff, left, right in _twisted_coproduct(gen, tp):
+            u = uq_scale(inv_l24, PBWElement.monomial(*left))
+            action = classical_action(uq_scale(tp.lambda1, u), beta_aprime)
+            first = alpha_a * action.substitute(xi, xi_l2)
+            second = uq_multiply(uq_scale(l13, PBWElement.monomial(*right)), bg)
+            total += _tensor(first.scale(coeff), second)
+        yield total
 
 
 def smash_formula_rhs(gen, m, n, r, s, G: PBWElement, tp: TwistParams):
@@ -564,13 +585,14 @@ def verify_smash_formulas(m, n, r, s, G: PBWElement, tp: TwistParams):
     """Compare the smash multiplication against the displayed closed forms
     for all four left generators; exact equality in Q(q)."""
     report = CheckReport()
-    for gen, axiom in (
+    axioms = (
         ("K", "smash_formula_K_plus"),
         ("Kinv", "smash_formula_K_minus"),
         ("E", "smash_formula_E"),
         ("F", "smash_formula_F"),
-    ):
-        lhs = smash_multiply_left_generator(gen, m, n, r, s, G, tp)
+    )
+    products = _smash_products([gen for gen, _ in axioms], m, n, r, s, G, tp)
+    for (gen, axiom), lhs in zip(axioms, products):
         rhs = smash_formula_rhs(gen, m, n, r, s, G, tp)
         if lhs == rhs:
             report.add(axiom, True)
