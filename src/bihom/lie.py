@@ -41,7 +41,9 @@ from .axioms import (
 )
 from .errors import ModuleAxiomFailure, ShapeMismatch
 from .exactnum import Field
-from .linalg import Matrix, Tensor3, inverses, mat_inverse, mat_mul
+# mat_inverse is not called here; it stays a module name because the mod-p
+# reduction tests patch it in every module that inverts matrices
+from .linalg import Matrix, Tensor3, inverses, mat_inverse, mat_mul  # noqa: F401
 from .report import CheckReport
 
 
@@ -157,8 +159,7 @@ def yau_twist_lie(L: BiHomLieAlgebra, alpha2: Matrix, beta2: Matrix) -> BiHomLie
 
 def adjoint_rep(L: BiHomLieAlgebra) -> LieRepresentation:
     """ad(x)(y) = [x, y]; a representation when alpha, beta are bijective."""
-    mat_inverse(L.alpha)  # raises Singular when not bijective
-    mat_inverse(L.beta)
+    inverses("adjoint representation needs bijective alpha and beta", L.alpha, L.beta)
     return LieRepresentation(
         dim=L.dim, rho=L.bracket, alphaM=L.alpha.copy(), betaM=L.beta.copy()
     )
@@ -171,8 +172,10 @@ def semidirect_product(L: BiHomLieAlgebra, rep: LieRepresentation) -> BiHomLieAl
     """
     field = L.field
     n, m = L.dim, rep.dim
-    p = Lin(mat_mul(mat_inverse(L.alpha), L.beta))  # alpha^-1 beta on L
-    q = Lin(mat_mul(rep.alphaM, mat_inverse(rep.betaM)))  # alpha_M beta_M^-1 on M
+    ainv, bminv = inverses("semidirect product needs bijective alpha and beta_M",
+                           L.alpha, rep.betaM)
+    p = Lin(mat_mul(ainv, L.beta))  # alpha^-1 beta on L
+    q = Lin(mat_mul(rep.alphaM, bminv))  # alpha_M beta_M^-1 on M
     d = n + m
     # the embeddings of L and M into L (+) M, and the projections onto them
     ident = Matrix.identity(field, d).e
@@ -201,8 +204,7 @@ def semidirect_product(L: BiHomLieAlgebra, rep: LieRepresentation) -> BiHomLieAl
 
 def module_to_lie_rep(a: BiHomAlgebra, mod: LeftModule) -> LieRepresentation:
     """A left A-module as a representation of L(A) via rho(x)(m) = x.m."""
-    mat_inverse(a.alpha)
-    mat_inverse(a.beta)
+    inverses("module representation needs bijective alpha and beta", a.alpha, a.beta)
     check_left_module(a, mod).require(ModuleAxiomFailure, "module axioms fail; first failure {}")
     return LieRepresentation(
         dim=mod.dim, rho=mod.action, alphaM=mod.alphaM.copy(), betaM=mod.betaM.copy()

@@ -4,21 +4,23 @@ the (co)units that twists and duals carry or drop.
 
 Each case breaks one structure map of k[C_4] (acting on itself by
 g^i . g^j = g^(3^i j)) with a diagonal 0/1 matrix of known rank, over Q
-and over F_7, and pins the full ``str`` of the Singular raised.
+and over F_7, and pins the full ``str`` of the Singular raised; the Lie
+representations break a map of L(k[C_4]), of its adjoint representation or
+of k[C_4] as a module over itself.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from bihom.algebra_core import untwist
+from bihom.algebra_core import LeftModule, untwist
 from bihom.bialgebra import check_bihom_bialgebra, check_module_bihom_algebra, primitive_bracket
 from bihom.coalgebra import yau_twist_coalgebra
 from bihom.errors import HypothesisFailure, Singular
 from bihom.exactnum import QQ, PrimeField
 from bihom.fixtures import cyclic_group_bialgebra, cyclic_power_map, cyclic_self_action
 from bihom.io_cli import main, serialize_structure
-from bihom.lie import commutator_lie
+from bihom.lie import adjoint_rep, commutator_lie, module_to_lie_rep, semidirect_product
 from bihom.linalg import Matrix
 from bihom.smash import SmashData, dual_module_algebra, smash_comodule_structure, smash_product
 from bihom.twisting import check_twisting_map, flip_map
@@ -82,6 +84,42 @@ def test_untwist_and_commutator_lie_need_bijective_alpha_and_beta(field, attr, b
     with pytest.raises(Singular) as exc:
         build(replace(A, **{attr: rank(field, 2)}))
     assert str(exc.value) == f"{what} needs bijective alpha and beta: matrix has rank 2 < 4"
+
+
+def _adjoint(A, attr, map_):
+    L = commutator_lie(A)
+    adjoint_rep(replace(L, **{attr: map_}))
+
+
+def _module(A, attr, map_):
+    mod = LeftModule(dim=A.dim, action=A.mu, alphaM=A.alpha, betaM=A.beta)
+    module_to_lie_rep(replace(A, **{attr: map_}), mod)
+
+
+def _semidirect(A, attr, map_):
+    L = commutator_lie(A)
+    rep = adjoint_rep(L)
+    if attr == "alpha":
+        semidirect_product(replace(L, alpha=map_), rep)
+    else:
+        semidirect_product(L, replace(rep, betaM=map_))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("build, attr, what", [
+    (_adjoint, "alpha", "adjoint representation needs bijective alpha and beta"),
+    (_adjoint, "beta", "adjoint representation needs bijective alpha and beta"),
+    (_module, "alpha", "module representation needs bijective alpha and beta"),
+    (_module, "beta", "module representation needs bijective alpha and beta"),
+    (_semidirect, "alpha", "semidirect product needs bijective alpha and beta_M"),
+    (_semidirect, "betaM", "semidirect product needs bijective alpha and beta_M"),
+], ids=["adjoint_rep-alpha", "adjoint_rep-beta", "module_to_lie_rep-alpha",
+        "module_to_lie_rep-beta", "semidirect_product-alpha", "semidirect_product-betaM"])
+def test_lie_representations_need_bijective_maps(field, build, attr, what):
+    _, A, _ = kc4(field)
+    with pytest.raises(Singular) as exc:
+        build(A, attr, rank(field, 2))
+    assert str(exc.value) == f"{what}: matrix has rank 2 < 4"
 
 
 SMASH_MAPS = [
