@@ -50,7 +50,6 @@ from .linalg import (
     Tensor3,
     inverses,
     kron,
-    mat_inverse,
     mat_mul,
     solve_affine,
     unit_vec,
@@ -321,8 +320,7 @@ def endomorphism_algebra(u: Matrix, v: Matrix) -> BiHomAlgebra:
     require(MapsDoNotCommute, Commute("u and v do not commute", u, v))
     field = u.field
     n = u.rows
-    uinv = mat_inverse(u)
-    vinv = mat_inverse(v)
+    uinv, vinv = inverses("endomorphism algebra needs invertible u and v", u, v)
     d = n * n
     # u E_ij u^-1 E_kl v^-1 has (r, c) entry u[r][i] * uinv[j][k] * vinv[l][c]
     middle = Lin(Matrix(field, [[x for row in uinv.e for x in row]]), (n, n), ())

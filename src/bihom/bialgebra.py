@@ -67,7 +67,7 @@ from .errors import (
     Singular,
 )
 from .exactnum import Field
-from .linalg import Matrix, Tensor3, inverses, mat_inverse, mat_mul
+from .linalg import Matrix, Tensor3, inverses, mat_mul
 from .report import CheckReport
 
 
@@ -387,8 +387,9 @@ def _verify_classical_module_algebra(H, A, act):
 
 
 def is_monoidal(H: BiHomBialgebra) -> bool:
-    """omega = alpha^-1 and psi = beta^-1, by exact matrix equality."""
-    return [H.omega, H.psi] == [mat_inverse(H.alpha), mat_inverse(H.beta)]
+    """omega alpha = id and psi beta = id, by exact matrix equality."""
+    ident = Matrix.identity(H.field, H.dim)
+    return mat_mul(H.omega, H.alpha) == ident and mat_mul(H.psi, H.beta) == ident
 
 
 def solve_antipode_monoidal(H: BiHomBialgebra):
@@ -467,7 +468,7 @@ def hopf_to_monoidal(
     for name, m in (("alpha", alpha), ("beta", beta)):
         failure = f"{name} is not a Hopf-algebra automorphism"
         try:
-            inverse[name] = mat_inverse(m)
+            inverse[name], = inverses(failure, m)
         except Singular:
             raise NotAutomorphism(failure, "is singular")
         require(NotAutomorphism, *_bialgebra_map(failure, H, m))

@@ -41,9 +41,7 @@ from .axioms import (
 )
 from .errors import ModuleAxiomFailure, ShapeMismatch
 from .exactnum import Field
-# mat_inverse is not called here; it stays a module name because the mod-p
-# reduction tests patch it in every module that inverts matrices
-from .linalg import Matrix, Tensor3, inverses, mat_inverse, mat_mul  # noqa: F401
+from .linalg import Matrix, Tensor3, inverses, mat_mul
 from .report import CheckReport
 
 

@@ -40,7 +40,6 @@ from .linalg import (
     Tensor3,
     inverses,
     kron,
-    mat_inverse,
     mat_mul,
     mat_power,
 )
@@ -92,10 +91,11 @@ def smash_twisting_map(S: SmashData) -> TwistingMap:
     front = mat_mul(
         mat_power(H.alpha, S.m), mat_mul(mat_power(H.beta, S.n), mat_power(H.omega, S.p))
     )
+    bAi, pi = inverses("smash twisting map needs bijective beta_A and psi_H", A.beta, H.psi)
     # e_h (x) e_a -> h1 (x) a (x) h2 -> front(h1) . betaA^-1(a) (x) psi^-1(h2)
-    acting = Compose(Mul(S.action.action), Kron(Lin(front), Lin(mat_inverse(A.beta))))
+    acting = Compose(Mul(S.action.action), Kron(Lin(front), Lin(bAi)))
     R = Compose(
-        Kron(acting, Lin(mat_inverse(H.psi))),
+        Kron(acting, Lin(pi)),
         Perm((dh, dh, da), (0, 2, 1)),
         Kron(Comul(H.delta), Id(da)),
     )

@@ -52,7 +52,7 @@ from .errors import (
     Singular,
     TwistingMapInvalid,
 )
-from .linalg import Matrix, inverses, mat_inverse, mat_mul
+from .linalg import Matrix, inverses, mat_mul
 from .report import CheckReport
 
 
@@ -233,7 +233,7 @@ def helper_identity_witness(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap):
     """
     da, db = A.dim, B.dim
     R, flip = _twisting(tw), Swap(da, db)
-    abinv_b, ab_binv, aA_bAinv, aAinv_bA = _conjugators(A, B)
+    abinv_b, ab_binv, aA_bAinv, aAinv_bA = _conjugators("helper identity", A, B)
     return witness(Axiom(
         "helper_identity",
         Compose(Kron(abinv_b, Id(da)), flip, R, Kron(ab_binv, Id(da))),
@@ -241,10 +241,11 @@ def helper_identity_witness(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap):
     ))
 
 
-def _conjugators(A: BiHomAlgebra, B: BiHomAlgebra):
+def _conjugators(what, A: BiHomAlgebra, B: BiHomAlgebra):
     """Lin terms of aB^-1 bB, aB bB^-1, aA bA^-1 and aA^-1 bA, each
-    structure map inverted once."""
-    aAi, bAi, aBi, bBi = (mat_inverse(m) for m in (A.alpha, A.beta, B.alpha, B.beta))
+    structure map inverted once; a singular one raises Singular naming what."""
+    aAi, bAi, aBi, bBi = inverses(
+        f"{what} needs bijective structure maps", A.alpha, A.beta, B.alpha, B.beta)
     return (Lin(mat_mul(aBi, B.beta)), Lin(mat_mul(B.alpha, bBi)),
             Lin(mat_mul(A.alpha, bAi)), Lin(mat_mul(aAi, A.beta)))
 
@@ -270,7 +271,7 @@ def ttp_pseudotwistor(A: BiHomAlgebra, B: BiHomAlgebra, tw: TwistingMap) -> Pseu
     T, rest = _ttp_square(tw), (Id(da), Id(db), Id(da), Id(db))
     swap23 = Perm((da, db) * 3, (0, 1, 4, 5, 2, 3))
     t13 = Compose(swap23, Kron(T, Id(da), Id(db)), swap23)
-    abinv_b, ab_binv, aA_bAinv, aAinv_bA = _conjugators(A, B)
+    abinv_b, ab_binv, aA_bAinv, aAinv_bA = _conjugators("twisted tensor pseudotwistor", A, B)
     t1 = Compose(Kron(Id(da), abinv_b, *rest), t13, Kron(Id(da), ab_binv, *rest))
     t2 = Compose(Kron(*rest, aA_bAinv, Id(db)), t13, Kron(*rest, aAinv_bA, Id(db)))
     T1, T2, T = (Matrix.from_columns(field, images(m)) for m in (t1, t2, T))
@@ -322,7 +323,7 @@ def lift_twisting_map(
     ):
         _require_multiplicative(alg.mu, m, name)
         try:
-            inv[name] = mat_inverse(m)
+            inv[name], = inverses(name, m)
         except Singular:
             raise HypothesisFailure(f"{name} must be an isomorphism")
     _require_pairwise_commuting([("alphaA", alphaA), ("betaA", betaA)])

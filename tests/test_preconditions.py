@@ -1,6 +1,7 @@
 """The bijectivity preconditions of the constructions, by their exact
-messages, the smash product's hypothesis that H is a BiHom-bialgebra, and
-the (co)units that twists and duals carry or drop.
+messages, the smash product's hypothesis that H is a BiHom-bialgebra, the
+monoidal test of the antipode solver, and the (co)units that twists and
+duals carry or drop.
 
 Each case breaks one structure map of k[C_4] (acting on itself by
 g^i . g^j = g^(3^i j)) with a diagonal 0/1 matrix of known rank, over Q
@@ -13,8 +14,14 @@ from dataclasses import replace
 
 import pytest
 
-from bihom.algebra_core import LeftModule, untwist
-from bihom.bialgebra import check_bihom_bialgebra, check_module_bihom_algebra, primitive_bracket
+from bihom.algebra_core import LeftModule, endomorphism_algebra, untwist
+from bihom.bialgebra import (
+    check_bihom_bialgebra,
+    check_module_bihom_algebra,
+    is_monoidal,
+    primitive_bracket,
+    solve_antipode_monoidal,
+)
 from bihom.coalgebra import yau_twist_coalgebra
 from bihom.errors import HypothesisFailure, Singular
 from bihom.exactnum import QQ, PrimeField
@@ -22,8 +29,14 @@ from bihom.fixtures import cyclic_group_bialgebra, cyclic_power_map, cyclic_self
 from bihom.io_cli import main, serialize_structure
 from bihom.lie import adjoint_rep, commutator_lie, module_to_lie_rep, semidirect_product
 from bihom.linalg import Matrix
-from bihom.smash import SmashData, dual_module_algebra, smash_comodule_structure, smash_product
-from bihom.twisting import check_twisting_map, flip_map
+from bihom.smash import (
+    SmashData,
+    dual_module_algebra,
+    smash_comodule_structure,
+    smash_product,
+    smash_twisting_map,
+)
+from bihom.twisting import check_twisting_map, flip_map, helper_identity_witness, ttp_pseudotwistor
 from helpers import non_bialgebra_action
 
 FIELDS = [QQ, PrimeField(7)]
@@ -55,13 +68,34 @@ def test_dual_module_algebra_needs_bijective_maps(field):
     assert str(exc.value) == "dual module algebra needs bijective maps: matrix has rank 1 < 4"
 
 
+TWISTING_MAPS = [("A", "alpha", 1), ("A", "beta", 2), ("B", "alpha", 3), ("B", "beta", 2)]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_twisting_map_needs_bijective_structure_maps(field):
+@pytest.mark.parametrize("part, attr, r", TWISTING_MAPS,
+                         ids=[f"{p}.{a}" for p, a, _ in TWISTING_MAPS])
+@pytest.mark.parametrize("build, what", [
+    (check_twisting_map, "twisting maps need"),
+    (helper_identity_witness, "helper identity needs"),
+    (ttp_pseudotwistor, "twisted tensor pseudotwistor needs"),
+], ids=["check_twisting_map", "helper_identity_witness", "ttp_pseudotwistor"])
+def test_twisting_map_needs_bijective_structure_maps(field, build, what, part, attr, r):
     _, A, _ = kc4(field)
-    singular = replace(A, beta=rank(field, 2))
+    parts = {"A": A, "B": A}
+    parts[part] = replace(A, **{attr: rank(field, r)})
     with pytest.raises(Singular) as exc:
-        check_twisting_map(singular, A, flip_map(singular, A))
-    assert str(exc.value) == "twisting maps need bijective structure maps: matrix has rank 2 < 4"
+        build(parts["A"], parts["B"], flip_map(parts["A"], parts["B"]))
+    assert str(exc.value) == f"{what} bijective structure maps: matrix has rank {r} < 4"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("singular", ["u", "v"])
+def test_endomorphism_algebra_needs_invertible_u_and_v(field, singular):
+    maps = {"u": Matrix.identity(field, 4), "v": Matrix.identity(field, 4)}
+    maps[singular] = rank(field, 2)
+    with pytest.raises(Singular) as exc:
+        endomorphism_algebra(maps["u"], maps["v"])
+    assert str(exc.value) == "endomorphism algebra needs invertible u and v: matrix has rank 2 < 4"
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -141,6 +175,47 @@ def test_smash_data_names_each_singular_map(field, name, part, attr, r):
     with pytest.raises(Singular) as exc:
         SmashData(H=parts["H"], A=parts["A"], action=act).validate()
     assert str(exc.value) == f"{name} must be invertible: matrix has rank {r} < 4"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name, part, attr, r", [SMASH_MAPS[5], SMASH_MAPS[2]],
+                         ids=["beta_A", "psi_H"])
+@pytest.mark.parametrize("build", [smash_twisting_map, smash_product])
+def test_validated_smash_data_names_its_singular_map(field, build, name, part, attr, r):
+    """Data marked validated skips validate, so the twisting map R_{m,n,p}
+    names the two maps it inverts itself."""
+    H, A, act = kc4(field)
+    parts = {"H": H, "A": A}
+    parts[part] = replace(parts[part], **{attr: rank(field, r)})
+    with pytest.raises(Singular) as exc:
+        build(SmashData(H=parts["H"], A=parts["A"], action=act, _validated=True))
+    assert str(exc.value) == ("smash twisting map needs bijective beta_A and psi_H: "
+                              f"matrix has rank {r} < 4")
+
+
+MONOIDAL = "antipode solving requires a monoidal bialgebra"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("attr", ["alpha", "beta"])
+def test_a_singular_alpha_or_beta_is_not_monoidal(field, attr):
+    H = cyclic_group_bialgebra(4, field)
+    assert is_monoidal(H)
+    singular = replace(H, **{attr: rank(field, 1)})
+    assert is_monoidal(singular) is False
+    with pytest.raises(HypothesisFailure) as exc:
+        solve_antipode_monoidal(singular)
+    assert str(exc.value) == MONOIDAL
+
+
+def test_antipode_solve_on_a_singular_alpha_exits_1_as_not_monoidal(tmp_path, capsys):
+    H = cyclic_group_bialgebra(4, QQ)
+    path = tmp_path / "H.json"
+    path.write_text(serialize_structure(replace(H, alpha=rank(QQ, 1)), "bialgebra"))
+    assert main(["antipode", "solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "bialgebra is not monoidal (omega != alpha^-1 or psi != beta^-1)\n"
+    assert captured.err == ""
 
 
 NOT_A_BIALGEBRA = "H is not a BiHom-bialgebra: coalgebra:bihom_coassociativity fails"
