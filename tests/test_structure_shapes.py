@@ -1,21 +1,31 @@
 """The shape of every structure class: which extents of its containers are
-tied to its dimension, and what `same_tensors` compares.
+tied to its dimension, and what `same_tensors` compares; and the
+constructor contract of all fourteen value classes: argument order,
+keywords, defaults, equality and `replace`.
 
 The tables here are written out by hand from the definitions, not read
 from the classes, so that they check the classes' own declarations.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from bihom.algebra_core import BiHomAlgebra, LeftModule
-from bihom.bialgebra import BiHomBialgebra
+from bihom.axioms import Lin
+from bihom.bialgebra import BiHomBialgebra, ModuleAlgebraAction
 from bihom.coalgebra import BiHomCoalgebra, Comodule
-from bihom.errors import ShapeMismatch
-from bihom.exactnum import QQ
+from bihom.errors import HypothesisFailure, ShapeMismatch
+from bihom.exactnum import QQ, QQ_Q, PrimeField
+from bihom.fixtures import cyclic_group_bialgebra, cyclic_self_action
 from bihom.lie import BiHomLieAlgebra, LieRepresentation
 from bihom.linalg import Matrix, Tensor3
+from bihom.qexamples import TwistParams
+from bihom.report import CheckEntry, CheckReport
+from bihom.smash import SmashData, smash_product
+from bihom.twisting import Pseudotwistor, TwistingMap
+from helpers import non_bialgebra_action
 
 # container -> its extents: "d" is the structure's dimension, "f" a free
 # extent (the dimension of the acting algebra, of the coalgebra, of L); a
@@ -112,3 +122,184 @@ def test_same_tensors_compares_every_container_and_no_label(cls):
             setattr(other, key, None)
             assert not a.same_tensors(other), key
             assert not other.same_tensors(a), key
+
+
+# ---------------------------------------------------------------------------
+# the constructor contract of every structure class
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()
+
+
+def _samples():
+    """cls -> its constructor arguments in positional order, each as
+    (name, a sample value, the default or REQUIRED, a second value that
+    differs from the sample, or None for an extent that cannot change on
+    its own)."""
+    H = cyclic_group_bialgebra(2)
+    A = H.algebra_part()
+    act = cyclic_self_action(2, 1)
+    other_act = ModuleAlgebraAction(Tensor3.zero(QQ, 2, 2, 2))
+    eye2, eye4 = Matrix.identity(QQ, 2), Matrix.identity(QQ, 4)
+    T, T1, T2 = Lin(eye4, (2, 2), (2, 2)), *(Lin(Matrix.identity(QQ, 8), (2,) * 3, (2,) * 3)
+                                             for _ in range(2))
+    table = {}
+    for cls, containers in CONTAINERS.items():
+        built, other = _build(cls), _build(cls, start=1000)
+        args = [("field", QQ, REQUIRED, PrimeField(7))] if cls in LABELED else []
+        args.append(("dim", D, REQUIRED, None))
+        for key, spec in containers.items():
+            default = None if len(spec) == 1 else REQUIRED
+            args.append((key, getattr(built, key), default, getattr(other, key)))
+        if cls in LABELED:
+            args.append(("labels", ["u", "v"], REQUIRED, ["v", "u"]))
+        table[cls] = args
+    table[BiHomAlgebra][-1] = ("labels", ["u", "v"], ["e0", "e1"], ["v", "u"])
+    table[BiHomCoalgebra][-1] = ("labels", ["u", "v"], ["c0", "c1"], ["v", "u"])
+    table[BiHomBialgebra][-1] = ("labels", ["u", "v"], ["h0", "h1"], ["v", "u"])
+    table[BiHomLieAlgebra][-1] = ("labels", ["u", "v"], ["x0", "x1"], ["v", "u"])
+    table.update({
+        CheckEntry: [("axiom", "a", REQUIRED, "b"), ("passed", True, REQUIRED, False),
+                     ("witness", ((0,), 1, 2), None, ((1,), 1, 2))],
+        CheckReport: [("entries", [CheckEntry("a", True)], [], [CheckEntry("b", True)])],
+        SmashData: [("H", H, REQUIRED, cyclic_group_bialgebra(3)),
+                    ("A", A, REQUIRED, cyclic_group_bialgebra(3).algebra_part()),
+                    ("action", act, REQUIRED, other_act), ("m", 2, 0, 3), ("n", 2, -1, 3),
+                    ("p", 2, -1, 3), ("_validated", True, False, False)],
+        Pseudotwistor: [("T", T, REQUIRED, Lin(eye4, (2, 2), (2, 2))),
+                        ("T1tilde", T1, REQUIRED, T2), ("T2tilde", T2, REQUIRED, T1),
+                        ("alpha2", eye2, REQUIRED, Matrix.diagonal(QQ, [1, 2])),
+                        ("beta2", eye2, REQUIRED, Matrix.diagonal(QQ, [2, 1]))],
+        TwistingMap: [("R", Matrix.identity(QQ, 6), REQUIRED, Matrix.zero(QQ, 6, 6)),
+                      ("dimA", 2, REQUIRED, None), ("dimB", 3, REQUIRED, None)],
+        TwistParams: [(name, QQ_Q.promote(i + 2), REQUIRED, QQ_Q.promote(-1))
+                      for i, name in enumerate(["lambda1", "lambda2", "lambda3", "lambda4", "xi"])],
+        ModuleAlgebraAction: [("action", act.action, REQUIRED, other_act.action)],
+    })
+    return table
+
+
+SAMPLES = _samples()
+ALL = list(SAMPLES)
+BY_NAME = {"ids": lambda c: c.__name__}
+
+
+def _kw(cls, **changes):
+    return {**{name: value for name, value, _, _ in SAMPLES[cls]}, **changes}
+
+
+def test_every_structure_class_is_pinned():
+    assert len(ALL) == 14
+
+
+@pytest.mark.parametrize("cls", ALL, **BY_NAME)
+def test_positional_and_keyword_construction_agree(cls):
+    by_position = cls(*[value for _, value, _, _ in SAMPLES[cls]])
+    by_keyword = cls(**_kw(cls))
+    assert by_position == by_keyword
+    for name, value, _, _ in SAMPLES[cls]:
+        if cls is not Pseudotwistor:  # it reads a matrix as a Lin; these are Lins
+            assert getattr(by_position, name) == value, name
+        assert getattr(by_position, name) is getattr(by_keyword, name), name
+
+
+@pytest.mark.parametrize("cls", ALL, **BY_NAME)
+def test_every_default(cls):
+    required = {name: value for name, value, default, _ in SAMPLES[cls] if default is REQUIRED}
+    x = cls(**required)
+    for name, _, default, _ in SAMPLES[cls]:
+        if default is not REQUIRED:
+            assert getattr(x, name) == default, name
+    if cls is CheckReport:  # a fresh list each time
+        assert x.entries is not cls().entries
+
+
+@pytest.mark.parametrize("cls", ALL, **BY_NAME)
+def test_a_missing_or_unknown_argument_is_a_type_error(cls):
+    for name, _, default, _ in SAMPLES[cls]:
+        if default is REQUIRED:
+            kw = _kw(cls)
+            del kw[name]
+            with pytest.raises(TypeError):
+                cls(**kw)
+    with pytest.raises(TypeError):
+        cls(**_kw(cls, no_such_argument=1))
+    with pytest.raises(TypeError):
+        cls(*[value for _, value, _, _ in SAMPLES[cls]], None)
+    name, value, _, _ = SAMPLES[cls][0]
+    with pytest.raises(TypeError):
+        cls(value, **_kw(cls))
+
+
+@pytest.mark.parametrize("cls", ALL, **BY_NAME)
+def test_equal_arguments_make_equal_instances(cls):
+    x = cls(**_kw(cls))
+    assert x == cls(**_kw(cls))
+    assert not x != cls(**_kw(cls))
+    assert x != object()
+    for name, _, _, other in SAMPLES[cls]:
+        if other is None or (cls is CheckEntry and name == "passed"):
+            continue  # a failing entry needs its witness; tested below
+        y = cls(**_kw(cls, **{name: other}))
+        assert x != y and y != x, name
+    assert CheckEntry("a", False, ((0,), 1, 2)) != CheckEntry("a", True, ((0,), 1, 2))
+    R = Matrix.identity(QQ, 6)
+    assert TwistingMap(R, 2, 3) != TwistingMap(R, 3, 2)
+
+
+@pytest.mark.parametrize("cls", ALL, **BY_NAME)
+def test_replace_changes_one_argument_and_keeps_the_rest(cls):
+    x = cls(**_kw(cls))
+    for name, value, _, other in SAMPLES[cls]:
+        if other is None or (cls is CheckEntry and name == "passed"):
+            continue
+        y = replace(x, **{name: other})
+        assert type(y) is cls
+        assert y == cls(**_kw(cls, **{name: other})), name
+        assert getattr(x, name) is value or cls is Pseudotwistor, name
+    assert replace(x) == x and replace(x) is not x
+    with pytest.raises(TypeError):
+        replace(x, no_such_argument=1)
+
+
+@pytest.mark.parametrize("cls", CONTAINERS, **BY_NAME)
+def test_replace_runs_the_shape_check(cls):
+    x = _build(cls)
+    for key, spec in CONTAINERS[cls].items():
+        wrong = _container(tuple(D + 1 if c == "d" else F for c in spec), 1)
+        with pytest.raises(ShapeMismatch):
+            replace(x, **{key: wrong})
+    with pytest.raises(ShapeMismatch):
+        replace(x, dim=D + 1)
+    if cls in LABELED:
+        with pytest.raises(ShapeMismatch):
+            replace(x, labels=["u"])
+
+
+def test_replace_runs_the_checks_of_the_other_classes():
+    with pytest.raises(ValueError, match="needs a witness"):
+        replace(CheckEntry(**_kw(CheckEntry)), witness=None, passed=False)
+    with pytest.raises(ValueError, match="needs a witness"):
+        CheckEntry("a", False)
+    with pytest.raises(ShapeMismatch):
+        replace(TwistingMap(**_kw(TwistingMap)), dimA=3)
+    P = Pseudotwistor(**_kw(Pseudotwistor))
+    with pytest.raises(ShapeMismatch):
+        replace(P, alpha2=Matrix.identity(QQ, 3))
+    with pytest.raises(ShapeMismatch):
+        replace(P, T=Matrix.identity(QQ, 8))
+    with pytest.raises(ShapeMismatch):
+        replace(P, T1tilde=Matrix.identity(QQ, 4))
+    # a matrix given for T or a companion is read as a Lin on its factors
+    assert replace(P, T=Matrix.identity(QQ, 4)).T.dom == (2, 2)
+
+
+def test_a_smash_data_copy_keeps_validated():
+    kw = _kw(SmashData, _validated=False)
+    assert replace(SmashData(**kw), m=0)._validated is False
+    assert replace(SmashData(**{**kw, "_validated": True}), m=0)._validated is True
+    # H is not a bialgebra, so only data marked validated builds a product
+    H, A, act = non_bialgebra_action(QQ)
+    with pytest.raises(HypothesisFailure):
+        smash_product(SmashData(H, A, act, 2, 2, 2))
+    assert smash_product(SmashData(H, A, act, 2, 2, 2, _validated=True)).dim == 6
