@@ -10,9 +10,7 @@ verifies them exhaustively over basis tuples and reports witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
-from typing import Optional
 
 from .errors import (
     DegenerateParameter,
@@ -44,7 +42,7 @@ from .axioms import (
     unit_law,
     witness,
 )
-from .exactnum import QQ, Field, divide, same_field
+from .exactnum import QQ, divide, same_field
 from .linalg import (
     Matrix,
     Tensor3,
@@ -55,7 +53,7 @@ from .linalg import (
     unit_vec,
     vec_tensor,
 )
-from .report import CheckReport
+from .report import CheckReport, Record
 
 
 def _default_labels(prefix, n):
@@ -74,7 +72,7 @@ def _extents_of(x):
 VECTOR, MAP, TENSOR = ("dim",), ("dim", "dim"), ("dim", "dim", "dim")
 
 
-class Shaped:
+class Shaped(Record):
     """A space of dimension dim with its structure tensors and maps.
 
     A subclass declares its containers once, in SHAPE: the field names in
@@ -84,12 +82,31 @@ class Shaped:
     dimension of an acting algebra is, but the same in every container.
     LABELS is the prefix of the default basis labels, or None for a class
     that keeps no field and no labels.
+
+    The constructor takes FIELDS, by position or keyword: field and dim
+    (dim alone without LABELS), the containers in SHAPE order, then the
+    labels.  A vector defaults to None and the labels to LABELS followed
+    by the index.  It checks the label count and every extent.
     """
 
     SHAPE = ()
     LABELS = None
 
-    def __post_init__(self):
+    def __init_subclass__(cls):
+        keys = tuple(key for key, _ in cls.SHAPE)
+        cls.FIELDS = ("field", "dim", *keys, "labels") if cls.LABELS else ("dim", *keys)
+        cls.OPTIONAL = {"labels", *(key for key, names in cls.SHAPE if len(names) == 1)}
+
+    def __init__(self, *args, **kw):
+        given = dict(zip(self.FIELDS, args))
+        wrong = (given.keys() & kw.keys()) | (kw.keys() - self.FIELDS)
+        missing = set(self.FIELDS) - given.keys() - kw.keys() - self.OPTIONAL
+        if len(args) > len(self.FIELDS) or wrong or missing:
+            raise TypeError(f"{type(self).__name__} takes {', '.join(self.FIELDS)}; got "
+                            f"{len(args)} by position and {', '.join(kw) or 'none'} by keyword")
+        given.update(kw)
+        for key in self.FIELDS:
+            setattr(self, key, given.get(key))
         if self.LABELS is not None:
             if not self.labels:
                 self.labels = _default_labels(self.LABELS, self.dim)
@@ -121,16 +138,7 @@ class Shaped:
         )
 
 
-@dataclass
 class BiHomAlgebra(Shaped):
-    field: Field
-    dim: int
-    mu: Tensor3
-    alpha: Matrix
-    beta: Matrix
-    unit: Optional[list] = None
-    labels: list = dc_field(default_factory=list)
-
     SHAPE = (("mu", TENSOR), ("alpha", MAP), ("beta", MAP), ("unit", VECTOR))
     LABELS = "e"
 
@@ -138,17 +146,11 @@ class BiHomAlgebra(Shaped):
         return images(Compose(Mul(self.mu), Kron(Vec(x), Vec(y))))[0]
 
 
-@dataclass
 class LeftModule(Shaped):
     """A left module (M, alpha_M, beta_M) over a BiHom-associative algebra.
 
     action[i][j] is the coordinate vector of e_i . m_j.
     """
-
-    dim: int
-    action: Tensor3
-    alphaM: Matrix
-    betaM: Matrix
 
     SHAPE = (("action", ("algebra_dim", "dim", "dim")), ("alphaM", MAP), ("betaM", MAP))
 

@@ -9,9 +9,7 @@ primitive elements are solved for from the same axioms that check them
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import product
-from typing import Optional
 
 from .algebra_core import (
     MAP,
@@ -66,25 +64,11 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .exactnum import Field
 from .linalg import Matrix, Tensor3, inverses, mat_mul
-from .report import CheckReport
+from .report import CheckReport, Record
 
 
-@dataclass
 class BiHomBialgebra(Shaped):
-    field: Field
-    dim: int
-    mu: Tensor3
-    delta: Tensor3
-    alpha: Matrix
-    beta: Matrix
-    psi: Matrix
-    omega: Matrix
-    unit: Optional[list] = None
-    counit: Optional[list] = None
-    labels: list = dc_field(default_factory=list)
-
     SHAPE = (("mu", TENSOR), ("delta", TENSOR), ("alpha", MAP), ("beta", MAP),
              ("psi", MAP), ("omega", MAP), ("unit", VECTOR), ("counit", VECTOR))
     LABELS = "h"
@@ -103,11 +87,11 @@ class BiHomBialgebra(Shaped):
     multiply = BiHomAlgebra.multiply
 
 
-@dataclass
-class ModuleAlgebraAction:
+class ModuleAlgebraAction(Record):
     """A left action H (x) A -> A; the module maps are A's own alpha, beta."""
 
-    action: Tensor3  # action[h][a] = coordinates of e_h . e_a
+    def __init__(self, action: Tensor3):
+        self.action = action  # action[h][a] = coordinates of e_h . e_a
 
     def as_left_module(self, a: BiHomAlgebra) -> LeftModule:
         return LeftModule(

@@ -8,9 +8,6 @@ flattened row-major: (j, k) -> j*d + k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
-
 from .algebra_core import (
     MAP,
     TENSOR,
@@ -44,7 +41,7 @@ from .axioms import (
     product_tensor,
     require,
 )
-from .exactnum import Field, same_field
+from .exactnum import same_field
 from .linalg import (
     Matrix,
     Tensor3,
@@ -55,28 +52,13 @@ from .linalg import (
 from .report import CheckReport
 
 
-@dataclass
 class BiHomCoalgebra(Shaped):
-    field: Field
-    dim: int
-    delta: Tensor3
-    psi: Matrix
-    omega: Matrix
-    counit: Optional[list] = None
-    labels: list = dc_field(default_factory=list)
-
     SHAPE = (("delta", TENSOR), ("psi", MAP), ("omega", MAP), ("counit", VECTOR))
     LABELS = "c"
 
 
-@dataclass
 class Comodule(Shaped):
     """A right C-comodule: coaction rho(m_i) = sum rho[i][j][k] m_j (x) c_k."""
-
-    dim: int
-    rho: Tensor3
-    psiM: Matrix
-    omegaM: Matrix
 
     SHAPE = (("rho", ("dim", "dim", "coalgebra_dim")), ("psiM", MAP), ("omegaM", MAP))
 

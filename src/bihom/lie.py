@@ -8,8 +8,6 @@ module actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .algebra_core import (
     MAP,
     TENSOR,
@@ -40,30 +38,18 @@ from .axioms import (
     twisted_product,
 )
 from .errors import ModuleAxiomFailure, ShapeMismatch
-from .exactnum import Field
-from .linalg import Matrix, Tensor3, inverses, mat_mul
+from .linalg import Matrix, inverses, mat_mul
 from .report import CheckReport
 
 
-@dataclass
 class BiHomLieAlgebra(Shaped):
-    field: Field
-    dim: int
-    bracket: Tensor3
-    alpha: Matrix
-    beta: Matrix
-    labels: list = dc_field(default_factory=list)
-
     SHAPE = (("bracket", TENSOR), ("alpha", MAP), ("beta", MAP))
     LABELS = "x"
 
 
-@dataclass
 class LieRepresentation(Shaped):
-    dim: int  # dimension of the target space M
-    rho: Tensor3  # rho[x][j] = coordinates of rho(e_x)(m_j)
-    alphaM: Matrix
-    betaM: Matrix
+    """A representation of L on M; dim is M's, rho[x][j] the coordinates
+    of rho(e_x)(m_j)."""
 
     SHAPE = (("rho", ("lie_dim", "dim", "dim")), ("alphaM", MAP), ("betaM", MAP))
 

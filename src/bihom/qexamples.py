@@ -29,12 +29,11 @@ products are exact at every degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import ZeroParameter
 from .exactnum import QQ_Q, RationalFunction, q_integer
-from .report import CheckReport
+from .report import CheckReport, Record
 
 RF = RationalFunction
 _ZERO = QQ_Q.zero()
@@ -409,16 +408,13 @@ class QPElement(_Combination):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TwistParams:
+class TwistParams(Record):
     """The nonzero scalars fixing the four bialgebra scalings and the
     quantum-plane rescaling."""
 
-    lambda1: RF
-    lambda2: RF
-    lambda3: RF
-    lambda4: RF
-    xi: RF
+    def __init__(self, lambda1: RF, lambda2: RF, lambda3: RF, lambda4: RF, xi: RF):
+        self.lambda1, self.lambda2, self.lambda3, self.lambda4 = lambda1, lambda2, lambda3, lambda4
+        self.xi = xi
 
     @staticmethod
     def of(l1, l2, l3, l4, xi) -> "TwistParams":

@@ -1,26 +1,42 @@
-"""Per-axiom verdicts with concrete witnesses on every failure."""
+"""Per-axiom verdicts with concrete witnesses on every failure, and the
+value semantics that every structure class shares."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+
+class Record:
+    """Equality, repr and copy with changes, for a class whose instance
+    attributes are exactly its constructor's arguments, by name and in
+    order.  A name that starts with "_" is left out of the repr."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k[0] != "_")
+        return f"{type(self).__name__}({args})"
+
+    def replace(self, **changes):
+        """A new instance with the given arguments changed, checked as at
+        construction."""
+        return type(self)(**{**vars(self), **changes})
 
 
-@dataclass
-class CheckEntry:
-    axiom: str
-    passed: bool
-    # witness = (index tuple, evaluated left side, evaluated right side)
-    witness: Optional[tuple] = None
-
-    def __post_init__(self):
-        if not self.passed and self.witness is None:
-            raise ValueError(f"failing axiom {self.axiom!r} needs a witness")
+class CheckEntry(Record):
+    def __init__(self, axiom: str, passed: bool, witness: tuple | None = None):
+        if not passed and witness is None:
+            raise ValueError(f"failing axiom {axiom!r} needs a witness")
+        self.axiom = axiom
+        self.passed = passed
+        # witness = (index tuple, evaluated left side, evaluated right side)
+        self.witness = witness
 
 
-@dataclass
-class CheckReport:
-    entries: list = field(default_factory=list)
+class CheckReport(Record):
+    def __init__(self, entries: list | None = None):
+        self.entries = [] if entries is None else entries
 
     def add(self, axiom: str, passed: bool, witness=None):
         self.entries.append(CheckEntry(axiom, bool(passed), witness))

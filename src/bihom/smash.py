@@ -5,8 +5,6 @@ module algebra H* with its right-translation-style action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
-
 from .algebra_core import BiHomAlgebra, _carried_counit, _require_pairwise_commuting
 from .bialgebra import (
     BiHomBialgebra,
@@ -43,11 +41,11 @@ from .linalg import (
     mat_mul,
     mat_power,
 )
+from .report import Record
 from .twisting import TwistingMap, twisted_tensor_product
 
 
-@dataclass
-class SmashData:
+class SmashData(Record):
     """A module BiHom-algebra (H, A, action) plus the exponents (m, n, p).
 
     Invariants (verified by validate, in this order): all six structure
@@ -56,13 +54,11 @@ class SmashData:
     bialgebra axioms, so the maps are checked first, to name the map.
     """
 
-    H: BiHomBialgebra
-    A: BiHomAlgebra
-    action: ModuleAlgebraAction
-    m: int = 0
-    n: int = -1
-    p: int = -1
-    _validated: bool = dc_field(default=False, repr=False)
+    def __init__(self, H: BiHomBialgebra, A: BiHomAlgebra, action: ModuleAlgebraAction,
+                 m: int = 0, n: int = -1, p: int = -1, _validated: bool = False):
+        self.H, self.A, self.action = H, A, action
+        self.m, self.n, self.p = m, n, p
+        self._validated = _validated
 
     def validate(self):
         if self._validated:
@@ -107,7 +103,7 @@ def smash_product(S: SmashData) -> BiHomAlgebra:
 
     (a # h)(a' # h') = a (betaH^-1 omegaH^-1(h1) . betaA^-1(a')) # psiH^-1(h2) h'.
     """
-    tw = smash_twisting_map(replace(S, m=0, n=-1, p=-1))
+    tw = smash_twisting_map(S.replace(m=0, n=-1, p=-1))
     return twisted_tensor_product(S.A, S.H.algebra_part(), tw)
 
 

@@ -14,7 +14,6 @@ Twisting maps R: B (x) A -> A (x) B are (dA*dB) x (dB*dA) matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra_core import (
@@ -53,45 +52,35 @@ from .errors import (
     TwistingMapInvalid,
 )
 from .linalg import Matrix, inverses, mat_mul
-from .report import CheckReport
+from .report import CheckReport, Record
 
 
-@dataclass
-class Pseudotwistor:
-    T: Term  # on D (x) D
-    T1tilde: Term  # on D (x) D (x) D
-    T2tilde: Term  # on D (x) D (x) D
-    alpha2: Matrix  # on D
-    beta2: Matrix  # on D
+class Pseudotwistor(Record):
+    """T on D (x) D, its companions T1tilde and T2tilde on D (x) D (x) D,
+    and alpha2 and beta2 on D."""
 
-    def __post_init__(self):
-        d = self.alpha2.rows
-        if (self.alpha2.cols, self.beta2.rows, self.beta2.cols) != (d, d, d):
+    def __init__(self, T: Term, T1tilde: Term, T2tilde: Term, alpha2: Matrix, beta2: Matrix):
+        d = alpha2.rows
+        if (alpha2.cols, beta2.rows, beta2.cols) != (d, d, d):
             raise ShapeMismatch("pseudotwistor auxiliary map shape")
-        for name, k in (("T", 2), ("T1tilde", 3), ("T2tilde", 3)):
-            m, dims = getattr(self, name), (d,) * k
+        for name, m, k in (("T", T, 2), ("T1tilde", T1tilde, 3), ("T2tilde", T2tilde, 3)):
+            dims = (d,) * k
             if isinstance(m, Matrix):
                 m = Lin(m, dims, dims) if (m.rows, m.cols) == (d**k, d**k) else None
             if m is None or (m.dom, m.cod) != (dims, dims):
                 raise ShapeMismatch("T must act on the tensor square" if k == 2
                                     else "companions must act on the tensor cube")
             setattr(self, name, m)
+        self.alpha2, self.beta2 = alpha2, beta2
 
 
-@dataclass
-class TwistingMap:
+class TwistingMap(Record):
     """R: B (x) A -> A (x) B between two BiHom-associative algebras."""
 
-    R: Matrix
-    dimA: int
-    dimB: int
-
-    def __post_init__(self):
-        if (self.R.rows, self.R.cols) != (
-            self.dimA * self.dimB,
-            self.dimB * self.dimA,
-        ):
+    def __init__(self, R: Matrix, dimA: int, dimB: int):
+        if (R.rows, R.cols) != (dimA * dimB, dimB * dimA):
             raise ShapeMismatch("twisting map must send B (x) A to A (x) B")
+        self.R, self.dimA, self.dimB = R, dimA, dimB
 
 
 # ---------------------------------------------------------------------------

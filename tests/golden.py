@@ -25,7 +25,6 @@ The script refuses to overwrite ``tests/data/golden_corpus.json``, which
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -85,6 +84,7 @@ from bihom.axioms import Term, images
 from bihom.coalgebra import Comodule, regular_comodule
 from bihom.io_cli import parse_structure
 from bihom.linalg import mat_inverse
+from bihom.report import Record
 from bihom.twisting import helper_identity_witness, ttp_pseudotwistor
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -117,18 +117,17 @@ def fmt_witness(field, w):
 
 
 def fmt_structure(field, x):
-    """A structure as its dataclass repr, with its unit and counit vectors
-    through field.format."""
+    """A structure as its repr, with its unit and counit vectors through
+    field.format."""
     parts = []
-    for f in dataclasses.fields(x):
-        if not f.repr:
+    for name, v in vars(x).items():
+        if name.startswith("_"):
             continue
-        v = getattr(x, f.name)
-        if f.name in ("unit", "counit") and v is not None:
+        if name in ("unit", "counit") and v is not None:
             text = "[" + ", ".join(scalars(field, v)) + "]"
         else:
             text = repr(v)
-        parts.append(f"{f.name}={text}")
+        parts.append(f"{name}={text}")
     return f"{type(x).__name__}({', '.join(parts)})"
 
 
@@ -137,7 +136,7 @@ def fmt_value(field, x):
     by its repr, anything else as scalars."""
     if x is None or isinstance(x, bool):
         return x
-    if dataclasses.is_dataclass(x):
+    if isinstance(x, Record):
         return fmt_structure(field, x)
     if isinstance(x, Matrix):
         return repr(x)
@@ -236,7 +235,7 @@ def sweep(out, fn_name, fn, field, name, args, targets, k=4, encode=fmt_value):
         label = f"{idx}" if attr is None else f"{idx}.{attr}"
         for pos in picks(f"{fn_name}:{name}:{label}", value, _k(value, k)):
             bad = bumped(value, pos, field)
-            new = bad if attr is None else dataclasses.replace(holder, **{attr: bad})
+            new = bad if attr is None else holder.replace(**{attr: bad})
             call = list(args)
             call[idx] = new
             case = f"{fn_name}:{name}:{label}{list(pos)}"
@@ -543,7 +542,7 @@ def _preconditions(out):
                       lambda: hopf_to_monoidal(kc4, fx.cyclic_antipode(4),
                                                fx.cyclic_power_map(4, 2), i4)))
     out.append(record("hopf_to_monoidal:no_unit", "hopf_to_monoidal", QQ,
-                      lambda: hopf_to_monoidal(dataclasses.replace(kc4, unit=None),
+                      lambda: hopf_to_monoidal(kc4.replace(unit=None),
                                                fx.cyclic_antipode(4), i4, i4)))
 
     D, alpha2, beta2 = _worked_pseudotwistor()
@@ -584,7 +583,7 @@ def _preconditions(out):
           lambda data, p, o: smash_comodule_structure(data, p, o)[2], QQ, "kc4",
           [base, i4, i4], [(1, None), (2, None)], k=4)
     out.append(record("smash_validate:kc4", "smash_validate", QQ, base.validate))
-    bad_act = dataclasses.replace(act2, action=bumped(act2.action, (1, 1, 2), QQ))
+    bad_act = act2.replace(action=bumped(act2.action, (1, 1, 2), QQ))
     out.append(record("smash_validate:kc4:action", "smash_validate", QQ,
                       lambda: SmashData(H=H2, A=A2, action=bad_act).validate()))
 

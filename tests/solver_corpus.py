@@ -19,7 +19,6 @@ The script refuses to overwrite ``tests/data/solver_corpus.json``, which
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import os
 import sys
@@ -137,8 +136,8 @@ def _degenerate():
     """k[C_2] without a unit, and with zero coproduct and counit: the
     antipode system of the latter has a solution space of dimension 2."""
     kc2 = fx.cyclic_group_bialgebra(2)
-    flat = dataclasses.replace(kc2, delta=Tensor3.zero(QQ, 2, 2, 2), counit=[0, 0])
-    return [("kc2_no_unit", dataclasses.replace(kc2, unit=None)), ("kc2_flat", flat)]
+    flat = kc2.replace(delta=Tensor3.zero(QQ, 2, 2, 2), counit=[0, 0])
+    return [("kc2_no_unit", kc2.replace(unit=None)), ("kc2_flat", flat)]
 
 
 def _elements(H):

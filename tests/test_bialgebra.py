@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -207,7 +206,7 @@ class TestPrimitives:
     def test_bracket_checks_fail_in_order(self, maps, error):
         H = f3_truncated_line()
         f3 = H.field
-        H = dataclasses.replace(H, **{k: Matrix(f3, m) for k, m in maps.items()})
+        H = H.replace(**{k: Matrix(f3, m) for k, m in maps.items()})
         x = [f3.zero(), f3.one(), f3.zero()]
         with pytest.raises(AssertionError) as info:
             primitive_bracket(H, x, x)

@@ -7,7 +7,6 @@ may reach ``QQ.promote`` on the way, and none may sit in a matrix, tensor,
 vector or witness of a result.
 """
 
-import dataclasses
 import os
 from fractions import Fraction
 
@@ -187,9 +186,6 @@ def _leaves(x, seen):
     elif isinstance(x, (list, tuple)):
         for y in x:
             yield from _leaves(y, seen)
-    elif dataclasses.is_dataclass(x):
-        for f in dataclasses.fields(x):
-            yield from _leaves(getattr(x, f.name), seen)
     elif type(x).__module__.startswith("bihom."):
         for name in getattr(x, "__dict__", {}):
             yield from _leaves(getattr(x, name), seen)

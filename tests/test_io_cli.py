@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -32,6 +31,7 @@ from bihom.fixtures import (
 )
 from bihom.io_cli import KINDS, LAYOUTS, main, parse_structure, serialize_structure
 from bihom.linalg import Matrix, Tensor3
+from bihom.report import Record
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 FROZENDIR = os.path.join(os.path.dirname(__file__), "data", "serialized")
@@ -187,9 +187,9 @@ def _containers(value):
     elif isinstance(value, tuple):
         for v in value:
             yield from _containers(v)
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _containers(getattr(value, f.name))
+    elif isinstance(value, Record):
+        for v in vars(value).values():
+            yield from _containers(v)
 
 
 def _typed(x):
@@ -306,8 +306,8 @@ class TestParseMemo:
         q = RF.q_power(1)
         a = example_family(1, (1 + q) / (1 - q), q, field=QQ_Q)
         good = tensor_product(a, a)
-        bumped = dataclasses.replace(
-            good, mu=Tensor3(QQ_Q, [[list(v) for v in plane] for plane in good.mu.t]))
+        bumped = good.replace(
+            mu=Tensor3(QQ_Q, [[list(v) for v in plane] for plane in good.mu.t]))
         bumped.mu.t[3][3][3] += 1
         codes = []
         for value in (good, bumped):

@@ -21,7 +21,6 @@ the same engine and the same axiom terms, so a wrong axiom formula passes
 here; the golden corpus and the oracles catch that.
 """
 
-import dataclasses
 import functools
 from fractions import Fraction
 
@@ -94,13 +93,12 @@ def reduce_input(x, F):
     if isinstance(x, list):  # a unit or a counit
         return reduce_value(x, F)
     changes = {}
-    for f in dataclasses.fields(x):
-        v = getattr(x, f.name)
-        if f.name == "field":
-            changes[f.name] = F
-        elif f.name != "labels" and not isinstance(v, (int, type(None))):
-            changes[f.name] = reduce_input(v, F)
-    return dataclasses.replace(x, **changes)
+    for name, v in vars(x).items():
+        if name == "field":
+            changes[name] = F
+        elif name != "labels" and not isinstance(v, (int, type(None))):
+            changes[name] = reduce_input(v, F)
+    return x.replace(**changes)
 
 
 def _rank(dims, t):
