@@ -84,9 +84,13 @@ def smash_twisting_map(S: SmashData) -> TwistingMap:
     S.validate()
     H, A = S.H, S.A
     dh, da = H.dim, A.dim
-    front = mat_mul(
-        mat_power(H.alpha, S.m), mat_mul(mat_power(H.beta, S.n), mat_power(H.omega, S.p))
-    )
+    powers = []
+    for name, e, m, k in (("alpha_H", "m", H.alpha, S.m), ("beta_H", "n", H.beta, S.n),
+                          ("omega_H", "p", H.omega, S.p)):
+        if k < 0:
+            (m,), k = inverses(f"smash twisting map needs bijective {name} for {e} = {k}", m), -k
+        powers.append(mat_power(m, k))
+    front = mat_mul(powers[0], mat_mul(powers[1], powers[2]))
     bAi, pi = inverses("smash twisting map needs bijective beta_A and psi_H", A.beta, H.psi)
     # e_h (x) e_a -> h1 (x) a (x) h2 -> front(h1) . betaA^-1(a) (x) psi^-1(h2)
     acting = Compose(Mul(S.action.action), Kron(Lin(front), Lin(bAi)))

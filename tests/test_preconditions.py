@@ -192,6 +192,21 @@ def test_validated_smash_data_names_its_singular_map(field, build, name, part, a
                               f"matrix has rank {r} < 4")
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name, attr, exponent", [
+    ("alpha_H", "alpha", "m"), ("beta_H", "beta", "n"), ("omega_H", "omega", "p")])
+def test_a_negative_exponent_names_the_singular_map_it_inverts(field, name, attr, exponent):
+    """R_{m,n,p} with m = n = p = -1 on data marked validated inverts
+    alpha_H, beta_H and omega_H itself."""
+    H, A, act = kc4(field)
+    S = SmashData(H.replace(**{attr: rank(field, 1)}), A, act, -1, -1, -1, _validated=True)
+    with pytest.raises(Singular) as exc:
+        smash_twisting_map(S)
+    assert str(exc.value) == (f"smash twisting map needs bijective {name} for {exponent} = -1: "
+                              "matrix has rank 1 < 4")
+    assert smash_twisting_map(S.replace(**{exponent: 1})).dimA == 4
+
+
 MONOIDAL = "antipode solving requires a monoidal bialgebra"
 
 
