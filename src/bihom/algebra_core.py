@@ -95,16 +95,15 @@ class Shaped(Record):
     def __init_subclass__(cls):
         keys = tuple(key for key, _ in cls.SHAPE)
         cls.FIELDS = ("field", "dim", *keys, "labels") if cls.LABELS else ("dim", *keys)
-        cls.OPTIONAL = {"labels", *(key for key, names in cls.SHAPE if len(names) == 1)}
+        cls._NAMES = frozenset(cls.FIELDS)
+        cls._REQUIRED = cls._NAMES - {"labels", *(k for k, names in cls.SHAPE if len(names) == 1)}
 
     def __init__(self, *args, **kw):
-        given = dict(zip(self.FIELDS, args))
-        wrong = (given.keys() & kw.keys()) | (kw.keys() - self.FIELDS)
-        missing = set(self.FIELDS) - given.keys() - kw.keys() - self.OPTIONAL
-        if len(args) > len(self.FIELDS) or wrong or missing:
+        # fewer entries than arguments: too many by position, or one given twice
+        given = dict(zip(self.FIELDS, args), **kw)
+        if len(given) < len(args) + len(kw) or not self._REQUIRED <= given.keys() <= self._NAMES:
             raise TypeError(f"{type(self).__name__} takes {', '.join(self.FIELDS)}; got "
                             f"{len(args)} by position and {', '.join(kw) or 'none'} by keyword")
-        given.update(kw)
         for key in self.FIELDS:
             setattr(self, key, given.get(key))
         if self.LABELS is not None:
