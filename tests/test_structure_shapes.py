@@ -128,6 +128,8 @@ def test_same_tensors_compares_every_container_and_no_label(cls):
 # ---------------------------------------------------------------------------
 
 REQUIRED = object()
+DEFAULT_LABEL_PREFIX = {BiHomAlgebra: "e", BiHomCoalgebra: "c", BiHomBialgebra: "h",
+                        BiHomLieAlgebra: "x"}
 
 
 def _samples():
@@ -151,12 +153,9 @@ def _samples():
             default = None if len(spec) == 1 else REQUIRED
             args.append((key, getattr(built, key), default, getattr(other, key)))
         if cls in LABELED:
-            args.append(("labels", ["u", "v"], REQUIRED, ["v", "u"]))
+            prefix = DEFAULT_LABEL_PREFIX[cls]
+            args.append(("labels", ["u", "v"], [f"{prefix}0", f"{prefix}1"], ["v", "u"]))
         table[cls] = args
-    table[BiHomAlgebra][-1] = ("labels", ["u", "v"], ["e0", "e1"], ["v", "u"])
-    table[BiHomCoalgebra][-1] = ("labels", ["u", "v"], ["c0", "c1"], ["v", "u"])
-    table[BiHomBialgebra][-1] = ("labels", ["u", "v"], ["h0", "h1"], ["v", "u"])
-    table[BiHomLieAlgebra][-1] = ("labels", ["u", "v"], ["x0", "x1"], ["v", "u"])
     table.update({
         CheckEntry: [("axiom", "a", REQUIRED, "b"), ("passed", True, REQUIRED, False),
                      ("witness", ((0,), 1, 2), None, ((1,), 1, 2))],
@@ -225,9 +224,8 @@ def test_a_missing_or_unknown_argument_is_a_type_error(cls):
         cls(**_kw(cls, no_such_argument=1))
     with pytest.raises(TypeError):
         cls(*[value for _, value, _, _ in SAMPLES[cls]], None)
-    name, value, _, _ = SAMPLES[cls][0]
-    with pytest.raises(TypeError):
-        cls(value, **_kw(cls))
+    with pytest.raises(TypeError):  # the first argument by position and by keyword
+        cls(SAMPLES[cls][0][1], **_kw(cls))
 
 
 @pytest.mark.parametrize("cls", ALL, **BY_NAME)
